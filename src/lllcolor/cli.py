@@ -265,6 +265,8 @@ def _bench_one(task):
 
 
 def cmd_bench(args) -> int:
+    if args.runs < 1:
+        raise ValueError("--runs must be >= 1")
     graph = _parse_generator(args.generator, args.gen_seed)
     k = _auto_palette(graph) if args.k is None else args.k
     base = args.seed_base if args.seed_base is not None else _fresh_seed()

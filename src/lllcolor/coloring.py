@@ -332,7 +332,7 @@ class ColorRunStats:
     audit: ColorAudit | None = None
 
     def to_json_dict(self) -> dict:
-        return {"steps": self.steps, "phases": self.phases, "seed": self.seed}
+        return {"steps": self.steps, "phases": self.phases, "seed": self.seed, "terminated": self.terminated}
 
 
 def col_alg(
@@ -357,6 +357,8 @@ def col_alg(
         raise PaletteError(f"k={k} below the safety threshold {2 * graph.max_degree - 1}")
     if detector not in ("rescan", "incremental"):
         raise ValueError(f"unknown detector {detector!r}")
+    if step_limit is not None and step_limit < 0:
+        raise ContractError(f"step_limit must be >= 0, got {step_limit}")
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)
     rng = random.Random(seed)

@@ -7,6 +7,13 @@ resampling an event recursively fixes every occurring neighbour (an event
 whose scope shares a variable) before returning.  If the loop ever stops,
 no event occurs under the final assignment.
 
+The loop caches whether each event occurs.  A resample of event k marks
+only the neighbourhood of k as stale, since no other event reads a variable
+it changed, and a stale entry is evaluated when the loop next reads it.
+All root choices together make one pass over the event ids, so a run costs
+at most m + Δ·steps event evaluations rather than a scan of all m events
+per root choice.
+
 Every resample call is recorded as a ``(event id, call depth)`` pair, which
 is enough to rebuild the exact recursion structure afterwards as a rooted
 labeled forest (the witness forest).  The companion validation routine
@@ -131,7 +138,11 @@ class EventSystem:
         return self.neighborhoods[j]
 
     def first_occurring(self, values: Sequence, candidates: Sequence[int] | None = None) -> int | None:
-        """Least-indexed occurring event, or None.  Plain linear scan."""
+        """Least-indexed occurring event, or None.  Plain linear scan.
+
+        ``m_algorithm`` does not call this; the tests use it to build the
+        reference loop that the engine must match.
+        """
         pool = candidates if candidates is not None else range(self.m)
         for j in pool:
             if self.events[j].occurs(values):
@@ -226,21 +237,50 @@ def m_algorithm(
     limited by the interpreter.  Steps count every resample call (root or
     recursive).  Hitting ``step_limit`` is not an error: the run is returned
     flagged ``terminated=False`` and callers inspect the flag.
+
+    ``occ[j]`` caches whether event j occurs, None meaning not evaluated
+    since j's scope last changed.  A resample of k resets
+    ``system.neighborhoods[k]`` to None, and an entry is evaluated when it
+    is read as None.  The least occurring neighbour of the stack top is
+    found by reading its sorted neighbourhood in order.  Roots need no
+    search: an event that does not occur before a root call does not occur
+    after it returns (the last call that touched its variables returned
+    only once none of its neighbours occurred), and the root itself is fixed
+    by its own call.  So each root choice resumes one pass over the ids in
+    increasing order where the previous one stopped.  A run thus calls
+    ``Event.occurs`` at most m + Δ·steps times.  Evaluation draws no
+    randomness, so the run is the one a linear scan for the least occurring
+    event would produce.
     """
+    if step_limit is not None and step_limit < 0:
+        raise ContractError(f"step_limit must be >= 0, got {step_limit}")
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)
     rng = random.Random(seed)
     limit = default_step_limit(system.m) if step_limit is None else step_limit
+    events, neighborhoods = system.events, system.neighborhoods
 
     values = sample_all(system, rng)
+    occ: list[bool | None] = [None] * system.m
+    roots = iter(range(system.m))
     steps = 0
     phases = 0
     trace: list[tuple[int, int]] = []
     snapshots: list[tuple[frozenset, frozenset]] | None = [] if snapshot_progress else None
     aborted = False
 
+    def occurring(i: int) -> bool:
+        if occ[i] is None:
+            occ[i] = events[i].occurs(values)
+        return occ[i]
+
+    def resample(k: int) -> None:
+        _resample_scope(system, values, k, rng)
+        for i in neighborhoods[k]:
+            occ[i] = None
+
     while not aborted:
-        j = system.first_occurring(values)
+        j = next((r for r in roots if occurring(r)), None)
         if j is None:
             break
         if steps >= limit:
@@ -251,9 +291,9 @@ def m_algorithm(
         stack = [j]
         steps += 1
         trace.append((j, 0))
-        _resample_scope(system, values, j, rng)
+        resample(j)
         while stack:
-            k = system.first_occurring(values, candidates=system.neighborhood(stack[-1]))
+            k = next((i for i in neighborhoods[stack[-1]] if occurring(i)), None)
             if k is None:
                 stack.pop()
                 continue
@@ -263,13 +303,13 @@ def m_algorithm(
             stack.append(k)
             steps += 1
             trace.append((k, len(stack) - 1))
-            _resample_scope(system, values, k, rng)
+            resample(k)
         if snapshot_progress and not aborted:
             snapshots.append((before, system.occurring_scope_union(values)))
 
     terminated = not aborted
-    if terminated:
-        assert phases <= system.m, "more phases than events on a terminated run"
+    if terminated and phases > system.m:
+        raise ContractError(f"{phases} phases for {system.m} events on a terminated run")
     stats = RunStats(steps, phases, trace, terminated, seed, limit, snapshots)
     return values, stats
 

@@ -1,4 +1,4 @@
-"""Shared builders: small event systems, graphs, brute-force cycle oracle."""
+"""Shared builders: small event systems, graphs, brute-force oracles."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from lllcolor.engine import Event, EventSystem, VariableSpace
+from lllcolor.engine import Event, EventSystem, RunStats, VariableSpace, default_step_limit, sample_all
 from lllcolor.graphs import Graph
 
 
@@ -40,6 +40,64 @@ def random_truth_table_system(rng: random.Random, n_vars: int = 6, n_events: int
         table = {combo: rng.random() < 0.3 for combo in itertools.product((0, 1), repeat=len(scope))}
         events.append(Event(j, scope, table.__getitem__))
     return EventSystem(space, events)
+
+
+def reference_m_algorithm(
+    system: EventSystem,
+    seed: int,
+    step_limit: int | None = None,
+    snapshot_progress: bool = False,
+) -> tuple[list, RunStats]:
+    """The resampling loop by linear scans: the oracle for ``m_algorithm``.
+
+    Every root choice scans all events from id 0 with ``first_occurring``
+    and every child choice scans the stack top's neighbourhood, so nothing
+    is cached between choices.  Must give the same values and RunStats as
+    ``m_algorithm`` for every system, seed and limit.
+    """
+    rng = random.Random(seed)
+    limit = default_step_limit(system.m) if step_limit is None else step_limit
+
+    def resample(j: int) -> None:
+        for i in system.events[j].scope:
+            values[i] = system.space.sample(i, rng)
+
+    values = sample_all(system, rng)
+    steps = 0
+    phases = 0
+    trace: list[tuple[int, int]] = []
+    snapshots: list[tuple[frozenset, frozenset]] | None = [] if snapshot_progress else None
+    aborted = False
+
+    while not aborted:
+        j = system.first_occurring(values)
+        if j is None:
+            break
+        if steps >= limit:
+            aborted = True
+            break
+        before = system.occurring_scope_union(values) if snapshot_progress else None
+        phases += 1
+        stack = [j]
+        steps += 1
+        trace.append((j, 0))
+        resample(j)
+        while stack:
+            k = system.first_occurring(values, candidates=system.neighborhood(stack[-1]))
+            if k is None:
+                stack.pop()
+                continue
+            if steps >= limit:
+                aborted = True
+                break
+            stack.append(k)
+            steps += 1
+            trace.append((k, len(stack) - 1))
+            resample(k)
+        if snapshot_progress and not aborted:
+            snapshots.append((before, system.occurring_scope_union(values)))
+
+    return values, RunStats(steps, phases, trace, not aborted, seed, limit, snapshots)
 
 
 def two_hex_graph() -> Graph:

@@ -245,6 +245,25 @@ def test_dice_zero_trials(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sat", "{cnf}", "--step-limit", "-1"),
+        ("color", "{graph}", "--step-limit", "-1"),
+        ("bench", "--generator", "cycle:6", "--runs", "2", "--step-limit", "-1"),
+        ("bench", "--generator", "cycle:6", "--runs", "0"),
+    ],
+    ids=["sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs"],
+)
+def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, argv):
+    cnf = tmp_path / "one.cnf"
+    cnf.write_text("p cnf 2 1\n1 2 0\n")
+    code = main([a.format(cnf=cnf, graph=hexagon_file) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("lllcolor: error:")
+
+
 def test_unknown_flag_is_input_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gamma", "--bogus"])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -5,6 +6,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lllcolor.engine import (
     ContractError,
@@ -23,7 +26,7 @@ from lllcolor.engine import (
 from lllcolor.dimacs import clause_system, formula_satisfied
 from lllcolor.bounds import BoundParams, lll_condition
 
-from conftest import chain_3sat, random_truth_table_system, single_event_system
+from conftest import chain_3sat, random_truth_table_system, reference_m_algorithm, single_event_system
 
 
 # -- sampling -----------------------------------------------------------------
@@ -209,6 +212,88 @@ def test_stack_depth_beyond_interpreter_limit():
     assert depth == 3871 and depth > 2500  # frozen for seed 1; far past the default limit of 1000
     forest = build_witness_forest(stats.trace, system)
     assert len(forest) == stats.steps and check_feasible(forest, system)
+
+
+def test_step_limit_must_be_non_negative():
+    with pytest.raises(ContractError):
+        m_algorithm(single_event_system(), seed=0, step_limit=-1)
+
+
+# -- the occurrence table against the linear-scan loop -------------------------
+
+ORACLE_LIMITS = (None, 5, 50, 300)
+
+
+def _matches_reference(system, seed, step_limit, snapshot_progress) -> bool:
+    """Asserts field-for-field equality with the oracle; returns termination."""
+    values, stats = m_algorithm(system, seed=seed, step_limit=step_limit, snapshot_progress=snapshot_progress)
+    assert (values, stats) == reference_m_algorithm(system, seed, step_limit, snapshot_progress)
+    return stats.terminated
+
+
+def test_matches_reference_on_truth_table_systems():
+    rng = random.Random(0x7AB1E)
+    outcomes = set()
+    for i in range(240):
+        system = random_truth_table_system(rng, n_vars=rng.randint(3, 12), n_events=rng.randint(1, 30))
+        outcomes.add(_matches_reference(system, rng.randrange(2**32), ORACLE_LIMITS[i % 4], i // 4 % 2 == 0))
+    assert outcomes == {True, False}  # both finished and aborted runs were compared
+
+
+def test_matches_reference_on_chain_3sat():
+    rng = random.Random(0x3547)
+    outcomes = set()
+    for i in range(80):
+        n_vars, clauses = chain_3sat(rng.randint(5, 400), rng)
+        system = clause_system(n_vars, clauses)
+        outcomes.add(_matches_reference(system, rng.randrange(2**32), ORACLE_LIMITS[i % 4], i // 4 % 2 == 0))
+    assert outcomes == {True, False}
+
+
+@st.composite
+def event_systems(draw):
+    """Small systems over variables with 1-3 values and random truth tables."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=8))
+    space = VariableSpace([range(size) for size in sizes])
+    events = []
+    for j in range(draw(st.integers(0, 12))):
+        scope = tuple(sorted(draw(st.sets(st.integers(0, len(sizes) - 1), min_size=1, max_size=3))))
+        combos = list(itertools.product(*(range(sizes[i]) for i in scope)))
+        hits = draw(st.lists(st.booleans(), min_size=len(combos), max_size=len(combos)))
+        table = frozenset(c for c, hit in zip(combos, hits) if hit)
+        events.append(Event(j, scope, table.__contains__))
+    return EventSystem(space, events)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    system=event_systems(),
+    seed=st.integers(0, 2**32 - 1),
+    step_limit=st.sampled_from((None, 0, 1, 5, 50)),
+    snapshot_progress=st.booleans(),
+)
+def test_matches_reference_on_generated_systems(system, seed, step_limit, snapshot_progress):
+    _matches_reference(system, seed, step_limit, snapshot_progress)
+
+
+def test_event_evaluations_linear_in_steps(monkeypatch):
+    # one evaluation per event after the initial sample, then one per
+    # neighbour of each resampled event: a scan of all m events per root
+    # choice would exceed this bound by orders of magnitude
+    n_vars, clauses = chain_3sat(2000, random.Random(2000))
+    system = clause_system(n_vars, clauses)
+    evaluations = 0
+    occurs_unpatched = Event.occurs
+
+    def counting_occurs(self, values):
+        nonlocal evaluations
+        evaluations += 1
+        return occurs_unpatched(self, values)
+
+    monkeypatch.setattr(Event, "occurs", counting_occurs)
+    _, stats = m_algorithm(system, seed=11)
+    assert stats.terminated and stats.steps > 0
+    assert evaluations <= system.m + stats.steps * system.delta
 
 
 def test_estimate_p():
