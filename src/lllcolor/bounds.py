@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .engine import ContractError
+
 Q_SERIES_CAP = 300
 
 
@@ -111,7 +113,8 @@ def lll_condition(params: BoundParams) -> dict[str, bool]:
     e*p*delta <= 1.  The classical condition implies the sharp one."""
     strict = params.base < 1
     classic = math.e * float(params.p) * params.delta <= 1
-    assert not classic or strict, "classical condition must imply the sharp one"
+    if classic and not strict:
+        raise ContractError("classical condition must imply the sharp one")
     return {"strict": strict, "classic": classic}
 
 

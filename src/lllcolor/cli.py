@@ -11,7 +11,8 @@ missing --seed is replaced by a recorded random one, so any data output is
 byte-reproducible from its own metadata.
 
 Exit codes: 0 success, 2 verification failure, 3 not terminated within the
-step limit, 4 input error.
+step limit, 4 input error (one line on stderr).  `verify` exits 1 unless
+the coloring is proper, acyclic and within the palette 0..K-1.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -122,9 +124,7 @@ def cmd_color(args) -> int:
     graph = graphs_mod.Graph.read_edge_list(args.graph)
     k = _auto_palette(graph) if args.k is None else args.k
     seed = args.seed if args.seed is not None else _fresh_seed()
-    coloring, stats = coloring_mod.col_alg(
-        graph, k, seed=seed, step_limit=args.step_limit, detector=args.detector
-    )
+    coloring, stats = coloring_mod.col_alg(graph, k, seed=seed, step_limit=args.step_limit)
     verdict = (
         coloring_mod.verify_acyclic(graph, coloring)
         if stats.terminated
@@ -139,7 +139,6 @@ def cmd_color(args) -> int:
             "auto": args.k is None,
             "seed": seed,
             "step_limit": stats.step_limit,
-            "detector": args.detector,
         },
         "K": k,
         "colors": coloring.colors,
@@ -159,7 +158,10 @@ def cmd_verify(args) -> int:
     graph = graphs_mod.Graph.read_edge_list(args.graph)
     with open(args.coloring) as fh:
         payload = json.load(fh)
-    coloring = coloring_mod.EdgeColoring(int(payload["K"]), list(payload["colors"]))
+    k, colors = (payload.get("K"), payload.get("colors")) if isinstance(payload, dict) else (None, None)
+    if not isinstance(colors, list) or not all(type(c) is int for c in [k, *colors]):
+        raise ValueError("coloring JSON needs an integer K and a list of integer colors")
+    coloring = coloring_mod.EdgeColoring(k, colors)
     if len(coloring.colors) != graph.m:
         raise ValueError("coloring length does not match the graph's edge count")
     verdict = coloring_mod.verify_acyclic(graph, coloring)
@@ -260,21 +262,24 @@ def _parse_generator(descriptor: str, gen_seed: int) -> graphs_mod.Graph:
 
 def _bench_one(task):
     graph, k, step_limit, seed = task
-    _, stats = coloring_mod.col_alg(graph, k, seed=seed, step_limit=step_limit, detector="incremental")
+    _, stats = coloring_mod.col_alg(graph, k, seed=seed, step_limit=step_limit)
     return (seed, stats.steps, stats.phases, stats.terminated)
 
 
 def cmd_bench(args) -> int:
     if args.runs < 1:
         raise ValueError("--runs must be >= 1")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     graph = _parse_generator(args.generator, args.gen_seed)
     k = _auto_palette(graph) if args.k is None else args.k
     base = args.seed_base if args.seed_base is not None else _fresh_seed()
     seeds = [base + i for i in range(args.runs)]
     tasks = [(graph, k, args.step_limit, s) for s in seeds]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_bench_one, tasks, chunksize=max(1, len(tasks) // (4 * args.jobs))))
+    workers = min(args.jobs, os.cpu_count() or 1, args.runs)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_bench_one, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     else:
         results = [_bench_one(t) for t in tasks]
     results.sort()
@@ -349,7 +354,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, help="palette size; omit to derive from max degree and girth")
     p.add_argument("--seed", type=int)
     p.add_argument("--step-limit", type=int, dest="step_limit")
-    p.add_argument("--detector", choices=("rescan", "incremental"), default="rescan")
     p.add_argument("--out")
     p.set_defaults(func=cmd_color)
 
@@ -382,7 +386,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed-base", type=int, dest="seed_base")
     p.add_argument("--k", type=int)
     p.add_argument("--step-limit", type=int, dest="step_limit")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, capped at the CPU count and --runs")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 

@@ -11,18 +11,19 @@ at most 2*(maxdeg - 1) colors are ever forbidden.  Any palette of size at
 least 2*maxdeg - 1 therefore leaves a choice at every step, and the greedy
 pass keeps the partial coloring proper with no bichromatic 4-cycle.
 
-The main loop then mirrors the resampling engine with cycles in the role
-of events: while a bichromatic cycle exists, the least one (ordered by
-length, then by sorted edge-index tuple) is recolored edge by edge, and
-any bichromatic cycle sharing an edge with it is handled recursively
-before the call returns.
+The main loop is the resampling engine's driver (``engine.resample_loop``)
+with cycles in the role of events: while a bichromatic cycle exists, the
+least one (ordered by length, then by sorted edge-index tuple) is recolored
+edge by edge, and any bichromatic cycle sharing an edge with it is handled
+recursively before the call returns.
 
 Bichromatic cycles are detected through alternating walks.  For an edge e
 colored a and a second color b, the subgraph of a- and b-colored edges has
 degree at most 2 at every vertex, so the walk leaving e's far endpoint
 along color b is deterministic: it either dies at a vertex missing the
 wanted color or returns to e's near endpoint along a b-edge, closing the
-unique (a,b)-bichromatic cycle through e.
+unique (a,b)-bichromatic cycle through e.  The loop keeps them in an
+incremental index; the full sweep serves the verifier and the tests.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .engine import ContractError, default_step_limit
+from .engine import ContractError, default_step_limit, resample_loop
 from .graphs import Graph
 
 
@@ -161,7 +162,7 @@ def forbidden_colors(graph: Graph, coloring: EdgeColoring, e: int) -> set[int]:
     """Colors that would break properness or close a bichromatic 4-cycle at e.
 
     Only colored edges contribute; e's own current color (if any) does not.
-    The result has at most 2*(maxdeg - 1) members, which is asserted.
+    The result has at most 2*(maxdeg - 1) members, else ContractError.
     """
     if not (0 <= e < graph.m):
         raise ContractError(f"edge index {e} out of range")
@@ -183,15 +184,16 @@ def forbidden_colors(graph: Graph, coloring: EdgeColoring, e: int) -> set[int]:
             e3 = graph.edge_index(x, y)
             if e3 is not None and colors[e3] is not None:
                 forbidden.add(colors[e3])
-    if graph.max_degree >= 1:
-        assert len(forbidden) <= 2 * (graph.max_degree - 1), "forbidden set exceeds 2*(maxdeg-1)"
+    if len(forbidden) > 2 * (graph.max_degree - 1):
+        raise ContractError(f"forbidden set of {len(forbidden)} exceeds 2*(maxdeg-1) at edge {e}")
     return forbidden
 
 
 def _assign(graph: Graph, coloring: EdgeColoring, e: int, rng: random.Random, audit: ColorAudit | None) -> None:
     forb = forbidden_colors(graph, coloring, e)
     available = [c for c in range(coloring.k) if c not in forb]
-    assert len(available) >= coloring.k - 2 * (graph.max_degree - 1), "palette margin violated"
+    if len(available) < coloring.k - 2 * (graph.max_degree - 1):
+        raise ContractError(f"palette margin violated at edge {e}: {len(available)} colors available")
     coloring.colors[e] = rng.choice(available)
     if audit is not None:
         audit.record_decision(len(forb), len(available))
@@ -251,7 +253,7 @@ def _cycles_through_edge(graph: Graph, maps: list[dict[int, int]], coloring: Edg
             cur = nxt
             want = a if want == b else b
         else:
-            raise AssertionError("alternating walk failed to terminate")
+            raise ContractError("alternating walk failed to terminate")
     return out
 
 
@@ -295,8 +297,8 @@ class CycleIndex:
     A cycle's status only changes when one of its edges is recolored, so
     after recoloring an edge set it suffices to revalidate the stored
     cycles touching it and to rescan for new cycles through those edges.
-    Must behave identically to a full rescan; the test suite runs both
-    detectors side by side.
+    It is the only detector of ``col_alg``; the tests hold both against
+    full rescans.
     """
 
     def __init__(self, graph: Graph, coloring: EdgeColoring):
@@ -320,16 +322,24 @@ class CycleIndex:
 
 @dataclass
 class ColorRunStats:
-    """Per-run accounting: steps are recolor calls, phases are root calls."""
+    """Per-run accounting: steps are recolor calls, phases are root calls,
+    and ``trace`` holds (cycle key, depth) per call, depth 0 for roots."""
 
     steps: int
     phases: int
-    cycle_lengths: list[int]
-    root_cycles: list[tuple[int, ...]]
+    trace: list[tuple[tuple, int]]
     terminated: bool
     seed: int
     step_limit: int
     audit: ColorAudit | None = None
+
+    @property
+    def cycle_lengths(self) -> list[int]:
+        return [key[0] for key, _ in self.trace]
+
+    @property
+    def root_cycles(self) -> list[tuple[int, ...]]:
+        return [key[1] for key, depth in self.trace if depth == 0]
 
     def to_json_dict(self) -> dict:
         return {"steps": self.steps, "phases": self.phases, "seed": self.seed, "terminated": self.terminated}
@@ -340,7 +350,6 @@ def col_alg(
     k: int,
     seed: int | None = None,
     step_limit: int | None = None,
-    detector: str = "rescan",
     audit: bool = False,
 ) -> tuple[EdgeColoring, ColorRunStats]:
     """Greedy pass, then resample bichromatic cycles until none remains.
@@ -348,15 +357,12 @@ def col_alg(
     While some bichromatic cycle exists, the least one is recolored (edges
     in index order, each uniformly among the safe colors); while any
     bichromatic cycle shares an edge with the cycle of the current call,
-    the least such cycle is handled recursively (explicit stack).  On
-    termination the coloring is proper and has no bichromatic cycle of any
-    length.  ``detector`` selects full rescans or the incremental index;
-    both are exact and must agree.
+    the least such cycle is handled recursively (``engine.resample_loop``
+    over a ``CycleIndex``).  On termination the coloring is proper and has
+    no bichromatic cycle of any length.
     """
     if k < 2 * graph.max_degree - 1:
         raise PaletteError(f"k={k} below the safety threshold {2 * graph.max_degree - 1}")
-    if detector not in ("rescan", "incremental"):
-        raise ValueError(f"unknown detector {detector!r}")
     if step_limit is not None and step_limit < 0:
         raise ContractError(f"step_limit must be >= 0, got {step_limit}")
     if seed is None:
@@ -366,59 +372,24 @@ def col_alg(
 
     coloring = greedy_4acyclic(graph, k, rng, audit_obj)
     limit = default_step_limit(graph.m) if step_limit is None else step_limit
-    index = CycleIndex(graph, coloring) if detector == "incremental" else None
+    index = CycleIndex(graph, coloring)
 
-    steps = 0
-    phases = 0
-    cycle_lengths: list[int] = []
-    root_cycles: list[tuple[int, ...]] = []
-    aborted = False
-
-    def least(restrict: frozenset[int] | None = None) -> Cycle | None:
-        if index is not None:
-            return index.least(restrict)
-        return find_bichromatic_cycle(graph, coloring, restrict)
-
-    def recolor(cycle: Cycle) -> bool:
-        nonlocal steps
-        if steps >= limit:
-            return False
-        steps += 1
-        cycle_lengths.append(cycle.length)
+    def recolor(cycle: Cycle) -> None:
         for e in sorted(cycle.edges):
             _assign(graph, coloring, e, rng, audit_obj)
-        if index is not None:
-            index.refresh_after(cycle.edge_set)
-        return True
+        index.refresh_after(cycle.edge_set)
 
-    while not aborted:
-        root = least()
-        if root is None:
-            break
-        if steps >= limit:
-            aborted = True
-            break
-        before = bichromatic_edge_set(graph, coloring) if audit_obj else None
-        phases += 1
-        root_cycles.append(tuple(sorted(root.edges)))
-        if not recolor(root):
-            aborted = True
-            break
-        stack = [root]
-        while stack:
-            nxt = least(stack[-1].edge_set)
-            if nxt is None:
-                stack.pop()
-                continue
-            if not recolor(nxt):
-                aborted = True
-                break
-            stack.append(nxt)
-        if audit_obj is not None and not aborted:
-            audit_obj.record_progress(before, bichromatic_edge_set(graph, coloring))
-
-    stats = ColorRunStats(steps, phases, cycle_lengths, root_cycles, not aborted, seed, limit, audit_obj)
-    return coloring, stats
+    steps, phases, trace, terminated, snapshots = resample_loop(
+        index.least,
+        lambda top: index.least(top.edge_set),
+        recolor,
+        limit,
+        (lambda: bichromatic_edge_set(graph, coloring)) if audit else None,
+    )
+    for before, after in snapshots or ():
+        audit_obj.record_progress(before, after)
+    trace = [(cycle.key, depth) for cycle, depth in trace]
+    return coloring, ColorRunStats(steps, phases, trace, terminated, seed, limit, audit_obj)
 
 
 @dataclass(frozen=True)
@@ -429,12 +400,15 @@ class VerifyResult:
 
 
 def verify_acyclic(graph: Graph, coloring: EdgeColoring) -> VerifyResult:
-    """Full verification: properness by adjacency scan, acyclicity by an
-    exhaustive alternating-walk sweep.  A failing coloring yields a witness
-    bichromatic cycle; properness is a precondition of the sweep, so an
-    improper coloring reports acyclic=False without a witness."""
+    """Full verification: palette membership and properness by adjacency
+    scan, acyclicity by an exhaustive alternating-walk sweep.  A failing
+    coloring yields a witness bichromatic cycle; a proper coloring in the
+    palette 0..k-1 is a precondition of the sweep, so any other coloring
+    reports proper=False and acyclic=False without a witness."""
     if not coloring.fully_colored():
         raise ContractError("verify_acyclic requires a fully colored graph")
+    if not all(0 <= c < coloring.k for c in coloring.colors):
+        return VerifyResult(False, False, None)
     for vertex in range(graph.n_vertices):
         seen: set[int] = set()
         for _, idx in graph.adj[vertex]:
@@ -450,7 +424,7 @@ def count_cycles_through_edge(graph: Graph, e: int, length: int) -> int:
     """Exact number of simple cycles of the given even length through edge e.
 
     Exhaustive path enumeration, so only for desk-scale graphs; the count
-    never exceeds (maxdeg - 1)**(length - 2), which is asserted.
+    never exceeds (maxdeg - 1)**(length - 2), else ContractError.
     """
     if length < 4 or length % 2:
         raise ValueError("cycle length must be even and >= 4")
@@ -474,5 +448,6 @@ def count_cycles_through_edge(graph: Graph, e: int, length: int) -> int:
         return total
 
     count = paths(v, length - 1, {v})
-    assert count <= branching ** (length - 2), "cycle count exceeds the branching bound"
+    if count > branching ** (length - 2):
+        raise ContractError(f"{count} cycles through edge {e} exceed the branching bound")
     return count

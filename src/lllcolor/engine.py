@@ -18,6 +18,9 @@ Every resample call is recorded as a ``(event id, call depth)`` pair, which
 is enough to rebuild the exact recursion structure afterwards as a rooted
 labeled forest (the witness forest).  The companion validation routine
 replays such a forest against fresh randomness.
+
+The loop itself, ``resample_loop``, also drives the acyclic edge colorer,
+with bichromatic cycles in the role of events.
 """
 
 from __future__ import annotations
@@ -192,6 +195,45 @@ def default_step_limit(m: int) -> int:
     return 64 * m * math.ceil(math.log2(m + 2))
 
 
+def resample_loop(
+    next_root: Callable, least_child: Callable, resample: Callable, limit: int, progress: Callable | None = None
+) -> tuple:
+    """The resampling loop of ``m_algorithm`` and ``coloring.col_alg``.
+
+    While ``next_root()`` names a bad object (event, bichromatic cycle), a
+    root call resamples it, then recurses on an explicit stack into
+    ``least_child(top)`` until that is None.  Each call is a step, traced as
+    ``(label, depth)`` with depth 0 for roots; a step past ``limit`` aborts
+    the run instead.  Returns ``(steps, phases, trace, terminated,
+    snapshots)``: ``snapshots`` pairs ``progress()`` before and after each
+    completed root call, and is None without ``progress``.
+    """
+    trace: list[tuple] = []
+    snapshots: list[tuple[frozenset, frozenset]] | None = [] if progress else None
+    phases = 0
+    while (root := next_root()) is not None:
+        if len(trace) >= limit:
+            return len(trace), phases, trace, False, snapshots
+        before = progress() if progress else None
+        phases += 1
+        stack = [root]
+        trace.append((root, 0))
+        resample(root)
+        while stack:
+            child = least_child(stack[-1])
+            if child is None:
+                stack.pop()
+                continue
+            if len(trace) >= limit:
+                return len(trace), phases, trace, False, snapshots
+            trace.append((child, len(stack)))
+            stack.append(child)
+            resample(child)
+        if progress:
+            snapshots.append((before, progress()))
+    return len(trace), phases, trace, True, snapshots
+
+
 @dataclass
 class RunStats:
     """Bookkeeping of one resampling run.
@@ -233,10 +275,10 @@ def m_algorithm(
     The outer loop picks the least-indexed occurring event and issues a root
     call; a call on event j resamples j's scope and then, while any
     neighbour of j occurs, recurses on the least-indexed such neighbour.
-    The recursion is realized with an explicit stack so its depth is not
-    limited by the interpreter.  Steps count every resample call (root or
-    recursive).  Hitting ``step_limit`` is not an error: the run is returned
-    flagged ``terminated=False`` and callers inspect the flag.
+    The loop itself is ``resample_loop``, whose explicit stack does not
+    limit the depth to the interpreter's.  Steps count every resample call
+    (root or recursive).  Hitting ``step_limit`` is not an error: the run is
+    returned flagged ``terminated=False`` and callers inspect the flag.
 
     ``occ[j]`` caches whether event j occurs, None meaning not evaluated
     since j's scope last changed.  A resample of k resets
@@ -263,11 +305,6 @@ def m_algorithm(
     values = sample_all(system, rng)
     occ: list[bool | None] = [None] * system.m
     roots = iter(range(system.m))
-    steps = 0
-    phases = 0
-    trace: list[tuple[int, int]] = []
-    snapshots: list[tuple[frozenset, frozenset]] | None = [] if snapshot_progress else None
-    aborted = False
 
     def occurring(i: int) -> bool:
         if occ[i] is None:
@@ -279,35 +316,13 @@ def m_algorithm(
         for i in neighborhoods[k]:
             occ[i] = None
 
-    while not aborted:
-        j = next((r for r in roots if occurring(r)), None)
-        if j is None:
-            break
-        if steps >= limit:
-            aborted = True
-            break
-        before = system.occurring_scope_union(values) if snapshot_progress else None
-        phases += 1
-        stack = [j]
-        steps += 1
-        trace.append((j, 0))
-        resample(j)
-        while stack:
-            k = next((i for i in neighborhoods[stack[-1]] if occurring(i)), None)
-            if k is None:
-                stack.pop()
-                continue
-            if steps >= limit:
-                aborted = True
-                break
-            stack.append(k)
-            steps += 1
-            trace.append((k, len(stack) - 1))
-            resample(k)
-        if snapshot_progress and not aborted:
-            snapshots.append((before, system.occurring_scope_union(values)))
-
-    terminated = not aborted
+    steps, phases, trace, terminated, snapshots = resample_loop(
+        lambda: next((r for r in roots if occurring(r)), None),
+        lambda top: next((i for i in neighborhoods[top] if occurring(i)), None),
+        resample,
+        limit,
+        (lambda: system.occurring_scope_union(values)) if snapshot_progress else None,
+    )
     if terminated and phases > system.m:
         raise ContractError(f"{phases} phases for {system.m} events on a terminated run")
     stats = RunStats(steps, phases, trace, terminated, seed, limit, snapshots)

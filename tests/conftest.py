@@ -6,6 +6,15 @@ import random
 
 import pytest
 
+from lllcolor.coloring import (
+    ColorAudit,
+    ColorRunStats,
+    EdgeColoring,
+    _assign,
+    bichromatic_edge_set,
+    find_bichromatic_cycle,
+    greedy_4acyclic,
+)
 from lllcolor.engine import Event, EventSystem, RunStats, VariableSpace, default_step_limit, sample_all
 from lllcolor.graphs import Graph
 
@@ -98,6 +107,67 @@ def reference_m_algorithm(
             snapshots.append((before, system.occurring_scope_union(values)))
 
     return values, RunStats(steps, phases, trace, not aborted, seed, limit, snapshots)
+
+
+def reference_col_alg(
+    graph: Graph,
+    k: int,
+    seed: int,
+    step_limit: int | None = None,
+    audit: bool = False,
+) -> tuple[EdgeColoring, ColorRunStats]:
+    """The cycle-resampling loop by full rescans: the oracle for ``col_alg``.
+
+    Every root choice and every child choice sweeps all bichromatic cycles
+    with ``find_bichromatic_cycle``, so no cycle index is kept between
+    choices.  Must give the same coloring and ColorRunStats (trace, audit
+    included) as ``col_alg`` for every graph, palette, seed and limit.
+    """
+    rng = random.Random(seed)
+    audit_obj = ColorAudit() if audit else None
+    coloring = greedy_4acyclic(graph, k, rng, audit_obj)
+    limit = default_step_limit(graph.m) if step_limit is None else step_limit
+    steps = 0
+    phases = 0
+    trace: list[tuple[tuple, int]] = []
+    aborted = False
+
+    def recolor(cycle, depth: int) -> bool:
+        nonlocal steps
+        if steps >= limit:
+            return False
+        steps += 1
+        trace.append((cycle.key, depth))
+        for e in sorted(cycle.edges):
+            _assign(graph, coloring, e, rng, audit_obj)
+        return True
+
+    while not aborted:
+        root = find_bichromatic_cycle(graph, coloring)
+        if root is None:
+            break
+        if steps >= limit:
+            aborted = True
+            break
+        before = bichromatic_edge_set(graph, coloring) if audit_obj else None
+        phases += 1
+        if not recolor(root, 0):
+            aborted = True
+            break
+        stack = [root]
+        while stack:
+            nxt = find_bichromatic_cycle(graph, coloring, stack[-1].edge_set)
+            if nxt is None:
+                stack.pop()
+                continue
+            if not recolor(nxt, len(stack)):
+                aborted = True
+                break
+            stack.append(nxt)
+        if audit_obj is not None and not aborted:
+            audit_obj.record_progress(before, bichromatic_edge_set(graph, coloring))
+
+    return coloring, ColorRunStats(steps, phases, trace, not aborted, seed, limit, audit_obj)
 
 
 def two_hex_graph() -> Graph:

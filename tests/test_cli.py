@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lllcolor import cli
 from lllcolor.cli import main
 from lllcolor.graphs import cycle_graph, path_graph
 
@@ -107,12 +108,6 @@ def test_color_reproducible(capsys, hexagon_file):
     assert first == second
 
 
-def test_color_detectors_agree_via_cli(capsys, hexagon_file):
-    _, rescan = run_cli(capsys, "color", hexagon_file, "--seed", "11", "--k", "4")
-    _, incremental = run_cli(capsys, "color", hexagon_file, "--seed", "11", "--k", "4", "--detector", "incremental")
-    assert json.loads(rescan)["colors"] == json.loads(incremental)["colors"]
-
-
 def test_verify_roundtrip(capsys, tmp_path, hexagon_file):
     coloring_path = tmp_path / "coloring.json"
     code, _ = run_cli(capsys, "color", hexagon_file, "--seed", "7", "--out", str(coloring_path))
@@ -125,6 +120,38 @@ def test_verify_roundtrip(capsys, tmp_path, hexagon_file):
     broken.write_text(json.dumps(payload))
     code, out = run_cli(capsys, "verify", hexagon_file, str(broken))
     assert code == 1 and json.loads(out)["proper"] is False
+
+
+def test_verify_rejects_colors_outside_palette(capsys, tmp_path, path_file):
+    coloring = tmp_path / "coloring.json"
+    for colors in ([0, 99, 1, 2], [0, -1, 1, 2]):
+        coloring.write_text(json.dumps({"K": 3, "colors": colors}))
+        code, out = run_cli(capsys, "verify", path_file, str(coloring))
+        assert code == 1 and json.loads(out)["proper"] is False
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"colors": [0, 1, 0, 1]},
+        {"K": "3", "colors": [0, 1, 0, 1]},
+        {"K": 3.0, "colors": [0, 1, 0, 1]},
+        {"K": True, "colors": [0, 1, 0, 1]},
+        {"K": 3, "colors": "0101"},
+        {"K": 3, "colors": [0, "a", 0, 1]},
+        {"K": 3, "colors": [0, 1.0, 0, 1]},
+        {"K": 3, "colors": [0, None, 0, 1]},
+        [3, [0, 1, 0, 1]],
+    ],
+    ids=["no-K", "K-str", "K-float", "K-bool", "colors-str", "color-str", "color-float", "color-null", "not-object"],
+)
+def test_verify_malformed_coloring_is_input_error(capsys, tmp_path, path_file, payload):
+    coloring = tmp_path / "coloring.json"
+    coloring.write_text(json.dumps(payload))
+    code = main(["verify", path_file, str(coloring)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("lllcolor: error:")
 
 
 # -- sat --------------------------------------------------------------------------
@@ -226,6 +253,34 @@ def test_bench_parallel_matches_serial(capsys):
     assert csv_rows(serial) == [r for r in csv_rows(parallel)]
 
 
+@pytest.mark.parametrize(
+    "jobs, runs, cpus, workers",
+    [("64", "5", 3, 3), ("64", "2", 8, 2), ("2", "5", 8, 2), ("64", "5", None, None), ("3", "1", 8, None)],
+)
+def test_bench_pool_is_capped(capsys, monkeypatch, jobs, runs, cpus, workers):
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    argv = ("bench", "--generator", "cycle:6", "--k", "5", "--seed-base", "1", "--runs", runs)
+    code, out = run_cli(capsys, *argv, "--jobs", jobs)
+    assert code == 0 and pools == ([workers] if workers else [])
+    assert csv_rows(out) == csv_rows(run_cli(capsys, *argv, "--jobs", "1")[1])
+
+
 def test_bench_bad_generator(capsys):
     code, _ = run_cli(capsys, "bench", "--generator", "torus:3", "--runs", "1")
     assert code == 4
@@ -252,8 +307,9 @@ def test_dice_zero_trials(capsys):
         ("color", "{graph}", "--step-limit", "-1"),
         ("bench", "--generator", "cycle:6", "--runs", "2", "--step-limit", "-1"),
         ("bench", "--generator", "cycle:6", "--runs", "0"),
+        ("bench", "--generator", "cycle:6", "--runs", "2", "--jobs", "0"),
     ],
-    ids=["sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs"],
+    ids=["sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs"],
 )
 def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, argv):
     cnf = tmp_path / "one.cnf"

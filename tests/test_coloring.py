@@ -19,7 +19,7 @@ from lllcolor.coloring import (
 from lllcolor.engine import ContractError
 from lllcolor.graphs import Graph, complete_graph, cycle_graph, path_graph, petersen_graph, star_graph
 
-from conftest import brute_bichromatic_keys, two_hex_graph
+from conftest import brute_bichromatic_keys, reference_col_alg, two_hex_graph
 
 
 # -- forbidden colors ----------------------------------------------------------
@@ -218,39 +218,36 @@ def test_hexagon_end_to_end():
 def test_palette_error():
     with pytest.raises(PaletteError):
         col_alg(cycle_graph(6), 2, seed=0)
-    with pytest.raises(ValueError):
-        col_alg(cycle_graph(6), 5, seed=0, detector="magic")
 
 
-def test_detectors_agree_and_exercise_recoloring():
-    # small palettes force recolor activity; rescan and incremental modes
-    # must produce identical runs, including non-terminating ones
+def test_col_alg_matches_reference():
+    # small palettes force recolor activity; the index-driven loop must
+    # reproduce the full-rescan loop field for field, aborted runs included
     cases = [
-        (cycle_graph(6), 4, None),
-        (cycle_graph(8), 4, None),
-        (two_hex_graph(), 4, None),
-        (cycle_graph(6), 3, 40),
-        (petersen_graph(), 6, 60),
+        (cycle_graph(6), 4, None, 120),
+        (cycle_graph(8), 4, None, 120),
+        (two_hex_graph(), 4, None, 120),
+        (cycle_graph(6), 3, 40, 120),
+        (petersen_graph(), 6, 60, 120),
+        (complete_graph(20), 37, None, 30),
+        (complete_graph(20), 37, 2, 30),
+        (complete_graph(12), 21, 5, 60),
     ]
-    recolored_runs = 0
-    for g, k, limit in cases:
-        for seed in range(120):
-            col_a, stats_a = col_alg(g, k, seed=seed, step_limit=limit, detector="rescan")
-            col_b, stats_b = col_alg(g, k, seed=seed, step_limit=limit, detector="incremental")
+    recolored_runs = aborted_runs = 0
+    for g, k, limit, seeds in cases:
+        for seed in range(seeds):
+            audit = seed % 2 == 1
+            col_a, stats_a = reference_col_alg(g, k, seed, step_limit=limit, audit=audit)
+            col_b, stats_b = col_alg(g, k, seed=seed, step_limit=limit, audit=audit)
             assert col_a.colors == col_b.colors
-            assert (stats_a.steps, stats_a.phases, stats_a.cycle_lengths, stats_a.root_cycles, stats_a.terminated) == (
-                stats_b.steps,
-                stats_b.phases,
-                stats_b.cycle_lengths,
-                stats_b.root_cycles,
-                stats_b.terminated,
-            )
-            if stats_a.steps:
-                recolored_runs += 1
+            # steps, phases, trace (hence cycle_lengths, root_cycles), terminated, audit
+            assert stats_a == stats_b
+            recolored_runs += stats_a.steps > 0
+            aborted_runs += not stats_a.terminated
             if stats_a.terminated:
                 verdict = verify_acyclic(g, col_a)
                 assert verdict.proper and verdict.acyclic
-    assert recolored_runs > 0, "differential corpus never exercised a recoloring"
+    assert recolored_runs >= 60 and aborted_runs >= 5, (recolored_runs, aborted_runs)
 
 
 def test_root_cycles_pairwise_distinct():
