@@ -18,8 +18,8 @@ from .bounds import (
 )
 from .coloring import (
     ColorRunStats,
+    ColorState,
     Cycle,
-    EdgeColoring,
     PaletteError,
     VerifyResult,
     col_alg,

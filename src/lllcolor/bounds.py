@@ -45,10 +45,12 @@ class BoundParams:
         object.__setattr__(self, "p", Fraction(self.p))
         if not (0 <= self.p <= 1):
             raise ValueError("p must lie in [0, 1]")
-        if self.delta < 2:
+        if not (self.delta >= 2):
             raise ValueError("delta must be >= 2")
-        if self.m < 1:
+        if not (self.m >= 1):
             raise ValueError("m must be >= 1")
+        if not (self.prefactor > 0):
+            raise ValueError("prefactor must be positive")
 
     @property
     def base(self) -> float:
@@ -65,6 +67,8 @@ def q_series(params: BoundParams, n_max: int) -> list[Fraction]:
     """
     if n_max > Q_SERIES_CAP:
         raise ValueError(f"n_max {n_max} exceeds series cap {Q_SERIES_CAP}")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     q = [Fraction(1)]
     for n in range(1, n_max + 1):
         cap = n - 1
@@ -128,7 +132,7 @@ def cutoff_estimate(params: BoundParams) -> int:
     """
     if params.base >= 1:
         raise NoCutoffError("base >= 1: the tail bound never decays")
-    if params.prefactor <= 1:
+    if not (params.prefactor > 1):
         raise NoCutoffError("prefactor must exceed 1")
     if params.base == 0:
         return 1

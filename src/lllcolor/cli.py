@@ -124,9 +124,11 @@ def cmd_color(args) -> int:
     graph = graphs_mod.Graph.read_edge_list(args.graph)
     k = _auto_palette(graph) if args.k is None else args.k
     seed = args.seed if args.seed is not None else _fresh_seed()
-    coloring, stats = coloring_mod.col_alg(graph, k, seed=seed, step_limit=args.step_limit)
+    state, stats = coloring_mod.col_alg(graph, k, seed=seed, step_limit=args.step_limit)
+    colors = state.colors
+    del state  # the verifier builds its own per-vertex maps; do not hold two sets at once
     verdict = (
-        coloring_mod.verify_acyclic(graph, coloring)
+        coloring_mod.verify_acyclic(graph, k, colors)
         if stats.terminated
         else coloring_mod.VerifyResult(False, False, None)
     )
@@ -141,7 +143,7 @@ def cmd_color(args) -> int:
             "step_limit": stats.step_limit,
         },
         "K": k,
-        "colors": coloring.colors,
+        "colors": colors,
         "stats": {"steps": stats.steps, "phases": stats.phases, "seed": seed},
         "terminated": stats.terminated,
         "verdict": {"proper": verdict.proper, "acyclic": verdict.acyclic},
@@ -161,10 +163,9 @@ def cmd_verify(args) -> int:
     k, colors = (payload.get("K"), payload.get("colors")) if isinstance(payload, dict) else (None, None)
     if not isinstance(colors, list) or not all(type(c) is int for c in [k, *colors]):
         raise ValueError("coloring JSON needs an integer K and a list of integer colors")
-    coloring = coloring_mod.EdgeColoring(k, colors)
-    if len(coloring.colors) != graph.m:
+    if len(colors) != graph.m:
         raise ValueError("coloring length does not match the graph's edge count")
-    verdict = coloring_mod.verify_acyclic(graph, coloring)
+    verdict = coloring_mod.verify_acyclic(graph, k, colors)
     ok = verdict.proper and verdict.acyclic
     witness = list(verdict.witness.edges) if verdict.witness else None
     _emit(
@@ -212,7 +213,11 @@ def cmd_sat(args) -> int:
 # -- bounds -------------------------------------------------------------------
 
 def cmd_bounds(args) -> int:
-    params = bounds_mod.BoundParams(Fraction(args.p), args.delta, m=args.m, prefactor=args.prefactor)
+    try:
+        p = Fraction(args.p)
+    except ZeroDivisionError:
+        raise ValueError(f"--p {args.p!r} divides by zero") from None
+    params = bounds_mod.BoundParams(p, args.delta, m=args.m, prefactor=args.prefactor)
     flags = bounds_mod.lll_condition(params)
     try:
         cutoff = bounds_mod.cutoff_estimate(params)
@@ -243,21 +248,26 @@ def cmd_bounds(args) -> int:
 
 # -- bench --------------------------------------------------------------------
 
+GENERATOR_ARITY = {"cycle": 1, "random-regular": 2, "regular": 2, "gnp": 2}
+
+
 def _parse_generator(descriptor: str, gen_seed: int) -> graphs_mod.Graph:
     name, _, rest = descriptor.partition(":")
     params = [p for p in rest.split(",") if p]
+    if name not in GENERATOR_ARITY:
+        raise ValueError(f"unknown generator {descriptor!r}")
+    if len(params) != GENERATOR_ARITY[name]:
+        raise ValueError(f"generator {name!r} takes {GENERATOR_ARITY[name]} parameter(s), got {descriptor!r}")
     if name == "cycle":
-        (length,) = map(int, params)
+        length = int(params[0])
+        if length < 1:
+            raise ValueError(f"cycle length {length} must be >= 1")
         if length < 3:
-            return graphs_mod.Graph(max(length, 1), [])
+            return graphs_mod.Graph(length, [])
         return graphs_mod.cycle_graph(length)
-    if name in ("random-regular", "regular"):
-        degree, n = map(int, params)
-        return graphs_mod.random_regular_graph(degree, n, seed=gen_seed)
     if name == "gnp":
-        n, prob = int(params[0]), float(params[1])
-        return graphs_mod.gnp_graph(n, prob, seed=gen_seed)
-    raise ValueError(f"unknown generator {descriptor!r}")
+        return graphs_mod.gnp_graph(int(params[0]), float(params[1]), seed=gen_seed)
+    return graphs_mod.random_regular_graph(int(params[0]), int(params[1]), seed=gen_seed)
 
 
 def _bench_one(task):

@@ -22,8 +22,11 @@ colored a and a second color b, the subgraph of a- and b-colored edges has
 degree at most 2 at every vertex, so the walk leaving e's far endpoint
 along color b is deterministic: it either dies at a vertex missing the
 wanted color or returns to e's near endpoint along a b-edge, closing the
-unique (a,b)-bichromatic cycle through e.  The loop keeps them in an
-incremental index; the full sweep serves the verifier and the tests.
+unique (a,b)-bichromatic cycle through e.  The walks read the per-vertex
+color -> edge maps of one ``ColorState``, which every assignment keeps up
+to date.  The loop keeps the cycles in an incremental index; the full
+sweep serves only the audit and the tests.  The verifier shares none of
+this: it checks that every 2-colored subgraph is a forest by union-find.
 """
 
 from __future__ import annotations
@@ -96,19 +99,30 @@ class Cycle:
         return f"Cycle(edges={self.edges})"
 
 
-@dataclass
-class EdgeColoring:
-    """Color per edge index in 0..k-1; None only during the greedy pass."""
+class ColorState:
+    """Edge colors (None while uncolored) plus, per vertex, color -> incident edge.
 
-    k: int
-    colors: list[int | None]
+    ``assign`` is the only writer, so ``at`` always mirrors ``colors`` and
+    the coloring stays proper; the forbidden-color rule and the
+    alternating walks read the maps instead of rebuilding them.
+    """
 
-    @classmethod
-    def empty(cls, k: int, m: int) -> "EdgeColoring":
-        return cls(k, [None] * m)
+    def __init__(self, graph: Graph, k: int):
+        self.graph = graph
+        self.k = k
+        self.colors: list[int | None] = [None] * graph.m
+        self.at: list[dict[int, int]] = [{} for _ in range(graph.n_vertices)]
 
-    def fully_colored(self) -> bool:
-        return all(c is not None for c in self.colors)
+    def assign(self, e: int, c: int) -> None:
+        """Recolor edge e with c; ContractError if c is taken at an endpoint."""
+        ends = self.graph.edges[e]
+        for vertex in ends:
+            if self.at[vertex].get(c, e) != e:
+                raise ContractError(f"improper coloring: color {c} repeats at vertex {vertex}")
+        for vertex in ends:
+            self.at[vertex].pop(self.colors[e], None)
+            self.at[vertex][c] = e
+        self.colors[e] = c
 
 
 @dataclass
@@ -130,22 +144,23 @@ class ColorAudit:
         if self.min_available is None or n_available < self.min_available:
             self.min_available = n_available
 
-    def check_local(self, graph: Graph, coloring: EdgeColoring, e: int) -> None:
-        c = coloring.colors[e]
+    def check_local(self, state: ColorState, e: int) -> None:
+        graph, colors = state.graph, state.colors
+        c = colors[e]
         u, v = graph.edges[e]
         for vertex in (u, v):
             for _, idx in graph.adj[vertex]:
-                if idx != e and coloring.colors[idx] == c:
+                if idx != e and colors[idx] == c:
                     self.local_violations.append(f"edge {e}: color {c} repeats at vertex {vertex}")
         for x, e1 in graph.adj[u]:
-            c1 = coloring.colors[e1]
+            c1 = colors[e1]
             if e1 == e or c1 is None:
                 continue
             for y, e2 in graph.adj[v]:
-                if e2 == e or x == y or coloring.colors[e2] != c1:
+                if e2 == e or x == y or colors[e2] != c1:
                     continue
                 e3 = graph.edge_index(x, y)
-                if e3 is not None and coloring.colors[e3] == c:
+                if e3 is not None and colors[e3] == c:
                     self.local_violations.append(f"edge {e}: bichromatic 4-cycle via edges {e1},{e3},{e2}")
 
     def record_progress(self, before: frozenset[int], after: frozenset[int]) -> None:
@@ -158,49 +173,43 @@ class ColorAudit:
         return not self.local_violations and not self.progress_violations
 
 
-def forbidden_colors(graph: Graph, coloring: EdgeColoring, e: int) -> set[int]:
+def forbidden_colors(state: ColorState, e: int) -> set[int]:
     """Colors that would break properness or close a bichromatic 4-cycle at e.
 
     Only colored edges contribute; e's own current color (if any) does not.
-    The result has at most 2*(maxdeg - 1) members, else ContractError.
+    O(maxdeg) through the state's maps: a color common to both endpoints
+    (edges {u, x} and {v, y}) also forbids the color of the closing edge
+    {x, y}.  The result has at most 2*(maxdeg - 1) members, else
+    ContractError.
     """
+    graph = state.graph
     if not (0 <= e < graph.m):
         raise ContractError(f"edge index {e} out of range")
     u, v = graph.edges[e]
-    colors = coloring.colors
-    forbidden: set[int] = set()
-    at_u: list[tuple[int, int]] = []  # (far endpoint, color)
-    at_v: list[tuple[int, int]] = []
-    for vertex, bucket in ((u, at_u), (v, at_v)):
-        for w, idx in graph.adj[vertex]:
-            if idx == e or colors[idx] is None:
-                continue
-            bucket.append((w, colors[idx]))
-            forbidden.add(colors[idx])
-    for x, c1 in at_u:
-        for y, c2 in at_v:
-            if c1 != c2 or x == y:
-                continue
-            e3 = graph.edge_index(x, y)
-            if e3 is not None and colors[e3] is not None:
-                forbidden.add(colors[e3])
+    at_u, at_v = state.at[u], state.at[v]
+    own = {state.colors[e]}
+    forbidden = (at_u.keys() | at_v.keys()) - own
+    for c in (at_u.keys() & at_v.keys()) - own:
+        e3 = graph.edge_index(graph.other_end(at_u[c], u), graph.other_end(at_v[c], v))
+        if e3 is not None and state.colors[e3] is not None:
+            forbidden.add(state.colors[e3])
     if len(forbidden) > 2 * (graph.max_degree - 1):
         raise ContractError(f"forbidden set of {len(forbidden)} exceeds 2*(maxdeg-1) at edge {e}")
     return forbidden
 
 
-def _assign(graph: Graph, coloring: EdgeColoring, e: int, rng: random.Random, audit: ColorAudit | None) -> None:
-    forb = forbidden_colors(graph, coloring, e)
-    available = [c for c in range(coloring.k) if c not in forb]
-    if len(available) < coloring.k - 2 * (graph.max_degree - 1):
+def _assign(state: ColorState, e: int, rng: random.Random, audit: ColorAudit | None) -> None:
+    forb = forbidden_colors(state, e)
+    available = [c for c in range(state.k) if c not in forb]
+    if len(available) < state.k - 2 * (state.graph.max_degree - 1):
         raise ContractError(f"palette margin violated at edge {e}: {len(available)} colors available")
-    coloring.colors[e] = rng.choice(available)
+    state.assign(e, rng.choice(available))
     if audit is not None:
         audit.record_decision(len(forb), len(available))
-        audit.check_local(graph, coloring, e)
+        audit.check_local(state, e)
 
 
-def greedy_4acyclic(graph: Graph, k: int, rng: random.Random, audit: ColorAudit | None = None) -> EdgeColoring:
+def greedy_4acyclic(graph: Graph, k: int, rng: random.Random, audit: ColorAudit | None = None) -> ColorState:
     """Color edges in index order, uniformly among the non-forbidden colors.
 
     The output is proper with no bichromatic 4-cycle, and at least
@@ -208,39 +217,26 @@ def greedy_4acyclic(graph: Graph, k: int, rng: random.Random, audit: ColorAudit 
     """
     if k < 2 * graph.max_degree - 1:
         raise PaletteError(f"k={k} below the safety threshold {2 * graph.max_degree - 1}")
-    coloring = EdgeColoring.empty(k, graph.m)
+    state = ColorState(graph, k)
     for e in range(graph.m):
-        _assign(graph, coloring, e, rng, audit)
-    return coloring
+        _assign(state, e, rng, audit)
+    return state
 
 
-def _color_maps(graph: Graph, coloring: EdgeColoring) -> list[dict[int, int]]:
-    """Per-vertex color -> incident edge index; rejects improper colorings."""
-    maps: list[dict[int, int]] = [dict() for _ in range(graph.n_vertices)]
-    for idx, (u, v) in enumerate(graph.edges):
-        c = coloring.colors[idx]
-        if c is None:
-            continue
-        for vertex in (u, v):
-            if c in maps[vertex]:
-                raise ContractError(f"improper coloring: color {c} repeats at vertex {vertex}")
-            maps[vertex][c] = idx
-    return maps
-
-
-def _cycles_through_edge(graph: Graph, maps: list[dict[int, int]], coloring: EdgeColoring, e: int) -> list[Cycle]:
+def _cycles_through_edge(state: ColorState, e: int) -> list[Cycle]:
     """All bichromatic cycles through edge e, one per workable second color."""
+    graph, at = state.graph, state.at
     u, v = graph.edges[e]
-    a = coloring.colors[e]
+    a = state.colors[e]
     out: list[Cycle] = []
-    candidates = (maps[u].keys() & maps[v].keys()) - {a}
+    candidates = (at[u].keys() & at[v].keys()) - {a}
     for b in candidates:
         cur, want = v, b
         walk = [e]
         guard = 2 * graph.m + 4
         while guard:
             guard -= 1
-            f = maps[cur].get(want)
+            f = at[cur].get(want)
             if f is None or f == e:
                 break
             walk.append(f)
@@ -257,38 +253,37 @@ def _cycles_through_edge(graph: Graph, maps: list[dict[int, int]], coloring: Edg
     return out
 
 
-def all_bichromatic_cycles(graph: Graph, coloring: EdgeColoring) -> dict[tuple, Cycle]:
-    maps = _color_maps(graph, coloring)
+def all_bichromatic_cycles(state: ColorState) -> dict[tuple, Cycle]:
     found: dict[tuple, Cycle] = {}
-    for e in range(graph.m):
-        if coloring.colors[e] is None:
+    for e in range(state.graph.m):
+        if state.colors[e] is None:
             continue
-        for cyc in _cycles_through_edge(graph, maps, coloring, e):
+        for cyc in _cycles_through_edge(state, e):
             found[cyc.key] = cyc
     return found
 
 
-def find_bichromatic_cycle(graph: Graph, coloring: EdgeColoring, restrict: frozenset[int] | None = None) -> Cycle | None:
+def find_bichromatic_cycle(state: ColorState, restrict: frozenset[int] | None = None) -> Cycle | None:
     """Least bichromatic cycle under the canonical order, or None.
 
     With ``restrict``, only cycles sharing an edge with the given edge set
     are eligible; the least eligible cycle is still chosen globally.
     """
-    found = all_bichromatic_cycles(graph, coloring)
+    found = all_bichromatic_cycles(state)
     pool = [c for c in found.values() if restrict is None or (c.edge_set & restrict)]
     return min(pool) if pool else None
 
 
-def bichromatic_edge_set(graph: Graph, coloring: EdgeColoring) -> frozenset[int]:
+def bichromatic_edge_set(state: ColorState) -> frozenset[int]:
     """Union of the edge sets of all bichromatic cycles."""
     out: set[int] = set()
-    for cyc in all_bichromatic_cycles(graph, coloring).values():
+    for cyc in all_bichromatic_cycles(state).values():
         out |= cyc.edge_set
     return frozenset(out)
 
 
-def _is_bichromatic(coloring: EdgeColoring, cycle: Cycle) -> bool:
-    return len({coloring.colors[e] for e in cycle.edges}) == 2
+def _is_bichromatic(colors: list[int | None], cycle: Cycle) -> bool:
+    return len({colors[e] for e in cycle.edges}) == 2
 
 
 class CycleIndex:
@@ -297,22 +292,21 @@ class CycleIndex:
     A cycle's status only changes when one of its edges is recolored, so
     after recoloring an edge set it suffices to revalidate the stored
     cycles touching it and to rescan for new cycles through those edges.
-    It is the only detector of ``col_alg``; the tests hold both against
-    full rescans.
+    The walks read the state's own maps, so nothing is rebuilt between
+    refreshes.  It is the only detector of ``col_alg``; the tests hold it
+    against full rescans.
     """
 
-    def __init__(self, graph: Graph, coloring: EdgeColoring):
-        self.graph = graph
-        self.coloring = coloring
-        self.cycles: dict[tuple, Cycle] = all_bichromatic_cycles(graph, coloring)
+    def __init__(self, state: ColorState):
+        self.state = state
+        self.cycles: dict[tuple, Cycle] = all_bichromatic_cycles(state)
 
     def refresh_after(self, dirty: frozenset[int]) -> None:
         for key in [k for k, c in self.cycles.items() if c.edge_set & dirty]:
-            if not _is_bichromatic(self.coloring, self.cycles[key]):
+            if not _is_bichromatic(self.state.colors, self.cycles[key]):
                 del self.cycles[key]
-        maps = _color_maps(self.graph, self.coloring)
         for e in dirty:
-            for cyc in _cycles_through_edge(self.graph, maps, self.coloring, e):
+            for cyc in _cycles_through_edge(self.state, e):
                 self.cycles[cyc.key] = cyc
 
     def least(self, restrict: frozenset[int] | None = None) -> Cycle | None:
@@ -351,15 +345,16 @@ def col_alg(
     seed: int | None = None,
     step_limit: int | None = None,
     audit: bool = False,
-) -> tuple[EdgeColoring, ColorRunStats]:
+) -> tuple[ColorState, ColorRunStats]:
     """Greedy pass, then resample bichromatic cycles until none remains.
 
     While some bichromatic cycle exists, the least one is recolored (edges
     in index order, each uniformly among the safe colors); while any
     bichromatic cycle shares an edge with the cycle of the current call,
     the least such cycle is handled recursively (``engine.resample_loop``
-    over a ``CycleIndex``).  On termination the coloring is proper and has
-    no bichromatic cycle of any length.
+    over a ``CycleIndex`` on the run's one ``ColorState``).  Returns that
+    state; on termination its coloring is proper and has no bichromatic
+    cycle of any length.
     """
     if k < 2 * graph.max_degree - 1:
         raise PaletteError(f"k={k} below the safety threshold {2 * graph.max_degree - 1}")
@@ -370,13 +365,13 @@ def col_alg(
     rng = random.Random(seed)
     audit_obj = ColorAudit() if audit else None
 
-    coloring = greedy_4acyclic(graph, k, rng, audit_obj)
+    state = greedy_4acyclic(graph, k, rng, audit_obj)
     limit = default_step_limit(graph.m) if step_limit is None else step_limit
-    index = CycleIndex(graph, coloring)
+    index = CycleIndex(state)
 
     def recolor(cycle: Cycle) -> None:
         for e in sorted(cycle.edges):
-            _assign(graph, coloring, e, rng, audit_obj)
+            _assign(state, e, rng, audit_obj)
         index.refresh_after(cycle.edge_set)
 
     steps, phases, trace, terminated, snapshots = resample_loop(
@@ -384,12 +379,12 @@ def col_alg(
         lambda top: index.least(top.edge_set),
         recolor,
         limit,
-        (lambda: bichromatic_edge_set(graph, coloring)) if audit else None,
+        (lambda: bichromatic_edge_set(state)) if audit else None,
     )
     for before, after in snapshots or ():
         audit_obj.record_progress(before, after)
     trace = [(cycle.key, depth) for cycle, depth in trace]
-    return coloring, ColorRunStats(steps, phases, trace, terminated, seed, limit, audit_obj)
+    return state, ColorRunStats(steps, phases, trace, terminated, seed, limit, audit_obj)
 
 
 @dataclass(frozen=True)
@@ -399,25 +394,75 @@ class VerifyResult:
     witness: Cycle | None
 
 
-def verify_acyclic(graph: Graph, coloring: EdgeColoring) -> VerifyResult:
-    """Full verification: palette membership and properness by adjacency
-    scan, acyclicity by an exhaustive alternating-walk sweep.  A failing
-    coloring yields a witness bichromatic cycle; a proper coloring in the
-    palette 0..k-1 is a precondition of the sweep, so any other coloring
-    reports proper=False and acyclic=False without a witness."""
-    if not coloring.fully_colored():
-        raise ContractError("verify_acyclic requires a fully colored graph")
-    if not all(0 <= c < coloring.k for c in coloring.colors):
+def verify_acyclic(graph: Graph, k: int, colors: list[int]) -> VerifyResult:
+    """Full verification from the definition; shares no code with the detector.
+
+    Palette membership first, then properness through the verifier's own
+    per-vertex color -> edge map.  Acyclicity: every 2-colored subgraph
+    must be a forest, checked by union-find over (color pair, vertex).
+    Pairs (a, b), a < b, are handled grouped by a, so only a's forests are
+    alive at once: each a-edge with b at both ends joins its endpoints, and
+    so does each b-edge at those ends whose far end carries a as well.
+    Every edge of an (a, b)-cycle is among them (its ends carry both
+    colors), so there are O(m*maxdeg) unions.  A union inside one set
+    closes a bichromatic cycle: the witness is that edge plus the
+    alternating path back between its endpoints, not necessarily the least
+    cycle.  A coloring outside the palette 0..k-1 or an improper one reports
+    proper=False and acyclic=False without a witness.
+    """
+    if len(colors) != graph.m or None in colors:
+        raise ContractError("verify_acyclic requires one color per edge")
+    if not all(0 <= c < k for c in colors):
         return VerifyResult(False, False, None)
-    for vertex in range(graph.n_vertices):
-        seen: set[int] = set()
-        for _, idx in graph.adj[vertex]:
-            c = coloring.colors[idx]
-            if c in seen:
+    at: list[dict[int, int]] = [{} for _ in range(graph.n_vertices)]
+    by_color: list[list[int]] = [[] for _ in range(k)]
+    for idx, ends in enumerate(graph.edges):
+        c = colors[idx]
+        for vertex in ends:
+            if c in at[vertex]:
                 return VerifyResult(False, False, None)
-            seen.add(c)
-    witness = find_bichromatic_cycle(graph, coloring)
-    return VerifyResult(True, witness is None, witness)
+            at[vertex][c] = idx
+        by_color[c].append(idx)
+    for a in range(k):
+        forests: dict[int, dict[int, int]] = {}  # b -> union-find parents of the (a, b) forest
+        for e in by_color[a]:
+            u, v = graph.edges[e]
+            for b in at[u].keys() & at[v].keys():
+                if b <= a:
+                    continue
+                parent = forests.setdefault(b, {})
+                for g in (e, at[u][b], at[v][b]):
+                    lo, hi = graph.edges[g]
+                    # e itself, and a b-edge at u or v when its far end
+                    # carries a too: each joins once, seen from its lower end
+                    if lo not in (u, v) or a not in at[hi]:
+                        continue
+                    r_lo, r_hi = _root(parent, lo), _root(parent, hi)
+                    if r_lo == r_hi:
+                        return VerifyResult(True, False, _witness(graph, at, g, a, b))
+                    parent[r_lo] = r_hi
+    return VerifyResult(True, True, None)
+
+
+def _root(parent: dict[int, int], x: int) -> int:
+    """Union-find root of x (absent keys are roots), halving the path."""
+    while (p := parent.get(x, x)) != x:
+        parent[x] = x = parent.get(p, p)
+    return x
+
+
+def _witness(graph: Graph, at: list[dict[int, int]], g: int, a: int, b: int) -> Cycle:
+    """Edge g of the (a, b) subgraph plus the alternating path from its
+    upper back to its lower endpoint, which exists because both ends
+    already share a union-find set."""
+    lo, cur = graph.edges[g]
+    want = b if at[cur].get(a) == g else a
+    walk = [g]
+    while cur != lo:
+        walk.append(at[cur][want])
+        cur = graph.other_end(walk[-1], cur)
+        want = a if want == b else b
+    return Cycle.from_walk(graph, walk)
 
 
 def count_cycles_through_edge(graph: Graph, e: int, length: int) -> int:

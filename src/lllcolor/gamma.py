@@ -47,9 +47,9 @@ class PhiParams:
     r: float = 3.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not (self.gamma > 0):
             raise ValueError("gamma must be positive")
-        if self.r < 3:
+        if not (self.r >= 3):
             raise ValueError("r must be >= 3")
         if abs(2 * self.r - round(2 * self.r)) > 1e-9:
             raise ValueError("2*r must be an integer")
@@ -122,7 +122,7 @@ def solve_tau(params: PhiParams, tol: float = 1e-12) -> GammaSolution:
     crosses 1e9 for small gamma, where double-precision cancellation makes
     a fixed absolute residual unreachable.
     """
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError("tol must be positive")
     lo, hi = 0.0, params.radius * (1.0 - 1e-9)
     if _char(lo, params) <= 0:
@@ -198,9 +198,9 @@ def _min_gamma_cached(two_r: int, tol: float) -> float:
 
 def min_gamma(r: float, tol: float = 1e-4) -> float:
     """Smallest admissible slack for tracked half-length r, to width tol."""
-    if r < 3:
+    if not (r >= 3):
         raise ValueError("r must be >= 3")
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError("tol must be positive")
     return _min_gamma_cached(int(round(2 * r)), tol)
 
@@ -252,7 +252,7 @@ def q_coloring_series(gamma: float, r: float, n_max: int, eps: float = 1e-12) ->
     convolution of Q at n-1.  The weights decay geometrically in L, so the
     outer sum stops once a term drops below eps times the partial sum.
     """
-    if eps <= 0:
+    if not (eps > 0):
         raise ValueError("eps must be positive")
     if n_max > 400:
         raise ValueError("n_max exceeds the series cap of 400")

@@ -9,6 +9,8 @@ class Graph:
     """Simple graph; edges keep their input order and are indexed 0..m-1."""
 
     def __init__(self, n_vertices: int, edges):
+        if n_vertices < 0:
+            raise ValueError(f"vertex count {n_vertices} is negative")
         self.n_vertices = n_vertices
         self.edges: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
@@ -143,6 +145,8 @@ def petersen_graph() -> Graph:
 
 
 def gnp_graph(n_vertices: int, prob: float, seed: int | None = None) -> Graph:
+    if not (0 <= prob <= 1):
+        raise ValueError(f"edge probability {prob} outside [0, 1]")
     rng = random.Random(seed)
     edges = [
         (u, v)
@@ -155,6 +159,8 @@ def gnp_graph(n_vertices: int, prob: float, seed: int | None = None) -> Graph:
 
 def random_regular_graph(degree: int, n_vertices: int, seed: int | None = None) -> Graph:
     """Uniform-ish random d-regular simple graph (pairing model with repair)."""
+    if not (0 <= degree < n_vertices) or (degree * n_vertices) % 2:
+        raise ValueError(f"no {degree}-regular simple graph on {n_vertices} vertices: need 0 <= d < n and n*d even")
     import networkx as nx
 
     g = nx.random_regular_graph(degree, n_vertices, seed=seed)

@@ -9,7 +9,7 @@ import pytest
 from lllcolor.coloring import (
     ColorAudit,
     ColorRunStats,
-    EdgeColoring,
+    ColorState,
     _assign,
     bichromatic_edge_set,
     find_bichromatic_cycle,
@@ -115,7 +115,7 @@ def reference_col_alg(
     seed: int,
     step_limit: int | None = None,
     audit: bool = False,
-) -> tuple[EdgeColoring, ColorRunStats]:
+) -> tuple[ColorState, ColorRunStats]:
     """The cycle-resampling loop by full rescans: the oracle for ``col_alg``.
 
     Every root choice and every child choice sweeps all bichromatic cycles
@@ -125,7 +125,7 @@ def reference_col_alg(
     """
     rng = random.Random(seed)
     audit_obj = ColorAudit() if audit else None
-    coloring = greedy_4acyclic(graph, k, rng, audit_obj)
+    state = greedy_4acyclic(graph, k, rng, audit_obj)
     limit = default_step_limit(graph.m) if step_limit is None else step_limit
     steps = 0
     phases = 0
@@ -139,24 +139,24 @@ def reference_col_alg(
         steps += 1
         trace.append((cycle.key, depth))
         for e in sorted(cycle.edges):
-            _assign(graph, coloring, e, rng, audit_obj)
+            _assign(state, e, rng, audit_obj)
         return True
 
     while not aborted:
-        root = find_bichromatic_cycle(graph, coloring)
+        root = find_bichromatic_cycle(state)
         if root is None:
             break
         if steps >= limit:
             aborted = True
             break
-        before = bichromatic_edge_set(graph, coloring) if audit_obj else None
+        before = bichromatic_edge_set(state) if audit_obj else None
         phases += 1
         if not recolor(root, 0):
             aborted = True
             break
         stack = [root]
         while stack:
-            nxt = find_bichromatic_cycle(graph, coloring, stack[-1].edge_set)
+            nxt = find_bichromatic_cycle(state, stack[-1].edge_set)
             if nxt is None:
                 stack.pop()
                 continue
@@ -165,9 +165,65 @@ def reference_col_alg(
                 break
             stack.append(nxt)
         if audit_obj is not None and not aborted:
-            audit_obj.record_progress(before, bichromatic_edge_set(graph, coloring))
+            audit_obj.record_progress(before, bichromatic_edge_set(state))
 
-    return coloring, ColorRunStats(steps, phases, trace, not aborted, seed, limit, audit_obj)
+    return state, ColorRunStats(steps, phases, trace, not aborted, seed, limit, audit_obj)
+
+
+def reference_forbidden_colors(graph: Graph, colors: list[int | None], e: int) -> set[int]:
+    """Forbidden colors at e by a pairwise adjacency scan: the oracle for
+    ``forbidden_colors``, which reads the state's per-vertex maps instead.
+
+    A color of a colored edge adjacent to e is forbidden, and so is the
+    color of the closing edge {x, y} whenever {u, x} and {v, y} share a
+    color; e's own color does not count.
+    """
+    u, v = graph.edges[e]
+    forbidden: set[int] = set()
+    at_u: list[tuple[int, int]] = []  # (far endpoint, color)
+    at_v: list[tuple[int, int]] = []
+    for vertex, bucket in ((u, at_u), (v, at_v)):
+        for w, idx in graph.adj[vertex]:
+            if idx == e or colors[idx] is None:
+                continue
+            bucket.append((w, colors[idx]))
+            forbidden.add(colors[idx])
+    for x, c1 in at_u:
+        for y, c2 in at_v:
+            if c1 != c2 or x == y:
+                continue
+            e3 = graph.edge_index(x, y)
+            if e3 is not None and colors[e3] is not None:
+                forbidden.add(colors[e3])
+    return forbidden
+
+
+def colored(graph: Graph, k: int, colors: list[int | None]) -> ColorState:
+    """A ColorState holding the given colors (None leaves an edge uncolored)."""
+    state = ColorState(graph, k)
+    for e, c in enumerate(colors):
+        if c is not None:
+            state.assign(e, c)
+    return state
+
+
+def random_proper_colors(graph: Graph, k: int, rng: random.Random, fill: float = 1.0) -> list[int | None] | None:
+    """Random proper (not necessarily acyclic) coloring: edge by edge, a
+    uniform choice among the colors free at both endpoints, made with
+    probability ``fill`` (else the edge stays uncolored).  None when some
+    edge finds no free color."""
+    at: list[set[int]] = [set() for _ in range(graph.n_vertices)]
+    colors: list[int | None] = []
+    for u, v in graph.edges:
+        free = [c for c in range(k) if c not in at[u] and c not in at[v]]
+        if not free:
+            return None
+        c = rng.choice(free) if rng.random() < fill else None
+        if c is not None:
+            at[u].add(c)
+            at[v].add(c)
+        colors.append(c)
+    return colors
 
 
 def two_hex_graph() -> Graph:
@@ -204,7 +260,7 @@ def brute_simple_cycles(graph: Graph, max_len: int | None = None) -> set[frozens
     return out
 
 
-def brute_bichromatic_keys(graph: Graph, coloring) -> set[tuple]:
+def brute_bichromatic_keys(graph: Graph, colors: list[int | None]) -> set[tuple]:
     """Canonical keys of all bichromatic cycles, via the brute-force oracle.
 
     Assumes a proper coloring, under which a cycle with exactly two edge
@@ -212,8 +268,8 @@ def brute_bichromatic_keys(graph: Graph, coloring) -> set[tuple]:
     """
     keys = set()
     for edge_set in brute_simple_cycles(graph):
-        colors = {coloring.colors[e] for e in edge_set}
-        if len(edge_set) % 2 == 0 and len(colors) == 2 and None not in colors:
+        on_cycle = {colors[e] for e in edge_set}
+        if len(edge_set) % 2 == 0 and len(on_cycle) == 2 and None not in on_cycle:
             keys.add((len(edge_set), tuple(sorted(edge_set))))
     return keys
 

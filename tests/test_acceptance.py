@@ -53,8 +53,8 @@ def coloring_corpus():
     for name, (graph, k) in graphs.items():
         runs = []
         for seed in range(RUNS_PER_GRAPH):
-            coloring, stats = col_alg(graph, k, seed=seed, audit=True)
-            verdict = verify_acyclic(graph, coloring) if stats.terminated else None
+            state, stats = col_alg(graph, k, seed=seed, audit=True)
+            verdict = verify_acyclic(graph, k, state.colors) if stats.terminated else None
             runs.append((stats, verdict))
         corpus[name] = (graph, k, runs)
     return corpus

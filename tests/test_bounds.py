@@ -181,3 +181,8 @@ def test_bound_params_validation():
         BoundParams(Fraction(1, 2), 1)
     with pytest.raises(ValueError):
         BoundParams(Fraction(1, 2), 2, m=0)
+    for prefactor in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            BoundParams(Fraction(1, 8), 2, prefactor=prefactor)
+    with pytest.raises(ValueError):
+        q_series(BoundParams(Fraction(1, 8), 2), -2)

@@ -308,13 +308,29 @@ def test_dice_zero_trials(capsys):
         ("bench", "--generator", "cycle:6", "--runs", "2", "--step-limit", "-1"),
         ("bench", "--generator", "cycle:6", "--runs", "0"),
         ("bench", "--generator", "cycle:6", "--runs", "2", "--jobs", "0"),
+        ("bench", "--generator", "cycle:-5", "--runs", "1"),
+        ("bench", "--generator", "gnp:5", "--runs", "1"),
+        ("bench", "--generator", "gnp:5,1.5", "--runs", "1"),
+        ("bench", "--generator", "random-regular:3,5", "--runs", "1"),
+        ("bench", "--generator", "regular:30,20", "--runs", "1"),
+        ("bounds", "--p", "1/0", "--delta", "2"),
+        ("bounds", "--p", "1/8", "--delta", "2", "--n", "-2"),
+        ("bounds", "--p", "1/8", "--delta", "2", "--prefactor", "nan"),
+        ("color", "{negative}"),
+        ("gamma", "--girth", "5", "--tol", "nan"),
     ],
-    ids=["sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs"],
+    ids=[
+        "sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs",
+        "cycle-negative", "gnp-arity", "gnp-prob", "regular-odd", "regular-dense", "bounds-p-zero-den", "bounds-n",
+        "bounds-prefactor-nan", "color-negative-vertices", "gamma-tol-nan",
+    ],
 )
 def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, argv):
     cnf = tmp_path / "one.cnf"
     cnf.write_text("p cnf 2 1\n1 2 0\n")
-    code = main([a.format(cnf=cnf, graph=hexagon_file) for a in argv])
+    negative = tmp_path / "negative.edges"
+    negative.write_text("p edges -3 0\n")
+    code = main([a.format(cnf=cnf, graph=hexagon_file, negative=negative) for a in argv])
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("lllcolor: error:")

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from lllcolor.coloring import (
+    ColorState,
     CycleIndex,
-    EdgeColoring,
     PaletteError,
     all_bichromatic_cycles,
     bichromatic_edge_set,
@@ -19,7 +19,14 @@ from lllcolor.coloring import (
 from lllcolor.engine import ContractError
 from lllcolor.graphs import Graph, complete_graph, cycle_graph, path_graph, petersen_graph, star_graph
 
-from conftest import brute_bichromatic_keys, reference_col_alg, two_hex_graph
+from conftest import (
+    brute_bichromatic_keys,
+    colored,
+    random_proper_colors,
+    reference_col_alg,
+    reference_forbidden_colors,
+    two_hex_graph,
+)
 
 
 # -- forbidden colors ----------------------------------------------------------
@@ -27,43 +34,36 @@ from conftest import brute_bichromatic_keys, reference_col_alg, two_hex_graph
 def test_forbidden_path_only_adjacency():
     # path x-u-v-y: only the two adjacent colors are forbidden at {u,v}
     g = Graph(4, [(0, 1), (2, 3), (1, 2)])
-    coloring = EdgeColoring(3, [0, 1, None])
-    assert forbidden_colors(g, coloring, 2) == {0, 1}
+    assert forbidden_colors(colored(g, 3, [0, 1, None]), 2) == {0, 1}
 
 
 def test_forbidden_closes_4cycle():
     # square u-v-y-x-u: {u,x} and {v,y} share a color, so the color of the
     # closing edge {x,y} is forbidden at {u,v} as well
     g = Graph(4, [(0, 3), (1, 2), (3, 2), (0, 1)])  # e0={u,x}, e1={v,y}, e2={x,y}, e3={u,v}
-    coloring = EdgeColoring(4, [0, 0, 2, None])
-    assert forbidden_colors(g, coloring, 3) == {0, 2}
+    assert forbidden_colors(colored(g, 4, [0, 0, 2, None]), 3) == {0, 2}
 
 
 def test_forbidden_star_and_any_choice_stays_safe():
     delta = 6
     g = star_graph(delta)
-    coloring = EdgeColoring(2 * delta - 1, [None] * delta)
-    for e in range(delta - 1):
-        coloring.colors[e] = e
-    forb = forbidden_colors(g, coloring, delta - 1)
+    k = 2 * delta - 1
+    forb = forbidden_colors(colored(g, k, list(range(delta - 1)) + [None]), delta - 1)
     assert forb == set(range(delta - 1))
     # stars have no cycles: every non-forbidden color keeps the coloring
     # proper and trivially 4-acyclic
-    for c in range(coloring.k):
+    for c in range(k):
         if c in forb:
             continue
-        coloring.colors[delta - 1] = c
-        verdict = verify_acyclic(g, coloring)
+        verdict = verify_acyclic(g, k, list(range(delta - 1)) + [c])
         assert verdict.proper and verdict.acyclic
-    coloring.colors[delta - 1] = None
 
 
 def test_forbidden_ignores_own_color_during_recoloring():
     # recoloring context: every edge colored; the queried edge's current
     # color does not forbid itself
     g = cycle_graph(4)
-    coloring = EdgeColoring(4, [0, 1, 2, 1])
-    assert forbidden_colors(g, coloring, 0) == {1, 2}  # adjacency {1}, closing edge color 2
+    assert forbidden_colors(colored(g, 4, [0, 1, 2, 1]), 0) == {1, 2}  # adjacency {1}, closing edge color 2
 
 
 def test_cycle_walk_validation():
@@ -85,7 +85,46 @@ def test_cycle_walk_validation():
 def test_forbidden_edge_out_of_range():
     g = cycle_graph(4)
     with pytest.raises(ContractError):
-        forbidden_colors(g, EdgeColoring(3, [None] * 4), 9)
+        forbidden_colors(ColorState(g, 3), 9)
+
+
+def test_forbidden_matches_adjacency_scan():
+    # the O(maxdeg) map reading against the pairwise scan, on every edge of
+    # random partial and full proper colorings
+    cases = [cycle_graph(6), two_hex_graph(), petersen_graph(), complete_graph(6), complete_graph(9)]
+    rng = random.Random(31)
+    checked = 0
+    for g in cases:
+        for _ in range(40):
+            k = g.max_degree + rng.randrange(2 * g.max_degree)
+            colors = random_proper_colors(g, k, rng, fill=rng.choice([0.5, 0.8, 1.0]))
+            if colors is None:
+                continue
+            state = colored(g, k, colors)
+            for e in range(g.m):
+                assert forbidden_colors(state, e) == reference_forbidden_colors(g, colors, e)
+                checked += 1
+    assert checked > 2000
+
+
+def test_improper_assign_raises():
+    # C4 edges {0,1}, {1,2}, {2,3}, {0,3}
+    g = cycle_graph(4)
+    state = colored(g, 4, [0, None, 1, 2])
+    with pytest.raises(ContractError):
+        state.assign(1, 0)  # color 0 already sits at vertex 1 (edge 0)
+    with pytest.raises(ContractError):
+        state.assign(1, 1)  # color 1 already sits at vertex 2 (edge 2)
+    assert state.colors == [0, None, 1, 2]  # a refused assign changes nothing
+    assert state.at == [{0: 0, 2: 3}, {0: 0}, {1: 2}, {1: 2, 2: 3}]
+    state.assign(1, 3)
+    state.assign(1, 3)  # recoloring an edge with its own color is fine
+    with pytest.raises(ContractError):
+        state.assign(2, 3)  # recoloring into a color taken at vertex 2 (edge 1)
+    state.assign(0, 1)  # the old color 0 leaves both endpoints of edge 0
+    assert state.at == [{1: 0, 2: 3}, {1: 0, 3: 1}, {3: 1, 1: 2}, {1: 2, 2: 3}]
+    with pytest.raises(ContractError):
+        colored(g, 3, [0, 0, 1, 2])
 
 
 # -- greedy pass ---------------------------------------------------------------
@@ -93,16 +132,16 @@ def test_forbidden_edge_out_of_range():
 def test_greedy_tree_minimum_palette():
     for seed in range(50):
         g = star_graph(4)
-        coloring = greedy_4acyclic(g, 2 * g.max_degree - 1, random.Random(seed))
-        verdict = verify_acyclic(g, coloring)
+        state = greedy_4acyclic(g, 2 * g.max_degree - 1, random.Random(seed))
+        verdict = verify_acyclic(g, state.k, state.colors)
         assert verdict.proper and verdict.acyclic
 
 
 def test_greedy_square_never_bichromatic():
     g = cycle_graph(4)
     for seed in range(200):
-        coloring = greedy_4acyclic(g, 3, random.Random(seed))
-        verdict = verify_acyclic(g, coloring)
+        state = greedy_4acyclic(g, 3, random.Random(seed))
+        verdict = verify_acyclic(g, 3, state.colors)
         assert verdict.proper and verdict.acyclic
 
 
@@ -110,8 +149,8 @@ def test_greedy_k5():
     # K5's even cycles all have length 4, so greedy output is fully acyclic
     g = complete_graph(5)
     for seed in range(10**3):
-        coloring = greedy_4acyclic(g, 2 * g.max_degree - 1, random.Random(seed))
-        verdict = verify_acyclic(g, coloring)
+        state = greedy_4acyclic(g, 2 * g.max_degree - 1, random.Random(seed))
+        verdict = verify_acyclic(g, state.k, state.colors)
         assert verdict.proper and verdict.acyclic
 
 
@@ -129,8 +168,8 @@ def test_greedy_bichromatic_frequency_bound():
     n = 30_000
     hits = 0
     for seed in range(n):
-        coloring = greedy_4acyclic(g, 5, random.Random(seed))
-        if len(set(coloring.colors)) == 2:
+        state = greedy_4acyclic(g, 5, random.Random(seed))
+        if len(set(state.colors)) == 2:
             hits += 1
     freq = hits / n
     bound = (1 / (gamma * (g.max_degree - 1) + 1)) ** 4
@@ -142,26 +181,27 @@ def test_greedy_bichromatic_frequency_bound():
 
 def test_triangle_has_no_bichromatic_cycle():
     g = cycle_graph(3)
-    assert find_bichromatic_cycle(g, EdgeColoring(3, [0, 1, 2])) is None
+    assert find_bichromatic_cycle(colored(g, 3, [0, 1, 2])) is None
 
 
 def test_hexagon_alternating_is_found():
     g = cycle_graph(6)
-    cyc = find_bichromatic_cycle(g, EdgeColoring(3, [0, 1, 0, 1, 0, 1]))
+    cyc = find_bichromatic_cycle(colored(g, 3, [0, 1, 0, 1, 0, 1]))
     assert cyc is not None and cyc.key == (6, (0, 1, 2, 3, 4, 5))
     assert sorted(cyc.vertices(g)) == [0, 1, 2, 3, 4, 5]
 
 
 def test_two_disjoint_hexagons_least_and_restrict():
     g = two_hex_graph()
-    coloring = EdgeColoring(4, [0, 1, 0, 1, 0, 1, 2, 3, 2, 3, 2, 3])
-    least = find_bichromatic_cycle(g, coloring)
+    colors = [0, 1, 0, 1, 0, 1, 2, 3, 2, 3, 2, 3]
+    state = colored(g, 4, colors)
+    least = find_bichromatic_cycle(state)
     assert least.key == (6, (0, 1, 2, 3, 4, 5))
-    second = find_bichromatic_cycle(g, coloring, restrict=frozenset({7}))
+    second = find_bichromatic_cycle(state, restrict=frozenset({7}))
     assert second.key == (6, (6, 7, 8, 9, 10, 11))
-    assert find_bichromatic_cycle(g, coloring, restrict=frozenset({0, 7})).key == least.key
+    assert find_bichromatic_cycle(state, restrict=frozenset({0, 7})).key == least.key
     # ordering oracle: enumerate everything and sort by canonical key
-    keys = sorted(brute_bichromatic_keys(g, coloring))
+    keys = sorted(brute_bichromatic_keys(g, colors))
     assert keys[0] == least.key and len(keys) == 2
 
 
@@ -171,47 +211,42 @@ def test_detector_matches_brute_force_oracle():
     for g in cases:
         for _ in range(30):
             k = 2 * g.max_degree - 1 + rng.randrange(3)
-            coloring = greedy_4acyclic(g, k, random.Random(rng.randrange(2**30)))
-            walk_keys = set(all_bichromatic_cycles(g, coloring))
-            assert walk_keys == brute_bichromatic_keys(g, coloring)
-
-
-def test_detector_rejects_improper():
-    g = cycle_graph(4)
-    with pytest.raises(ContractError):
-        find_bichromatic_cycle(g, EdgeColoring(3, [0, 0, 1, 2]))
+            state = greedy_4acyclic(g, k, random.Random(rng.randrange(2**30)))
+            walk_keys = set(all_bichromatic_cycles(state))
+            assert walk_keys == brute_bichromatic_keys(g, state.colors)
 
 
 def test_cycle_index_matches_rescan_after_updates():
     g = two_hex_graph()
     rng = random.Random(5)
     for seed in range(40):
-        coloring = greedy_4acyclic(g, 4, random.Random(seed))
-        index = CycleIndex(g, coloring)
+        state = greedy_4acyclic(g, 4, random.Random(seed))
+        index = CycleIndex(state)
         for _ in range(6):
             e = rng.randrange(g.m)
-            safe = [c for c in range(coloring.k) if c not in forbidden_colors(g, coloring, e)]
-            coloring.colors[e] = rng.choice(safe)
+            safe = [c for c in range(state.k) if c not in forbidden_colors(state, e)]
+            state.assign(e, rng.choice(safe))
             index.refresh_after(frozenset({e}))
-            assert set(index.cycles) == set(all_bichromatic_cycles(g, coloring))
+            assert set(index.cycles) == set(all_bichromatic_cycles(state))
+            assert state.at == colored(g, state.k, state.colors).at
 
 
 # -- the full coloring loop ------------------------------------------------------
 
 def test_forest_input_needs_no_recoloring():
     g = path_graph(8)
-    coloring, stats = col_alg(g, 3, seed=4)
+    state, stats = col_alg(g, 3, seed=4)
     assert stats.steps == 0 and stats.phases == 0 and stats.terminated
-    verdict = verify_acyclic(g, coloring)
+    verdict = verify_acyclic(g, 3, state.colors)
     assert verdict.proper and verdict.acyclic
 
 
 def test_hexagon_end_to_end():
     g = cycle_graph(6)
     for seed in range(200):
-        coloring, stats = col_alg(g, 5, seed=seed)
+        state, stats = col_alg(g, 5, seed=seed)
         assert stats.terminated
-        verdict = verify_acyclic(g, coloring)
+        verdict = verify_acyclic(g, 5, state.colors)
         assert verdict.proper and verdict.acyclic
 
 
@@ -245,7 +280,7 @@ def test_col_alg_matches_reference():
             recolored_runs += stats_a.steps > 0
             aborted_runs += not stats_a.terminated
             if stats_a.terminated:
-                verdict = verify_acyclic(g, col_a)
+                verdict = verify_acyclic(g, k, col_a.colors)
                 assert verdict.proper and verdict.acyclic
     assert recolored_runs >= 60 and aborted_runs >= 5, (recolored_runs, aborted_runs)
 
@@ -263,11 +298,11 @@ def test_audit_invariants_on_petersen():
     g = petersen_graph()
     k = 9
     for seed in range(100):
-        coloring, stats = col_alg(g, k, seed=seed, audit=True)
+        state, stats = col_alg(g, k, seed=seed, audit=True)
         assert stats.terminated and stats.audit.clean
         assert stats.audit.max_forbidden <= 2 * (g.max_degree - 1)
         assert stats.audit.min_available >= k - 2 * (g.max_degree - 1)
-        verdict = verify_acyclic(g, coloring)
+        verdict = verify_acyclic(g, k, state.colors)
         assert verdict.proper and verdict.acyclic
 
 
@@ -297,29 +332,56 @@ def test_detected_cycle_lengths_respect_girth():
 
 def test_verify_bichromatic_square():
     g = cycle_graph(4)
-    verdict = verify_acyclic(g, EdgeColoring(3, [0, 1, 0, 1]))
+    verdict = verify_acyclic(g, 3, [0, 1, 0, 1])
     assert verdict.proper and not verdict.acyclic
     assert verdict.witness.key == (4, (0, 1, 2, 3))
 
 
 def test_verify_trichromatic_square():
     g = cycle_graph(4)
-    verdict = verify_acyclic(g, EdgeColoring(3, [0, 1, 0, 2]))
+    verdict = verify_acyclic(g, 3, [0, 1, 0, 2])
     assert verdict.proper and verdict.acyclic and verdict.witness is None
 
 
 def test_verify_improper_and_partial():
     g = cycle_graph(4)
-    verdict = verify_acyclic(g, EdgeColoring(3, [0, 0, 1, 2]))
+    verdict = verify_acyclic(g, 3, [0, 0, 1, 2])
     assert not verdict.proper and not verdict.acyclic
     with pytest.raises(ContractError):
-        verify_acyclic(g, EdgeColoring(3, [0, 1, None, 2]))
+        verify_acyclic(g, 3, [0, 1, None, 2])
+    with pytest.raises(ContractError):
+        verify_acyclic(g, 3, [0, 1, 2])
+
+
+def test_verifier_agrees_with_brute_force():
+    # the union-find verifier against exhaustive cycle enumeration on random
+    # proper colorings; palettes near maxdeg make many of them cyclic
+    k33 = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
+    grid = Graph(9, [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
+                 + [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)])
+    cases = [cycle_graph(6), cycle_graph(8), two_hex_graph(), petersen_graph(), complete_graph(5),
+             complete_graph(6), k33, grid]
+    rng = random.Random(2024)
+    cyclic = acyclic = 0
+    for g in cases:
+        for _ in range(80):
+            k = g.max_degree + rng.randrange(3)
+            colors = random_proper_colors(g, k, rng)
+            if colors is None:
+                continue
+            brute = brute_bichromatic_keys(g, colors)
+            verdict = verify_acyclic(g, k, colors)
+            assert verdict.proper and verdict.acyclic == (not brute)
+            if brute:
+                assert verdict.witness.key in brute
+            cyclic += bool(brute)
+            acyclic += not brute
+    assert cyclic >= 100 and acyclic >= 100, (cyclic, acyclic)
 
 
 def test_bichromatic_edge_set():
     g = two_hex_graph()
-    coloring = EdgeColoring(4, [0, 1, 0, 1, 0, 1, 0, 1, 2, 3, 2, 3])
-    assert bichromatic_edge_set(g, coloring) == frozenset(range(6))
+    assert bichromatic_edge_set(colored(g, 4, [0, 1, 0, 1, 0, 1, 0, 1, 2, 3, 2, 3])) == frozenset(range(6))
 
 
 # -- exact cycle counting -----------------------------------------------------------

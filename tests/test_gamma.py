@@ -79,6 +79,22 @@ def test_phi_params_validation():
         PhiParams(1.0, 2.5)
     with pytest.raises(ValueError):
         PhiParams(1.0, 3.25)
+    with pytest.raises(ValueError):
+        PhiParams(math.nan, 3.0)
+    with pytest.raises(ValueError):
+        PhiParams(1.0, math.nan)
+
+
+def test_nan_fails_range_checks():
+    # NaN compares false both ways, so every range check is written to fail on it
+    with pytest.raises(ValueError):
+        min_gamma(3.0, tol=math.nan)
+    with pytest.raises(ValueError):
+        min_gamma(math.nan)
+    with pytest.raises(ValueError):
+        solve_tau(ANCHOR, tol=math.nan)
+    with pytest.raises(ValueError):
+        q_coloring_series(1.74, 3.0, 4, eps=math.nan)
 
 
 # -- characteristic equation -----------------------------------------------------

@@ -30,6 +30,8 @@ def test_rejects_bad_edges():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 5)])
+    with pytest.raises(ValueError):
+        Graph(-3, [])
 
 
 def test_girth_values():
@@ -83,6 +85,9 @@ def test_gnp_deterministic_and_simple():
     assert a.edges == b.edges
     assert gnp_graph(30, 0.0, seed=1).m == 0
     assert gnp_graph(10, 1.0, seed=1).m == 45
+    for prob in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            gnp_graph(10, prob, seed=1)
 
 
 def test_random_regular():
@@ -90,3 +95,6 @@ def test_random_regular():
     assert g.n_vertices == 50 and all(d == 5 for d in g.degrees)
     h = random_regular_graph(5, 50, seed=11)
     assert g.edges == h.edges
+    for degree, n in ((3, 5), (30, 20), (5, 5), (-1, 4)):  # odd n*d, d >= n, d < 0
+        with pytest.raises(ValueError):
+            random_regular_graph(degree, n, seed=1)

@@ -18,3 +18,26 @@ def test_library_raises_contract_errors_not_asserts():
             if isinstance(node, ast.Assert) or (isinstance(exc, ast.Name) and exc.id == "AssertionError"):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_verifier_shares_no_code_with_the_detector():
+    # verify_acyclic gates CI, so it must not reach the alternating-walk
+    # detector or the coloring state it checks, directly or through
+    # module-level helpers of the coloring module
+    from lllcolor import coloring
+
+    tree = ast.parse(Path(coloring.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    detector = {"_cycles_through_edge", "all_bichromatic_cycles", "find_bichromatic_cycle", "CycleIndex", "ColorState"}
+    reached, todo = set(), ["verify_acyclic"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(defs[name]):
+            ref = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if ref in defs:
+                todo.append(ref)
+    assert not reached & detector, sorted(reached & detector)
+    assert {"_root", "_witness", "Cycle"} <= reached  # the walk does follow helpers
