@@ -5,9 +5,10 @@ The tail analysis hinges on the sequence
     Q_0 = 1,   Q_n = p * sum over n_1+...+n_delta = n-1 of Q_{n_1}...Q_{n_delta}
 
 whose closed form is Q_n = p^n * C(delta*n, n) / ((delta-1)*n + 1).  Both
-routes are computed here in exact rational arithmetic so their equality is
-a hard test, not a float tolerance.  The asymptotic envelope, the
-convergence condition and the cutoff estimate are plain floating point.
+routes are exact, so their equality is a hard test, not a float tolerance;
+the recurrence runs online through ``power_step``, shared with ``gamma``.
+The asymptotic envelope, the convergence condition and the cutoff
+estimate are plain floating point.
 """
 
 from __future__ import annotations
@@ -59,31 +60,31 @@ class BoundParams:
         return (1 + 1 / (d - 1)) ** (d - 1) * float(self.p) * d
 
 
+def power_step(a: list, p: list, alpha: int):
+    """n * [z^n] A**alpha for n = len(p), from A_0 = 1, A_1..A_n (``a``) and
+    the known coefficients P_0..P_(n-1) of P = A**alpha (``p``), by Miller's
+    recurrence n*P_n = sum_{k=1..n} ((alpha+1)*k - n) * A_k * P_(n-k)
+    (Knuth, TAOCP vol. 2, 4.7).  The caller divides by n."""
+    n = len(p)
+    return sum(((alpha + 1) * k - n) * a[k] * p[n - k] for k in range(1, n + 1))
+
+
 def q_series(params: BoundParams, n_max: int) -> list[Fraction]:
     """Q_0..Q_n_max via the recurrence, as exact rationals.
 
-    Dynamic programming over delta-fold convolutions of the prefix already
-    computed; independent of the closed form on purpose.
+    Q_n = p^n * R_n for R = 1 + z*R^delta; R and R^delta run online in
+    integers, where ``power_step``'s division is exact.  Independent of the
+    closed form on purpose.
     """
     if n_max > Q_SERIES_CAP:
         raise ValueError(f"n_max {n_max} exceeds series cap {Q_SERIES_CAP}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    q = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        cap = n - 1
-        conv = [Fraction(1)] + [Fraction(0)] * cap
-        for _ in range(params.delta):
-            nxt = [Fraction(0)] * (cap + 1)
-            for i, a in enumerate(conv):
-                if a == 0:
-                    continue
-                for j in range(cap + 1 - i):
-                    if q[j]:
-                        nxt[i + j] += a * q[j]
-            conv = nxt
-        q.append(params.p * conv[cap])
-    return q
+    r, t = [1], [1]
+    while len(r) <= n_max:
+        r.append(t[-1])
+        t.append(power_step(r, t, params.delta) // len(t))
+    return [params.p**n * r_n for n, r_n in enumerate(r)]
 
 
 def q_recurrence(params: BoundParams, n: int) -> Fraction:

@@ -199,13 +199,25 @@ def forbidden_colors(state: ColorState, e: int) -> set[int]:
 
 
 def _assign(state: ColorState, e: int, rng: random.Random, audit: ColorAudit | None) -> None:
+    """Color e uniformly among the colors not forbidden there.
+
+    The draw picks an index into the free colors in increasing order, as
+    ``rng.choice`` over that list would, and maps it past the sorted
+    forbidden set, so a decision costs no more than sorting that set,
+    whatever the palette size.
+    """
     forb = forbidden_colors(state, e)
-    available = [c for c in range(state.k) if c not in forb]
-    if len(available) < state.k - 2 * (state.graph.max_degree - 1):
-        raise ContractError(f"palette margin violated at edge {e}: {len(available)} colors available")
-    state.assign(e, rng.choice(available))
+    n_free = state.k - len(forb)
+    if n_free < state.k - 2 * (state.graph.max_degree - 1):
+        raise ContractError(f"palette margin violated at edge {e}: {n_free} colors available")
+    c = rng.randrange(n_free)
+    for f in sorted(forb):
+        if f > c:
+            break
+        c += 1
+    state.assign(e, c)
     if audit is not None:
-        audit.record_decision(len(forb), len(available))
+        audit.record_decision(len(forb), n_free)
         audit.check_local(state, e)
 
 
@@ -400,7 +412,8 @@ def verify_acyclic(graph: Graph, k: int, colors: list[int]) -> VerifyResult:
     Palette membership first, then properness through the verifier's own
     per-vertex color -> edge map.  Acyclicity: every 2-colored subgraph
     must be a forest, checked by union-find over (color pair, vertex).
-    Pairs (a, b), a < b, are handled grouped by a, so only a's forests are
+    Pairs (a, b), a < b, are handled grouped by a, over the colors in use
+    only (so the cost does not grow with k), and only a's forests are
     alive at once: each a-edge with b at both ends joins its endpoints, and
     so does each b-edge at those ends whose far end carries a as well.
     Every edge of an (a, b)-cycle is among them (its ends carry both
@@ -415,15 +428,15 @@ def verify_acyclic(graph: Graph, k: int, colors: list[int]) -> VerifyResult:
     if not all(0 <= c < k for c in colors):
         return VerifyResult(False, False, None)
     at: list[dict[int, int]] = [{} for _ in range(graph.n_vertices)]
-    by_color: list[list[int]] = [[] for _ in range(k)]
+    by_color: dict[int, list[int]] = {}
     for idx, ends in enumerate(graph.edges):
         c = colors[idx]
         for vertex in ends:
             if c in at[vertex]:
                 return VerifyResult(False, False, None)
             at[vertex][c] = idx
-        by_color[c].append(idx)
-    for a in range(k):
+        by_color.setdefault(c, []).append(idx)
+    for a in sorted(by_color):
         forests: dict[int, dict[int, int]] = {}  # b -> union-find parents of the (a, b) forest
         for e in by_color[a]:
             u, v = graph.edges[e]

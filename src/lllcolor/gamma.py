@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .bounds import power_step
+
 
 class SolverError(RuntimeError):
     """Root bracketing or refinement failed."""
@@ -244,49 +246,37 @@ def _mul_trunc(a: list[float], b: list[float], cap: int) -> list[float]:
     return out
 
 
-def q_coloring_series(gamma: float, r: float, n_max: int, eps: float = 1e-12) -> list[float]:
+def q_coloring_series(gamma: float, r: float, n_max: int) -> list[float]:
     """Q_0..Q_n_max of the cycle-resampling recurrence.
 
     Q_0 = 1 and, for n >= 1, Q_n sums over tracked cycle lengths
     L = 2r, 2r+2, ... the weight (1/gamma) * q**(L-3) times the L-fold
-    convolution of Q at n-1.  The weights decay geometrically in L, so the
-    outer sum stops once a term drops below eps times the partial sum.
+    convolution of Q at n-1.  That sum is geometric, so
+    Q_n = (q**(2r-3)/gamma) * F_(n-1) for F = P / (1 - q**2 * S), with
+    P = Q**(2r) and S = Q**2 run online by ``power_step``: no truncation.
     """
-    if not (eps > 0):
-        raise ValueError("eps must be positive")
     if n_max > 400:
         raise ValueError("n_max exceeds the series cap of 400")
     params = PhiParams(gamma, r)
     q, base_len = params.q, params.min_cycle_length
-    series = [1.0]
-    for n in range(1, n_max + 1):
-        cap = n - 1
-        prefix = series[: cap + 1]
-        power = [1.0]
-        for _ in range(base_len):
-            power = _mul_trunc(power, prefix, cap)
-        square = _mul_trunc(prefix, prefix, cap)
-        weight = q ** (base_len - 3) / gamma
-        total = 0.0
-        length = base_len
-        while True:
-            term = weight * power[cap]
-            total += term
-            if term <= eps * total:
-                break
-            length += 2
-            if length > base_len + 800:
-                raise SolverError("outer cycle-length sum failed to converge")
-            weight *= q * q
-            power = _mul_trunc(power, square, cap)
-        series.append(total)
+    scale, qq = q ** (base_len - 3) / gamma, q * q
+    if not (qq < 1.0):
+        raise ValueError(f"gamma={gamma} leaves q = 1 in floating point: phi has its pole at 0")
+    series, power, square, quotient = [1.0], [1.0], [1.0], [1.0 / (1.0 - qq)]
+    while len(series) <= n_max:
+        series.append(scale * quotient[-1])
+        m = len(power)
+        power.append(power_step(series, power, base_len) / m)
+        square.append(power_step(series, square, 2) / m)
+        tail = sum(square[k] * quotient[m - k] for k in range(1, m + 1))
+        quotient.append((power[m] + qq * tail) / (1.0 - qq))
     return series
 
 
-def q_coloring_recurrence(gamma: float, r: float, n: int, eps: float = 1e-12) -> float:
+def q_coloring_recurrence(gamma: float, r: float, n: int) -> float:
     if n < 0:
         raise ValueError("n must be >= 0")
-    return q_coloring_series(gamma, r, n, eps)[n]
+    return q_coloring_series(gamma, r, n)[n]
 
 
 def _series_inverse(a: list[float], cap: int) -> list[float]:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from lllcolor.bounds import BoundParams
 from lllcolor.coloring import (
     ColorAudit,
     ColorRunStats,
@@ -13,6 +15,7 @@ from lllcolor.coloring import (
     _assign,
     bichromatic_edge_set,
     find_bichromatic_cycle,
+    forbidden_colors,
     greedy_4acyclic,
 )
 from lllcolor.engine import Event, EventSystem, RunStats, VariableSpace, default_step_limit, sample_all
@@ -196,6 +199,37 @@ def reference_forbidden_colors(graph: Graph, colors: list[int | None], e: int) -
             if e3 is not None and colors[e3] is not None:
                 forbidden.add(colors[e3])
     return forbidden
+
+
+def reference_assign(state: ColorState, e: int, rng: random.Random, audit: ColorAudit | None) -> None:
+    """``rng.choice`` over the list of free colors: the oracle for the
+    library's ``_assign``, which draws an index without building the list."""
+    forb = forbidden_colors(state, e)
+    available = [c for c in range(state.k) if c not in forb]
+    state.assign(e, rng.choice(available))
+    if audit is not None:
+        audit.record_decision(len(forb), len(available))
+        audit.check_local(state, e)
+
+
+def reference_q_series(params: BoundParams, n_max: int) -> list[Fraction]:
+    """Q_0..Q_n_max by dynamic programming over delta-fold convolutions of
+    the prefix already computed: the oracle for ``bounds.q_series``."""
+    q = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        cap = n - 1
+        conv = [Fraction(1)] + [Fraction(0)] * cap
+        for _ in range(params.delta):
+            nxt = [Fraction(0)] * (cap + 1)
+            for i, a in enumerate(conv):
+                if a == 0:
+                    continue
+                for j in range(cap + 1 - i):
+                    if q[j]:
+                        nxt[i + j] += a * q[j]
+            conv = nxt
+        q.append(params.p * conv[cap])
+    return q
 
 
 def colored(graph: Graph, k: int, colors: list[int | None]) -> ColorState:

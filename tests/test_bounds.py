@@ -18,6 +18,8 @@ from lllcolor.bounds import (
     q_series,
 )
 
+from conftest import reference_q_series
+
 
 def brute_q(p: Fraction, delta: int, n: int, memo=None) -> Fraction:
     """Direct composition enumeration of the recurrence, for small n."""
@@ -69,6 +71,19 @@ def test_recurrence_equals_closed_form_small_grid():
             series = q_series(params, 8)
             for n in range(9):
                 assert series[n] == q_closed_form(params, n)
+
+
+def test_q_series_matches_convolution_dp():
+    for p, delta, n_max in [(Fraction(1, 8), 2, 50), (Fraction(3, 7), 3, 40), (Fraction(1, 5), 5, 25), (Fraction(0), 3, 6)]:
+        params = BoundParams(p, delta)
+        assert q_series(params, n_max) == reference_q_series(params, n_max)
+
+
+def test_q_series_equals_closed_form_at_cap():
+    params = BoundParams(Fraction(1, 8), 3)
+    series = q_series(params, Q_SERIES_CAP)
+    assert len(series) == Q_SERIES_CAP + 1
+    assert all(series[n] == q_closed_form(params, n) for n in range(Q_SERIES_CAP + 1))
 
 
 def test_q_monotone_in_p():

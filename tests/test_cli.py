@@ -130,6 +130,21 @@ def test_verify_rejects_colors_outside_palette(capsys, tmp_path, path_file):
         assert code == 1 and json.loads(out)["proper"] is False
 
 
+def test_huge_palette_on_a_path(capsys, tmp_path, path_file):
+    # the color draw and the verifier cost nothing per palette color, so
+    # K = 10^9 is as quick as K = 3
+    coloring = tmp_path / "coloring.json"
+    code, _ = run_cli(capsys, "color", path_file, "--k", "1000000000", "--seed", "5", "--out", str(coloring))
+    payload = json.loads(coloring.read_text())
+    assert code == 0 and payload["K"] == 10**9
+    assert payload["verdict"] == {"proper": True, "acyclic": True}
+    code, out = run_cli(capsys, "verify", path_file, str(coloring))
+    assert code == 0 and json.loads(out)["acyclic"] is True
+    coloring.write_text(json.dumps({"K": 10**9, "colors": [7, 10**9 - 1, 7, 10**9 - 1]}))
+    code, out = run_cli(capsys, "verify", path_file, str(coloring))
+    assert code == 0 and json.loads(out)["proper"] is True
+
+
 @pytest.mark.parametrize(
     "payload",
     [

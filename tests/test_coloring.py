@@ -1,8 +1,10 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
+from lllcolor import coloring
 from lllcolor.coloring import (
     ColorState,
     CycleIndex,
@@ -23,6 +25,7 @@ from conftest import (
     brute_bichromatic_keys,
     colored,
     random_proper_colors,
+    reference_assign,
     reference_col_alg,
     reference_forbidden_colors,
     two_hex_graph,
@@ -285,6 +288,25 @@ def test_col_alg_matches_reference():
     assert recolored_runs >= 60 and aborted_runs >= 5, (recolored_runs, aborted_runs)
 
 
+def test_assign_draws_as_choice_over_free_colors(monkeypatch):
+    # _assign maps one randrange draw past the sorted forbidden set; that
+    # equals rng.choice over the free-color list only while choice(seq) is
+    # seq[_randbelow(len(seq))], so a Python that changes choice fails here
+    cases = [(complete_graph(20), 37, None, 60), (complete_graph(20), 37, 2, 30), (petersen_graph(), 6, 60, 100)]
+    runs = []
+    for draw in (coloring._assign, reference_assign):
+        monkeypatch.setattr(coloring, "_assign", draw)
+        runs.append([
+            col_alg(g, k, seed=seed, step_limit=limit, audit=seed % 2 == 1)
+            for g, k, limit, seeds in cases
+            for seed in range(seeds)
+        ])
+    mine, ref = runs
+    assert len(mine) == 190 and any(stats.steps for _, stats in mine)
+    for (state_a, stats_a), (state_b, stats_b) in zip(mine, ref):
+        assert state_a.colors == state_b.colors and stats_a == stats_b
+
+
 def test_root_cycles_pairwise_distinct():
     for g, k in [(cycle_graph(6), 4), (two_hex_graph(), 4)]:
         for seed in range(150):
@@ -351,6 +373,20 @@ def test_verify_improper_and_partial():
         verify_acyclic(g, 3, [0, 1, None, 2])
     with pytest.raises(ContractError):
         verify_acyclic(g, 3, [0, 1, 2])
+
+
+def test_verify_memory_independent_of_palette():
+    # only the colors in use are visited: a 4-edge path at K = 10^6 needs
+    # kilobytes, not one list per palette color
+    g = path_graph(5)
+    tracemalloc.start()
+    try:
+        verdict = verify_acyclic(g, 10**6, [0, 999_999, 0, 999_999])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.proper and verdict.acyclic
+    assert peak < 2**20, peak
 
 
 def test_verifier_agrees_with_brute_force():

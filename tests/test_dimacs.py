@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lllcolor.dimacs import clause_system, formula_satisfied, parse_dimacs
 from lllcolor.engine import m_algorithm
@@ -25,6 +27,29 @@ def test_parse_multiline_clause_and_trailing():
     n_vars, clauses = parse_dimacs("p cnf 4 2\n1 2\n3 0 -4 1 0\n")
     assert n_vars == 4
     assert clauses == [(1, 2, 3), (-4, 1)]
+
+
+def format_dimacs(n_vars: int, clauses: list[tuple[int, ...]], per_line: int) -> str:
+    """CNF text with a comment, the problem line, then the literal stream
+    (each clause closed by 0) wrapped at per_line tokens, so clauses may
+    span lines and lines may hold several clauses."""
+    tokens = [str(lit) for clause in clauses for lit in (*clause, 0)]
+    rows = [" ".join(tokens[i:i + per_line]) for i in range(0, len(tokens), per_line)]
+    return "\n".join(["c generated", f"p cnf {n_vars} {len(clauses)}", *rows]) + "\n"
+
+
+@st.composite
+def formulas(draw):
+    n_vars = draw(st.integers(1, 8))
+    literal = st.integers(1, n_vars).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=5).map(tuple), max_size=12))
+    return n_vars, clauses
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(formulas(), st.integers(1, 7))
+def test_parse_roundtrip_generated(formula, per_line):
+    assert parse_dimacs(format_dimacs(*formula, per_line)) == formula
 
 
 def test_parse_errors():

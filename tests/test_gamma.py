@@ -93,8 +93,6 @@ def test_nan_fails_range_checks():
         min_gamma(math.nan)
     with pytest.raises(ValueError):
         solve_tau(ANCHOR, tol=math.nan)
-    with pytest.raises(ValueError):
-        q_coloring_series(1.74, 3.0, 4, eps=math.nan)
 
 
 # -- characteristic equation -----------------------------------------------------
@@ -223,9 +221,9 @@ def test_q_coloring_base_cases():
     with pytest.raises(ValueError):
         q_coloring_recurrence(1.74, 3.0, -1)
     with pytest.raises(ValueError):
-        q_coloring_recurrence(1.74, 3.0, 2, eps=0.0)
-    with pytest.raises(ValueError):
         q_coloring_series(1.74, 3.0, 401)
+    with pytest.raises(ValueError):
+        q_coloring_series(0.02, 3.0, 4)  # q rounds to 1
 
 
 def test_series_oracle_agreement_small():
@@ -233,6 +231,21 @@ def test_series_oracle_agreement_small():
     fix = series_fixed_point(1.74, 3.0, 8)
     for a, b in zip(rec, fix):
         assert abs(a - b) <= 1e-9
+
+
+def test_series_matches_fixed_point_oracle():
+    # the online quotient recurrence sums every cycle length exactly, so it
+    # meets the fixed-point iteration to rounding; at r = 27 and gamma = 3
+    # most coefficients underflow to 0 on both sides
+    zeros = 0
+    for gamma, r in [(1.74, 3.0), (1.74, 3.5), (0.9, 13.5), (2.5, 4.0), (3.0, 27.0)]:
+        rec = q_coloring_series(gamma, r, 60)
+        fix = series_fixed_point(gamma, r, 60)
+        assert len(rec) == len(fix) == 61
+        for a, b in zip(rec, fix):
+            assert a == b or abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (gamma, r, a, b)
+        zeros += rec.count(0.0)
+    assert zeros
 
 
 def test_growth_rate_with_subexponential_correction():

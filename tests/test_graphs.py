@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lllcolor.graphs import (
     Graph,
@@ -53,6 +55,21 @@ def test_edge_list_roundtrip():
     g = petersen_graph()
     text = g.to_edge_list()
     h = Graph.from_edge_list(text)
+    assert h.n_vertices == g.n_vertices and h.edges == g.edges
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return Graph(n, [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(graphs())
+def test_edge_list_roundtrip_generated(g):
+    h = Graph.from_edge_list(g.to_edge_list())
     assert h.n_vertices == g.n_vertices and h.edges == g.edges
 
 

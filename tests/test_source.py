@@ -41,3 +41,28 @@ def test_verifier_shares_no_code_with_the_detector():
                 todo.append(ref)
     assert not reached & detector, sorted(reached & detector)
     assert {"_root", "_witness", "Cycle"} <= reached  # the walk does follow helpers
+
+
+def test_series_share_no_code_with_their_oracles():
+    # the closed form and the fixed-point iteration check the two online
+    # series, so neither series may reach them, or the naive convolutions
+    # the fixed point is built from, through module-level names
+    from lllcolor import bounds, gamma
+
+    defs = {}
+    for module in (bounds, gamma):
+        tree = ast.parse(Path(module.__file__).read_text())
+        defs.update({node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))})
+    oracles = {"_mul_trunc", "_series_inverse", "series_fixed_point", "q_closed_form"}
+    reached, todo = set(), ["q_series", "q_coloring_series"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(defs[name]):
+            ref = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if ref in defs:
+                todo.append(ref)
+    assert not reached & oracles, sorted(reached & oracles)
+    assert {"power_step", "PhiParams"} <= reached  # the walk does follow helpers
