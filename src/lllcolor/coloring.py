@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .engine import ContractError, default_step_limit, resample_loop
+from .engine import ContractError, RunStats, build_witness_forest, check_feasible, default_step_limit, resample_loop
 from .graphs import Graph
 
 
@@ -114,7 +114,10 @@ class ColorState:
         self.at: list[dict[int, int]] = [{} for _ in range(graph.n_vertices)]
 
     def assign(self, e: int, c: int) -> None:
-        """Recolor edge e with c; ContractError if c is taken at an endpoint."""
+        """Recolor edge e with c; ContractError if c is outside the palette
+        0..k-1 or taken at an endpoint."""
+        if not (0 <= c < self.k):
+            raise ContractError(f"color {c} outside the palette 0..{self.k - 1}")
         ends = self.graph.edges[e]
         for vertex in ends:
             if self.at[vertex].get(c, e) != e:
@@ -129,14 +132,16 @@ class ColorState:
 class ColorAudit:
     """Instrumentation of a coloring run: every color decision is checked
     against the safety bounds, every assignment against local properness
-    and 4-acyclicity, and every root recoloring against the no-regression
-    rule for edges outside all bichromatic cycles."""
+    and 4-acyclicity, every root recoloring against the no-regression rule
+    for edges outside all bichromatic cycles, and the run's recursion
+    forest against feasibility, with a cycle's edges as its scope."""
 
     decisions: int = 0
     max_forbidden: int = 0
     min_available: int | None = None
     local_violations: list[str] = field(default_factory=list)
     progress_violations: list[str] = field(default_factory=list)
+    forest_violations: list[str] = field(default_factory=list)
 
     def record_decision(self, n_forbidden: int, n_available: int) -> None:
         self.decisions += 1
@@ -168,9 +173,13 @@ class ColorAudit:
         if leaked:
             self.progress_violations.append(f"edges {sorted(leaked)} entered a bichromatic cycle across a root call")
 
+    def record_forest(self, trace: list[tuple[tuple, int]]) -> None:
+        if not check_feasible(build_witness_forest(trace), lambda key: key[1]):
+            self.forest_violations.append(f"the witness forest of {len(trace)} recolor calls is not feasible")
+
     @property
     def clean(self) -> bool:
-        return not self.local_violations and not self.progress_violations
+        return not (self.local_violations or self.progress_violations or self.forest_violations)
 
 
 def forbidden_colors(state: ColorState, e: int) -> set[int]:
@@ -327,16 +336,11 @@ class CycleIndex:
 
 
 @dataclass
-class ColorRunStats:
-    """Per-run accounting: steps are recolor calls, phases are root calls,
-    and ``trace`` holds (cycle key, depth) per call, depth 0 for roots."""
+class ColorRunStats(RunStats):
+    """A coloring run's ``RunStats``: steps are recolor calls, phases are
+    root calls, and ``trace`` holds (cycle key, depth) per call.  Pass
+    ``audit`` by keyword: the seventh field is ``phase_snapshots``."""
 
-    steps: int
-    phases: int
-    trace: list[tuple[tuple, int]]
-    terminated: bool
-    seed: int
-    step_limit: int
     audit: ColorAudit | None = None
 
     @property
@@ -346,9 +350,6 @@ class ColorRunStats:
     @property
     def root_cycles(self) -> list[tuple[int, ...]]:
         return [key[1] for key, depth in self.trace if depth == 0]
-
-    def to_json_dict(self) -> dict:
-        return {"steps": self.steps, "phases": self.phases, "seed": self.seed, "terminated": self.terminated}
 
 
 def col_alg(
@@ -386,17 +387,20 @@ def col_alg(
             _assign(state, e, rng, audit_obj)
         index.refresh_after(cycle.edge_set)
 
-    steps, phases, trace, terminated, snapshots = resample_loop(
-        index.least,
-        lambda top: index.least(top.edge_set),
-        recolor,
-        limit,
-        (lambda: bichromatic_edge_set(state)) if audit else None,
-    )
-    for before, after in snapshots or ():
-        audit_obj.record_progress(before, after)
+    seen: list[frozenset[int]] = []
+
+    def next_root() -> Cycle | None:
+        if audit:
+            seen.append(bichromatic_edge_set(state))
+        return index.least()
+
+    phases, trace, terminated = resample_loop(next_root, lambda top: index.least(top.edge_set), recolor, limit)
     trace = [(cycle.key, depth) for cycle, depth in trace]
-    return state, ColorRunStats(steps, phases, trace, terminated, seed, limit, audit_obj)
+    if audit:
+        for before, after in zip(seen, seen[1:]):
+            audit_obj.record_progress(before, after)
+        audit_obj.record_forest(trace)
+    return state, ColorRunStats(len(trace), phases, trace, terminated, seed, limit, audit=audit_obj)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 from .engine import Event, EventSystem, VariableSpace
 
+MAX_HEADER_VARIABLES = 10**6  # a problem line may not ask for more variables
+
 
 def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
     """Parse CNF text into (variable count, clauses of signed 1-based literals)."""
@@ -21,6 +23,8 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"line {lineno}: bad problem line {line!r}")
             n_vars, declared_clauses = int(parts[2]), int(parts[3])
+            if n_vars > MAX_HEADER_VARIABLES:
+                raise ValueError(f"line {lineno}: {n_vars} variables exceed the cap of {MAX_HEADER_VARIABLES}")
             continue
         if n_vars is None:
             raise ValueError(f"line {lineno}: clause before the problem line")

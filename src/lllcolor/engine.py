@@ -29,7 +29,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 
 class ContractError(ValueError):
@@ -195,26 +195,22 @@ def default_step_limit(m: int) -> int:
     return 64 * m * math.ceil(math.log2(m + 2))
 
 
-def resample_loop(
-    next_root: Callable, least_child: Callable, resample: Callable, limit: int, progress: Callable | None = None
-) -> tuple:
+def resample_loop(next_root: Callable, least_child: Callable, resample: Callable, limit: int) -> tuple:
     """The resampling loop of ``m_algorithm`` and ``coloring.col_alg``.
 
     While ``next_root()`` names a bad object (event, bichromatic cycle), a
     root call resamples it, then recurses on an explicit stack into
     ``least_child(top)`` until that is None.  Each call is a step, traced as
     ``(label, depth)`` with depth 0 for roots; a step past ``limit`` aborts
-    the run instead.  Returns ``(steps, phases, trace, terminated,
-    snapshots)``: ``snapshots`` pairs ``progress()`` before and after each
-    completed root call, and is None without ``progress``.
+    the run instead.  Returns ``(phases, trace, terminated)``.  Nothing runs
+    between a root call's return and the next ``next_root()``, so a caller
+    that snapshots its state there sees every completed root call's end.
     """
     trace: list[tuple] = []
-    snapshots: list[tuple[frozenset, frozenset]] | None = [] if progress else None
     phases = 0
     while (root := next_root()) is not None:
         if len(trace) >= limit:
-            return len(trace), phases, trace, False, snapshots
-        before = progress() if progress else None
+            return phases, trace, False
         phases += 1
         stack = [root]
         trace.append((root, 0))
@@ -225,28 +221,26 @@ def resample_loop(
                 stack.pop()
                 continue
             if len(trace) >= limit:
-                return len(trace), phases, trace, False, snapshots
+                return phases, trace, False
             trace.append((child, len(stack)))
             stack.append(child)
             resample(child)
-        if progress:
-            snapshots.append((before, progress()))
-    return len(trace), phases, trace, True, snapshots
+    return phases, trace, True
 
 
 @dataclass
 class RunStats:
     """Bookkeeping of one resampling run.
 
-    ``trace`` lists every resample call as (event id, depth), depth 0 being
-    a root call from the main loop; it reconstructs the exact call
-    structure.  ``phase_snapshots``, when requested, holds the union of
-    occurring-event scopes before and after each root call.
+    ``trace`` lists every resample call as (label, depth), depth 0 being a
+    root call from the main loop; it reconstructs the exact call structure.
+    ``phase_snapshots``, when requested, holds the union of occurring-event
+    scopes before and after each completed root call.
     """
 
     steps: int
     phases: int
-    trace: list[tuple[int, int]]
+    trace: list[tuple[Hashable, int]]
     terminated: bool
     seed: int
     step_limit: int
@@ -293,6 +287,10 @@ def m_algorithm(
     ``Event.occurs`` at most m + Δ·steps times.  Evaluation draws no
     randomness, so the run is the one a linear scan for the least occurring
     event would produce.
+
+    With ``snapshot_progress``, each root choice first takes the union of
+    occurring scopes; consecutive snapshots are the before and after of
+    each completed root call.
     """
     if step_limit is not None and step_limit < 0:
         raise ContractError(f"step_limit must be >= 0, got {step_limit}")
@@ -316,16 +314,23 @@ def m_algorithm(
         for i in neighborhoods[k]:
             occ[i] = None
 
-    steps, phases, trace, terminated, snapshots = resample_loop(
-        lambda: next((r for r in roots if occurring(r)), None),
+    seen: list[frozenset[int]] = []
+
+    def next_root() -> int | None:
+        if snapshot_progress:
+            seen.append(system.occurring_scope_union(values))
+        return next((r for r in roots if occurring(r)), None)
+
+    phases, trace, terminated = resample_loop(
+        next_root,
         lambda top: next((i for i in neighborhoods[top] if occurring(i)), None),
         resample,
         limit,
-        (lambda: system.occurring_scope_union(values)) if snapshot_progress else None,
     )
     if terminated and phases > system.m:
         raise ContractError(f"{phases} phases for {system.m} events on a terminated run")
-    stats = RunStats(steps, phases, trace, terminated, seed, limit, snapshots)
+    snapshots = list(zip(seen, seen[1:])) if snapshot_progress else None
+    stats = RunStats(len(trace), phases, trace, terminated, seed, limit, snapshots)
     return values, stats
 
 
@@ -335,10 +340,11 @@ class WitnessForest:
 
     Trees appear in root-call order; within a tree, children of a node are
     ordered by their labels and traversal is preorder.  Node ``i`` carries
-    event label ``labels[i]``.
+    label ``labels[i]``: an event id for engine runs, a cycle key for
+    coloring runs.
     """
 
-    labels: list[int]
+    labels: list[Hashable]
     parents: list[int | None]
     children: list[list[int]]
     roots: list[int]
@@ -356,18 +362,18 @@ class WitnessForest:
                 stack.extend(reversed(self.children[node]))
         return order
 
-    def labels_in_order(self) -> list[int]:
+    def labels_in_order(self) -> list[Hashable]:
         return [self.labels[i] for i in self.node_order()]
 
 
-def build_witness_forest(trace: Sequence[tuple[int, int]], system: EventSystem) -> WitnessForest:
+def build_witness_forest(trace: Sequence[tuple[Hashable, int]]) -> WitnessForest:
     """Rebuild the recursion forest from a run trace.
 
-    Entry (j, d) is a resample call on event j at stack depth d; its parent
-    is the call sitting at depth d-1 at that moment.  Depth may drop by any
-    amount between entries (returns from recursion) but can only grow by
-    entering a child, so a depth more than one past the current stack is a
-    malformed trace.
+    Entry (j, d) is a resample call on label j (an event id, a cycle key)
+    at stack depth d; its parent is the call sitting at depth d-1 at that
+    moment.  Depth may drop by any amount between entries (returns from
+    recursion) but can only grow by entering a child, so a depth more than
+    one past the current stack is a malformed trace.
     """
     labels: list[int] = []
     parents: list[int | None] = []
@@ -375,8 +381,6 @@ def build_witness_forest(trace: Sequence[tuple[int, int]], system: EventSystem) 
     roots: list[int] = []
     path: list[int] = []
     for j, depth in trace:
-        if j < 0 or j >= system.m:
-            raise ContractError(f"trace references unknown event {j}")
         if depth < 0 or depth > len(path):
             raise ContractError(f"trace depth jumps to {depth} with stack of {len(path)}")
         node = len(labels)
@@ -394,22 +398,22 @@ def build_witness_forest(trace: Sequence[tuple[int, int]], system: EventSystem) 
     return WitnessForest(labels, parents, children, roots)
 
 
-def check_feasible(forest: WitnessForest, system: EventSystem) -> bool:
-    """Feasibility of a labeled forest.
+def check_feasible(forest: WitnessForest, scope: Callable[[Hashable], Iterable]) -> bool:
+    """Feasibility of a labeled forest, ``scope(label)`` giving what a label
+    reads (an event's variables, a cycle's edges).
 
     (i) root labels have pairwise disjoint scopes, (ii) the labels of any
     node's children have pairwise disjoint scopes, (iii) each child's label
-    shares a variable with its parent's label.
+    shares a scope member with its parent's label.
     """
-    scope = lambda node: set(system.events[forest.labels[node]].scope)
+    scopes = [set(scope(label)) for label in forest.labels]
 
     def pairwise_disjoint(nodes: Sequence[int]) -> bool:
-        seen: set[int] = set()
+        seen: set = set()
         for node in nodes:
-            s = scope(node)
-            if seen & s:
+            if seen & scopes[node]:
                 return False
-            seen |= s
+            seen |= scopes[node]
         return True
 
     if not pairwise_disjoint(forest.roots):
@@ -418,9 +422,8 @@ def check_feasible(forest: WitnessForest, system: EventSystem) -> bool:
         kids = forest.children[node]
         if not pairwise_disjoint(kids):
             return False
-        parent_scope = scope(node)
         for kid in kids:
-            if not (parent_scope & scope(kid)):
+            if not (scopes[node] & scopes[kid]):
                 return False
     return True
 
@@ -431,9 +434,12 @@ def validate(forest: WitnessForest, system: EventSystem, rng: random.Random) -> 
     Samples all variables, then walks the node labels in forest order: if
     the labeled event does not occur the replay fails, otherwise its scope
     is resampled and the walk continues.  Returns True when every node
-    passed.
+    passed.  Labels are event ids, so one outside 0..m-1 is a ContractError.
     """
-    if not check_feasible(forest, system):
+    for j in forest.labels:
+        if not (0 <= j < system.m):
+            raise ContractError(f"forest references unknown event {j}")
+    if not check_feasible(forest, lambda j: system.events[j].scope):
         raise ContractError("validate requires a feasible forest")
     values = sample_all(system, rng)
     for node in forest.node_order():

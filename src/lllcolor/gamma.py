@@ -254,9 +254,12 @@ def q_coloring_series(gamma: float, r: float, n_max: int) -> list[float]:
     convolution of Q at n-1.  That sum is geometric, so
     Q_n = (q**(2r-3)/gamma) * F_(n-1) for F = P / (1 - q**2 * S), with
     P = Q**(2r) and S = Q**2 run online by ``power_step``: no truncation.
+    A coefficient that leaves the float range raises ValueError.
     """
     if n_max > 400:
         raise ValueError("n_max exceeds the series cap of 400")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     params = PhiParams(gamma, r)
     q, base_len = params.q, params.min_cycle_length
     scale, qq = q ** (base_len - 3) / gamma, q * q
@@ -265,6 +268,8 @@ def q_coloring_series(gamma: float, r: float, n_max: int) -> list[float]:
     series, power, square, quotient = [1.0], [1.0], [1.0], [1.0 / (1.0 - qq)]
     while len(series) <= n_max:
         series.append(scale * quotient[-1])
+        if not math.isfinite(series[-1]):
+            raise ValueError(f"Q_{len(series) - 1} = {series[-1]} is not finite at gamma={gamma}, r={r}")
         m = len(power)
         power.append(power_step(series, power, base_len) / m)
         square.append(power_step(series, square, 2) / m)
@@ -274,8 +279,6 @@ def q_coloring_series(gamma: float, r: float, n_max: int) -> list[float]:
 
 
 def q_coloring_recurrence(gamma: float, r: float, n: int) -> float:
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return q_coloring_series(gamma, r, n)[n]
 
 

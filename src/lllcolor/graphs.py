@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+MAX_HEADER_VERTICES = 10**6  # a file's header may not ask for more vertex lists
+
 
 class Graph:
     """Simple graph; edges keep their input order and are indexed 0..m-1."""
@@ -78,10 +80,6 @@ class Graph:
         self._girth = best
         return best
 
-    def set_girth(self, value: int | None) -> None:
-        """Caller-asserted girth, skipping the BFS sweep."""
-        self._girth = value
-
     @classmethod
     def from_edge_list(cls, text: str) -> "Graph":
         """Parse the `p edges <l> <m>` header plus one `u v` line per edge."""
@@ -96,6 +94,8 @@ class Graph:
                 if len(parts) != 4 or parts[1] != "edges":
                     raise ValueError(f"line {lineno}: bad header {line!r}")
                 n, m = int(parts[2]), int(parts[3])
+                if n > MAX_HEADER_VERTICES:
+                    raise ValueError(f"line {lineno}: {n} vertices exceed the cap of {MAX_HEADER_VERTICES}")
                 continue
             parts = line.split()
             if len(parts) != 2:

@@ -169,8 +169,10 @@ def reference_col_alg(
             stack.append(nxt)
         if audit_obj is not None and not aborted:
             audit_obj.record_progress(before, bichromatic_edge_set(state))
+    if audit_obj is not None:
+        audit_obj.record_forest(trace)
 
-    return state, ColorRunStats(steps, phases, trace, not aborted, seed, limit, audit_obj)
+    return state, ColorRunStats(steps, phases, trace, not aborted, seed, limit, audit=audit_obj)
 
 
 def reference_forbidden_colors(graph: Graph, colors: list[int | None], e: int) -> set[int]:

@@ -211,6 +211,21 @@ def test_sat_parse_error(capsys, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "command, suffix, text",
+    [("color", "edges", "p edges 1000001 0\n"), ("sat", "cnf", "p cnf 1000001 1\n1 0\n")],
+)
+def test_header_counts_above_the_cap_are_input_errors(capsys, tmp_path, command, suffix, text):
+    # refused at the header line, before one list per declared vertex or
+    # variable is allocated
+    path = tmp_path / f"huge.{suffix}"
+    path.write_text(text)
+    code = main([command, str(path), "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "1000001" in captured.err
+
+
 # -- bounds -------------------------------------------------------------------------
 
 def test_bounds_table(capsys):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from lllcolor import coloring
+from lllcolor import coloring, engine
 from lllcolor.coloring import (
     ColorState,
     CycleIndex,
@@ -128,6 +128,14 @@ def test_improper_assign_raises():
     assert state.at == [{1: 0, 2: 3}, {1: 0, 3: 1}, {3: 1, 1: 2}, {1: 2, 2: 3}]
     with pytest.raises(ContractError):
         colored(g, 3, [0, 0, 1, 2])
+
+
+def test_assign_outside_palette_raises():
+    state = ColorState(path_graph(3), 3)
+    for c in (99, 3, -1):
+        with pytest.raises(ContractError):
+            state.assign(0, c)
+    assert state.colors == [None, None] and state.at == [{}, {}, {}]
 
 
 # -- greedy pass ---------------------------------------------------------------
@@ -338,6 +346,43 @@ def test_progress_snapshots_under_audit():
         assert not stats.audit.progress_violations
         audited_roots += stats.phases
     assert audited_roots > 0
+
+
+# (graph, palette, step limit, seeds): small palettes that force recursion
+FOREST_CASES = [
+    (complete_graph(20), 37, None, 60),
+    (complete_graph(12), 21, 50, 300),
+    (petersen_graph(), 6, 60, 300),
+    (cycle_graph(6), 3, 40, 300),
+]
+
+
+def test_audited_witness_forests_are_feasible():
+    # roots pairwise edge-disjoint, siblings edge-disjoint, each child
+    # sharing an edge with its parent, aborted runs included
+    recursed = 0
+    for g, k, limit, seeds in FOREST_CASES:
+        for seed in range(seeds):
+            _, stats = col_alg(g, k, seed=seed, step_limit=limit, audit=True)
+            assert not stats.audit.forest_violations, (g.m, k, seed)
+            recursed += any(depth for _, depth in stats.trace)
+    assert recursed >= 50, recursed
+
+
+def test_forest_audit_flags_a_driver_without_child_search(monkeypatch):
+    # a driver that never recurses makes every overlapping cycle a root
+    def rootless(next_root, least_child, resample, limit):
+        return engine.resample_loop(next_root, lambda top: None, resample, limit)
+
+    monkeypatch.setattr(coloring, "resample_loop", rootless)
+    flagged = 0
+    for g, k, limit, seeds in FOREST_CASES[1:]:
+        for seed in range(seeds):
+            _, stats = col_alg(g, k, seed=seed, step_limit=limit, audit=True)
+            if stats.audit.forest_violations:
+                flagged += 1
+                assert not stats.audit.clean
+    assert flagged >= 40, flagged
 
 
 def test_detected_cycle_lengths_respect_girth():

@@ -210,8 +210,8 @@ def test_stack_depth_beyond_interpreter_limit():
     depth = max(d for _, d in stats.trace)
     assert stats.terminated and values == [0]
     assert depth == 3871 and depth > 2500  # frozen for seed 1; far past the default limit of 1000
-    forest = build_witness_forest(stats.trace, system)
-    assert len(forest) == stats.steps and check_feasible(forest, system)
+    forest = build_witness_forest(stats.trace)
+    assert len(forest) == stats.steps and check_feasible(forest, _scope(system))
 
 
 def test_step_limit_must_be_non_negative():
@@ -305,6 +305,10 @@ def test_estimate_p():
 
 # -- witness forests ----------------------------------------------------------
 
+def _scope(system):
+    return lambda j: system.events[j].scope
+
+
 def _three_event_system():
     space = VariableSpace.booleans(1)
     events = [Event(j, (0,), lambda v: False) for j in range(3)]
@@ -312,13 +316,13 @@ def _three_event_system():
 
 
 def test_forest_empty_trace():
-    forest = build_witness_forest([], _three_event_system())
+    forest = build_witness_forest([])
     assert len(forest) == 0 and forest.roots == []
-    assert check_feasible(forest, _three_event_system())
+    assert check_feasible(forest, _scope(_three_event_system()))
 
 
 def test_forest_single_node():
-    forest = build_witness_forest([(1, 0)], _three_event_system())
+    forest = build_witness_forest([(1, 0)])
     assert forest.labels == [1] and forest.roots == [0]
 
 
@@ -326,7 +330,7 @@ def test_forest_reconstruction_two_trees():
     # stack semantics: second and third entries are recursive children of
     # the first root call, the fourth starts a new tree
     system = _three_event_system()
-    forest = build_witness_forest([(0, 0), (1, 1), (0, 1), (2, 0)], system)
+    forest = build_witness_forest([(0, 0), (1, 1), (0, 1), (2, 0)])
     assert [forest.labels[r] for r in forest.roots] == [0, 2]
     root = forest.roots[0]
     assert sorted(forest.labels[c] for c in forest.children[root]) == [0, 1]
@@ -337,9 +341,9 @@ def test_forest_reconstruction_two_trees():
 
 def test_forest_malformed_trace():
     with pytest.raises(ContractError):
-        build_witness_forest([(0, 0), (1, 2)], _three_event_system())
+        build_witness_forest([(0, 0), (1, 2)])
     with pytest.raises(ContractError):
-        build_witness_forest([(0, 1)], _three_event_system())
+        build_witness_forest([(0, 1)])
 
 
 def test_forests_from_real_traces_are_feasible():
@@ -347,9 +351,9 @@ def test_forests_from_real_traces_are_feasible():
     for _ in range(60):
         system = random_truth_table_system(rng)
         _, stats = m_algorithm(system, seed=rng.randrange(2**30), step_limit=300)
-        forest = build_witness_forest(stats.trace, system)
+        forest = build_witness_forest(stats.trace)
         assert len(forest) == stats.steps
-        assert check_feasible(forest, system)
+        assert check_feasible(forest, _scope(system))
 
 
 def test_check_feasible_violations():
@@ -361,27 +365,27 @@ def test_check_feasible_violations():
     ]
     system = EventSystem(space, events)
     # two roots sharing variable 0
-    overlapping_roots = build_witness_forest([(0, 0), (1, 0)], system)
-    assert not check_feasible(overlapping_roots, system)
+    overlapping_roots = build_witness_forest([(0, 0), (1, 0)])
+    assert not check_feasible(overlapping_roots, _scope(system))
     # child scope disjoint from parent scope
-    detached_child = build_witness_forest([(0, 0), (2, 1)], system)
-    assert not check_feasible(detached_child, system)
+    detached_child = build_witness_forest([(0, 0), (2, 1)])
+    assert not check_feasible(detached_child, _scope(system))
     # siblings sharing a variable
-    siblings = build_witness_forest([(1, 0), (0, 1), (0, 1)], system)
-    assert not check_feasible(siblings, system)
+    siblings = build_witness_forest([(1, 0), (0, 1), (0, 1)])
+    assert not check_feasible(siblings, _scope(system))
 
 
 # -- the validation walk -------------------------------------------------------
 
 def test_validate_empty_forest_always_succeeds():
     system = _three_event_system()
-    forest = build_witness_forest([], system)
+    forest = build_witness_forest([])
     assert all(validate(forest, system, random.Random(s)) for s in range(50))
 
 
 def test_validate_single_node_frequency():
     system = single_event_system()  # occurs with probability 1/2
-    forest = build_witness_forest([(0, 0)], system)
+    forest = build_witness_forest([(0, 0)])
     n = 10**5
     hits = sum(validate(forest, system, random.Random(s)) for s in range(n))
     assert abs(hits / n - 0.5) <= 3 * math.sqrt(0.25 / n)
@@ -393,16 +397,24 @@ def test_validate_two_disjoint_roots_multiply():
     space = VariableSpace([(0, 1), (0, 1, 2)])
     events = [Event(0, (0,), lambda v: v[0] == 1), Event(1, (1,), lambda v: v[0] == 2)]
     system = EventSystem(space, events)
-    forest = build_witness_forest([(0, 0), (1, 0)], system)
+    forest = build_witness_forest([(0, 0), (1, 0)])
     n = 10**5
     hits = sum(validate(forest, system, random.Random(s)) for s in range(n))
     p = 1 / 6
     assert abs(hits / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
 
+def test_validate_rejects_unknown_labels():
+    # labels index the system's events, where -1 would wrap to the last one
+    system = _three_event_system()
+    for label in (-1, system.m):
+        with pytest.raises(ContractError):
+            validate(build_witness_forest([(label, 0)]), system, random.Random(0))
+
+
 def test_validate_rejects_infeasible_forest():
     system = _three_event_system()
-    forest = build_witness_forest([(0, 0), (1, 0)], system)  # shared variable
+    forest = build_witness_forest([(0, 0), (1, 0)])  # shared variable
     with pytest.raises(ContractError):
         validate(forest, system, random.Random(0))
 

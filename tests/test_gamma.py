@@ -224,6 +224,15 @@ def test_q_coloring_base_cases():
         q_coloring_series(1.74, 3.0, 401)
     with pytest.raises(ValueError):
         q_coloring_series(0.02, 3.0, 4)  # q rounds to 1
+    with pytest.raises(ValueError, match="n_max"):
+        q_coloring_series(1.74, 3.0, -5)
+
+
+def test_q_coloring_series_refuses_non_finite_coefficients():
+    # at gamma = 0.1 the coefficients pass the float range at n = 32
+    assert all(math.isfinite(x) for x in q_coloring_series(0.1, 3.0, 31))
+    with pytest.raises(ValueError, match="Q_32"):
+        q_coloring_series(0.1, 3.0, 40)
 
 
 def test_series_oracle_agreement_small():

@@ -45,12 +45,6 @@ def test_girth_values():
     assert complete_graph(2).girth() is None
 
 
-def test_girth_override():
-    g = cycle_graph(7)
-    g.set_girth(7)
-    assert g.girth() == 7
-
-
 def test_edge_list_roundtrip():
     g = petersen_graph()
     text = g.to_edge_list()
