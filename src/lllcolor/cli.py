@@ -249,6 +249,8 @@ def cmd_bounds(args) -> int:
 # -- bench --------------------------------------------------------------------
 
 GENERATOR_ARITY = {"cycle": 1, "random-regular": 2, "regular": 2, "gnp": 2}
+MAX_GNP_PAIRS = 10**8  # gnp_graph draws once per vertex pair
+MAX_BENCH_RUNS = 10**6
 
 
 def _parse_generator(descriptor: str, gen_seed: int) -> graphs_mod.Graph:
@@ -258,16 +260,20 @@ def _parse_generator(descriptor: str, gen_seed: int) -> graphs_mod.Graph:
         raise ValueError(f"unknown generator {descriptor!r}")
     if len(params) != GENERATOR_ARITY[name]:
         raise ValueError(f"generator {name!r} takes {GENERATOR_ARITY[name]} parameter(s), got {descriptor!r}")
+    n_vertices = int(params[1] if name in ("random-regular", "regular") else params[0])
+    if n_vertices > graphs_mod.MAX_HEADER_VERTICES:
+        raise ValueError(f"{n_vertices} vertices exceed the cap of {graphs_mod.MAX_HEADER_VERTICES}")
+    if name == "gnp" and n_vertices > 0 and n_vertices * (n_vertices - 1) // 2 > MAX_GNP_PAIRS:
+        raise ValueError(f"gnp on {n_vertices} vertices draws more than {MAX_GNP_PAIRS} vertex pairs")
     if name == "cycle":
-        length = int(params[0])
-        if length < 1:
-            raise ValueError(f"cycle length {length} must be >= 1")
-        if length < 3:
-            return graphs_mod.Graph(length, [])
-        return graphs_mod.cycle_graph(length)
+        if n_vertices < 1:
+            raise ValueError(f"cycle length {n_vertices} must be >= 1")
+        if n_vertices < 3:
+            return graphs_mod.Graph(n_vertices, [])
+        return graphs_mod.cycle_graph(n_vertices)
     if name == "gnp":
-        return graphs_mod.gnp_graph(int(params[0]), float(params[1]), seed=gen_seed)
-    return graphs_mod.random_regular_graph(int(params[0]), int(params[1]), seed=gen_seed)
+        return graphs_mod.gnp_graph(n_vertices, float(params[1]), seed=gen_seed)
+    return graphs_mod.random_regular_graph(int(params[0]), n_vertices, seed=gen_seed)
 
 
 def _bench_one(task):
@@ -277,8 +283,8 @@ def _bench_one(task):
 
 
 def cmd_bench(args) -> int:
-    if args.runs < 1:
-        raise ValueError("--runs must be >= 1")
+    if not 1 <= args.runs <= MAX_BENCH_RUNS:
+        raise ValueError(f"--runs must be in 1..{MAX_BENCH_RUNS}")
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
     graph = _parse_generator(args.generator, args.gen_seed)

@@ -50,33 +50,65 @@ class Graph:
     def girth(self) -> int | None:
         """Length of a shortest cycle, None if the graph is a forest.
 
-        One BFS per start vertex; a non-tree edge seen at distance levels
-        d(u), d(w) witnesses a closed walk of length d(u)+d(w)+1, and over
-        all start vertices the minimum such witness is the girth.
+        One BFS per start vertex (Itai & Rodeh, SIAM J. Comput. 1978): a
+        non-tree edge seen at distance levels d(u), d(w) closes a walk of
+        length d(u)+d(w)+1 that contains a cycle, and a search started on
+        a shortest cycle meets one of exactly the girth's length.  The
+        search does only the work the answer needs:
+
+        - Depth cutoff: level d is not expanded once 2d+1 >= best.
+          Expanding level d yields walks of length 2d+1 or 2d+2 (a walk
+          of 2d to level d-1 was seen while level d-1 was expanded), and
+          every walk is at least the girth, so no later level beats best.
+        - The sweep stops once best == 3, the least possible girth.
+        - A search that runs out of vertices without meeting a non-tree
+          edge has covered a tree component; no search starts from its
+          vertices again.
+        - `dist` and `via` are allocated once; after each search only
+          the entries it touched are reset, so a search costs its ball.
         """
         if self._girth != "unset":
             return self._girth
+        adj = self.adj
+        dist = [-1] * self.n_vertices
+        via = [-1] * self.n_vertices  # edge index used to reach the vertex
+        in_tree = [False] * self.n_vertices
         best: int | None = None
         for s in range(self.n_vertices):
-            dist = [-1] * self.n_vertices
-            via = [-1] * self.n_vertices  # edge index used to reach the vertex
+            if best == 3:
+                break
+            if in_tree[s]:
+                continue
             dist[s] = 0
-            queue = [s]
-            while queue:
+            touched = [s]
+            level = [s]
+            depth = 0
+            closed = False  # met a non-tree edge
+            while level and (best is None or 2 * depth + 1 < best):
                 nxt = []
-                for u in queue:
-                    for w, eidx in self.adj[u]:
-                        if eidx == via[u]:
+                for u in level:
+                    parent_edge = via[u]
+                    for w, eidx in adj[u]:
+                        if eidx == parent_edge:
                             continue
                         if dist[w] == -1:
-                            dist[w] = dist[u] + 1
+                            dist[w] = depth + 1
                             via[w] = eidx
                             nxt.append(w)
                         else:
-                            cand = dist[u] + dist[w] + 1
+                            closed = True
+                            cand = depth + dist[w] + 1
                             if best is None or cand < best:
                                 best = cand
-                queue = nxt
+                touched += nxt
+                level = nxt
+                depth += 1
+            if not closed and not level:
+                for v in touched:
+                    in_tree[v] = True
+            for v in touched:
+                dist[v] = -1
+                via[v] = -1
         self._girth = best
         return best
 

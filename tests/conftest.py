@@ -234,6 +234,35 @@ def reference_q_series(params: BoundParams, n_max: int) -> list[Fraction]:
     return q
 
 
+def reference_girth(graph: Graph) -> int | None:
+    """Girth by a full BFS from every vertex with no cutoff: the oracle for
+    ``Graph.girth``.  A non-tree edge seen at distance levels d(u), d(w)
+    witnesses a closed walk of length d(u)+d(w)+1, and over all start
+    vertices the minimum such witness is the girth."""
+    best: int | None = None
+    for s in range(graph.n_vertices):
+        dist = [-1] * graph.n_vertices
+        via = [-1] * graph.n_vertices  # edge index used to reach the vertex
+        dist[s] = 0
+        queue = [s]
+        while queue:
+            nxt = []
+            for u in queue:
+                for w, eidx in graph.adj[u]:
+                    if eidx == via[u]:
+                        continue
+                    if dist[w] == -1:
+                        dist[w] = dist[u] + 1
+                        via[w] = eidx
+                        nxt.append(w)
+                    else:
+                        cand = dist[u] + dist[w] + 1
+                        if best is None or cand < best:
+                            best = cand
+            queue = nxt
+    return best
+
+
 def colored(graph: Graph, k: int, colors: list[int | None]) -> ColorState:
     """A ColorState holding the given colors (None leaves an edge uncolored)."""
     state = ColorState(graph, k)

@@ -92,6 +92,15 @@ def test_color_tree_reports_zero_steps(capsys, path_file):
     assert code == 0 and payload["stats"]["steps"] == 0
 
 
+def test_color_long_path_auto_palette(capsys, tmp_path):
+    # the forest branch of the auto palette: girth() is one search, not n of them
+    graph = tmp_path / "p50000.edges"
+    graph.write_text(path_graph(50000).to_edge_list())
+    code, out = run_cli(capsys, "color", str(graph), "--seed", "1")
+    payload = json.loads(out)
+    assert code == 0 and payload["K"] == 3 and payload["verdict"] == {"proper": True, "acyclic": True}
+
+
 def test_color_palette_too_small(capsys, path_file):
     code, _ = run_cli(capsys, "color", path_file, "--k", "2", "--seed", "1")
     assert code == 4
@@ -343,6 +352,10 @@ def test_dice_zero_trials(capsys):
         ("bench", "--generator", "gnp:5,1.5", "--runs", "1"),
         ("bench", "--generator", "random-regular:3,5", "--runs", "1"),
         ("bench", "--generator", "regular:30,20", "--runs", "1"),
+        ("bench", "--generator", "cycle:1000001", "--runs", "1"),
+        ("bench", "--generator", "random-regular:3,1000002", "--runs", "1"),
+        ("bench", "--generator", "gnp:100000,0.5", "--runs", "1"),
+        ("bench", "--generator", "cycle:6", "--runs", "1000001"),
         ("bounds", "--p", "1/0", "--delta", "2"),
         ("bounds", "--p", "1/8", "--delta", "2", "--n", "-2"),
         ("bounds", "--p", "1/8", "--delta", "2", "--prefactor", "nan"),
@@ -351,7 +364,8 @@ def test_dice_zero_trials(capsys):
     ],
     ids=[
         "sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs",
-        "cycle-negative", "gnp-arity", "gnp-prob", "regular-odd", "regular-dense", "bounds-p-zero-den", "bounds-n",
+        "cycle-negative", "gnp-arity", "gnp-prob", "regular-odd", "regular-dense", "cycle-huge", "regular-huge",
+        "gnp-pairs", "bench-runs-huge", "bounds-p-zero-den", "bounds-n",
         "bounds-prefactor-nan", "color-negative-vertices", "gamma-tol-nan",
     ],
 )

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_girth
 from lllcolor.graphs import (
     Graph,
     complete_graph,
@@ -43,6 +46,74 @@ def test_girth_values():
     assert path_graph(5).girth() is None
     assert star_graph(4).girth() is None
     assert complete_graph(2).girth() is None
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range(rows * cols - cols)]
+    return Graph(rows * cols, edges)
+
+
+def hypercube_graph(dim: int) -> Graph:
+    n = 1 << dim
+    return Graph(n, [(v, v | 1 << b) for v in range(n) for b in range(dim) if not v & 1 << b])
+
+
+def random_forest(n: int, rng: random.Random, chords: int = 0) -> Graph:
+    """Each vertex but the first of each tree hangs off an earlier one; then
+    `chords` extra non-edges are added, which may close cycles."""
+    edges = {(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.9}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    edges |= set(rng.sample(pairs, min(chords, len(pairs))))
+    return Graph(n, sorted(edges))
+
+
+def disjoint_union(first: Graph, second: Graph) -> Graph:
+    shift = first.n_vertices
+    return Graph(shift + second.n_vertices, first.edges + [(u + shift, v + shift) for u, v in second.edges])
+
+
+def girth_cases():
+    rng = random.Random(8)
+    yield from (cycle_graph(n) for n in range(3, 41))
+    yield from (path_graph(n) for n in (0, 1, 2, 3, 17))
+    yield from (star_graph(n) for n in (1, 2, 5))
+    yield from (complete_graph(n) for n in range(2, 9))
+    yield petersen_graph()
+    yield from (grid_graph(r, c) for r, c in ((1, 7), (2, 2), (3, 5), (7, 7)))
+    yield from (hypercube_graph(d) for d in range(1, 7))
+    yield from (gnp_graph(rng.randint(1, 40), rng.choice((0.03, 0.06, 0.1, 0.3)), seed=i) for i in range(300))
+    yield from (random_regular_graph(rng.choice((2, 3, 4)), 2 * rng.randint(3, 20), seed=i) for i in range(100))
+    yield from (random_forest(rng.randint(1, 40), rng, chords=rng.randint(0, 2)) for _ in range(100))
+    for tree, cycle in ((path_graph(12), cycle_graph(5)), (star_graph(6), cycle_graph(9)),
+                        (random_forest(30, rng), cycle_graph(30)), (path_graph(1), complete_graph(4))):
+        yield disjoint_union(tree, cycle)  # tree searched and skipped before best is set
+        yield disjoint_union(cycle, tree)  # tree searched with best already set
+
+
+def test_girth_matches_reference():
+    for g in girth_cases():
+        assert g.girth() == reference_girth(g), g.edges
+
+
+class CountingAdj(list):
+    """Adjacency list that counts how often a vertex's list is read."""
+
+    reads = 0
+
+    def __getitem__(self, idx):
+        self.reads += 1
+        return super().__getitem__(idx)
+
+
+@pytest.mark.parametrize("graph, bound", [
+    (path_graph(20000), 2 * (20000 + 19999)),  # one search covers the tree
+    (complete_graph(30), 30),  # best == 3 after the first start
+])
+def test_girth_work_bound(graph, bound):
+    graph.adj = CountingAdj(graph.adj)
+    graph.girth()
+    assert graph.adj.reads <= bound
 
 
 def test_edge_list_roundtrip():
