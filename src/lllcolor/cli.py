@@ -85,8 +85,8 @@ def cmd_gamma(args) -> int:
         girths = list(SUMMARY_GIRTHS)
     elif args.table:
         lo, hi = args.table
-        if lo < 3 or hi < lo:
-            raise ValueError("--table needs 3 <= gmin <= gmax")
+        if not 3 <= lo <= hi <= graphs_mod.MAX_HEADER_VERTICES:
+            raise ValueError(f"--table needs 3 <= gmin <= gmax <= {graphs_mod.MAX_HEADER_VERTICES}")
         girths = list(range(lo, hi + 1))
     elif args.girth:
         girths = args.girth
@@ -248,8 +248,8 @@ def cmd_bounds(args) -> int:
 
 # -- bench --------------------------------------------------------------------
 
-GENERATOR_ARITY = {"cycle": 1, "random-regular": 2, "regular": 2, "gnp": 2}
-MAX_GNP_PAIRS = 10**8  # gnp_graph draws once per vertex pair
+GENERATOR_ARITY = {"cycle": 1, "random-regular": 2, "gnp": 2}
+MAX_GENERATOR_PAIRS = 10**8  # vertex pairs that gnp draws, edges that random-regular builds
 MAX_BENCH_RUNS = 10**6
 
 
@@ -260,11 +260,13 @@ def _parse_generator(descriptor: str, gen_seed: int) -> graphs_mod.Graph:
         raise ValueError(f"unknown generator {descriptor!r}")
     if len(params) != GENERATOR_ARITY[name]:
         raise ValueError(f"generator {name!r} takes {GENERATOR_ARITY[name]} parameter(s), got {descriptor!r}")
-    n_vertices = int(params[1] if name in ("random-regular", "regular") else params[0])
+    n_vertices = int(params[1] if name == "random-regular" else params[0])
     if n_vertices > graphs_mod.MAX_HEADER_VERTICES:
         raise ValueError(f"{n_vertices} vertices exceed the cap of {graphs_mod.MAX_HEADER_VERTICES}")
-    if name == "gnp" and n_vertices > 0 and n_vertices * (n_vertices - 1) // 2 > MAX_GNP_PAIRS:
-        raise ValueError(f"gnp on {n_vertices} vertices draws more than {MAX_GNP_PAIRS} vertex pairs")
+    if name == "gnp" and n_vertices > 0 and n_vertices * (n_vertices - 1) // 2 > MAX_GENERATOR_PAIRS:
+        raise ValueError(f"gnp on {n_vertices} vertices draws more than {MAX_GENERATOR_PAIRS} vertex pairs")
+    if name == "random-regular" and int(params[0]) * n_vertices // 2 > MAX_GENERATOR_PAIRS:
+        raise ValueError(f"{descriptor!r} asks for more than {MAX_GENERATOR_PAIRS} edges")
     if name == "cycle":
         if n_vertices < 1:
             raise ValueError(f"cycle length {n_vertices} must be >= 1")

@@ -10,9 +10,12 @@ where g is the palette slack (the palette holds ceil((2+g)*(maxdeg-1))+1
 colors) and 2r is the shortest cycle length the analysis has to track.
 phi is analytic on [0, R) with a simple pole at R = 1/q - 1.  The
 coefficients of W grow like rho**n where rho = phi(tau)/tau at the unique
-root tau in (0, R) of the characteristic equation
+root tau in (0, R) of the characteristic equation phi(tau) = tau * phi'(tau).
+Since phi > 0 there, tau is solved for as the root of the scale-free form
 
-    phi(tau) - tau * phi'(tau) = 0.
+    h(x) = 1 - x * u(x),   u = phi'/phi = 2r/(x+1) + 2q^2(x+1)/(1 - q^2(x+1)^2),
+
+which carries none of phi's scale: phi is evaluated once, at tau, for rho.
 
 A slack g is admissible when rho < 1; ``min_gamma`` bisects for the
 smallest admissible slack.  For a graph of girth girth, cycles of length
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bounds import power_step
+from .graphs import MAX_HEADER_VERTICES
 
 
 class SolverError(RuntimeError):
@@ -81,26 +85,25 @@ def phi(x: float, params: PhiParams) -> float:
     return (1.0 / params.gamma) * q ** (mlen - 3) * (x + 1.0) ** mlen / (1.0 - q * q * (x + 1.0) ** 2)
 
 
-def phi_prime(x: float, params: PhiParams) -> float:
-    """Closed-form derivative: phi * (2r/(x+1) + 2 q^2 (x+1)/(1 - q^2 (x+1)^2))."""
-    _check_domain(x, params)
-    q, mlen = params.q, params.min_cycle_length
-    denom = 1.0 - q * q * (x + 1.0) ** 2
-    return phi(x, params) * (mlen / (x + 1.0) + 2.0 * q * q * (x + 1.0) / denom)
-
-
-def _char(x: float, params: PhiParams) -> float:
-    """Characteristic function phi(x) - x*phi'(x); positive at 0, negative near the pole."""
-    return phi(x, params) - x * phi_prime(x, params)
-
-
-def _char_deriv(x: float, params: PhiParams) -> float:
-    # d/dx [phi - x phi'] = -x phi''; phi'' = phi * (u^2 + u') for u = phi'/phi.
+def _log_slopes(x: float, params: PhiParams) -> tuple[float, float]:
+    """u = phi'/phi = 2r/(x+1) + 2 q^2 (x+1)/(1 - q^2 (x+1)^2) and its derivative u'."""
     q, mlen = params.q, params.min_cycle_length
     denom = 1.0 - q * q * (x + 1.0) ** 2
     u = mlen / (x + 1.0) + 2.0 * q * q * (x + 1.0) / denom
     u_prime = -mlen / (x + 1.0) ** 2 + 2.0 * q * q * (denom + 2.0 * q * q * (x + 1.0) ** 2) / denom**2
-    return -x * phi(x, params) * (u * u + u_prime)
+    return u, u_prime
+
+
+def phi_prime(x: float, params: PhiParams) -> float:
+    """Closed-form derivative phi * u."""
+    _check_domain(x, params)
+    return phi(x, params) * _log_slopes(x, params)[0]
+
+
+def _char(x: float, params: PhiParams) -> tuple[float, float]:
+    """h(x) = 1 - x*u(x) and h'(x) = -u - x*u'; 1 at 0, -infinity at the pole."""
+    u, u_prime = _log_slopes(x, params)
+    return 1.0 - x * u, -u - x * u_prime
 
 
 @dataclass(frozen=True)
@@ -108,52 +111,38 @@ class GammaSolution:
     params: PhiParams
     tau: float
     rho: float
-    residual: float
+    residual: float  # |h(tau)|
 
 
-def solve_tau(params: PhiParams, tol: float = 1e-12) -> GammaSolution:
+def solve_tau(params: PhiParams) -> GammaSolution:
     """Root of the characteristic equation in (0, R).
 
-    The bracket is guaranteed by sign: the characteristic function equals
-    phi(0) > 0 at the origin and diverges to -infinity at the pole.
-    Bisection maintains the bracket while Newton steps are taken whenever
-    they stay inside it, surviving the pole at R.
-
-    The residual |phi(tau) - tau*phi'(tau)| is accepted when it is below
-    tol scaled by max(1, phi(tau)): phi grows like 1/(gamma*(1-q^2)) and
-    crosses 1e9 for small gamma, where double-precision cancellation makes
-    a fixed absolute residual unreachable.
+    Solves the scale-free form h(x) = 1 - x*phi'(x)/phi(x) = 0, which has
+    the root of phi - x*phi' because phi > 0 on [0, R), but neither over-
+    nor underflows with phi.  h(0) = 1 and h diverges to -infinity at the
+    pole, so the sign bracket always exists.  Bisection keeps it while
+    Newton steps are taken whenever they stay inside it, surviving the
+    pole at R.  The root is accepted once the bracket has closed to 4 ulps
+    (or h is exactly 0): a root then lies within it, whatever |h| reads.
     """
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
-    lo, hi = 0.0, params.radius * (1.0 - 1e-9)
-    if _char(lo, params) <= 0:
-        raise SolverError("characteristic function not positive at 0")
-    g_hi = _char(hi, params)
-    while g_hi >= 0:
-        hi = params.radius - (params.radius - hi) * 0.5
-        g_hi = _char(hi, params)
-        if params.radius - hi < 1e-15 * params.radius:
+    radius = params.radius
+    lo, hi = 0.0, radius * (1.0 - 1e-9)
+    while _char(hi, params)[0] >= 0:
+        hi = radius - (radius - hi) * 0.5
+        if radius - hi < 1e-15 * radius:
             raise SolverError("no sign change before the pole")
     x = 0.5 * (lo + hi)
     for _ in range(200):
-        gx = _char(x, params)
-        if gx > 0:
+        h, slope = _char(x, params)
+        if h > 0:
             lo = x
-        elif gx < 0:
+        elif h < 0:
             hi = x
-        else:
-            break
-        if hi - lo <= 4 * math.ulp(max(abs(x), 1e-300)):
-            break
-        gpx = _char_deriv(x, params)
-        step = x - gx / gpx if gpx != 0 else None
-        x = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
-    residual = abs(_char(x, params))
-    scale = max(1.0, phi(x, params))
-    if residual > tol * scale:
-        raise SolverError(f"residual {residual} above tolerance {tol} (scale {scale:.3g})")
-    return GammaSolution(params, x, phi(x, params) / x, residual)
+        if h == 0 or hi - lo <= 4 * math.ulp(x):
+            return GammaSolution(params, x, phi(x, params) / x, abs(h))
+        step = x - h / slope if slope else x  # x is lo or hi by now
+        x = step if lo < step < hi else 0.5 * (lo + hi)
+    raise SolverError(f"sign bracket [{lo!r}, {hi!r}] did not close in 200 steps")
 
 
 def girth_to_r(girth: int) -> float:
@@ -162,9 +151,10 @@ def girth_to_r(girth: int) -> float:
     Cycles of length up to the girth are treated as excluded, so the first
     tracked length is girth + 1, floored at 6 because 4-cycles (and, with
     properness, 5-cycles) are excluded by construction: r = max(3, (girth+1)/2).
+    No graph read from a file has a girth above its vertex cap.
     """
-    if girth < 3:
-        raise ValueError("girth must be >= 3")
+    if not 3 <= girth <= MAX_HEADER_VERTICES:
+        raise ValueError(f"girth {girth} outside 3..{MAX_HEADER_VERTICES}")
     return max(3.0, (girth + 1) / 2.0)
 
 
@@ -191,6 +181,8 @@ def _min_gamma_cached(two_r: int, tol: float) -> float:
         raise SolverError("rho is not decreasing in gamma on the bracket")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # tol below the float spacing at the bracket
+            break
         if rho_at(mid) < 1.0:
             hi = mid
         else:
@@ -199,11 +191,14 @@ def _min_gamma_cached(two_r: int, tol: float) -> float:
 
 
 def min_gamma(r: float, tol: float = 1e-4) -> float:
-    """Smallest admissible slack for tracked half-length r, to width tol."""
+    """Smallest admissible slack for tracked half-length r, to width tol.
+
+    A tol below the float spacing at the answer gives the answer to that spacing.
+    """
     if not (r >= 3):
         raise ValueError("r must be >= 3")
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     return _min_gamma_cached(int(round(2 * r)), tol)
 
 

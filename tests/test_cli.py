@@ -73,6 +73,22 @@ def test_gamma_requires_selection(capsys):
     assert code == 4
 
 
+def test_gamma_long_girths_need_four_colors_at_degree_two(capsys):
+    # the scaled residual of the old solver failed at 678, phi overflowed at
+    # 1547 and underflowed at 3000
+    code, out = run_cli(capsys, "gamma", "--girth", "678", "1547", "3000", "1000000", "--delta", "2")
+    assert code == 0
+    rows = csv_rows(out)[1:]
+    assert [r[0] for r in rows] == ["678", "1547", "3000", "1000000"]
+    assert [r[5] for r in rows] == ["4"] * 4
+
+
+def test_gamma_tolerance_below_float_spacing(capsys):
+    code, out = run_cli(capsys, "gamma", "--girth", "5", "--tol", "1e-300")
+    assert code == 0
+    assert csv_rows(out)[1][2] == "1.731"
+
+
 # -- color / verify --------------------------------------------------------------
 
 def test_color_hexagon_auto_palette(capsys, hexagon_file):
@@ -325,6 +341,13 @@ def test_bench_bad_generator(capsys):
     assert code == 4
 
 
+def test_bench_long_cycle_auto_palette(capsys):
+    code, out = run_cli(capsys, "bench", "--generator", "cycle:678", "--runs", "1", "--seed-base", "1")
+    assert code == 0
+    config = json.loads(out.splitlines()[1].removeprefix("# config="))
+    assert config["k"] == 4
+
+
 # -- dice -----------------------------------------------------------------------------
 
 def test_dice_reproducible(capsys):
@@ -351,7 +374,9 @@ def test_dice_zero_trials(capsys):
         ("bench", "--generator", "gnp:5", "--runs", "1"),
         ("bench", "--generator", "gnp:5,1.5", "--runs", "1"),
         ("bench", "--generator", "random-regular:3,5", "--runs", "1"),
-        ("bench", "--generator", "regular:30,20", "--runs", "1"),
+        ("bench", "--generator", "random-regular:30,20", "--runs", "1"),
+        ("bench", "--generator", "regular:5,30", "--runs", "1"),
+        ("bench", "--generator", "random-regular:999998,1000000", "--runs", "1"),
         ("bench", "--generator", "cycle:1000001", "--runs", "1"),
         ("bench", "--generator", "random-regular:3,1000002", "--runs", "1"),
         ("bench", "--generator", "gnp:100000,0.5", "--runs", "1"),
@@ -361,12 +386,17 @@ def test_dice_zero_trials(capsys):
         ("bounds", "--p", "1/8", "--delta", "2", "--prefactor", "nan"),
         ("color", "{negative}"),
         ("gamma", "--girth", "5", "--tol", "nan"),
+        ("gamma", "--girth", "5", "--tol", "inf"),
+        ("gamma", "--girth", "99999999999"),
+        ("gamma", "--table", "3", "99999999999"),
     ],
     ids=[
         "sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs",
-        "cycle-negative", "gnp-arity", "gnp-prob", "regular-odd", "regular-dense", "cycle-huge", "regular-huge",
+        "cycle-negative", "gnp-arity", "gnp-prob", "regular-odd", "regular-dense", "regular-alias",
+        "regular-edges", "cycle-huge", "regular-huge",
         "gnp-pairs", "bench-runs-huge", "bounds-p-zero-den", "bounds-n",
         "bounds-prefactor-nan", "color-negative-vertices", "gamma-tol-nan",
+        "gamma-tol-inf", "gamma-girth-huge", "gamma-table-huge",
     ],
 )
 def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, argv):

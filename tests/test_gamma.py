@@ -90,9 +90,9 @@ def test_nan_fails_range_checks():
     with pytest.raises(ValueError):
         min_gamma(3.0, tol=math.nan)
     with pytest.raises(ValueError):
-        min_gamma(math.nan)
+        min_gamma(3.0, tol=math.inf)
     with pytest.raises(ValueError):
-        solve_tau(ANCHOR, tol=math.nan)
+        min_gamma(math.nan)
 
 
 # -- characteristic equation -----------------------------------------------------
@@ -114,12 +114,18 @@ def test_solve_tau_regression_girth7_row():
 
 
 def test_solve_tau_residual_scaled_over_parameter_sweep():
-    for gamma in (0.2, 0.5, 1.0, 1.73095, 3.0, 8.0):
-        for r in (3.0, 4.5, 27.0):
-            params = PhiParams(gamma, r)
-            sol = solve_tau(params)
-            assert 0 < sol.tau < params.radius
-            assert sol.residual <= 1e-12 * max(1.0, phi(sol.tau, params))
+    # the closed bracket, not the size of |h|, certifies the root: at
+    # (0.125, 348.5) |h(tau)| is 1.05e-12 although h changes sign next to tau
+    sweep = [(gamma, r) for gamma in (0.2, 0.5, 1.0, 1.73095, 3.0, 8.0) for r in (3.0, 4.5, 27.0)]
+    for gamma, r in sweep + [(0.125, 348.5)]:
+        params = PhiParams(gamma, r)
+        sol = solve_tau(params)
+        assert 0 < sol.tau < params.radius
+        assert sol.residual == abs(_char(sol.tau, params)[0])
+        ulp = math.ulp(sol.tau)
+        left = [_char(sol.tau - k * ulp, params)[0] for k in range(5)]
+        right = [_char(sol.tau + k * ulp, params)[0] for k in range(5)]
+        assert max(left) >= 0 >= min(right), (gamma, r)
 
 
 def test_characteristic_sign_changes_once():
@@ -127,7 +133,7 @@ def test_characteristic_sign_changes_once():
     for gamma, r in [(1.73095, 3.0), (1.74, 3.0), (2.0, 4.0), (0.494, 27.0)]:
         params = PhiParams(gamma, r)
         xs = [params.radius * (1 - 1e-9) * i / 10**4 for i in range(1, 10**4)]
-        signs = [_char(x, params) > 0 for x in xs]
+        signs = [_char(x, params)[0] > 0 for x in xs]
         assert sum(1 for a, b in zip(signs, signs[1:]) if a != b) == 1
 
 
@@ -150,6 +156,15 @@ def test_min_gamma_nonincreasing_in_r():
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+def test_min_gamma_every_girth():
+    # girths up to the 10^6 cap solve (every one to 2000, then samples), and
+    # the slack does not grow with the girth beyond the bisection width
+    girths = list(range(3, 2001)) + [10**4, 10**5, 10**6]
+    values = [min_gamma_for_girth(g, 1e-6) for g in girths]
+    assert all(0 < v < 2 for v in values)
+    assert all(b <= a + 1e-6 for a, b in zip(values, values[1:]))
+
+
 def test_min_gamma_solution_is_admissible():
     g = min_gamma(3.0)
     assert solve_tau(PhiParams(g, 3.0)).rho < 1.0
@@ -165,6 +180,9 @@ def test_girth_to_r():
     assert girth_to_r(219) == 110.0
     with pytest.raises(ValueError):
         girth_to_r(2)
+    assert girth_to_r(10**6) == 500000.5
+    with pytest.raises(ValueError):
+        girth_to_r(10**6 + 1)
 
 
 def test_min_gamma_for_girth():
