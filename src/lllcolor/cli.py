@@ -94,7 +94,7 @@ def cmd_gamma(args) -> int:
         raise ValueError("give --girth, --table or --summary")
     config = {"command": "gamma", "girths": girths, "delta": args.delta, "tol": args.tol}
     header = ["girth", "r", "gamma", "tau", "rho"]
-    if args.delta:
+    if args.delta is not None:
         header.append("colors")
     rows = []
     for g in girths:
@@ -102,7 +102,7 @@ def cmd_gamma(args) -> int:
         gm = gamma_mod.min_gamma(r, tol=args.tol)
         sol = gamma_mod.solve_tau(gamma_mod.PhiParams(gm, r))
         row = [g, r, f"{gm:.3f}", f"{sol.tau:.10f}", f"{sol.rho:.10f}"]
-        if args.delta:
+        if args.delta is not None:
             row.append(gamma_mod.colors_needed(args.delta, g))
         rows.append(row)
     _emit(_csv_text(config, header, rows), args.out)
@@ -332,9 +332,12 @@ def cmd_bench(args) -> int:
 
 # -- dice ---------------------------------------------------------------------
 
+MAX_DICE_TRIALS = 10**6  # the sample size of acceptance criterion 7
+
+
 def cmd_dice(args) -> int:
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
+    if not 1 <= args.trials <= MAX_DICE_TRIALS:
+        raise ValueError(f"--trials must be in 1..{MAX_DICE_TRIALS}")
     seed = args.seed if args.seed is not None else _fresh_seed()
     estimate = engine_mod.dice_experiment(args.trials, random.Random(seed), phases=args.phases)
     exact = float(Fraction(91, 216) ** args.phases)

@@ -24,8 +24,10 @@ along color b is deterministic: it either dies at a vertex missing the
 wanted color or returns to e's near endpoint along a b-edge, closing the
 unique (a,b)-bichromatic cycle through e.  The walks read the per-vertex
 color -> edge maps of one ``ColorState``, which every assignment keeps up
-to date.  The loop keeps the cycles in an incremental index; the full
-sweep serves only the audit and the tests.  The verifier shares none of
+to date.  A sweep over an edge set finds each cycle once, from its largest
+edge in the set: a walk stops at any larger edge of the set.  The full
+sweep builds the loop's incremental index (and serves the audit); a
+refresh sweeps only the recolored edges.  The verifier shares none of
 this: it checks that every 2-colored subgraph is a forest by union-find.
 """
 
@@ -244,42 +246,57 @@ def greedy_4acyclic(graph: Graph, k: int, rng: random.Random, audit: ColorAudit 
     return state
 
 
-def _cycles_through_edge(state: ColorState, e: int) -> list[Cycle]:
-    """All bichromatic cycles through edge e, one per workable second color."""
-    graph, at = state.graph, state.at
-    u, v = graph.edges[e]
+def _cycles_through_edge(state: ColorState, e: int, scanned: frozenset[int] | range) -> list[Cycle]:
+    """The bichromatic cycles through edge e whose largest edge in ``scanned``
+    is e, one per workable second color; e must be in ``scanned``.
+
+    A walk stops at the first edge f in ``scanned`` with f > e.  This finds
+    every bichromatic cycle C that meets ``scanned`` exactly once over a
+    sweep of ``scanned``: let e* be the largest edge of C in ``scanned``.
+    The walk from e* with C's second color goes around C and meets no larger
+    scanned edge, so it finds C.  A walk from any other scanned edge of C
+    with that color passes e* before it closes, so it stops there.
+    """
+    graph, at, ends = state.graph, state.at, state.graph.edges
+    u, v = ends[e]
     a = state.colors[e]
+    at_v = at[v]
     out: list[Cycle] = []
-    candidates = (at[u].keys() & at[v].keys()) - {a}
-    for b in candidates:
-        cur, want = v, b
+    max_steps = 2 * graph.m + 4
+    for b, last in at[u].items():
+        if b == a or (last > e and last in scanned):
+            continue  # no second color, or the walk would stop at its last edge
+        first = at_v.get(b)
+        if first is None or (first > e and first in scanned):
+            continue  # no walk, or it would stop at its first edge
+        cur, want, other = v, b, a
         walk = [e]
-        guard = 2 * graph.m + 4
-        while guard:
-            guard -= 1
+        for _ in range(max_steps):
             f = at[cur].get(want)
-            if f is None or f == e:
+            if f is None or f == e or (f > e and f in scanned):
                 break
             walk.append(f)
-            nxt = graph.other_end(f, cur)
-            if nxt == u:
+            x, y = ends[f]
+            cur = y if x == cur else x
+            if cur == u:
                 # closing edge carries color b: the cycle alternates a,b
                 if want == b:
                     out.append(Cycle.from_walk(graph, walk))
                 break
-            cur = nxt
-            want = a if want == b else b
+            want, other = other, want
         else:
             raise ContractError("alternating walk failed to terminate")
     return out
 
 
 def all_bichromatic_cycles(state: ColorState) -> dict[tuple, Cycle]:
+    """Every bichromatic cycle by key, each built once, from its largest edge."""
     found: dict[tuple, Cycle] = {}
-    for e in range(state.graph.m):
+    every_edge = range(state.graph.m)
+    for e in every_edge:
         if state.colors[e] is None:
             continue
-        for cyc in _cycles_through_edge(state, e):
+        for cyc in _cycles_through_edge(state, e, every_edge):
             found[cyc.key] = cyc
     return found
 
@@ -310,12 +327,13 @@ def _is_bichromatic(colors: list[int | None], cycle: Cycle) -> bool:
 class CycleIndex:
     """Incrementally maintained set of all current bichromatic cycles.
 
-    A cycle's status only changes when one of its edges is recolored, so
+    The full sweep builds it, each cycle once, from its largest edge.  A
+    cycle's status only changes when one of its edges is recolored, so
     after recoloring an edge set it suffices to revalidate the stored
-    cycles touching it and to rescan for new cycles through those edges.
-    The walks read the state's own maps, so nothing is rebuilt between
-    refreshes.  It is the only detector of ``col_alg``; the tests hold it
-    against full rescans.
+    cycles touching it and to sweep those edges for new cycles, each found
+    from its largest recolored edge.  The walks read the state's own maps,
+    so nothing is rebuilt between refreshes.  It is the only detector of
+    ``col_alg``; the tests hold it against full rescans.
     """
 
     def __init__(self, state: ColorState):
@@ -327,7 +345,7 @@ class CycleIndex:
             if not _is_bichromatic(self.state.colors, self.cycles[key]):
                 del self.cycles[key]
         for e in dirty:
-            for cyc in _cycles_through_edge(self.state, e):
+            for cyc in _cycles_through_edge(self.state, e, dirty):
                 self.cycles[cyc.key] = cyc
 
     def least(self, restrict: frozenset[int] | None = None) -> Cycle | None:

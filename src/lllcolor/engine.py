@@ -463,6 +463,8 @@ def dice_experiment(trials: int, rng: random.Random, phases: int = 2) -> float:
     """
     if trials < 1:
         raise ContractError("trials must be >= 1")
+    if phases < 1:
+        raise ContractError("phases must be >= 1")
     hits = 0
     for _ in range(trials):
         ok = True

@@ -389,6 +389,10 @@ def test_dice_zero_trials(capsys):
         ("gamma", "--girth", "5", "--tol", "inf"),
         ("gamma", "--girth", "99999999999"),
         ("gamma", "--table", "3", "99999999999"),
+        ("gamma", "--girth", "5", "--delta", "0"),
+        ("dice", "--trials", "10", "--phases", "-1"),
+        ("dice", "--trials", "10", "--phases", "0"),
+        ("dice", "--trials", "1000001"),
     ],
     ids=[
         "sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs",
@@ -396,7 +400,8 @@ def test_dice_zero_trials(capsys):
         "regular-edges", "cycle-huge", "regular-huge",
         "gnp-pairs", "bench-runs-huge", "bounds-p-zero-den", "bounds-n",
         "bounds-prefactor-nan", "color-negative-vertices", "gamma-tol-nan",
-        "gamma-tol-inf", "gamma-girth-huge", "gamma-table-huge",
+        "gamma-tol-inf", "gamma-girth-huge", "gamma-table-huge", "gamma-delta-zero",
+        "dice-phases-negative", "dice-phases-zero", "dice-trials-huge",
     ],
 )
 def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, argv):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -190,6 +191,15 @@ def test_greedy_bichromatic_frequency_bound():
 
 # -- bichromatic cycle detection ------------------------------------------------
 
+def brute_force_graphs() -> list[Graph]:
+    """Desk-scale graphs on which every simple cycle can be enumerated."""
+    k33 = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
+    grid = Graph(9, [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
+                 + [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)])
+    return [cycle_graph(6), cycle_graph(8), two_hex_graph(), petersen_graph(), complete_graph(5),
+            complete_graph(6), k33, grid]
+
+
 def test_triangle_has_no_bichromatic_cycle():
     g = cycle_graph(3)
     assert find_bichromatic_cycle(colored(g, 3, [0, 1, 2])) is None
@@ -227,6 +237,48 @@ def test_detector_matches_brute_force_oracle():
             assert walk_keys == brute_bichromatic_keys(g, state.colors)
 
 
+def test_detector_matches_brute_force_on_arbitrary_colorings():
+    # proper but otherwise arbitrary colorings, partly uncolored, with
+    # palettes from maxdeg up: bichromatic 4-cycles and several cycles
+    # per edge occur, unlike in greedy states
+    rng = random.Random(4242)
+    runs = cyclic = four_cycles = 0
+    for g in brute_force_graphs():
+        for fill in (0.5, 0.8, 1.0):
+            for _ in range(20):
+                k = g.max_degree + rng.randrange(3)
+                colors = random_proper_colors(g, k, rng, fill)
+                if colors is None:
+                    continue
+                brute = brute_bichromatic_keys(g, colors)
+                assert set(all_bichromatic_cycles(colored(g, k, colors))) == brute
+                runs += 1
+                cyclic += bool(brute)
+                four_cycles += any(length == 4 for length, _ in brute)
+    assert runs >= 300 and cyclic >= 80 and four_cycles >= 40, (runs, cyclic, four_cycles)
+
+
+def test_full_sweep_builds_each_cycle_once(monkeypatch):
+    # each bichromatic cycle is walked to the end only from its largest edge
+    built = []
+
+    class CountingCycle(coloring.Cycle):
+        def __init__(self, edges):
+            built.append(edges)
+            super().__init__(edges)
+
+    monkeypatch.setattr(coloring, "Cycle", CountingCycle)
+    states = [greedy_4acyclic(complete_graph(20), 37, random.Random(seed)) for seed in range(20)]
+    states += [colored(cycle_graph(6), 3, [0, 1] * 3), colored(cycle_graph(8), 3, [0, 1] * 4)]
+    total = 0
+    for state in states:
+        built.clear()
+        found = all_bichromatic_cycles(state)
+        assert len(built) == len(found)
+        total += len(found)
+    assert total >= 20, total
+
+
 def test_cycle_index_matches_rescan_after_updates():
     g = two_hex_graph()
     rng = random.Random(5)
@@ -240,6 +292,43 @@ def test_cycle_index_matches_rescan_after_updates():
             index.refresh_after(frozenset({e}))
             assert set(index.cycles) == set(all_bichromatic_cycles(state))
             assert state.at == colored(g, state.k, state.colors).at
+
+
+def _recolor_properly(state: ColorState, edges, rng: random.Random) -> None:
+    """Give each edge a uniform color free at both of its endpoints (its own
+    included), so bichromatic cycles of any length may form."""
+    for e in edges:
+        u, v = state.graph.edges[e]
+        taken = (state.at[u].keys() | state.at[v].keys()) - {state.colors[e]}
+        free = [c for c in range(state.k) if c not in taken]
+        if free:
+            state.assign(e, rng.choice(free))
+
+
+def test_cycle_index_matches_rescan_after_multi_edge_refresh():
+    # refreshing a whole cycle or several random edges at once: each new
+    # cycle must be found from its largest recolored edge
+    rng = random.Random(31)
+    refreshes = whole_cycles = 0
+    for g in (two_hex_graph(), petersen_graph(), complete_graph(6), cycle_graph(8)):
+        for _ in range(25):
+            k = g.max_degree + 1 + rng.randrange(2)
+            colors = random_proper_colors(g, k, rng, fill=rng.choice((0.8, 1.0)))
+            if colors is None:
+                continue
+            state = colored(g, k, colors)
+            index = CycleIndex(state)
+            for _ in range(8):
+                if index.cycles and rng.random() < 0.5:
+                    dirty = rng.choice(list(index.cycles.values())).edge_set
+                    whole_cycles += 1
+                else:
+                    dirty = frozenset(rng.sample(range(g.m), rng.randint(2, 5)))
+                _recolor_properly(state, rng.sample(sorted(dirty), len(dirty)), rng)
+                index.refresh_after(dirty)
+                assert set(index.cycles) == set(all_bichromatic_cycles(state))
+                refreshes += 1
+    assert refreshes >= 600 and whole_cycles >= 70, (refreshes, whole_cycles)
 
 
 # -- the full coloring loop ------------------------------------------------------
@@ -294,6 +383,21 @@ def test_col_alg_matches_reference():
                 verdict = verify_acyclic(g, k, col_a.colors)
                 assert verdict.proper and verdict.acyclic
     assert recolored_runs >= 60 and aborted_runs >= 5, (recolored_runs, aborted_runs)
+
+
+def test_coloring_draw_order_is_pinned():
+    # same seed, same bytes: colors, trace, phases and termination of 80
+    # runs (149 recolor calls in all) hash to a digest frozen for this seed
+    # range, so any change to the draws or to which cycle is resampled shows
+    digest = hashlib.sha256()
+    steps = 0
+    for g, k in ((complete_graph(20), 37), (petersen_graph(), 5)):
+        for seed in range(40):
+            state, stats = col_alg(g, k, seed=seed)
+            digest.update(repr((state.colors, stats.trace, stats.phases, stats.terminated)).encode())
+            steps += stats.steps
+    assert steps == 149
+    assert digest.hexdigest() == "3bedaeb6892aca4d96de142e5e0d5497959acb03ceccff054d81e84a39fe19f2"
 
 
 def test_assign_draws_as_choice_over_free_colors(monkeypatch):
@@ -437,14 +541,9 @@ def test_verify_memory_independent_of_palette():
 def test_verifier_agrees_with_brute_force():
     # the union-find verifier against exhaustive cycle enumeration on random
     # proper colorings; palettes near maxdeg make many of them cyclic
-    k33 = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
-    grid = Graph(9, [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
-                 + [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)])
-    cases = [cycle_graph(6), cycle_graph(8), two_hex_graph(), petersen_graph(), complete_graph(5),
-             complete_graph(6), k33, grid]
     rng = random.Random(2024)
     cyclic = acyclic = 0
-    for g in cases:
+    for g in brute_force_graphs():
         for _ in range(80):
             k = g.max_degree + rng.randrange(3)
             colors = random_proper_colors(g, k, rng)
