@@ -3,65 +3,97 @@
 Resampling engine with witness forests and validation, exact/asymptotic
 step-count bounds, acyclic proper edge coloring by cycle resampling, and
 the characteristic-equation solver for the minimal palette slack.
+
+The names below are imported from their modules on first use (PEP 562),
+so `import lllcolor` (and each command line process) loads only the
+modules it touches.
 """
 
-from .bounds import (
-    BoundParams,
-    NoCutoffError,
-    algorithm_bound,
-    cutoff_estimate,
-    lll_condition,
-    phase_bound,
-    q_closed_form,
-    q_recurrence,
-    q_series,
-)
-from .coloring import (
-    ColorRunStats,
-    ColorState,
-    Cycle,
-    PaletteError,
-    VerifyResult,
-    col_alg,
-    count_cycles_through_edge,
-    find_bichromatic_cycle,
-    forbidden_colors,
-    greedy_4acyclic,
-    verify_acyclic,
-)
-from .dimacs import clause_system, formula_satisfied, parse_dimacs, read_dimacs
-from .engine import (
-    ContractError,
-    Event,
-    EventSystem,
-    RunStats,
-    VariableSpace,
-    WitnessForest,
-    build_witness_forest,
-    check_feasible,
-    default_step_limit,
-    dice_experiment,
-    m_algorithm,
-    occurs,
-    sample_all,
-    validate,
-)
-from .gamma import (
-    GammaSolution,
-    PhiParams,
-    SolverError,
-    colors_needed,
-    cycle_prob_bounds,
-    girth_to_r,
-    min_gamma,
-    min_gamma_for_girth,
-    phi,
-    phi_prime,
-    q_coloring_recurrence,
-    q_coloring_series,
-    series_fixed_point,
-    solve_tau,
-)
-from .graphs import Graph, cycle_graph, complete_graph, gnp_graph, path_graph, petersen_graph, random_regular_graph, star_graph
+import importlib
 
+_EXPORTS = {
+    "bounds": (
+        "BoundParams",
+        "NoCutoffError",
+        "algorithm_bound",
+        "cutoff_estimate",
+        "lll_condition",
+        "phase_bound",
+        "q_closed_form",
+        "q_recurrence",
+        "q_series",
+    ),
+    "coloring": (
+        "ColorRunStats",
+        "ColorState",
+        "Cycle",
+        "PaletteError",
+        "VerifyResult",
+        "col_alg",
+        "count_cycles_through_edge",
+        "find_bichromatic_cycle",
+        "forbidden_colors",
+        "greedy_4acyclic",
+        "verify_acyclic",
+    ),
+    "dimacs": ("clause_system", "formula_satisfied", "parse_dimacs", "read_dimacs"),
+    "engine": (
+        "ContractError",
+        "Event",
+        "EventSystem",
+        "RunStats",
+        "VariableSpace",
+        "WitnessForest",
+        "build_witness_forest",
+        "check_feasible",
+        "default_step_limit",
+        "dice_experiment",
+        "m_algorithm",
+        "occurs",
+        "sample_all",
+        "validate",
+    ),
+    "gamma": (
+        "GammaSolution",
+        "PhiParams",
+        "SolverError",
+        "colors_needed",
+        "cycle_prob_bounds",
+        "girth_to_r",
+        "min_gamma",
+        "min_gamma_for_girth",
+        "phi",
+        "phi_prime",
+        "q_coloring_recurrence",
+        "q_coloring_series",
+        "series_fixed_point",
+        "solve_tau",
+    ),
+    "graphs": (
+        "Graph",
+        "cycle_graph",
+        "complete_graph",
+        "gnp_graph",
+        "path_graph",
+        "petersen_graph",
+        "random_regular_graph",
+        "star_graph",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -25,15 +25,10 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
-from . import bounds as bounds_mod
-from . import coloring as coloring_mod
-from . import dimacs as dimacs_mod
-from . import engine as engine_mod
-from . import gamma as gamma_mod
-from . import graphs as graphs_mod
+# Each command imports the library modules it runs and no others, so a
+# process pays start-up only for those; calls go through the module
+# (`coloring_mod.col_alg`), so a wrapper set on the module is seen.
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -41,6 +36,7 @@ EXIT_NOT_TERMINATED = 3
 EXIT_INPUT = 4
 
 SUMMARY_GIRTHS = (3, 7, 53, 219)
+MAX_GAMMA_ROWS = 10**4  # girths in one --table; 3,000 rows take about 3 s
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,12 +77,17 @@ def _json_text(payload: dict) -> str:
 # -- gamma -------------------------------------------------------------------
 
 def cmd_gamma(args) -> int:
+    from . import gamma as gamma_mod
+    from . import graphs as graphs_mod
+
     if args.summary:
         girths = list(SUMMARY_GIRTHS)
     elif args.table:
         lo, hi = args.table
         if not 3 <= lo <= hi <= graphs_mod.MAX_HEADER_VERTICES:
             raise ValueError(f"--table needs 3 <= gmin <= gmax <= {graphs_mod.MAX_HEADER_VERTICES}")
+        if hi - lo + 1 > MAX_GAMMA_ROWS:
+            raise ValueError(f"--table asks for {hi - lo + 1} girths, more than {MAX_GAMMA_ROWS}")
         girths = list(range(lo, hi + 1))
     elif args.girth:
         girths = args.girth
@@ -111,7 +112,9 @@ def cmd_gamma(args) -> int:
 
 # -- color / verify ----------------------------------------------------------
 
-def _auto_palette(graph: graphs_mod.Graph) -> int:
+def _auto_palette(graph) -> int:
+    from . import gamma as gamma_mod
+
     if graph.max_degree < 2:
         return max(1, 2 * graph.max_degree - 1)
     girth = graph.girth()
@@ -121,6 +124,9 @@ def _auto_palette(graph: graphs_mod.Graph) -> int:
 
 
 def cmd_color(args) -> int:
+    from . import coloring as coloring_mod
+    from . import graphs as graphs_mod
+
     graph = graphs_mod.Graph.read_edge_list(args.graph)
     k = _auto_palette(graph) if args.k is None else args.k
     seed = args.seed if args.seed is not None else _fresh_seed()
@@ -157,6 +163,9 @@ def cmd_color(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import coloring as coloring_mod
+    from . import graphs as graphs_mod
+
     graph = graphs_mod.Graph.read_edge_list(args.graph)
     with open(args.coloring) as fh:
         payload = json.load(fh)
@@ -186,6 +195,9 @@ def cmd_verify(args) -> int:
 # -- sat ----------------------------------------------------------------------
 
 def cmd_sat(args) -> int:
+    from . import dimacs as dimacs_mod
+    from . import engine as engine_mod
+
     n_vars, clauses = dimacs_mod.read_dimacs(args.cnf)
     system = dimacs_mod.clause_system(n_vars, clauses)
     seed = args.seed if args.seed is not None else _fresh_seed()
@@ -213,6 +225,10 @@ def cmd_sat(args) -> int:
 # -- bounds -------------------------------------------------------------------
 
 def cmd_bounds(args) -> int:
+    from fractions import Fraction
+
+    from . import bounds as bounds_mod
+
     try:
         p = Fraction(args.p)
     except ZeroDivisionError:
@@ -253,7 +269,9 @@ MAX_GENERATOR_PAIRS = 10**8  # vertex pairs that gnp draws, edges that random-re
 MAX_BENCH_RUNS = 10**6
 
 
-def _parse_generator(descriptor: str, gen_seed: int) -> graphs_mod.Graph:
+def _parse_generator(descriptor: str, gen_seed: int):
+    from . import graphs as graphs_mod
+
     name, _, rest = descriptor.partition(":")
     params = [p for p in rest.split(",") if p]
     if name not in GENERATOR_ARITY:
@@ -279,6 +297,8 @@ def _parse_generator(descriptor: str, gen_seed: int) -> graphs_mod.Graph:
 
 
 def _bench_one(task):
+    from . import coloring as coloring_mod
+
     graph, k, step_limit, seed = task
     _, stats = coloring_mod.col_alg(graph, k, seed=seed, step_limit=step_limit)
     return (seed, stats.steps, stats.phases, stats.terminated)
@@ -296,6 +316,8 @@ def cmd_bench(args) -> int:
     tasks = [(graph, k, args.step_limit, s) for s in seeds]
     workers = min(args.jobs, os.cpu_count() or 1, args.runs)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_bench_one, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     else:
@@ -333,11 +355,20 @@ def cmd_bench(args) -> int:
 # -- dice ---------------------------------------------------------------------
 
 MAX_DICE_TRIALS = 10**6  # the sample size of acceptance criterion 7
+# (91/216)**800 is about 5e-301, still a normal float; from 863 phases on
+# the exact value underflows to 0 and z is undefined
+MAX_DICE_PHASES = 800
 
 
 def cmd_dice(args) -> int:
+    from fractions import Fraction
+
+    from . import engine as engine_mod
+
     if not 1 <= args.trials <= MAX_DICE_TRIALS:
         raise ValueError(f"--trials must be in 1..{MAX_DICE_TRIALS}")
+    if not 1 <= args.phases <= MAX_DICE_PHASES:
+        raise ValueError(f"--phases must be in 1..{MAX_DICE_PHASES}")
     seed = args.seed if args.seed is not None else _fresh_seed()
     estimate = engine_mod.dice_experiment(args.trials, random.Random(seed), phases=args.phases)
     exact = float(Fraction(91, 216) ** args.phases)

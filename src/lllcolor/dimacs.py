@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .engine import Event, EventSystem, VariableSpace
 
 MAX_HEADER_VARIABLES = 10**6  # a problem line may not ask for more variables
@@ -53,23 +51,21 @@ def read_dimacs(path) -> tuple[int, list[tuple[int, ...]]]:
         return parse_dimacs(fh.read())
 
 
-def _violation_probability(clause: tuple[int, ...]) -> Fraction:
-    # a clause is violated iff every literal is false; a variable carrying
-    # both signs makes that impossible
-    wants: dict[int, int] = {}
-    for lit in clause:
-        var, falsifying = abs(lit) - 1, 0 if lit > 0 else 1
-        if wants.setdefault(var, falsifying) != falsifying:
-            return Fraction(0)
-    return Fraction(1, 2 ** len(wants))
-
-
 def clause_system(n_vars: int, clauses: list[tuple[int, ...]]) -> EventSystem:
-    """Event system whose j-th event is 'clause j is violated' over uniform booleans."""
+    """Event system whose j-th event is 'clause j is violated' over uniform booleans.
+
+    A clause is violated iff every literal is false, with probability
+    2^-w for its w variables, or never if a variable carries both signs
+    (then it has more distinct literals than variables).  `p` is the
+    largest of these: 2^-w for the narrowest clause that can be violated.
+    """
     space = VariableSpace.booleans(n_vars)
     events = []
+    narrowest = None
     for j, clause in enumerate(clauses):
         scope = tuple(sorted({abs(lit) - 1 for lit in clause}))
+        if (narrowest is None or len(scope) < narrowest) and len(set(clause)) == len(scope):
+            narrowest = len(scope)
         pos = {var: i for i, var in enumerate(scope)}
         checks = tuple((pos[abs(lit) - 1], 1 if lit > 0 else 0) for lit in clause)
 
@@ -77,8 +73,7 @@ def clause_system(n_vars: int, clauses: list[tuple[int, ...]]) -> EventSystem:
             return all(values[i] != satisfying for i, satisfying in _checks)
 
         events.append(Event(j, scope, violated, name=f"clause{j}"))
-    p = max((_violation_probability(c) for c in clauses), default=Fraction(0))
-    return EventSystem(space, events, p=float(p))
+    return EventSystem(space, events, p=0.0 if narrowest is None else 2.0 ** -narrowest)
 
 
 def clause_satisfied(clause: tuple[int, ...], values) -> bool:

@@ -190,10 +190,67 @@ def gnp_graph(n_vertices: int, prob: float, seed: int | None = None) -> Graph:
 
 
 def random_regular_graph(degree: int, n_vertices: int, seed: int | None = None) -> Graph:
-    """Uniform-ish random d-regular simple graph (pairing model with repair)."""
+    """Random d-regular simple graph by pairing with repair and restart.
+
+    The pairing model of Steger & Wormald (Combin. Probab. Comput. 8,
+    1999).  Its draw order is a contract, pinned by a digest over a grid
+    of (d, n, seed) in the tests, so a seed keeps giving the same graph:
+
+    - each round shuffles the open stubs with one `random.Random(seed)`
+      and pairs them off in order; a pair that would make a loop or a
+      parallel edge is refused, and its two stubs stay open;
+    - the next round's stubs are listed vertex by vertex, in the order in
+      which the vertices were first refused;
+    - after each round a scan looks for two open vertices that are not
+      yet adjacent; it swaps a pair in place, which rebinds the outer
+      loop variable for the rest of the inner loop;
+    - when the scan finds no such pair, the attempt restarts from all
+      stubs, with the same generator.
+
+    With `seed=None` the generator is a fresh `random.Random()`, so the
+    graph is not reproducible.  Edges are returned sorted.
+    """
     if not (0 <= degree < n_vertices) or (degree * n_vertices) % 2:
         raise ValueError(f"no {degree}-regular simple graph on {n_vertices} vertices: need 0 <= d < n and n*d even")
-    import networkx as nx
+    rng = random.Random(seed)
+    edges = None
+    while edges is None:
+        edges = _pairing_attempt(degree, n_vertices, rng)
+    return Graph(n_vertices, sorted(edges))
 
-    g = nx.random_regular_graph(degree, n_vertices, seed=seed)
-    return Graph(n_vertices, sorted((min(u, v), max(u, v)) for u, v in g.edges()))
+
+def _pairing_attempt(degree: int, n_vertices: int, rng: random.Random) -> set[tuple[int, int]] | None:
+    # one attempt: rounds of pairing until every stub is paired, None once stuck
+    edges: set[tuple[int, int]] = set()
+    stubs = list(range(n_vertices)) * degree
+    while stubs:
+        refused: dict[int, int] = {}  # vertex -> open stubs, in first-refused order
+        rng.shuffle(stubs)
+        it = iter(stubs)
+        for s1, s2 in zip(it, it):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                refused[s1] = refused.get(s1, 0) + 1
+                refused[s2] = refused.get(s2, 0) + 1
+        if not _repairable(edges, refused):
+            return None
+        stubs = [v for v, count in refused.items() for _ in range(count)]
+    return edges
+
+
+def _repairable(edges: set[tuple[int, int]], refused: dict[int, int]) -> bool:
+    # can some two open vertices still be joined?
+    if not refused:
+        return True
+    for s1 in refused:
+        for s2 in refused:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1  # rebinds s1 for the rest of this inner loop
+            if (s1, s2) not in edges:
+                return True
+    return False

@@ -1,4 +1,9 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -328,7 +333,7 @@ def test_bench_pool_is_capped(capsys, monkeypatch, jobs, runs, cpus, workers):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)  # cmd_bench imports it on use
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     argv = ("bench", "--generator", "cycle:6", "--k", "5", "--seed-base", "1", "--runs", runs)
     code, out = run_cli(capsys, *argv, "--jobs", jobs)
@@ -362,6 +367,11 @@ def test_dice_zero_trials(capsys):
     assert code == 4
 
 
+def test_dice_phases_cap_keeps_z_defined(capsys):
+    code, out = run_cli(capsys, "dice", "--trials", "10", "--seed", "1", "--phases", str(cli.MAX_DICE_PHASES))
+    assert code == 0 and "z=-0.000" in out and "nan" not in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -393,6 +403,8 @@ def test_dice_zero_trials(capsys):
         ("dice", "--trials", "10", "--phases", "-1"),
         ("dice", "--trials", "10", "--phases", "0"),
         ("dice", "--trials", "1000001"),
+        ("dice", "--trials", "10", "--phases", "863"),
+        ("gamma", "--table", "3", "10003"),
     ],
     ids=[
         "sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs",
@@ -402,6 +414,7 @@ def test_dice_zero_trials(capsys):
         "bounds-prefactor-nan", "color-negative-vertices", "gamma-tol-nan",
         "gamma-tol-inf", "gamma-girth-huge", "gamma-table-huge", "gamma-delta-zero",
         "dice-phases-negative", "dice-phases-zero", "dice-trials-huge",
+        "dice-phases-underflow", "gamma-table-rows",
     ],
 )
 def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, argv):
@@ -419,3 +432,40 @@ def test_unknown_flag_is_input_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gamma", "--bogus"])
     assert exc.value.code == 4
+
+
+# -- start-up -------------------------------------------------------------------
+
+STARTUP_PROBE = """
+import json, sys
+import lllcolor.cli
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] in {"lllcolor", "networkx", "concurrent", "multiprocessing"})
+seen = {"import": loaded()}
+for name, argv in json.loads(sys.argv[1]):
+    assert lllcolor.cli.main(argv) == 0, name
+    seen[name] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    # a fresh interpreter: `import lllcolor.cli` loads no library module and
+    # no process pool, `sat` loads only dimacs and engine, and a
+    # random-regular bench with one job neither starts nor imports a pool
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
+    runs = [
+        ("sat", ["sat", str(cnf), "--seed", "1", "--out", str(tmp_path / "sat.json")]),
+        ("bench", ["bench", "--generator", "random-regular:3,10", "--runs", "2", "--jobs", "1",
+                   "--out", str(tmp_path / "bench.csv")]),
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, json.dumps(runs)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    seen = json.loads(proc.stdout)
+    assert seen["import"] == ["lllcolor", "lllcolor.cli"]
+    assert seen["sat"] == ["lllcolor", "lllcolor.cli", "lllcolor.dimacs", "lllcolor.engine"]
+    assert not {m for m in seen["bench"] if not m.startswith("lllcolor")}
+    assert "lllcolor.coloring" in seen["bench"]

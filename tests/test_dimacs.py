@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -99,3 +100,32 @@ def test_end_to_end_solve():
     values, stats = m_algorithm(system, seed=12)
     assert stats.terminated
     assert formula_satisfied(clauses, values)
+
+
+def fraction_p(clauses):
+    # the exact largest violation probability, one Fraction per clause
+    best = Fraction(0)
+    for clause in clauses:
+        wants = {}
+        if all(wants.setdefault(abs(lit), lit > 0) == (lit > 0) for lit in clause):
+            best = max(best, Fraction(1, 2 ** len(wants)))
+    return float(best)
+
+
+@pytest.mark.parametrize(
+    "clauses",
+    [
+        [],
+        [(1, -1)],
+        [(1, -1), (2, 3, -2)],
+        [(1, 2, 3), (-4, 5), (1, -2, 3, 4)],
+        [(1, 1, 2), (2, -2, 3), (-3, -3, -3)],
+        [(3, -3), (1, 2, 4, 5), (1, 2, 4, -1)],
+        [tuple(range(1, 1076)), tuple(range(1, 1075)), (1, -1)],
+        [tuple(range(1, 1076))],
+    ],
+    ids=["empty", "tautology", "tautologies", "mixed", "repeats", "narrow-tautology", "subnormal", "underflow"],
+)
+def test_system_p_equals_the_exact_largest_probability(clauses):
+    n_vars = max((abs(lit) for c in clauses for lit in c), default=0)
+    assert clause_system(n_vars, clauses).p == fraction_p(clauses)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -180,3 +181,17 @@ def test_random_regular():
     for degree, n in ((3, 5), (30, 20), (5, 5), (-1, 4)):  # odd n*d, d >= n, d < 0
         with pytest.raises(ValueError):
             random_regular_graph(degree, n, seed=1)
+
+
+def test_random_regular_draw_order_is_pinned():
+    # same seed, same graph: the edge sets of a (d, n, seed) grid hash to a
+    # digest frozen when the pairing model came from an outside library, so
+    # the stdlib port keeps its shuffles, retry order, repair scan and
+    # restarts (6-regular n=12 restarts 34 times over the 20 seeds);
+    # 11-regular n=12 and 19-regular n=20 are complete graphs, 24-regular
+    # n=600 is the benchmark's dense graph
+    digest = hashlib.sha256()
+    for d, n in ((0, 5), (1, 8), (2, 30), (3, 10), (4, 9), (5, 50), (6, 12), (11, 12), (19, 20), (24, 600)):
+        for seed in range(20):
+            digest.update(repr((d, n, seed, random_regular_graph(d, n, seed=seed).edges)).encode())
+    assert digest.hexdigest() == "22606b771b05314a85a707053a2204f98dc8c48bb1fb07e444bc1e9f631fe2ec"
