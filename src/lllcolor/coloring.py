@@ -22,13 +22,16 @@ colored a and a second color b, the subgraph of a- and b-colored edges has
 degree at most 2 at every vertex, so the walk leaving e's far endpoint
 along color b is deterministic: it either dies at a vertex missing the
 wanted color or returns to e's near endpoint along a b-edge, closing the
-unique (a,b)-bichromatic cycle through e.  The walks read the per-vertex
-color -> edge maps of one ``ColorState``, which every assignment keeps up
-to date.  A sweep over an edge set finds each cycle once, from its largest
-edge in the set: a walk stops at any larger edge of the set.  The full
-sweep builds the loop's incremental index (and serves the audit); a
-refresh sweeps only the recolored edges.  The verifier shares none of
-this: it checks that every 2-colored subgraph is a forest by union-find.
+unique (a,b)-bichromatic cycle through e; only a color b at both ends of
+e starts a walk.  The walks read the per-vertex color -> edge maps of one
+``ColorState``, which every assignment keeps up to date.  A sweep over an
+edge set finds each cycle once, from its largest edge in the set: a walk
+stops at any larger edge of the set.  The greedy pass walks from each edge
+right after coloring it, so it collects each cycle of its output from the
+cycle's largest edge, and those cycles seed the loop's incremental index;
+a refresh sweeps only the recolored edges.  The full sweep over every edge
+serves only the audit and the tests.  The verifier shares none of this:
+it checks that every 2-colored subgraph is a forest by union-find.
 """
 
 from __future__ import annotations
@@ -120,13 +123,15 @@ class ColorState:
         0..k-1 or taken at an endpoint."""
         if not (0 <= c < self.k):
             raise ContractError(f"color {c} outside the palette 0..{self.k - 1}")
-        ends = self.graph.edges[e]
-        for vertex in ends:
-            if self.at[vertex].get(c, e) != e:
+        u, v = self.graph.edges[e]
+        at_u, at_v = self.at[u], self.at[v]
+        for vertex, at in ((u, at_u), (v, at_v)):
+            if at.get(c, e) != e:
                 raise ContractError(f"improper coloring: color {c} repeats at vertex {vertex}")
-        for vertex in ends:
-            self.at[vertex].pop(self.colors[e], None)
-            self.at[vertex][c] = e
+        old = self.colors[e]
+        at_u.pop(old, None)
+        at_v.pop(old, None)
+        at_u[c] = at_v[c] = e
         self.colors[e] = c
 
 
@@ -193,17 +198,23 @@ def forbidden_colors(state: ColorState, e: int) -> set[int]:
     {x, y}.  The result has at most 2*(maxdeg - 1) members, else
     ContractError.
     """
-    graph = state.graph
-    if not (0 <= e < graph.m):
+    graph, colors = state.graph, state.colors
+    ends = graph.edges
+    if not (0 <= e < len(ends)):
         raise ContractError(f"edge index {e} out of range")
-    u, v = graph.edges[e]
+    u, v = ends[e]
     at_u, at_v = state.at[u], state.at[v]
-    own = {state.colors[e]}
-    forbidden = (at_u.keys() | at_v.keys()) - own
-    for c in (at_u.keys() & at_v.keys()) - own:
-        e3 = graph.edge_index(graph.other_end(at_u[c], u), graph.other_end(at_v[c], v))
-        if e3 is not None and state.colors[e3] is not None:
-            forbidden.add(state.colors[e3])
+    own = colors[e]
+    forbidden = at_u.keys() | at_v.keys()
+    forbidden.discard(own)
+    for c in at_u.keys() & at_v.keys():
+        if c == own:
+            continue
+        x1, x2 = ends[at_u[c]]
+        y1, y2 = ends[at_v[c]]
+        e3 = graph.edge_index(x2 if x1 == u else x1, y2 if y1 == v else y1)
+        if e3 is not None and colors[e3] is not None:
+            forbidden.add(colors[e3])
     if len(forbidden) > 2 * (graph.max_degree - 1):
         raise ContractError(f"forbidden set of {len(forbidden)} exceeds 2*(maxdeg-1) at edge {e}")
     return forbidden
@@ -232,43 +243,58 @@ def _assign(state: ColorState, e: int, rng: random.Random, audit: ColorAudit | N
         audit.check_local(state, e)
 
 
-def greedy_4acyclic(graph: Graph, k: int, rng: random.Random, audit: ColorAudit | None = None) -> ColorState:
+def greedy_4acyclic(
+    graph: Graph, k: int, rng: random.Random, audit: ColorAudit | None = None
+) -> tuple[ColorState, dict[tuple, Cycle]]:
     """Color edges in index order, uniformly among the non-forbidden colors.
 
     The output is proper with no bichromatic 4-cycle, and at least
     k - 2*(maxdeg - 1) colors were available at every single decision.
+    Returns the state and every bichromatic cycle of its coloring by key,
+    each collected from its largest edge e right after e is colored: every
+    colored edge is then at most e and no edge is ever recolored, so a walk
+    from e dies at an uncolored edge exactly where the full sweep's walk
+    stops at a larger edge, and both find the same cycles.
     """
     if k < 2 * graph.max_degree - 1:
         raise PaletteError(f"k={k} below the safety threshold {2 * graph.max_degree - 1}")
     state = ColorState(graph, k)
-    for e in range(graph.m):
+    cycles: dict[tuple, Cycle] = {}
+    every_edge = range(graph.m)
+    for e in every_edge:
         _assign(state, e, rng, audit)
-    return state
+        for cyc in _cycles_through_edge(state, e, every_edge):
+            cycles[cyc.key] = cyc
+    return state, cycles
 
 
 def _cycles_through_edge(state: ColorState, e: int, scanned: frozenset[int] | range) -> list[Cycle]:
     """The bichromatic cycles through edge e whose largest edge in ``scanned``
     is e, one per workable second color; e must be in ``scanned``.
 
-    A walk stops at the first edge f in ``scanned`` with f > e.  This finds
-    every bichromatic cycle C that meets ``scanned`` exactly once over a
-    sweep of ``scanned``: let e* be the largest edge of C in ``scanned``.
-    The walk from e* with C's second color goes around C and meets no larger
-    scanned edge, so it finds C.  A walk from any other scanned edge of C
-    with that color passes e* before it closes, so it stops there.
+    A second color b starts a walk only when it sits at both ends of e (the
+    cycle's first and last edges carry it).  A walk stops at the first edge
+    f in ``scanned`` with f > e, and at an uncolored edge, which carries no
+    color.  This finds every bichromatic cycle C that meets ``scanned``
+    exactly once over a sweep of ``scanned``: let e* be the largest edge of
+    C in ``scanned``.  The walk from e* with C's second color goes around C
+    and meets no larger scanned edge, so it finds C.  A walk from any other
+    scanned edge of C with that color passes e* before it closes, so it
+    stops there.  The greedy pass calls this on each edge as it is colored;
+    the full sweep over every edge serves only the audit and the tests.
     """
     graph, at, ends = state.graph, state.at, state.graph.edges
     u, v = ends[e]
     a = state.colors[e]
-    at_v = at[v]
+    at_u, at_v = at[u], at[v]
     out: list[Cycle] = []
     max_steps = 2 * graph.m + 4
-    for b, last in at[u].items():
-        if b == a or (last > e and last in scanned):
-            continue  # no second color, or the walk would stop at its last edge
-        first = at_v.get(b)
-        if first is None or (first > e and first in scanned):
-            continue  # no walk, or it would stop at its first edge
+    for b in at_u.keys() & at_v.keys():
+        if b == a:
+            continue  # e's own color is no second color
+        last, first = at_u[b], at_v[b]
+        if (last > e and last in scanned) or (first > e and first in scanned):
+            continue  # the walk would stop at its last or its first edge
         cur, want, other = v, b, a
         walk = [e]
         for _ in range(max_steps):
@@ -327,18 +353,20 @@ def _is_bichromatic(colors: list[int | None], cycle: Cycle) -> bool:
 class CycleIndex:
     """Incrementally maintained set of all current bichromatic cycles.
 
-    The full sweep builds it, each cycle once, from its largest edge.  A
-    cycle's status only changes when one of its edges is recolored, so
-    after recoloring an edge set it suffices to revalidate the stored
-    cycles touching it and to sweep those edges for new cycles, each found
-    from its largest recolored edge.  The walks read the state's own maps,
-    so nothing is rebuilt between refreshes.  It is the only detector of
+    It starts from ``cycles``, every bichromatic cycle of ``state`` by key:
+    in ``col_alg`` those the greedy pass collected, each from its largest
+    edge; the tests pass ``all_bichromatic_cycles(state)``.  A cycle's
+    status only changes when one of its edges is recolored, so after
+    recoloring an edge set it suffices to revalidate the stored cycles
+    touching it and to sweep those edges for new cycles, each found from
+    its largest recolored edge.  The walks read the state's own maps, so
+    nothing is rebuilt between refreshes.  It is the only detector of
     ``col_alg``; the tests hold it against full rescans.
     """
 
-    def __init__(self, state: ColorState):
+    def __init__(self, state: ColorState, cycles: dict[tuple, Cycle]):
         self.state = state
-        self.cycles: dict[tuple, Cycle] = all_bichromatic_cycles(state)
+        self.cycles = cycles
 
     def refresh_after(self, dirty: frozenset[int]) -> None:
         for key in [k for k, c in self.cycles.items() if c.edge_set & dirty]:
@@ -396,9 +424,9 @@ def col_alg(
     rng = random.Random(seed)
     audit_obj = ColorAudit() if audit else None
 
-    state = greedy_4acyclic(graph, k, rng, audit_obj)
+    state, cycles = greedy_4acyclic(graph, k, rng, audit_obj)
     limit = default_step_limit(graph.m) if step_limit is None else step_limit
-    index = CycleIndex(state)
+    index = CycleIndex(state, cycles)
 
     def recolor(cycle: Cycle) -> None:
         for e in sorted(cycle.edges):

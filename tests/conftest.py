@@ -128,7 +128,7 @@ def reference_col_alg(
     """
     rng = random.Random(seed)
     audit_obj = ColorAudit() if audit else None
-    state = greedy_4acyclic(graph, k, rng, audit_obj)
+    state, _ = greedy_4acyclic(graph, k, rng, audit_obj)
     limit = default_step_limit(graph.m) if step_limit is None else step_limit
     steps = 0
     phases = 0

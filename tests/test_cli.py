@@ -469,3 +469,60 @@ def test_commands_import_only_what_they_run(tmp_path):
     assert seen["sat"] == ["lllcolor", "lllcolor.cli", "lllcolor.dimacs", "lllcolor.engine"]
     assert not {m for m in seen["bench"] if not m.startswith("lllcolor")}
     assert "lllcolor.coloring" in seen["bench"]
+
+
+# -- golden bytes ----------------------------------------------------------------
+
+# (argv, exit code, sha256 of stdout), run in order in one directory; each
+# `color` row's stdout is saved as <graph stem>.json for the `verify` row
+# after it.  A change that alters output bytes on purpose updates its rows.
+GOLDEN = [
+    (("color", "petersen.edges", "--k", "5", "--seed", "6"), 0,
+     "47e09f2cf8560e30a2097941f4cabd63a0fe7f18a1913dd199325d34d55ac58f"),
+    (("verify", "petersen.edges", "petersen.json"), 0,
+     "754c936b0c4155177946508cdee105067352ed7ef2f10d47e2b812ce8b20bd9a"),
+    (("color", "c101.edges", "--seed", "5"), 0,
+     "dbca2cd063158715104253af496eeee05e31755d9779fda306f5499240932978"),
+    (("verify", "c101.edges", "c101.json"), 0,
+     "db4c724b0179da189f87afa1a0acc0ef9971ca9b79505ff81391c2ba4c1e3682"),
+    (("color", "gnp.edges", "--seed", "7"), 0,
+     "180b6f0bb3efeb33facc2a453fc472ecc645e62ce683e7465b426bc40da99a51"),
+    (("verify", "gnp.edges", "gnp.json"), 0,
+     "8076746100383c6a88cf7ea42862b23742461bbf44e175d3ed69d1a58d986b15"),
+    (("sat", "chain.cnf", "--seed", "11"), 0,
+     "6d674ac778fe167eb01ca8336c6a44b18f59f1e38239562ae8b5364a4f5fca2f"),
+    (("bounds", "--p", "1/8", "--delta", "3", "--n", "70"), 0,
+     "05ad4fb685c35b6f6b0649ed1a53bd89be0482516357fe61b81422b6d843a4b4"),
+    (("gamma", "--table", "5", "120", "--delta", "11"), 0,
+     "8ed52f04074c26a22d6eb853c502c95008504260f9c2077c4fd4a5b06c6d8840"),
+    (("bench", "--generator", "random-regular:19,20", "--k", "37", "--runs", "40", "--seed-base", "7",
+      "--jobs", "1"), 0,
+     "21622d3d97e298d89f466cd61400377640d829b1917145c993faf82e924c40e7"),
+    (("bench", "--generator", "cycle:7", "--seed-base", "1"), 0,
+     "6b945524950708c5d33670f52e8bf3f0a89bae0dd4481a0d1b8adc3ebc37ae3c"),
+    (("dice", "--trials", "1000", "--seed", "1"), 0,
+     "3f5a148057657c6e1e93a0b4b776651b7739b2a42b80c2a204569a9d97e2ee39"),
+]
+
+
+def test_every_command_keeps_its_bytes(capsys, tmp_path, monkeypatch):
+    import hashlib
+    import random
+
+    from conftest import chain_3sat
+    from lllcolor.graphs import gnp_graph, petersen_graph
+
+    monkeypatch.chdir(tmp_path)
+    Path("petersen.edges").write_text(petersen_graph().to_edge_list())
+    Path("c101.edges").write_text(cycle_graph(101).to_edge_list())
+    Path("gnp.edges").write_text(gnp_graph(40, 0.15, seed=5).to_edge_list())
+    n_vars, clauses = chain_3sat(60, random.Random(1))
+    body = "".join(" ".join(map(str, c)) + " 0\n" for c in clauses)
+    Path("chain.cnf").write_text(f"p cnf {n_vars} {len(clauses)}\n{body}")
+    got = {}
+    for argv, _, _ in GOLDEN:
+        code, out = run_cli(capsys, *argv)
+        if argv[0] == "color":
+            Path(argv[1]).with_suffix(".json").write_text(out)
+        got[argv] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == {argv: (code, digest) for argv, code, digest in GOLDEN}

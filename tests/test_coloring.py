@@ -20,7 +20,7 @@ from lllcolor.coloring import (
     verify_acyclic,
 )
 from lllcolor.engine import ContractError
-from lllcolor.graphs import Graph, complete_graph, cycle_graph, path_graph, petersen_graph, star_graph
+from lllcolor.graphs import Graph, complete_graph, cycle_graph, gnp_graph, path_graph, petersen_graph, star_graph
 
 from conftest import (
     brute_bichromatic_keys,
@@ -144,7 +144,7 @@ def test_assign_outside_palette_raises():
 def test_greedy_tree_minimum_palette():
     for seed in range(50):
         g = star_graph(4)
-        state = greedy_4acyclic(g, 2 * g.max_degree - 1, random.Random(seed))
+        state, _ = greedy_4acyclic(g, 2 * g.max_degree - 1, random.Random(seed))
         verdict = verify_acyclic(g, state.k, state.colors)
         assert verdict.proper and verdict.acyclic
 
@@ -152,7 +152,7 @@ def test_greedy_tree_minimum_palette():
 def test_greedy_square_never_bichromatic():
     g = cycle_graph(4)
     for seed in range(200):
-        state = greedy_4acyclic(g, 3, random.Random(seed))
+        state, _ = greedy_4acyclic(g, 3, random.Random(seed))
         verdict = verify_acyclic(g, 3, state.colors)
         assert verdict.proper and verdict.acyclic
 
@@ -161,7 +161,7 @@ def test_greedy_k5():
     # K5's even cycles all have length 4, so greedy output is fully acyclic
     g = complete_graph(5)
     for seed in range(10**3):
-        state = greedy_4acyclic(g, 2 * g.max_degree - 1, random.Random(seed))
+        state, _ = greedy_4acyclic(g, 2 * g.max_degree - 1, random.Random(seed))
         verdict = verify_acyclic(g, state.k, state.colors)
         assert verdict.proper and verdict.acyclic
 
@@ -180,7 +180,7 @@ def test_greedy_bichromatic_frequency_bound():
     n = 30_000
     hits = 0
     for seed in range(n):
-        state = greedy_4acyclic(g, 5, random.Random(seed))
+        state, _ = greedy_4acyclic(g, 5, random.Random(seed))
         if len(set(state.colors)) == 2:
             hits += 1
     freq = hits / n
@@ -232,7 +232,7 @@ def test_detector_matches_brute_force_oracle():
     for g in cases:
         for _ in range(30):
             k = 2 * g.max_degree - 1 + rng.randrange(3)
-            state = greedy_4acyclic(g, k, random.Random(rng.randrange(2**30)))
+            state, _ = greedy_4acyclic(g, k, random.Random(rng.randrange(2**30)))
             walk_keys = set(all_bichromatic_cycles(state))
             assert walk_keys == brute_bichromatic_keys(g, state.colors)
 
@@ -268,7 +268,7 @@ def test_full_sweep_builds_each_cycle_once(monkeypatch):
             super().__init__(edges)
 
     monkeypatch.setattr(coloring, "Cycle", CountingCycle)
-    states = [greedy_4acyclic(complete_graph(20), 37, random.Random(seed)) for seed in range(20)]
+    states = [greedy_4acyclic(complete_graph(20), 37, random.Random(seed))[0] for seed in range(20)]
     states += [colored(cycle_graph(6), 3, [0, 1] * 3), colored(cycle_graph(8), 3, [0, 1] * 4)]
     total = 0
     for state in states:
@@ -279,12 +279,60 @@ def test_full_sweep_builds_each_cycle_once(monkeypatch):
     assert total >= 20, total
 
 
+def test_greedy_collects_exactly_the_full_sweep():
+    # the cycles the greedy pass collects, each from its largest edge as that
+    # edge is colored, are all bichromatic cycles of its final coloring
+    rng = random.Random(12)
+    corpus = [(g, 2 * g.max_degree - 1, range(30)) for g in brute_force_graphs()]
+    corpus += [(complete_graph(20), 37, range(100)), (petersen_graph(), 5, range(100))]
+    for n, p in ((12, 0.4), (20, 0.25), (30, 0.15), (40, 0.1)):
+        for _ in range(5):
+            g = gnp_graph(n, p, seed=rng.randrange(2**30))
+            if g.max_degree:
+                corpus.append((g, 2 * g.max_degree - 1, range(10)))
+    runs = cyclic = 0
+    for g, k, seeds in corpus:
+        for seed in seeds:
+            state, cycles = greedy_4acyclic(g, k, random.Random(seed))
+            assert cycles == all_bichromatic_cycles(state)
+            runs += 1
+            cyclic += bool(cycles)
+    assert runs >= 600 and cyclic >= 100, (runs, cyclic)
+
+
+def test_col_alg_walks_once_per_decision(monkeypatch):
+    # without the audit no full sweep runs: the greedy pass walks from each
+    # edge once and each refresh from each recolored edge once, so the walk
+    # calls equal the decisions, m + the summed recolored cycle lengths
+    calls = 0
+    walk = coloring._cycles_through_edge
+
+    def counting(state, e, scanned):
+        nonlocal calls
+        calls += 1
+        return walk(state, e, scanned)
+
+    def no_sweep(state):
+        raise AssertionError("col_alg ran a full sweep")
+
+    monkeypatch.setattr(coloring, "_cycles_through_edge", counting)
+    monkeypatch.setattr(coloring, "all_bichromatic_cycles", no_sweep)
+    steps = 0
+    for g, k in ((complete_graph(20), 37), (petersen_graph(), 5)):
+        for seed in range(40):
+            calls = 0
+            _, stats = col_alg(g, k, seed=seed)
+            assert calls == g.m + sum(stats.cycle_lengths)
+            steps += stats.steps
+    assert steps == 149, steps
+
+
 def test_cycle_index_matches_rescan_after_updates():
     g = two_hex_graph()
     rng = random.Random(5)
     for seed in range(40):
-        state = greedy_4acyclic(g, 4, random.Random(seed))
-        index = CycleIndex(state)
+        state, cycles = greedy_4acyclic(g, 4, random.Random(seed))
+        index = CycleIndex(state, cycles)
         for _ in range(6):
             e = rng.randrange(g.m)
             safe = [c for c in range(state.k) if c not in forbidden_colors(state, e)]
@@ -317,7 +365,7 @@ def test_cycle_index_matches_rescan_after_multi_edge_refresh():
             if colors is None:
                 continue
             state = colored(g, k, colors)
-            index = CycleIndex(state)
+            index = CycleIndex(state, all_bichromatic_cycles(state))
             for _ in range(8):
                 if index.cycles and rng.random() < 0.5:
                     dirty = rng.choice(list(index.cycles.values())).edge_set
