@@ -20,7 +20,6 @@ _EXPORTS = {
         "lll_condition",
         "phase_bound",
         "q_closed_form",
-        "q_recurrence",
         "q_series",
     ),
     "coloring": (
@@ -64,7 +63,6 @@ _EXPORTS = {
         "min_gamma_for_girth",
         "phi",
         "phi_prime",
-        "q_coloring_recurrence",
         "q_coloring_series",
         "series_fixed_point",
         "solve_tau",

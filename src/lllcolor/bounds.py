@@ -87,12 +87,6 @@ def q_series(params: BoundParams, n_max: int) -> list[Fraction]:
     return [params.p**n * r_n for n, r_n in enumerate(r)]
 
 
-def q_recurrence(params: BoundParams, n: int) -> Fraction:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return q_series(params, n)[n]
-
-
 def q_closed_form(params: BoundParams, n: int) -> Fraction:
     """Q_n = p^n * C(delta*n, n) / ((delta-1)*n + 1), exactly."""
     if n < 0:

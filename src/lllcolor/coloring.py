@@ -30,16 +30,16 @@ stops at any larger edge of the set.  The greedy pass walks from each edge
 right after coloring it, so it collects each cycle of its output from the
 cycle's largest edge, and those cycles seed the loop's incremental index;
 a refresh sweeps only the recolored edges.  The full sweep over every edge
-serves only the audit and the tests.  The verifier shares none of this:
+serves only the tests.  The verifier shares none of this:
 it checks that every 2-colored subgraph is a forest by union-find.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .engine import ContractError, RunStats, build_witness_forest, check_feasible, default_step_limit, resample_loop
+from .engine import ContractError, RunStats, default_step_limit, resample_loop
 from .graphs import Graph
 
 
@@ -81,15 +81,6 @@ class Cycle:
         if len(set(verts)) != len(verts):
             raise ContractError("cycle visits a vertex twice")
         return cls(edges)
-
-    def vertices(self, graph: Graph) -> list[int]:
-        out = []
-        prev = set(graph.edges[self.edges[-1]])
-        for idx in self.edges:
-            here = set(graph.edges[idx])
-            out.append((prev & here).pop())
-            prev = here
-        return out
 
     def __eq__(self, other):
         return isinstance(other, Cycle) and self.key == other.key
@@ -135,60 +126,6 @@ class ColorState:
         self.colors[e] = c
 
 
-@dataclass
-class ColorAudit:
-    """Instrumentation of a coloring run: every color decision is checked
-    against the safety bounds, every assignment against local properness
-    and 4-acyclicity, every root recoloring against the no-regression rule
-    for edges outside all bichromatic cycles, and the run's recursion
-    forest against feasibility, with a cycle's edges as its scope."""
-
-    decisions: int = 0
-    max_forbidden: int = 0
-    min_available: int | None = None
-    local_violations: list[str] = field(default_factory=list)
-    progress_violations: list[str] = field(default_factory=list)
-    forest_violations: list[str] = field(default_factory=list)
-
-    def record_decision(self, n_forbidden: int, n_available: int) -> None:
-        self.decisions += 1
-        self.max_forbidden = max(self.max_forbidden, n_forbidden)
-        if self.min_available is None or n_available < self.min_available:
-            self.min_available = n_available
-
-    def check_local(self, state: ColorState, e: int) -> None:
-        graph, colors = state.graph, state.colors
-        c = colors[e]
-        u, v = graph.edges[e]
-        for vertex in (u, v):
-            for _, idx in graph.adj[vertex]:
-                if idx != e and colors[idx] == c:
-                    self.local_violations.append(f"edge {e}: color {c} repeats at vertex {vertex}")
-        for x, e1 in graph.adj[u]:
-            c1 = colors[e1]
-            if e1 == e or c1 is None:
-                continue
-            for y, e2 in graph.adj[v]:
-                if e2 == e or x == y or colors[e2] != c1:
-                    continue
-                e3 = graph.edge_index(x, y)
-                if e3 is not None and colors[e3] == c:
-                    self.local_violations.append(f"edge {e}: bichromatic 4-cycle via edges {e1},{e3},{e2}")
-
-    def record_progress(self, before: frozenset[int], after: frozenset[int]) -> None:
-        leaked = after - before
-        if leaked:
-            self.progress_violations.append(f"edges {sorted(leaked)} entered a bichromatic cycle across a root call")
-
-    def record_forest(self, trace: list[tuple[tuple, int]]) -> None:
-        if not check_feasible(build_witness_forest(trace), lambda key: key[1]):
-            self.forest_violations.append(f"the witness forest of {len(trace)} recolor calls is not feasible")
-
-    @property
-    def clean(self) -> bool:
-        return not (self.local_violations or self.progress_violations or self.forest_violations)
-
-
 def forbidden_colors(state: ColorState, e: int) -> set[int]:
     """Colors that would break properness or close a bichromatic 4-cycle at e.
 
@@ -220,7 +157,7 @@ def forbidden_colors(state: ColorState, e: int) -> set[int]:
     return forbidden
 
 
-def _assign(state: ColorState, e: int, rng: random.Random, audit: ColorAudit | None) -> None:
+def _assign(state: ColorState, e: int, rng: random.Random) -> None:
     """Color e uniformly among the colors not forbidden there.
 
     The draw picks an index into the free colors in increasing order, as
@@ -238,14 +175,9 @@ def _assign(state: ColorState, e: int, rng: random.Random, audit: ColorAudit | N
             break
         c += 1
     state.assign(e, c)
-    if audit is not None:
-        audit.record_decision(len(forb), n_free)
-        audit.check_local(state, e)
 
 
-def greedy_4acyclic(
-    graph: Graph, k: int, rng: random.Random, audit: ColorAudit | None = None
-) -> tuple[ColorState, dict[tuple, Cycle]]:
+def greedy_4acyclic(graph: Graph, k: int, rng: random.Random) -> tuple[ColorState, dict[tuple, Cycle]]:
     """Color edges in index order, uniformly among the non-forbidden colors.
 
     The output is proper with no bichromatic 4-cycle, and at least
@@ -262,7 +194,7 @@ def greedy_4acyclic(
     cycles: dict[tuple, Cycle] = {}
     every_edge = range(graph.m)
     for e in every_edge:
-        _assign(state, e, rng, audit)
+        _assign(state, e, rng)
         for cyc in _cycles_through_edge(state, e, every_edge):
             cycles[cyc.key] = cyc
     return state, cycles
@@ -281,7 +213,7 @@ def _cycles_through_edge(state: ColorState, e: int, scanned: frozenset[int] | ra
     and meets no larger scanned edge, so it finds C.  A walk from any other
     scanned edge of C with that color passes e* before it closes, so it
     stops there.  The greedy pass calls this on each edge as it is colored;
-    the full sweep over every edge serves only the audit and the tests.
+    the full sweep over every edge serves only the tests.
     """
     graph, at, ends = state.graph, state.at, state.graph.edges
     u, v = ends[e]
@@ -338,14 +270,6 @@ def find_bichromatic_cycle(state: ColorState, restrict: frozenset[int] | None = 
     return min(pool) if pool else None
 
 
-def bichromatic_edge_set(state: ColorState) -> frozenset[int]:
-    """Union of the edge sets of all bichromatic cycles."""
-    out: set[int] = set()
-    for cyc in all_bichromatic_cycles(state).values():
-        out |= cyc.edge_set
-    return frozenset(out)
-
-
 def _is_bichromatic(colors: list[int | None], cycle: Cycle) -> bool:
     return len({colors[e] for e in cycle.edges}) == 2
 
@@ -381,13 +305,9 @@ class CycleIndex:
         return min(pool) if pool else None
 
 
-@dataclass
 class ColorRunStats(RunStats):
     """A coloring run's ``RunStats``: steps are recolor calls, phases are
-    root calls, and ``trace`` holds (cycle key, depth) per call.  Pass
-    ``audit`` by keyword: the seventh field is ``phase_snapshots``."""
-
-    audit: ColorAudit | None = None
+    root calls, and ``trace`` holds (cycle key, depth) per call."""
 
     @property
     def cycle_lengths(self) -> list[int]:
@@ -403,7 +323,6 @@ def col_alg(
     k: int,
     seed: int | None = None,
     step_limit: int | None = None,
-    audit: bool = False,
 ) -> tuple[ColorState, ColorRunStats]:
     """Greedy pass, then resample bichromatic cycles until none remains.
 
@@ -422,31 +341,19 @@ def col_alg(
     if seed is None:
         seed = random.SystemRandom().randrange(2**32)
     rng = random.Random(seed)
-    audit_obj = ColorAudit() if audit else None
 
-    state, cycles = greedy_4acyclic(graph, k, rng, audit_obj)
+    state, cycles = greedy_4acyclic(graph, k, rng)
     limit = default_step_limit(graph.m) if step_limit is None else step_limit
     index = CycleIndex(state, cycles)
 
     def recolor(cycle: Cycle) -> None:
         for e in sorted(cycle.edges):
-            _assign(state, e, rng, audit_obj)
+            _assign(state, e, rng)
         index.refresh_after(cycle.edge_set)
 
-    seen: list[frozenset[int]] = []
-
-    def next_root() -> Cycle | None:
-        if audit:
-            seen.append(bichromatic_edge_set(state))
-        return index.least()
-
-    phases, trace, terminated = resample_loop(next_root, lambda top: index.least(top.edge_set), recolor, limit)
+    phases, trace, terminated = resample_loop(index.least, lambda top: index.least(top.edge_set), recolor, limit)
     trace = [(cycle.key, depth) for cycle, depth in trace]
-    if audit:
-        for before, after in zip(seen, seen[1:]):
-            audit_obj.record_progress(before, after)
-        audit_obj.record_forest(trace)
-    return state, ColorRunStats(len(trace), phases, trace, terminated, seed, limit, audit=audit_obj)
+    return state, ColorRunStats(len(trace), phases, trace, terminated, seed, limit)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ with bichromatic cycles in the role of events.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -137,9 +136,6 @@ class EventSystem:
     def m(self) -> int:
         return len(self.events)
 
-    def neighborhood(self, j: int) -> tuple[int, ...]:
-        return self.neighborhoods[j]
-
     def first_occurring(self, values: Sequence, candidates: Sequence[int] | None = None) -> int | None:
         """Least-indexed occurring event, or None.  Plain linear scan.
 
@@ -151,13 +147,6 @@ class EventSystem:
             if self.events[j].occurs(values):
                 return j
         return None
-
-    def occurring_scope_union(self, values: Sequence) -> frozenset[int]:
-        out: set[int] = set()
-        for ev in self.events:
-            if ev.occurs(values):
-                out.update(ev.scope)
-        return frozenset(out)
 
     def estimate_p(self, rng: random.Random, samples: int = 2000) -> tuple[float, float]:
         """Monte-Carlo bound on the max event probability under fresh sampling.
@@ -234,8 +223,6 @@ class RunStats:
 
     ``trace`` lists every resample call as (label, depth), depth 0 being a
     root call from the main loop; it reconstructs the exact call structure.
-    ``phase_snapshots``, when requested, holds the union of occurring-event
-    scopes before and after each completed root call.
     """
 
     steps: int
@@ -244,7 +231,6 @@ class RunStats:
     terminated: bool
     seed: int
     step_limit: int
-    phase_snapshots: list[tuple[frozenset, frozenset]] | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -254,15 +240,11 @@ class RunStats:
             "trace": [[j, d] for j, d in self.trace],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def m_algorithm(
     system: EventSystem,
     seed: int | None = None,
     step_limit: int | None = None,
-    snapshot_progress: bool = False,
 ) -> tuple[list, RunStats]:
     """Run the resampling loop until no event occurs or the step guard trips.
 
@@ -287,10 +269,6 @@ def m_algorithm(
     ``Event.occurs`` at most m + Δ·steps times.  Evaluation draws no
     randomness, so the run is the one a linear scan for the least occurring
     event would produce.
-
-    With ``snapshot_progress``, each root choice first takes the union of
-    occurring scopes; consecutive snapshots are the before and after of
-    each completed root call.
     """
     if step_limit is not None and step_limit < 0:
         raise ContractError(f"step_limit must be >= 0, got {step_limit}")
@@ -314,24 +292,15 @@ def m_algorithm(
         for i in neighborhoods[k]:
             occ[i] = None
 
-    seen: list[frozenset[int]] = []
-
-    def next_root() -> int | None:
-        if snapshot_progress:
-            seen.append(system.occurring_scope_union(values))
-        return next((r for r in roots if occurring(r)), None)
-
     phases, trace, terminated = resample_loop(
-        next_root,
+        lambda: next((r for r in roots if occurring(r)), None),
         lambda top: next((i for i in neighborhoods[top] if occurring(i)), None),
         resample,
         limit,
     )
     if terminated and phases > system.m:
         raise ContractError(f"{phases} phases for {system.m} events on a terminated run")
-    snapshots = list(zip(seen, seen[1:])) if snapshot_progress else None
-    stats = RunStats(len(trace), phases, trace, terminated, seed, limit, snapshots)
-    return values, stats
+    return values, RunStats(len(trace), phases, trace, terminated, seed, limit)
 
 
 @dataclass

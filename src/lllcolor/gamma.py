@@ -273,10 +273,6 @@ def q_coloring_series(gamma: float, r: float, n_max: int) -> list[float]:
     return series
 
 
-def q_coloring_recurrence(gamma: float, r: float, n: int) -> float:
-    return q_coloring_series(gamma, r, n)[n]
-
-
 def _series_inverse(a: list[float], cap: int) -> list[float]:
     if a[0] == 0.0:
         raise ValueError("series with zero constant term has no inverse")

@@ -56,14 +56,18 @@ class Graph:
         a shortest cycle meets one of exactly the girth's length.  The
         search does only the work the answer needs:
 
+        - Peeling: a vertex of degree < 2 lies on no cycle, so the graph
+          is first peeled to its 2-core, and after the search from s, s
+          is deleted and what that leaves is peeled.  Every walk a later
+          search meets lies in a subgraph, so it is still at least the
+          girth; and no vertex of a shortest cycle C is peeled before the
+          first start on C, so that search runs on a graph holding all of
+          C and meets |C|.
         - Depth cutoff: level d is not expanded once 2d+1 >= best.
           Expanding level d yields walks of length 2d+1 or 2d+2 (a walk
           of 2d to level d-1 was seen while level d-1 was expanded), and
           every walk is at least the girth, so no later level beats best.
         - The sweep stops once best == 3, the least possible girth.
-        - A search that runs out of vertices without meeting a non-tree
-          edge has covered a tree component; no search starts from its
-          vertices again.
         - `dist` and `via` are allocated once; after each search only
           the entries it touched are reset, so a search costs its ball.
         """
@@ -72,43 +76,54 @@ class Graph:
         adj = self.adj
         dist = [-1] * self.n_vertices
         via = [-1] * self.n_vertices  # edge index used to reach the vertex
-        in_tree = [False] * self.n_vertices
+        alive = [True] * self.n_vertices
+        degree = list(self.degrees)  # among alive vertices
+
+        def peel(doomed: list[int]) -> None:
+            while doomed:
+                v = doomed.pop()
+                if not alive[v]:
+                    continue
+                alive[v] = False
+                for w, _ in adj[v]:
+                    if alive[w]:
+                        degree[w] -= 1
+                        if degree[w] == 1:
+                            doomed.append(w)
+
+        peel([v for v in range(self.n_vertices) if degree[v] < 2])
         best: int | None = None
         for s in range(self.n_vertices):
-            if best == 3:
-                break
-            if in_tree[s]:
+            if not alive[s]:
                 continue
             dist[s] = 0
             touched = [s]
             level = [s]
             depth = 0
-            closed = False  # met a non-tree edge
             while level and (best is None or 2 * depth + 1 < best):
                 nxt = []
                 for u in level:
                     parent_edge = via[u]
                     for w, eidx in adj[u]:
-                        if eidx == parent_edge:
+                        if eidx == parent_edge or not alive[w]:
                             continue
                         if dist[w] == -1:
                             dist[w] = depth + 1
                             via[w] = eidx
                             nxt.append(w)
                         else:
-                            closed = True
                             cand = depth + dist[w] + 1
                             if best is None or cand < best:
                                 best = cand
                 touched += nxt
                 level = nxt
                 depth += 1
-            if not closed and not level:
-                for v in touched:
-                    in_tree[v] = True
             for v in touched:
                 dist[v] = -1
                 via[v] = -1
+            if best == 3:
+                break
+            peel([s])
         self._girth = best
         return best
 

@@ -1,24 +1,36 @@
-"""Shared builders: small event systems, graphs, brute-force oracles."""
+"""Shared builders: small event systems, graphs, brute-force oracles, and
+the observers that audit production runs from outside."""
 
 from __future__ import annotations
 
+import contextlib
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
 
+from lllcolor import coloring, engine
 from lllcolor.bounds import BoundParams
 from lllcolor.coloring import (
-    ColorAudit,
     ColorRunStats,
     ColorState,
     _assign,
-    bichromatic_edge_set,
+    all_bichromatic_cycles,
     find_bichromatic_cycle,
     forbidden_colors,
     greedy_4acyclic,
 )
-from lllcolor.engine import Event, EventSystem, RunStats, VariableSpace, default_step_limit, sample_all
+from lllcolor.engine import (
+    Event,
+    EventSystem,
+    RunStats,
+    VariableSpace,
+    build_witness_forest,
+    check_feasible,
+    default_step_limit,
+    sample_all,
+)
 from lllcolor.graphs import Graph
 
 
@@ -54,12 +66,7 @@ def random_truth_table_system(rng: random.Random, n_vars: int = 6, n_events: int
     return EventSystem(space, events)
 
 
-def reference_m_algorithm(
-    system: EventSystem,
-    seed: int,
-    step_limit: int | None = None,
-    snapshot_progress: bool = False,
-) -> tuple[list, RunStats]:
+def reference_m_algorithm(system: EventSystem, seed: int, step_limit: int | None = None) -> tuple[list, RunStats]:
     """The resampling loop by linear scans: the oracle for ``m_algorithm``.
 
     Every root choice scans all events from id 0 with ``first_occurring``
@@ -78,7 +85,6 @@ def reference_m_algorithm(
     steps = 0
     phases = 0
     trace: list[tuple[int, int]] = []
-    snapshots: list[tuple[frozenset, frozenset]] | None = [] if snapshot_progress else None
     aborted = False
 
     while not aborted:
@@ -88,14 +94,13 @@ def reference_m_algorithm(
         if steps >= limit:
             aborted = True
             break
-        before = system.occurring_scope_union(values) if snapshot_progress else None
         phases += 1
         stack = [j]
         steps += 1
         trace.append((j, 0))
         resample(j)
         while stack:
-            k = system.first_occurring(values, candidates=system.neighborhood(stack[-1]))
+            k = system.first_occurring(values, candidates=system.neighborhoods[stack[-1]])
             if k is None:
                 stack.pop()
                 continue
@@ -106,29 +111,22 @@ def reference_m_algorithm(
             steps += 1
             trace.append((k, len(stack) - 1))
             resample(k)
-        if snapshot_progress and not aborted:
-            snapshots.append((before, system.occurring_scope_union(values)))
 
-    return values, RunStats(steps, phases, trace, not aborted, seed, limit, snapshots)
+    return values, RunStats(steps, phases, trace, not aborted, seed, limit)
 
 
 def reference_col_alg(
-    graph: Graph,
-    k: int,
-    seed: int,
-    step_limit: int | None = None,
-    audit: bool = False,
+    graph: Graph, k: int, seed: int, step_limit: int | None = None
 ) -> tuple[ColorState, ColorRunStats]:
     """The cycle-resampling loop by full rescans: the oracle for ``col_alg``.
 
     Every root choice and every child choice sweeps all bichromatic cycles
     with ``find_bichromatic_cycle``, so no cycle index is kept between
-    choices.  Must give the same coloring and ColorRunStats (trace, audit
+    choices.  Must give the same coloring and ColorRunStats (trace
     included) as ``col_alg`` for every graph, palette, seed and limit.
     """
     rng = random.Random(seed)
-    audit_obj = ColorAudit() if audit else None
-    state, _ = greedy_4acyclic(graph, k, rng, audit_obj)
+    state, _ = greedy_4acyclic(graph, k, rng)
     limit = default_step_limit(graph.m) if step_limit is None else step_limit
     steps = 0
     phases = 0
@@ -142,7 +140,7 @@ def reference_col_alg(
         steps += 1
         trace.append((cycle.key, depth))
         for e in sorted(cycle.edges):
-            _assign(state, e, rng, audit_obj)
+            _assign(state, e, rng)
         return True
 
     while not aborted:
@@ -152,7 +150,6 @@ def reference_col_alg(
         if steps >= limit:
             aborted = True
             break
-        before = bichromatic_edge_set(state) if audit_obj else None
         phases += 1
         if not recolor(root, 0):
             aborted = True
@@ -167,12 +164,8 @@ def reference_col_alg(
                 aborted = True
                 break
             stack.append(nxt)
-        if audit_obj is not None and not aborted:
-            audit_obj.record_progress(before, bichromatic_edge_set(state))
-    if audit_obj is not None:
-        audit_obj.record_forest(trace)
 
-    return state, ColorRunStats(steps, phases, trace, not aborted, seed, limit, audit=audit_obj)
+    return state, ColorRunStats(steps, phases, trace, not aborted, seed, limit)
 
 
 def reference_forbidden_colors(graph: Graph, colors: list[int | None], e: int) -> set[int]:
@@ -203,15 +196,179 @@ def reference_forbidden_colors(graph: Graph, colors: list[int | None], e: int) -
     return forbidden
 
 
-def reference_assign(state: ColorState, e: int, rng: random.Random, audit: ColorAudit | None) -> None:
+def reference_assign(state: ColorState, e: int, rng: random.Random) -> None:
     """``rng.choice`` over the list of free colors: the oracle for the
     library's ``_assign``, which draws an index without building the list."""
     forb = forbidden_colors(state, e)
-    available = [c for c in range(state.k) if c not in forb]
-    state.assign(e, rng.choice(available))
-    if audit is not None:
-        audit.record_decision(len(forb), len(available))
-        audit.check_local(state, e)
+    state.assign(e, rng.choice([c for c in range(state.k) if c not in forb]))
+
+
+# -- run audits, taken from outside the production loops -----------------------
+
+@dataclass
+class ColorAudit:
+    """What an audited coloring run saw: every color decision checked
+    against the safety bounds, every assignment against local properness
+    and 4-acyclicity, every root recoloring against the no-regression rule
+    for edges outside all bichromatic cycles, and the run's recursion
+    forest against feasibility, with a cycle's edges as its scope."""
+
+    decisions: int = 0
+    max_forbidden: int = 0
+    min_available: int | None = None
+    local_violations: list[str] = field(default_factory=list)
+    progress_violations: list[str] = field(default_factory=list)
+    forest_violations: list[str] = field(default_factory=list)
+
+    def record_decision(self, n_forbidden: int, n_available: int) -> None:
+        self.decisions += 1
+        self.max_forbidden = max(self.max_forbidden, n_forbidden)
+        if self.min_available is None or n_available < self.min_available:
+            self.min_available = n_available
+
+    def check_local(self, state: ColorState, e: int) -> None:
+        graph, colors = state.graph, state.colors
+        c = colors[e]
+        u, v = graph.edges[e]
+        for vertex in (u, v):
+            for _, idx in graph.adj[vertex]:
+                if idx != e and colors[idx] == c:
+                    self.local_violations.append(f"edge {e}: color {c} repeats at vertex {vertex}")
+        for x, e1 in graph.adj[u]:
+            c1 = colors[e1]
+            if e1 == e or c1 is None:
+                continue
+            for y, e2 in graph.adj[v]:
+                if e2 == e or x == y or colors[e2] != c1:
+                    continue
+                e3 = graph.edge_index(x, y)
+                if e3 is not None and colors[e3] == c:
+                    self.local_violations.append(f"edge {e}: bichromatic 4-cycle via edges {e1},{e3},{e2}")
+
+    def record_progress(self, before: frozenset[int], after: frozenset[int]) -> None:
+        leaked = after - before
+        if leaked:
+            self.progress_violations.append(f"edges {sorted(leaked)} entered a bichromatic cycle across a root call")
+
+    def record_forest(self, trace: list[tuple[tuple, int]]) -> None:
+        if not check_feasible(build_witness_forest(trace), lambda key: key[1]):
+            self.forest_violations.append(f"the witness forest of {len(trace)} recolor calls is not feasible")
+
+    @property
+    def clean(self) -> bool:
+        return not (self.local_violations or self.progress_violations or self.forest_violations)
+
+
+def bichromatic_edge_set(state: ColorState) -> frozenset[int]:
+    """Union of the edge sets of all bichromatic cycles."""
+    out: set[int] = set()
+    for cyc in all_bichromatic_cycles(state).values():
+        out |= cyc.edge_set
+    return frozenset(out)
+
+
+def occurring_scope_union(system: EventSystem, values) -> frozenset[int]:
+    """Union of the scopes of the events occurring under ``values``."""
+    out: set[int] = set()
+    for ev in system.events:
+        if ev.occurs(values):
+            out.update(ev.scope)
+    return frozenset(out)
+
+
+@contextlib.contextmanager
+def _wrapped(owner, name: str, wrap):
+    """Replace ``owner.name`` by ``wrap(original)`` inside the block."""
+    original = getattr(owner, name)
+    setattr(owner, name, wrap(original))
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
+def _snapshot_each_root(module, snapshot):
+    """Wrap ``module.resample_loop`` so that each root choice first calls
+    ``snapshot()``.  Nothing runs between a root call's return and the next
+    choice, so consecutive snapshots are the before and after of each
+    completed root call."""
+
+    def wrap(loop):
+        def watched(next_root, least_child, resample, limit):
+            def root():
+                snapshot()
+                return next_root()
+
+            return loop(root, least_child, resample, limit)
+
+        return watched
+
+    return _wrapped(module, "resample_loop", wrap)
+
+
+def audited_col_alg(
+    graph: Graph, k: int, seed: int, step_limit: int | None = None
+) -> tuple[ColorState, ColorRunStats, ColorAudit]:
+    """``col_alg`` watched through the module-level names it calls.
+
+    The greedy pass hands over the run's one ColorState; each ``_assign``
+    is checked against the decision bounds and ``check_local``; the union
+    of bichromatic edges is taken before each root choice; the witness
+    forest comes from the trace.  Observing draws no randomness, so the
+    state and stats are those of an unwatched run.
+    """
+    audit = ColorAudit()
+    states: list[ColorState] = []
+    seen: list[frozenset[int]] = []
+
+    def greedy(original):
+        def capture(*args):
+            state, cycles = original(*args)
+            states.append(state)
+            return state, cycles
+
+        return capture
+
+    def assign(original):
+        def checked(state, e, rng):
+            n_forbidden = len(coloring.forbidden_colors(state, e))
+            original(state, e, rng)
+            audit.record_decision(n_forbidden, state.k - n_forbidden)
+            audit.check_local(state, e)
+
+        return checked
+
+    with contextlib.ExitStack() as watch:
+        watch.enter_context(_wrapped(coloring, "greedy_4acyclic", greedy))
+        watch.enter_context(_wrapped(coloring, "_assign", assign))
+        watch.enter_context(_snapshot_each_root(coloring, lambda: seen.append(bichromatic_edge_set(states[0]))))
+        state, stats = coloring.col_alg(graph, k, seed=seed, step_limit=step_limit)
+    for before, after in zip(seen, seen[1:]):
+        audit.record_progress(before, after)
+    audit.record_forest(stats.trace)
+    return state, stats, audit
+
+
+def progress_snapshots(
+    system: EventSystem, seed: int, step_limit: int | None = None
+) -> list[tuple[frozenset, frozenset]]:
+    """The union of occurring scopes before and after each completed root
+    call of ``m_algorithm``, read from the values its ``sample_all`` made."""
+    values: list[list] = []
+    seen: list[frozenset[int]] = []
+
+    def sample(original):
+        def capture(*args):
+            values.append(original(*args))
+            return values[-1]
+
+        return capture
+
+    with contextlib.ExitStack() as watch:
+        watch.enter_context(_wrapped(engine, "sample_all", sample))
+        watch.enter_context(_snapshot_each_root(engine, lambda: seen.append(occurring_scope_union(system, values[0]))))
+        engine.m_algorithm(system, seed=seed, step_limit=step_limit)
+    return list(zip(seen, seen[1:]))
 
 
 def reference_q_series(params: BoundParams, n_max: int) -> list[Fraction]:

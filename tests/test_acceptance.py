@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from lllcolor.bounds import BoundParams, q_closed_form, q_series
-from lllcolor.coloring import col_alg, verify_acyclic
+from lllcolor.coloring import verify_acyclic
 from lllcolor.dimacs import clause_system, formula_satisfied
 from lllcolor.engine import dice_experiment, m_algorithm
 from lllcolor.gamma import (
@@ -27,7 +27,7 @@ from lllcolor.gamma import (
 )
 from lllcolor.graphs import cycle_graph, petersen_graph, random_regular_graph
 
-from conftest import chain_3sat
+from conftest import audited_col_alg, chain_3sat, progress_snapshots
 
 RUNS_PER_GRAPH = 1000
 
@@ -53,9 +53,9 @@ def coloring_corpus():
     for name, (graph, k) in graphs.items():
         runs = []
         for seed in range(RUNS_PER_GRAPH):
-            state, stats = col_alg(graph, k, seed=seed, audit=True)
+            state, stats, audit = audited_col_alg(graph, k, seed)
             verdict = verify_acyclic(graph, k, state.colors) if stats.terminated else None
-            runs.append((stats, verdict))
+            runs.append((stats, audit, verdict))
         corpus[name] = (graph, k, runs)
     return corpus
 
@@ -107,8 +107,8 @@ def test_criterion_5_coloring_end_to_end(coloring_corpus):
     lines = []
     ok = True
     for name, (graph, k, runs) in coloring_corpus.items():
-        terminated = sum(1 for stats, _ in runs if stats.terminated)
-        verified = sum(1 for stats, verdict in runs if verdict and verdict.proper and verdict.acyclic)
+        terminated = sum(1 for stats, _, _ in runs if stats.terminated)
+        verified = sum(1 for _, _, verdict in runs if verdict and verdict.proper and verdict.acyclic)
         ok &= terminated == RUNS_PER_GRAPH and verified == RUNS_PER_GRAPH
         lines.append(f"{name}(k={k}): {terminated}/{RUNS_PER_GRAPH} terminated, {verified} verified")
     assert report("5", ok, "; ".join(lines))
@@ -119,8 +119,7 @@ def test_criterion_6_invariant_suite(coloring_corpus):
     root_cycle_repeats = 0
     for name, (graph, k, runs) in coloring_corpus.items():
         margin = k - 2 * (graph.max_degree - 1)
-        for stats, _ in runs:
-            audit = stats.audit
+        for stats, audit, _ in runs:
             if audit.local_violations:
                 failures.append(f"{name}: local {audit.local_violations[:1]}")
             if audit.max_forbidden > 2 * (graph.max_degree - 1):
@@ -137,8 +136,7 @@ def test_criterion_6_invariant_suite(coloring_corpus):
     for trial in range(200):
         n_vars, clauses = chain_3sat(8, rng)
         system = clause_system(n_vars, clauses)
-        _, stats = m_algorithm(system, seed=trial, snapshot_progress=True)
-        for before, after in stats.phase_snapshots:
+        for before, after in progress_snapshots(system, trial):
             if not after <= before:
                 engine_regressions += 1
     ok = not failures and root_cycle_repeats == 0 and engine_regressions == 0

@@ -14,7 +14,6 @@ from lllcolor.bounds import (
     lll_condition,
     phase_bound,
     q_closed_form,
-    q_recurrence,
     q_series,
 )
 
@@ -42,13 +41,13 @@ def brute_q(p: Fraction, delta: int, n: int, memo=None) -> Fraction:
 def test_q_base_cases():
     for p, delta in [(Fraction(1, 8), 2), (Fraction(1, 3), 4), (Fraction(0), 3)]:
         params = BoundParams(p, delta)
-        assert q_recurrence(params, 0) == 1
-        assert q_recurrence(params, 1) == p
+        assert q_series(params, 0)[0] == 1
+        assert q_series(params, 1)[1] == p
         assert q_closed_form(params, 0) == 1
 
 
 def test_q_recurrence_frozen_example():
-    assert q_recurrence(BoundParams(Fraction(1, 8), 2), 2) == Fraction(1, 32)
+    assert q_series(BoundParams(Fraction(1, 8), 2), 2)[2] == Fraction(1, 32)
 
 
 def test_q_closed_form_frozen_examples():

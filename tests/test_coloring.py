@@ -11,7 +11,6 @@ from lllcolor.coloring import (
     CycleIndex,
     PaletteError,
     all_bichromatic_cycles,
-    bichromatic_edge_set,
     col_alg,
     count_cycles_through_edge,
     find_bichromatic_cycle,
@@ -23,6 +22,8 @@ from lllcolor.engine import ContractError
 from lllcolor.graphs import Graph, complete_graph, cycle_graph, gnp_graph, path_graph, petersen_graph, star_graph
 
 from conftest import (
+    audited_col_alg,
+    bichromatic_edge_set,
     brute_bichromatic_keys,
     colored,
     random_proper_colors,
@@ -209,7 +210,6 @@ def test_hexagon_alternating_is_found():
     g = cycle_graph(6)
     cyc = find_bichromatic_cycle(colored(g, 3, [0, 1, 0, 1, 0, 1]))
     assert cyc is not None and cyc.key == (6, (0, 1, 2, 3, 4, 5))
-    assert sorted(cyc.vertices(g)) == [0, 1, 2, 3, 4, 5]
 
 
 def test_two_disjoint_hexagons_least_and_restrict():
@@ -301,9 +301,9 @@ def test_greedy_collects_exactly_the_full_sweep():
 
 
 def test_col_alg_walks_once_per_decision(monkeypatch):
-    # without the audit no full sweep runs: the greedy pass walks from each
-    # edge once and each refresh from each recolored edge once, so the walk
-    # calls equal the decisions, m + the summed recolored cycle lengths
+    # no full sweep runs: the greedy pass walks from each edge once and each
+    # refresh from each recolored edge once, so the walk calls equal the
+    # decisions, m + the summed recolored cycle lengths
     calls = 0
     walk = coloring._cycles_through_edge
 
@@ -405,7 +405,8 @@ def test_palette_error():
 
 def test_col_alg_matches_reference():
     # small palettes force recolor activity; the index-driven loop must
-    # reproduce the full-rescan loop field for field, aborted runs included
+    # reproduce the full-rescan loop field for field, aborted runs included,
+    # and watching a run (odd seeds) must neither change it nor flag it
     cases = [
         (cycle_graph(6), 4, None, 120),
         (cycle_graph(8), 4, None, 120),
@@ -419,11 +420,14 @@ def test_col_alg_matches_reference():
     recolored_runs = aborted_runs = 0
     for g, k, limit, seeds in cases:
         for seed in range(seeds):
-            audit = seed % 2 == 1
-            col_a, stats_a = reference_col_alg(g, k, seed, step_limit=limit, audit=audit)
-            col_b, stats_b = col_alg(g, k, seed=seed, step_limit=limit, audit=audit)
+            col_a, stats_a = reference_col_alg(g, k, seed, step_limit=limit)
+            if seed % 2:
+                col_b, stats_b, audit = audited_col_alg(g, k, seed, step_limit=limit)
+                assert audit.clean and audit.decisions == g.m + sum(stats_b.cycle_lengths)
+            else:
+                col_b, stats_b = col_alg(g, k, seed=seed, step_limit=limit)
             assert col_a.colors == col_b.colors
-            # steps, phases, trace (hence cycle_lengths, root_cycles), terminated, audit
+            # steps, phases, trace (hence cycle_lengths, root_cycles), terminated
             assert stats_a == stats_b
             recolored_runs += stats_a.steps > 0
             aborted_runs += not stats_a.terminated
@@ -457,7 +461,7 @@ def test_assign_draws_as_choice_over_free_colors(monkeypatch):
     for draw in (coloring._assign, reference_assign):
         monkeypatch.setattr(coloring, "_assign", draw)
         runs.append([
-            col_alg(g, k, seed=seed, step_limit=limit, audit=seed % 2 == 1)
+            col_alg(g, k, seed=seed, step_limit=limit)
             for g, k, limit, seeds in cases
             for seed in range(seeds)
         ])
@@ -480,10 +484,10 @@ def test_audit_invariants_on_petersen():
     g = petersen_graph()
     k = 9
     for seed in range(100):
-        state, stats = col_alg(g, k, seed=seed, audit=True)
-        assert stats.terminated and stats.audit.clean
-        assert stats.audit.max_forbidden <= 2 * (g.max_degree - 1)
-        assert stats.audit.min_available >= k - 2 * (g.max_degree - 1)
+        state, stats, audit = audited_col_alg(g, k, seed)
+        assert stats.terminated and audit.clean
+        assert audit.max_forbidden <= 2 * (g.max_degree - 1)
+        assert audit.min_available >= k - 2 * (g.max_degree - 1)
         verdict = verify_acyclic(g, k, state.colors)
         assert verdict.proper and verdict.acyclic
 
@@ -494,8 +498,8 @@ def test_progress_snapshots_under_audit():
     g = two_hex_graph()
     audited_roots = 0
     for seed in range(200):
-        _, stats = col_alg(g, 4, seed=seed, audit=True)
-        assert not stats.audit.progress_violations
+        _, stats, audit = audited_col_alg(g, 4, seed)
+        assert not audit.progress_violations
         audited_roots += stats.phases
     assert audited_roots > 0
 
@@ -515,8 +519,8 @@ def test_audited_witness_forests_are_feasible():
     recursed = 0
     for g, k, limit, seeds in FOREST_CASES:
         for seed in range(seeds):
-            _, stats = col_alg(g, k, seed=seed, step_limit=limit, audit=True)
-            assert not stats.audit.forest_violations, (g.m, k, seed)
+            _, stats, audit = audited_col_alg(g, k, seed, step_limit=limit)
+            assert not audit.forest_violations, (g.m, k, seed)
             recursed += any(depth for _, depth in stats.trace)
     assert recursed >= 50, recursed
 
@@ -530,10 +534,30 @@ def test_forest_audit_flags_a_driver_without_child_search(monkeypatch):
     flagged = 0
     for g, k, limit, seeds in FOREST_CASES[1:]:
         for seed in range(seeds):
-            _, stats = col_alg(g, k, seed=seed, step_limit=limit, audit=True)
-            if stats.audit.forest_violations:
+            _, _, audit = audited_col_alg(g, k, seed, step_limit=limit)
+            if audit.forest_violations:
                 flagged += 1
-                assert not stats.audit.clean
+                assert not audit.clean
+    assert flagged >= 40, flagged
+
+
+def test_local_audit_flags_a_rule_without_closing_edges(monkeypatch):
+    # a forbidden-color rule that keeps only the adjacent colors lets a
+    # decision close a bichromatic 4-cycle, which check_local must report
+    def adjacent_only(state, e):
+        u, v = state.graph.edges[e]
+        forbidden = state.at[u].keys() | state.at[v].keys()
+        forbidden.discard(state.colors[e])
+        return forbidden
+
+    monkeypatch.setattr(coloring, "forbidden_colors", adjacent_only)
+    flagged = 0
+    for g, k in ((petersen_graph(), 5), (complete_graph(8), 13)):
+        for seed in range(50):
+            _, _, audit = audited_col_alg(g, k, seed, step_limit=200)
+            if audit.local_violations:
+                flagged += 1
+                assert not audit.clean
     assert flagged >= 40, flagged
 
 

@@ -26,7 +26,13 @@ from lllcolor.engine import (
 from lllcolor.dimacs import clause_system, formula_satisfied
 from lllcolor.bounds import BoundParams, lll_condition
 
-from conftest import chain_3sat, random_truth_table_system, reference_m_algorithm, single_event_system
+from conftest import (
+    chain_3sat,
+    progress_snapshots,
+    random_truth_table_system,
+    reference_m_algorithm,
+    single_event_system,
+)
 
 
 # -- sampling -----------------------------------------------------------------
@@ -137,13 +143,13 @@ def test_determinism_byte_for_byte():
     runs = [m_algorithm(system, seed=42, step_limit=500) for _ in range(2)]
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
-    assert runs[0][1].to_json() == runs[1][1].to_json()
+    assert json.dumps(runs[0][1].to_json_dict()) == json.dumps(runs[1][1].to_json_dict())
 
 
 def test_trace_json_schema():
     system = single_event_system()
     _, stats = m_algorithm(system, seed=2)
-    payload = json.loads(stats.to_json())
+    payload = json.loads(json.dumps(stats.to_json_dict()))
     assert set(payload) == {"seed", "steps", "phases", "trace"}
     assert payload["seed"] == 2
     assert all(len(entry) == 2 for entry in payload["trace"])
@@ -161,8 +167,7 @@ def test_progress_snapshots_never_grow():
     checked = 0
     for _ in range(40):
         system = random_truth_table_system(rng)
-        _, stats = m_algorithm(system, seed=rng.randrange(2**30), step_limit=300, snapshot_progress=True)
-        for before, after in stats.phase_snapshots:
+        for before, after in progress_snapshots(system, rng.randrange(2**30), step_limit=300):
             assert after <= before
             checked += 1
     assert checked > 0
@@ -224,10 +229,10 @@ def test_step_limit_must_be_non_negative():
 ORACLE_LIMITS = (None, 5, 50, 300)
 
 
-def _matches_reference(system, seed, step_limit, snapshot_progress) -> bool:
+def _matches_reference(system, seed, step_limit) -> bool:
     """Asserts field-for-field equality with the oracle; returns termination."""
-    values, stats = m_algorithm(system, seed=seed, step_limit=step_limit, snapshot_progress=snapshot_progress)
-    assert (values, stats) == reference_m_algorithm(system, seed, step_limit, snapshot_progress)
+    values, stats = m_algorithm(system, seed=seed, step_limit=step_limit)
+    assert (values, stats) == reference_m_algorithm(system, seed, step_limit)
     return stats.terminated
 
 
@@ -236,7 +241,7 @@ def test_matches_reference_on_truth_table_systems():
     outcomes = set()
     for i in range(240):
         system = random_truth_table_system(rng, n_vars=rng.randint(3, 12), n_events=rng.randint(1, 30))
-        outcomes.add(_matches_reference(system, rng.randrange(2**32), ORACLE_LIMITS[i % 4], i // 4 % 2 == 0))
+        outcomes.add(_matches_reference(system, rng.randrange(2**32), ORACLE_LIMITS[i % 4]))
     assert outcomes == {True, False}  # both finished and aborted runs were compared
 
 
@@ -246,7 +251,7 @@ def test_matches_reference_on_chain_3sat():
     for i in range(80):
         n_vars, clauses = chain_3sat(rng.randint(5, 400), rng)
         system = clause_system(n_vars, clauses)
-        outcomes.add(_matches_reference(system, rng.randrange(2**32), ORACLE_LIMITS[i % 4], i // 4 % 2 == 0))
+        outcomes.add(_matches_reference(system, rng.randrange(2**32), ORACLE_LIMITS[i % 4]))
     assert outcomes == {True, False}
 
 
@@ -270,10 +275,9 @@ def event_systems(draw):
     system=event_systems(),
     seed=st.integers(0, 2**32 - 1),
     step_limit=st.sampled_from((None, 0, 1, 5, 50)),
-    snapshot_progress=st.booleans(),
 )
-def test_matches_reference_on_generated_systems(system, seed, step_limit, snapshot_progress):
-    _matches_reference(system, seed, step_limit, snapshot_progress)
+def test_matches_reference_on_generated_systems(system, seed, step_limit):
+    _matches_reference(system, seed, step_limit)
 
 
 def test_event_evaluations_linear_in_steps(monkeypatch):

@@ -12,7 +12,6 @@ from lllcolor.gamma import (
     min_gamma_for_girth,
     phi,
     phi_prime,
-    q_coloring_recurrence,
     q_coloring_series,
     series_fixed_point,
     solve_tau,
@@ -233,11 +232,11 @@ def test_margin_inequality_chain():
 # -- coloring step-count series ------------------------------------------------------
 
 def test_q_coloring_base_cases():
-    assert q_coloring_recurrence(1.74, 3.0, 0) == 1.0
+    assert q_coloring_series(1.74, 3.0, 0)[0] == 1.0
     params = PhiParams(1.74, 3.0)
-    assert q_coloring_recurrence(1.74, 3.0, 1) == pytest.approx(phi(0.0, params), rel=1e-10)
+    assert q_coloring_series(1.74, 3.0, 1)[1] == pytest.approx(phi(0.0, params), rel=1e-10)
     with pytest.raises(ValueError):
-        q_coloring_recurrence(1.74, 3.0, -1)
+        q_coloring_series(1.74, 3.0, -1)
     with pytest.raises(ValueError):
         q_coloring_series(1.74, 3.0, 401)
     with pytest.raises(ValueError):

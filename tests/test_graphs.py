@@ -74,6 +74,24 @@ def disjoint_union(first: Graph, second: Graph) -> Graph:
     return Graph(shift + second.n_vertices, first.edges + [(u + shift, v + shift) for u, v in second.edges])
 
 
+def subdivided(graph: Graph, times: int) -> Graph:
+    """Each edge replaced by a path through `times` new vertices."""
+    n, edges = graph.n_vertices, []
+    for u, v in graph.edges:
+        path = [u, *range(n, n + times), v]
+        n += times
+        edges += zip(path, path[1:])
+    return Graph(n, edges)
+
+
+def with_pendant_trees(graph: Graph, size: int, rng: random.Random) -> Graph:
+    """`size` new vertices, each hanging off a random earlier vertex."""
+    n, edges = graph.n_vertices, list(graph.edges)
+    for v in range(n, n + size):
+        edges.append((rng.randrange(v), v))
+    return Graph(n + size, edges)
+
+
 def girth_cases():
     rng = random.Random(8)
     yield from (cycle_graph(n) for n in range(3, 41))
@@ -88,8 +106,14 @@ def girth_cases():
     yield from (random_forest(rng.randint(1, 40), rng, chords=rng.randint(0, 2)) for _ in range(100))
     for tree, cycle in ((path_graph(12), cycle_graph(5)), (star_graph(6), cycle_graph(9)),
                         (random_forest(30, rng), cycle_graph(30)), (path_graph(1), complete_graph(4))):
-        yield disjoint_union(tree, cycle)  # tree searched and skipped before best is set
-        yield disjoint_union(cycle, tree)  # tree searched with best already set
+        yield disjoint_union(tree, cycle)  # tree vertices first: peeled before any search
+        yield disjoint_union(cycle, tree)  # tree vertices after the cycle's
+    for times in (1, 2, 5):  # girth grows with the subdivision
+        yield from (subdivided(g, times) for g in (complete_graph(4), petersen_graph(), hypercube_graph(3)))
+        yield subdivided(random_regular_graph(3, 12, seed=times), times)
+    for n in (3, 4, 9, 20):  # trees peel off before and between searches
+        yield from (with_pendant_trees(cycle_graph(n), rng.randint(1, 30), rng) for _ in range(5))
+    yield from (with_pendant_trees(complete_graph(5), 20, rng), with_pendant_trees(petersen_graph(), 25, rng))
 
 
 def test_girth_matches_reference():
@@ -108,8 +132,9 @@ class CountingAdj(list):
 
 
 @pytest.mark.parametrize("graph, bound", [
-    (path_graph(20000), 2 * (20000 + 19999)),  # one search covers the tree
+    (path_graph(20000), 2 * (20000 + 19999)),  # peeled whole, no search
     (complete_graph(30), 30),  # best == 3 after the first start
+    (cycle_graph(20000), 2 * (20000 + 20000)),  # one search, then the rest peels
 ])
 def test_girth_work_bound(graph, bound):
     graph.adj = CountingAdj(graph.adj)

@@ -6,6 +6,13 @@ from pathlib import Path
 import lllcolor
 
 
+def test_every_lazy_export_resolves():
+    # names load on first use, so a stale entry would otherwise fail only
+    # when a caller first asks for it
+    for name in lllcolor.__all__:
+        assert getattr(lllcolor, name) is not None, name
+
+
 def test_library_raises_contract_errors_not_asserts():
     # ``python -O`` strips assert statements, so the bound checks of the
     # library raise ContractError instead
