@@ -9,7 +9,11 @@ same color cannot repeat at one endpoint, so each common endpoint color
 trades one slot of the adjacent union for at most one closing color, and
 at most 2*(maxdeg - 1) colors are ever forbidden.  Any palette of size at
 least 2*maxdeg - 1 therefore leaves a choice at every step, and the greedy
-pass keeps the partial coloring proper with no bichromatic 4-cycle.
+pass keeps the partial coloring proper with no bichromatic 4-cycle.  Each
+decision, greedy or recolor, is one pass over its edge's two endpoint
+maps: the colors common to both ends are intersected once, and they give
+both the closing-edge term of the forbidden set and, after the draw, the
+second colors of the alternating walks from that edge.
 
 The main loop is the resampling engine's driver (``engine.resample_loop``)
 with cycles in the role of events: while a bichromatic cycle exists, the
@@ -27,11 +31,13 @@ e starts a walk.  The walks read the per-vertex color -> edge maps of one
 ``ColorState``, which every assignment keeps up to date.  A sweep over an
 edge set finds each cycle once, from its largest edge in the set: a walk
 stops at any larger edge of the set.  The greedy pass walks from each edge
-right after coloring it, so it collects each cycle of its output from the
-cycle's largest edge, and those cycles seed the loop's incremental index;
-a refresh sweeps only the recolored edges.  The full sweep over every edge
-serves only the tests.  The verifier shares none of this:
-it checks that every 2-colored subgraph is a forest by union-find.
+right after coloring it, with the second colors of that edge's decision,
+so it collects each cycle of its output from the cycle's largest edge, and
+those cycles seed the loop's incremental index; a refresh sweeps only the
+recolored edges, reading their second colors afresh, since other edges of
+the cycle were recolored after each decision.  The full sweep over every
+edge serves only the tests.  The verifier shares none of this: it checks
+that every 2-colored subgraph is a forest by union-find.
 """
 
 from __future__ import annotations
@@ -100,7 +106,10 @@ class ColorState:
 
     ``assign`` is the only writer, so ``at`` always mirrors ``colors`` and
     the coloring stays proper; the forbidden-color rule and the
-    alternating walks read the maps instead of rebuilding them.
+    alternating walks read the maps instead of rebuilding them.  The run's
+    constants are set once here: ``max_forbidden`` = 2*(maxdeg - 1), the
+    bound on every forbidden set, and ``walk_cap``, a step count no
+    alternating walk reaches.
     """
 
     def __init__(self, graph: Graph, k: int):
@@ -108,6 +117,8 @@ class ColorState:
         self.k = k
         self.colors: list[int | None] = [None] * graph.m
         self.at: list[dict[int, int]] = [{} for _ in range(graph.n_vertices)]
+        self.max_forbidden = 2 * (graph.max_degree - 1)
+        self.walk_cap = 2 * graph.m + 4
 
     def assign(self, e: int, c: int) -> None:
         """Recolor edge e with c; ContractError if c is outside the palette
@@ -116,24 +127,30 @@ class ColorState:
             raise ContractError(f"color {c} outside the palette 0..{self.k - 1}")
         u, v = self.graph.edges[e]
         at_u, at_v = self.at[u], self.at[v]
-        for vertex, at in ((u, at_u), (v, at_v)):
-            if at.get(c, e) != e:
-                raise ContractError(f"improper coloring: color {c} repeats at vertex {vertex}")
+        if at_u.get(c, e) != e:
+            raise ContractError(f"improper coloring: color {c} repeats at vertex {u}")
+        if at_v.get(c, e) != e:
+            raise ContractError(f"improper coloring: color {c} repeats at vertex {v}")
         old = self.colors[e]
-        at_u.pop(old, None)
-        at_v.pop(old, None)
+        if old is not None:
+            del at_u[old], at_v[old]
         at_u[c] = at_v[c] = e
         self.colors[e] = c
 
 
-def forbidden_colors(state: ColorState, e: int) -> set[int]:
-    """Colors that would break properness or close a bichromatic 4-cycle at e.
+def _forbidden_and_second(state: ColorState, e: int) -> tuple[set[int], set[int]]:
+    """The forbidden colors at e and its second colors, from one pass over
+    the endpoint maps.
 
-    Only colored edges contribute; e's own current color (if any) does not.
-    O(maxdeg) through the state's maps: a color common to both endpoints
-    (edges {u, x} and {v, y}) also forbids the color of the closing edge
-    {x, y}.  The result has at most 2*(maxdeg - 1) members, else
-    ContractError.
+    With u, v the ends of e and own its current color (None while
+    uncolored), ``common`` = the colors at both u and v except own.  The
+    forbidden set is the endpoint union except own, plus the color of each
+    closing edge {x, y} with {u, x} and {v, y} carrying a color of
+    ``common``; ContractError if it exceeds 2*(maxdeg - 1) or e is out of
+    range.  ``common`` itself is returned as the second colors: once e is
+    recolored with a color outside the forbidden set, the colors at both
+    its ends are exactly ``common`` plus e's new color, so ``common`` is
+    what an alternating walk from e may pair with that color.
     """
     graph, colors = state.graph, state.colors
     ends = graph.edges
@@ -143,31 +160,53 @@ def forbidden_colors(state: ColorState, e: int) -> set[int]:
     at_u, at_v = state.at[u], state.at[v]
     own = colors[e]
     forbidden = at_u.keys() | at_v.keys()
-    forbidden.discard(own)
-    for c in at_u.keys() & at_v.keys():
-        if c == own:
-            continue
+    common = at_u.keys() & at_v.keys()
+    if own is not None:
+        forbidden.discard(own)
+        common.discard(own)
+    closing = graph._edge_index.get
+    for c in common:
         x1, x2 = ends[at_u[c]]
         y1, y2 = ends[at_v[c]]
-        e3 = graph.edge_index(x2 if x1 == u else x1, y2 if y1 == v else y1)
-        if e3 is not None and colors[e3] is not None:
-            forbidden.add(colors[e3])
-    if len(forbidden) > 2 * (graph.max_degree - 1):
+        x, y = x1 ^ x2 ^ u, y1 ^ y2 ^ v
+        e3 = closing((x, y) if x < y else (y, x))
+        if e3 is not None:
+            c3 = colors[e3]
+            if c3 is not None:
+                forbidden.add(c3)
+    if len(forbidden) > state.max_forbidden:
         raise ContractError(f"forbidden set of {len(forbidden)} exceeds 2*(maxdeg-1) at edge {e}")
-    return forbidden
+    return forbidden, common
 
 
-def _assign(state: ColorState, e: int, rng: random.Random) -> None:
-    """Color e uniformly among the colors not forbidden there.
+def forbidden_colors(state: ColorState, e: int) -> set[int]:
+    """Colors that would break properness or close a bichromatic 4-cycle at e.
 
-    The draw picks an index into the free colors in increasing order, as
-    ``rng.choice`` over that list would, and maps it past the sorted
-    forbidden set, so a decision costs no more than sorting that set,
-    whatever the palette size.
+    Only colored edges contribute; e's own current color (if any) does not.
+    O(maxdeg) through the state's maps: a color common to both endpoints
+    (edges {u, x} and {v, y}) also forbids the color of the closing edge
+    {x, y}.  The result has at most 2*(maxdeg - 1) members, else
+    ContractError.  It is the first half of the pass every coloring
+    decision makes (``_forbidden_and_second``).
     """
-    forb = forbidden_colors(state, e)
+    return _forbidden_and_second(state, e)[0]
+
+
+def _assign(state: ColorState, e: int, rng: random.Random) -> set[int]:
+    """Color e uniformly among the colors not forbidden there; return e's
+    second colors.
+
+    One pass over the endpoint maps (``_forbidden_and_second``) gives both
+    the forbidden set and the colors at both ends of e other than its old
+    color; the greedy pass hands the latter to the walk from e, so the
+    maps are intersected once per decision.  The draw picks an index into
+    the free colors in increasing order, as ``rng.choice`` over that list
+    would, and maps it past the sorted forbidden set, so a decision costs
+    no more than sorting that set, whatever the palette size.
+    """
+    forb, second = _forbidden_and_second(state, e)
     n_free = state.k - len(forb)
-    if n_free < state.k - 2 * (state.graph.max_degree - 1):
+    if n_free < state.k - state.max_forbidden:
         raise ContractError(f"palette margin violated at edge {e}: {n_free} colors available")
     c = rng.randrange(n_free)
     for f in sorted(forb):
@@ -175,6 +214,7 @@ def _assign(state: ColorState, e: int, rng: random.Random) -> None:
             break
         c += 1
     state.assign(e, c)
+    return second
 
 
 def greedy_4acyclic(graph: Graph, k: int, rng: random.Random) -> tuple[ColorState, dict[tuple, Cycle]]:
@@ -186,7 +226,11 @@ def greedy_4acyclic(graph: Graph, k: int, rng: random.Random) -> tuple[ColorStat
     each collected from its largest edge e right after e is colored: every
     colored edge is then at most e and no edge is ever recolored, so a walk
     from e dies at an uncolored edge exactly where the full sweep's walk
-    stops at a larger edge, and both find the same cycles.
+    stops at a larger edge, and both find the same cycles.  The walk from
+    e takes its second colors from e's decision instead of intersecting
+    the endpoint maps again: the drawn color was not forbidden, so it was
+    at neither end, and the colors at both ends are now those second
+    colors plus e's own.
     """
     if k < 2 * graph.max_degree - 1:
         raise PaletteError(f"k={k} below the safety threshold {2 * graph.max_degree - 1}")
@@ -194,52 +238,62 @@ def greedy_4acyclic(graph: Graph, k: int, rng: random.Random) -> tuple[ColorStat
     cycles: dict[tuple, Cycle] = {}
     every_edge = range(graph.m)
     for e in every_edge:
-        _assign(state, e, rng)
-        for cyc in _cycles_through_edge(state, e, every_edge):
+        second = _assign(state, e, rng)
+        for cyc in _cycles_through_edge(state, e, every_edge, second):
             cycles[cyc.key] = cyc
     return state, cycles
 
 
-def _cycles_through_edge(state: ColorState, e: int, scanned: frozenset[int] | range) -> list[Cycle]:
+def _second_colors(state: ColorState, e: int) -> set[int]:
+    """The colors at both ends of colored edge e other than its own."""
+    u, v = state.graph.edges[e]
+    common = state.at[u].keys() & state.at[v].keys()
+    common.discard(state.colors[e])
+    return common
+
+
+def _cycles_through_edge(state: ColorState, e: int, scanned: frozenset[int] | range, second: set[int]) -> list[Cycle]:
     """The bichromatic cycles through edge e whose largest edge in ``scanned``
     is e, one per workable second color; e must be in ``scanned``.
 
-    A second color b starts a walk only when it sits at both ends of e (the
-    cycle's first and last edges carry it).  A walk stops at the first edge
-    f in ``scanned`` with f > e, and at an uncolored edge, which carries no
-    color.  This finds every bichromatic cycle C that meets ``scanned``
-    exactly once over a sweep of ``scanned``: let e* be the largest edge of
-    C in ``scanned``.  The walk from e* with C's second color goes around C
-    and meets no larger scanned edge, so it finds C.  A walk from any other
-    scanned edge of C with that color passes e* before it closes, so it
-    stops there.  The greedy pass calls this on each edge as it is colored;
-    the full sweep over every edge serves only the tests.
+    ``second`` holds the colors at both ends of e other than e's own (the
+    cycle's first and last edges carry such a color); only these start a
+    walk.  A walk stops at the first edge f in ``scanned`` with f > e, and
+    at an uncolored edge, which carries no color.  This finds every
+    bichromatic cycle C that meets ``scanned`` exactly once over a sweep of
+    ``scanned``: let e* be the largest edge of C in ``scanned``.  The walk
+    from e* with C's second color goes around C and meets no larger scanned
+    edge, so it finds C.  A walk from any other scanned edge of C with that
+    color passes e* before it closes, so it stops there.  The greedy pass
+    calls this on each edge as it is colored; the full sweep over every
+    edge serves only the tests.
     """
-    graph, at, ends = state.graph, state.at, state.graph.edges
+    if not second:
+        return []
+    at, ends = state.at, state.graph.edges
     u, v = ends[e]
     a = state.colors[e]
     at_u, at_v = at[u], at[v]
     out: list[Cycle] = []
-    max_steps = 2 * graph.m + 4
-    for b in at_u.keys() & at_v.keys():
-        if b == a:
-            continue  # e's own color is no second color
+    for b in second:
         last, first = at_u[b], at_v[b]
         if (last > e and last in scanned) or (first > e and first in scanned):
             continue  # the walk would stop at its last or its first edge
-        cur, want, other = v, b, a
-        walk = [e]
-        for _ in range(max_steps):
+        # the walk leaves v along its first edge, which cannot end at u
+        x, y = ends[first]
+        cur, want, other = x ^ y ^ v, a, b
+        walk = [e, first]
+        for _ in range(state.walk_cap):
             f = at[cur].get(want)
             if f is None or f == e or (f > e and f in scanned):
                 break
             walk.append(f)
             x, y = ends[f]
-            cur = y if x == cur else x
+            cur ^= x ^ y
             if cur == u:
                 # closing edge carries color b: the cycle alternates a,b
                 if want == b:
-                    out.append(Cycle.from_walk(graph, walk))
+                    out.append(Cycle.from_walk(state.graph, walk))
                 break
             want, other = other, want
         else:
@@ -254,7 +308,7 @@ def all_bichromatic_cycles(state: ColorState) -> dict[tuple, Cycle]:
     for e in every_edge:
         if state.colors[e] is None:
             continue
-        for cyc in _cycles_through_edge(state, e, every_edge):
+        for cyc in _cycles_through_edge(state, e, every_edge, _second_colors(state, e)):
             found[cyc.key] = cyc
     return found
 
@@ -297,7 +351,7 @@ class CycleIndex:
             if not _is_bichromatic(self.state.colors, self.cycles[key]):
                 del self.cycles[key]
         for e in dirty:
-            for cyc in _cycles_through_edge(self.state, e, dirty):
+            for cyc in _cycles_through_edge(self.state, e, dirty, _second_colors(self.state, e)):
                 self.cycles[cyc.key] = cyc
 
     def least(self, restrict: frozenset[int] | None = None) -> Cycle | None:

@@ -196,11 +196,15 @@ def reference_forbidden_colors(graph: Graph, colors: list[int | None], e: int) -
     return forbidden
 
 
-def reference_assign(state: ColorState, e: int, rng: random.Random) -> None:
+def reference_assign(state: ColorState, e: int, rng: random.Random) -> set[int]:
     """``rng.choice`` over the list of free colors: the oracle for the
-    library's ``_assign``, which draws an index without building the list."""
+    library's ``_assign``, which draws an index without building the list.
+    Returns e's second colors, read from the maps before the draw."""
     forb = forbidden_colors(state, e)
+    u, v = state.graph.edges[e]
+    second = (state.at[u].keys() & state.at[v].keys()) - {state.colors[e]}
     state.assign(e, rng.choice([c for c in range(state.k) if c not in forb]))
+    return second
 
 
 # -- run audits, taken from outside the production loops -----------------------
@@ -312,7 +316,8 @@ def audited_col_alg(
     """``col_alg`` watched through the module-level names it calls.
 
     The greedy pass hands over the run's one ColorState; each ``_assign``
-    is checked against the decision bounds and ``check_local``; the union
+    is checked against the decision bounds and ``check_local``, and its
+    second colors are passed on to the greedy pass's walk; the union
     of bichromatic edges is taken before each root choice; the witness
     forest comes from the trace.  Observing draws no randomness, so the
     state and stats are those of an unwatched run.
@@ -332,9 +337,10 @@ def audited_col_alg(
     def assign(original):
         def checked(state, e, rng):
             n_forbidden = len(coloring.forbidden_colors(state, e))
-            original(state, e, rng)
+            second = original(state, e, rng)
             audit.record_decision(n_forbidden, state.k - n_forbidden)
             audit.check_local(state, e)
+            return second
 
         return checked
 

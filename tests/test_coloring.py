@@ -19,7 +19,16 @@ from lllcolor.coloring import (
     verify_acyclic,
 )
 from lllcolor.engine import ContractError
-from lllcolor.graphs import Graph, complete_graph, cycle_graph, gnp_graph, path_graph, petersen_graph, star_graph
+from lllcolor.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    gnp_graph,
+    path_graph,
+    petersen_graph,
+    random_regular_graph,
+    star_graph,
+)
 
 from conftest import (
     audited_col_alg,
@@ -307,10 +316,10 @@ def test_col_alg_walks_once_per_decision(monkeypatch):
     calls = 0
     walk = coloring._cycles_through_edge
 
-    def counting(state, e, scanned):
+    def counting(state, e, scanned, second):
         nonlocal calls
         calls += 1
-        return walk(state, e, scanned)
+        return walk(state, e, scanned, second)
 
     def no_sweep(state):
         raise AssertionError("col_alg ran a full sweep")
@@ -325,6 +334,38 @@ def test_col_alg_walks_once_per_decision(monkeypatch):
             assert calls == g.m + sum(stats.cycle_lengths)
             steps += stats.steps
     assert steps == 149, steps
+
+
+def test_greedy_walk_reuses_the_exact_second_colors(monkeypatch):
+    # the greedy pass hands each walk the second colors of e's decision; they
+    # must equal the colors at both ends of e other than its own, read from
+    # the maps after the assignment
+    walk = coloring._cycles_through_edge
+    walks = nonempty = 0
+
+    def checked(state, e, scanned, second):
+        nonlocal walks, nonempty
+        u, v = state.graph.edges[e]
+        assert second == (state.at[u].keys() & state.at[v].keys()) - {state.colors[e]}
+        walks += 1
+        nonempty += bool(second)
+        return walk(state, e, scanned, second)
+
+    monkeypatch.setattr(coloring, "_cycles_through_edge", checked)
+    rng = random.Random(29)
+    corpus = [(g, 2 * g.max_degree - 1, range(30)) for g in brute_force_graphs()]
+    corpus.append((complete_graph(20), 37, range(30)))
+    for n, p in ((12, 0.4), (20, 0.25), (30, 0.15)):
+        for _ in range(3):
+            g = gnp_graph(n, p, seed=rng.randrange(2**30))
+            if g.max_degree:
+                corpus.append((g, 2 * g.max_degree - 1, range(10)))
+    expected = 0
+    for g, k, seeds in corpus:
+        for seed in seeds:
+            greedy_4acyclic(g, k, random.Random(seed))
+            expected += g.m
+    assert walks == expected and nonempty >= walks // 4, (walks, nonempty)
 
 
 def test_cycle_index_matches_rescan_after_updates():
@@ -452,13 +493,35 @@ def test_coloring_draw_order_is_pinned():
     assert digest.hexdigest() == "3bedaeb6892aca4d96de142e5e0d5497959acb03ceccff054d81e84a39fe19f2"
 
 
+def test_coloring_draw_order_is_pinned_without_all_closing_edges():
+    # K20 has every closing edge; on random regular graphs most common
+    # colors have none, so a rule that mishandles a missing closing edge
+    # changes these bytes
+    digest = hashlib.sha256()
+    steps = 0
+    for g, k, seeds in ((random_regular_graph(24, 200, seed=3), 47, 10), (random_regular_graph(5, 50, seed=3), 9, 40)):
+        for seed in range(seeds):
+            state, stats = col_alg(g, k, seed=seed)
+            digest.update(repr((state.colors, stats.trace, stats.phases, stats.terminated)).encode())
+            steps += stats.steps
+    assert steps == 34
+    assert digest.hexdigest() == "24c4567d1797b00997c2b74f15fe6f7f295dee0be5a74362fcd845a1e780bb81"
+
+
 def test_assign_draws_as_choice_over_free_colors(monkeypatch):
     # _assign maps one randrange draw past the sorted forbidden set; that
     # equals rng.choice over the free-color list only while choice(seq) is
     # seq[_randbelow(len(seq))], so a Python that changes choice fails here
     cases = [(complete_graph(20), 37, None, 60), (complete_graph(20), 37, 2, 30), (petersen_graph(), 6, 60, 100)]
     runs = []
-    for draw in (coloring._assign, reference_assign):
+    reference_decisions = 0
+
+    def counted_reference(state, e, rng):
+        nonlocal reference_decisions
+        reference_decisions += 1
+        return reference_assign(state, e, rng)
+
+    for draw in (coloring._assign, counted_reference):
         monkeypatch.setattr(coloring, "_assign", draw)
         runs.append([
             col_alg(g, k, seed=seed, step_limit=limit)
@@ -467,6 +530,9 @@ def test_assign_draws_as_choice_over_free_colors(monkeypatch):
         ])
     mine, ref = runs
     assert len(mine) == 190 and any(stats.steps for _, stats in mine)
+    # the oracle made every decision of its runs, the greedy pass's included
+    greedy_decisions = sum(g.m * seeds for g, _, _, seeds in cases)
+    assert reference_decisions == greedy_decisions + sum(sum(stats.cycle_lengths) for _, stats in ref)
     for (state_a, stats_a), (state_b, stats_b) in zip(mine, ref):
         assert state_a.colors == state_b.colors and stats_a == stats_b
 
@@ -543,14 +609,17 @@ def test_forest_audit_flags_a_driver_without_child_search(monkeypatch):
 
 def test_local_audit_flags_a_rule_without_closing_edges(monkeypatch):
     # a forbidden-color rule that keeps only the adjacent colors lets a
-    # decision close a bichromatic 4-cycle, which check_local must report
+    # decision close a bichromatic 4-cycle, which check_local must report;
+    # every decision, greedy or recolor, reads the rule through this pass
     def adjacent_only(state, e):
         u, v = state.graph.edges[e]
         forbidden = state.at[u].keys() | state.at[v].keys()
+        common = state.at[u].keys() & state.at[v].keys()
         forbidden.discard(state.colors[e])
-        return forbidden
+        common.discard(state.colors[e])
+        return forbidden, common
 
-    monkeypatch.setattr(coloring, "forbidden_colors", adjacent_only)
+    monkeypatch.setattr(coloring, "_forbidden_and_second", adjacent_only)
     flagged = 0
     for g, k in ((petersen_graph(), 5), (complete_graph(8), 13)):
         for seed in range(50):

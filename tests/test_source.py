@@ -35,7 +35,10 @@ def test_verifier_shares_no_code_with_the_detector():
 
     tree = ast.parse(Path(coloring.__file__).read_text())
     defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    detector = {"_cycles_through_edge", "all_bichromatic_cycles", "find_bichromatic_cycle", "CycleIndex", "ColorState"}
+    detector = {
+        "_cycles_through_edge", "_second_colors", "all_bichromatic_cycles", "find_bichromatic_cycle", "CycleIndex",
+        "ColorState",
+    }
     reached, todo = set(), ["verify_acyclic"]
     while todo:
         name = todo.pop()
