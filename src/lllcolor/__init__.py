@@ -48,7 +48,6 @@ _EXPORTS = {
         "default_step_limit",
         "dice_experiment",
         "m_algorithm",
-        "occurs",
         "sample_all",
         "validate",
     ),
@@ -60,7 +59,6 @@ _EXPORTS = {
         "cycle_prob_bounds",
         "girth_to_r",
         "min_gamma",
-        "min_gamma_for_girth",
         "phi",
         "phi_prime",
         "q_coloring_series",

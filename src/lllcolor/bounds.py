@@ -20,6 +20,7 @@ from fractions import Fraction
 from .engine import ContractError
 
 Q_SERIES_CAP = 300
+MAX_EVENTS = 10**9  # cap on delta and m, far inside the float range
 
 
 class NoCutoffError(ValueError):
@@ -32,9 +33,10 @@ class BoundParams:
 
     ``p`` bounds the probability of any single event under fresh sampling,
     ``delta`` is the max dependency-neighbourhood size (self included),
-    ``m`` the number of events.  ``prefactor`` is the A > 1 constant of the
-    (A*n)^m * base^n step-count bound; the analysis only asserts such a
-    constant exists, so it is exposed as an input, defaulting to 4.
+    ``m`` the number of events; neither may exceed ``MAX_EVENTS``.
+    ``prefactor`` is the A > 1 constant of the (A*n)^m * base^n step-count
+    bound; the analysis only asserts such a constant exists, so it is
+    exposed as a finite input, defaulting to 4.
     """
 
     p: Fraction
@@ -46,12 +48,12 @@ class BoundParams:
         object.__setattr__(self, "p", Fraction(self.p))
         if not (0 <= self.p <= 1):
             raise ValueError("p must lie in [0, 1]")
-        if not (self.delta >= 2):
-            raise ValueError("delta must be >= 2")
-        if not (self.m >= 1):
-            raise ValueError("m must be >= 1")
-        if not (self.prefactor > 0):
-            raise ValueError("prefactor must be positive")
+        if not (2 <= self.delta <= MAX_EVENTS):
+            raise ValueError(f"delta must lie in 2..{MAX_EVENTS}")
+        if not (1 <= self.m <= MAX_EVENTS):
+            raise ValueError(f"m must lie in 1..{MAX_EVENTS}")
+        if not (0 < self.prefactor < math.inf):
+            raise ValueError("prefactor must be positive and finite")
 
     @property
     def base(self) -> float:
@@ -155,9 +157,18 @@ def cutoff_estimate(params: BoundParams) -> int:
 
 
 def bound_rows(params: BoundParams, n_max: int) -> list[tuple[int, str, float, float, float]]:
-    """Table rows (n, Q_n as exact fraction text, Q_n float, envelope, base^n)."""
-    q = q_series(params, n_max)
-    return [
-        (n, str(q[n]), float(q[n]), phase_bound(params, n) if n > 0 else float("nan"), params.base**n)
-        for n in range(n_max + 1)
-    ]
+    """Table rows (n, Q_n as exact fraction text, Q_n float, envelope, base^n).
+
+    ValueError names the first n whose float columns leave the float range.
+    """
+    rows = []
+    for n, q_n in enumerate(q_series(params, n_max)):
+        try:
+            floats = (float(q_n), phase_bound(params, n) if n > 0 else math.nan, params.base**n)
+            fits = math.inf not in floats
+        except OverflowError:
+            fits = False
+        if not fits:
+            raise ValueError(f"row n={n} leaves the float range at base={params.base:.12g}")
+        rows.append((n, str(q_n), *floats))
+    return rows

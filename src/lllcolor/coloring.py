@@ -45,7 +45,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .engine import ContractError, RunStats, default_step_limit, resample_loop
+from .engine import ContractError, RunStats, resample_loop, start_run
 from .graphs import Graph
 
 
@@ -319,9 +319,7 @@ def find_bichromatic_cycle(state: ColorState, restrict: frozenset[int] | None = 
     With ``restrict``, only cycles sharing an edge with the given edge set
     are eligible; the least eligible cycle is still chosen globally.
     """
-    found = all_bichromatic_cycles(state)
-    pool = [c for c in found.values() if restrict is None or (c.edge_set & restrict)]
-    return min(pool) if pool else None
+    return CycleIndex(state, all_bichromatic_cycles(state)).least(restrict)
 
 
 def _is_bichromatic(colors: list[int | None], cycle: Cycle) -> bool:
@@ -388,16 +386,8 @@ def col_alg(
     state; on termination its coloring is proper and has no bichromatic
     cycle of any length.
     """
-    if k < 2 * graph.max_degree - 1:
-        raise PaletteError(f"k={k} below the safety threshold {2 * graph.max_degree - 1}")
-    if step_limit is not None and step_limit < 0:
-        raise ContractError(f"step_limit must be >= 0, got {step_limit}")
-    if seed is None:
-        seed = random.SystemRandom().randrange(2**32)
-    rng = random.Random(seed)
-
+    seed, rng, limit = start_run(seed, step_limit, graph.m)
     state, cycles = greedy_4acyclic(graph, k, rng)
-    limit = default_step_limit(graph.m) if step_limit is None else step_limit
     index = CycleIndex(state, cycles)
 
     def recolor(cycle: Cycle) -> None:
@@ -407,7 +397,7 @@ def col_alg(
 
     phases, trace, terminated = resample_loop(index.least, lambda top: index.least(top.edge_set), recolor, limit)
     trace = [(cycle.key, depth) for cycle, depth in trace]
-    return state, ColorRunStats(len(trace), phases, trace, terminated, seed, limit)
+    return state, ColorRunStats(phases, trace, terminated, seed, limit)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"line {lineno}: bad problem line {line!r}")
             n_vars, declared_clauses = int(parts[2]), int(parts[3])
+            if n_vars < 0 or declared_clauses < 0:
+                raise ValueError(f"line {lineno}: negative count in problem line {line!r}")
             if n_vars > MAX_HEADER_VARIABLES:
                 raise ValueError(f"line {lineno}: {n_vars} variables exceed the cap of {MAX_HEADER_VARIABLES}")
             continue
@@ -72,7 +74,7 @@ def clause_system(n_vars: int, clauses: list[tuple[int, ...]]) -> EventSystem:
         def violated(values, _checks=checks):
             return all(values[i] != satisfying for i, satisfying in _checks)
 
-        events.append(Event(j, scope, violated, name=f"clause{j}"))
+        events.append(Event(j, scope, violated))
     return EventSystem(space, events, p=0.0 if narrowest is None else 2.0 ** -narrowest)
 
 

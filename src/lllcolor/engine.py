@@ -81,7 +81,6 @@ class Event:
     id: int
     scope: tuple[int, ...]
     predicate: Callable[[tuple], bool]
-    name: str = ""
 
     def __post_init__(self):
         if not self.scope:
@@ -92,21 +91,13 @@ class Event:
         return bool(self.predicate(tuple(values[i] for i in self.scope)))
 
 
-def occurs(event: Event, assignment: Sequence) -> bool:
-    """Pure check of one event against an assignment."""
-    for i in event.scope:
-        if i < 0 or i >= len(assignment):
-            raise ContractError(f"scope index {i} out of range")
-    return event.occurs(assignment)
-
-
 class EventSystem:
     """Ordered events plus their scope-overlap dependency structure.
 
     Two events are neighbours when their scopes intersect; every event is
     its own neighbour.  ``delta`` is the largest neighbourhood size.  ``p``
     is a caller-supplied bound on the probability of any single event under
-    fresh sampling; when unknown it can be estimated by ``estimate_p``.
+    fresh sampling.
     """
 
     def __init__(self, space: VariableSpace, events: Sequence[Event], p: float | None = None):
@@ -130,7 +121,6 @@ class EventSystem:
         self.neighborhoods = neigh
         self.delta = max((len(ns) for ns in neigh), default=0)
         self.p = p
-        self.p_estimate: tuple[float, float] | None = None
 
     @property
     def m(self) -> int:
@@ -148,26 +138,6 @@ class EventSystem:
                 return j
         return None
 
-    def estimate_p(self, rng: random.Random, samples: int = 2000) -> tuple[float, float]:
-        """Monte-Carlo bound on the max event probability under fresh sampling.
-
-        Returns (estimate, 3-sigma half-width of the maximizing event's
-        frequency); also stored on the system for later inspection.
-        """
-        if self.m == 0:
-            self.p_estimate = (0.0, 0.0)
-            return self.p_estimate
-        hits = [0] * self.m
-        for _ in range(samples):
-            values = sample_all(self, rng)
-            for j, ev in enumerate(self.events):
-                if ev.occurs(values):
-                    hits[j] += 1
-        p_hat = max(hits) / samples
-        half = 3.0 * math.sqrt(max(p_hat * (1 - p_hat), 1.0 / samples) / samples)
-        self.p_estimate = (p_hat, half)
-        return self.p_estimate
-
 
 def sample_all(system: EventSystem, rng: random.Random) -> list:
     """Fresh independent sample of every variable."""
@@ -182,6 +152,20 @@ def _resample_scope(system: EventSystem, values: list, j: int, rng: random.Rando
 def default_step_limit(m: int) -> int:
     """Default guard on resample calls: 64 * m * ceil(log2(m + 2))."""
     return 64 * m * math.ceil(math.log2(m + 2))
+
+
+def start_run(seed: int | None, step_limit: int | None, m: int) -> tuple[int, random.Random, int]:
+    """The set-up of a resampling run over m bad objects: (seed, rng, limit).
+
+    A negative ``step_limit`` is a ContractError.  A missing seed is drawn
+    fresh and returned, so the run can be repeated; a missing limit is
+    ``default_step_limit(m)``.
+    """
+    if step_limit is not None and step_limit < 0:
+        raise ContractError(f"step_limit must be >= 0, got {step_limit}")
+    if seed is None:
+        seed = random.SystemRandom().randrange(2**32)
+    return seed, random.Random(seed), default_step_limit(m) if step_limit is None else step_limit
 
 
 def resample_loop(next_root: Callable, least_child: Callable, resample: Callable, limit: int) -> tuple:
@@ -222,15 +206,19 @@ class RunStats:
     """Bookkeeping of one resampling run.
 
     ``trace`` lists every resample call as (label, depth), depth 0 being a
-    root call from the main loop; it reconstructs the exact call structure.
+    root call from the main loop; it reconstructs the exact call structure,
+    and its length is the run's step count.
     """
 
-    steps: int
     phases: int
     trace: list[tuple[Hashable, int]]
     terminated: bool
     seed: int
     step_limit: int
+
+    @property
+    def steps(self) -> int:
+        return len(self.trace)
 
     def to_json_dict(self) -> dict:
         return {
@@ -270,12 +258,7 @@ def m_algorithm(
     randomness, so the run is the one a linear scan for the least occurring
     event would produce.
     """
-    if step_limit is not None and step_limit < 0:
-        raise ContractError(f"step_limit must be >= 0, got {step_limit}")
-    if seed is None:
-        seed = random.SystemRandom().randrange(2**32)
-    rng = random.Random(seed)
-    limit = default_step_limit(system.m) if step_limit is None else step_limit
+    seed, rng, limit = start_run(seed, step_limit, system.m)
     events, neighborhoods = system.events, system.neighborhoods
 
     values = sample_all(system, rng)
@@ -300,7 +283,7 @@ def m_algorithm(
     )
     if terminated and phases > system.m:
         raise ContractError(f"{phases} phases for {system.m} events on a terminated run")
-    return values, RunStats(len(trace), phases, trace, terminated, seed, limit)
+    return values, RunStats(phases, trace, terminated, seed, limit)
 
 
 @dataclass
@@ -314,7 +297,6 @@ class WitnessForest:
     """
 
     labels: list[Hashable]
-    parents: list[int | None]
     children: list[list[int]]
     roots: list[int]
 
@@ -331,9 +313,6 @@ class WitnessForest:
                 stack.extend(reversed(self.children[node]))
         return order
 
-    def labels_in_order(self) -> list[Hashable]:
-        return [self.labels[i] for i in self.node_order()]
-
 
 def build_witness_forest(trace: Sequence[tuple[Hashable, int]]) -> WitnessForest:
     """Rebuild the recursion forest from a run trace.
@@ -345,7 +324,6 @@ def build_witness_forest(trace: Sequence[tuple[Hashable, int]]) -> WitnessForest
     one past the current stack is a malformed trace.
     """
     labels: list[int] = []
-    parents: list[int | None] = []
     children: list[list[int]] = []
     roots: list[int] = []
     path: list[int] = []
@@ -354,7 +332,6 @@ def build_witness_forest(trace: Sequence[tuple[Hashable, int]]) -> WitnessForest
             raise ContractError(f"trace depth jumps to {depth} with stack of {len(path)}")
         node = len(labels)
         labels.append(j)
-        parents.append(None if depth == 0 else path[depth - 1])
         children.append([])
         if depth == 0:
             roots.append(node)
@@ -364,7 +341,7 @@ def build_witness_forest(trace: Sequence[tuple[Hashable, int]]) -> WitnessForest
         path.append(node)
     for ch in children:
         ch.sort(key=lambda i: labels[i])
-    return WitnessForest(labels, parents, children, roots)
+    return WitnessForest(labels, children, roots)
 
 
 def check_feasible(forest: WitnessForest, scope: Callable[[Hashable], Iterable]) -> bool:

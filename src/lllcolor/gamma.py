@@ -202,14 +202,13 @@ def min_gamma(r: float, tol: float = 1e-4) -> float:
     return _min_gamma_cached(int(round(2 * r)), tol)
 
 
-def min_gamma_for_girth(girth: int, tol: float = 1e-4) -> float:
-    return min_gamma(girth_to_r(girth), tol)
-
-
 def colors_needed(delta: int, girth: int = 3) -> int:
-    """Palette size ceil((2 + gamma_min) * (delta - 1)) + 1 for the girth class."""
-    if delta < 2:
-        raise ValueError("delta must be >= 2")
+    """Palette size ceil((2 + gamma_min) * (delta - 1)) + 1 for the girth class.
+
+    No graph read from a file has a maximum degree above its vertex cap.
+    """
+    if not 2 <= delta <= MAX_HEADER_VERTICES:
+        raise ValueError(f"delta {delta} outside 2..{MAX_HEADER_VERTICES}")
     g = min_gamma(girth_to_r(girth), tol=1e-6)
     return math.ceil((2.0 + g) * (delta - 1)) + 1
 

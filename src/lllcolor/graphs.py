@@ -15,16 +15,16 @@ class Graph:
             raise ValueError(f"vertex count {n_vertices} is negative")
         self.n_vertices = n_vertices
         self.edges: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
+        self._edge_index: dict[tuple[int, int], int] = {}
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n_vertices and 0 <= v < n_vertices):
                 raise ValueError(f"edge ({u},{v}) out of range")
             e = (u, v) if u < v else (v, u)
-            if e in seen:
+            if e in self._edge_index:
                 raise ValueError(f"parallel edge ({u},{v})")
-            seen.add(e)
+            self._edge_index[e] = len(self.edges)
             self.edges.append(e)
         # adjacency as (neighbour, edge index) pairs
         self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
@@ -33,7 +33,6 @@ class Graph:
             self.adj[v].append((u, idx))
         self.degrees = [len(a) for a in self.adj]
         self.max_degree = max(self.degrees, default=0)
-        self._edge_index = {e: i for i, e in enumerate(self.edges)}
         self._girth: int | None | str = "unset"
 
     @property

@@ -112,7 +112,8 @@ def reference_m_algorithm(system: EventSystem, seed: int, step_limit: int | None
             trace.append((k, len(stack) - 1))
             resample(k)
 
-    return values, RunStats(steps, phases, trace, not aborted, seed, limit)
+    assert steps == len(trace)
+    return values, RunStats(phases, trace, not aborted, seed, limit)
 
 
 def reference_col_alg(
@@ -165,7 +166,8 @@ def reference_col_alg(
                 break
             stack.append(nxt)
 
-    return state, ColorRunStats(steps, phases, trace, not aborted, seed, limit)
+    assert steps == len(trace)
+    return state, ColorRunStats(phases, trace, not aborted, seed, limit)
 
 
 def reference_forbidden_colors(graph: Graph, colors: list[int | None], e: int) -> set[int]:

@@ -18,7 +18,8 @@ from lllcolor.engine import dice_experiment, m_algorithm
 from lllcolor.gamma import (
     PhiParams,
     colors_needed,
-    min_gamma_for_girth,
+    girth_to_r,
+    min_gamma,
     phi,
     phi_prime,
     q_coloring_series,
@@ -72,7 +73,7 @@ def test_criterion_2_girth_table():
     targets = {5: 1.731, 7: 1.326, 53: 0.494, 219: 0.323, 10: 1.051, 100: 0.402, 250: 0.313}
     errors = {}
     for girth, expected in targets.items():
-        value = min_gamma_for_girth(girth, tol=1e-5)
+        value = min_gamma(girth_to_r(girth), tol=1e-5)
         errors[girth] = abs(value - expected)
     worst = max(errors, key=errors.get)
     ok = all(err <= 1e-3 for err in errors.values())

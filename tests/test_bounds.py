@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lllcolor.bounds import (
+    MAX_EVENTS,
     BoundParams,
     NoCutoffError,
     Q_SERIES_CAP,
@@ -186,6 +187,11 @@ def test_bound_rows():
     assert [r[0] for r in rows] == [0, 1, 2, 3]
     assert rows[2][1] == "1/32" and rows[2][2] == pytest.approx(1 / 32)
     assert rows[3][4] == pytest.approx(0.5**3)
+    # base = 10 * (10/9)**9 * 1 is about 25.8, so base**219 passes 1.8e308
+    steep = BoundParams(Fraction(1), 10)
+    assert all(math.isfinite(x) for row in bound_rows(steep, 218)[1:] for x in row[2:])
+    with pytest.raises(ValueError, match="n=219"):
+        bound_rows(steep, 300)
 
 
 def test_bound_params_validation():
@@ -195,8 +201,13 @@ def test_bound_params_validation():
         BoundParams(Fraction(1, 2), 1)
     with pytest.raises(ValueError):
         BoundParams(Fraction(1, 2), 2, m=0)
-    for prefactor in (0.0, -1.0, math.nan):
+    for prefactor in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             BoundParams(Fraction(1, 8), 2, prefactor=prefactor)
+    BoundParams(Fraction(1, 8), MAX_EVENTS, m=MAX_EVENTS)
+    with pytest.raises(ValueError):
+        BoundParams(Fraction(1, 8), MAX_EVENTS + 1)
+    with pytest.raises(ValueError):
+        BoundParams(Fraction(1, 8), 2, m=MAX_EVENTS + 1)
     with pytest.raises(ValueError):
         q_series(BoundParams(Fraction(1, 8), 2), -2)

@@ -408,6 +408,12 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         ("dice", "--trials", "1000001"),
         ("dice", "--trials", "10", "--phases", "863"),
         ("gamma", "--table", "3", "10003"),
+        ("bounds", "--p", "1", "--delta", "10", "--n", "300"),
+        ("bounds", "--p", "1/8", "--delta", "1" + "0" * 400),
+        ("bounds", "--p", "1/8", "--delta", "3", "--m", "1" + "0" * 400),
+        ("bounds", "--p", "1/8", "--delta", "3", "--prefactor", "inf"),
+        ("gamma", "--girth", "5", "--delta", "1" + "0" * 400),
+        ("sat", "{negative_cnf}"),
     ],
     ids=[
         "sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs",
@@ -417,7 +423,8 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         "bounds-prefactor-nan", "color-negative-vertices", "gamma-tol-nan",
         "gamma-tol-inf", "gamma-girth-huge", "gamma-table-huge", "gamma-delta-zero",
         "dice-phases-negative", "dice-phases-zero", "dice-trials-huge",
-        "dice-phases-underflow", "gamma-table-rows",
+        "dice-phases-underflow", "gamma-table-rows", "bounds-float-overflow", "bounds-delta-huge",
+        "bounds-m-huge", "bounds-prefactor-inf", "gamma-delta-huge", "sat-negative-variables",
     ],
 )
 def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, argv):
@@ -425,7 +432,10 @@ def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, arg
     cnf.write_text("p cnf 2 1\n1 2 0\n")
     negative = tmp_path / "negative.edges"
     negative.write_text("p edges -3 0\n")
-    code = main([a.format(cnf=cnf, graph=hexagon_file, negative=negative) for a in argv])
+    negative_cnf = tmp_path / "negative.cnf"
+    negative_cnf.write_text("p cnf -2 0\n")
+    paths = {"cnf": cnf, "graph": hexagon_file, "negative": negative, "negative_cnf": negative_cnf}
+    code = main([a.format(**paths) for a in argv])
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("lllcolor: error:")

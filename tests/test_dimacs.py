@@ -64,6 +64,9 @@ def test_parse_errors():
         parse_dimacs("p cnf 2 1\n0\n")
     with pytest.raises(ValueError):
         parse_dimacs("p dnf 2 1\n1 0\n")
+    for header in ("p cnf -2 0\n", "p cnf 2 -1\n"):
+        with pytest.raises(ValueError, match="negative count"):
+            parse_dimacs(header)
 
 
 def test_clause_system_structure():

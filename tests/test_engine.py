@@ -19,7 +19,6 @@ from lllcolor.engine import (
     default_step_limit,
     dice_experiment,
     m_algorithm,
-    occurs,
     sample_all,
     validate,
 )
@@ -76,20 +75,24 @@ def test_variable_space_validation():
         VariableSpace([(0, 1)], weights=[(1,)])
 
 
-# -- occurs -------------------------------------------------------------------
+# -- events -------------------------------------------------------------------
 
 def test_occurs_basic():
     ev = Event(0, (0,), lambda v: v[0] == 1)
-    assert occurs(ev, [1]) is True
-    assert occurs(ev, [0]) is False
+    assert ev.occurs([1]) is True
+    assert ev.occurs([0]) is False
     eq = Event(0, (0, 1), lambda v: v[0] == v[1])
-    assert occurs(eq, [3, 3]) is True
+    assert eq.occurs([3, 3]) is True
 
 
-def test_occurs_scope_out_of_range():
-    ev = Event(0, (2,), lambda v: True)
-    with pytest.raises(ContractError):
-        occurs(ev, [0, 0])
+def test_event_system_contracts():
+    space = VariableSpace.booleans(2)
+    with pytest.raises(ContractError, match="exceeds variable count"):
+        EventSystem(space, [Event(0, (2,), lambda v: True)])
+    with pytest.raises(ContractError, match="has id 1"):
+        EventSystem(space, [Event(1, (0,), lambda v: True)])
+    with pytest.raises(ContractError, match="non-empty"):
+        Event(0, (), lambda v: True)
 
 
 # -- the resampling loop ------------------------------------------------------
@@ -300,13 +303,6 @@ def test_event_evaluations_linear_in_steps(monkeypatch):
     assert evaluations <= system.m + stats.steps * system.delta
 
 
-def test_estimate_p():
-    system = single_event_system()
-    estimate, half = system.estimate_p(random.Random(8), samples=4000)
-    assert abs(estimate - 0.5) <= half
-    assert system.p_estimate == (estimate, half)
-
-
 # -- witness forests ----------------------------------------------------------
 
 def _scope(system):
@@ -340,7 +336,7 @@ def test_forest_reconstruction_two_trees():
     assert sorted(forest.labels[c] for c in forest.children[root]) == [0, 1]
     # children are ordered by label
     assert [forest.labels[c] for c in forest.children[root]] == [0, 1]
-    assert forest.labels_in_order() == [0, 0, 1, 2]
+    assert [forest.labels[i] for i in forest.node_order()] == [0, 0, 1, 2]
 
 
 def test_forest_malformed_trace():

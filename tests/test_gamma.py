@@ -9,13 +9,13 @@ from lllcolor.gamma import (
     cycle_prob_bounds,
     girth_to_r,
     min_gamma,
-    min_gamma_for_girth,
     phi,
     phi_prime,
     q_coloring_series,
     series_fixed_point,
     solve_tau,
 )
+from lllcolor.graphs import MAX_HEADER_VERTICES
 
 ANCHOR = PhiParams(1.73095, 3.0)
 
@@ -159,7 +159,7 @@ def test_min_gamma_every_girth():
     # girths up to the 10^6 cap solve (every one to 2000, then samples), and
     # the slack does not grow with the girth beyond the bisection width
     girths = list(range(3, 2001)) + [10**4, 10**5, 10**6]
-    values = [min_gamma_for_girth(g, 1e-6) for g in girths]
+    values = [min_gamma(girth_to_r(g), 1e-6) for g in girths]
     assert all(0 < v < 2 for v in values)
     assert all(b <= a + 1e-6 for a, b in zip(values, values[1:]))
 
@@ -185,9 +185,9 @@ def test_girth_to_r():
 
 
 def test_min_gamma_for_girth():
-    assert min_gamma_for_girth(5) == pytest.approx(1.731, abs=1e-3)
-    assert min_gamma_for_girth(4) == min_gamma_for_girth(5)
-    assert min_gamma_for_girth(7) == pytest.approx(1.326, abs=1e-3)
+    assert min_gamma(girth_to_r(5)) == pytest.approx(1.731, abs=1e-3)
+    assert min_gamma(girth_to_r(4)) == min_gamma(girth_to_r(5))
+    assert min_gamma(girth_to_r(7)) == pytest.approx(1.326, abs=1e-3)
 
 
 def test_colors_needed():
@@ -197,6 +197,9 @@ def test_colors_needed():
         assert colors_needed(2, girth) >= 4
     with pytest.raises(ValueError):
         colors_needed(1, 3)
+    assert colors_needed(MAX_HEADER_VERTICES, 3) > 2 * MAX_HEADER_VERTICES
+    with pytest.raises(ValueError):
+        colors_needed(MAX_HEADER_VERTICES + 1, 3)
 
 
 # -- membership probability bounds -------------------------------------------------

@@ -76,3 +76,32 @@ def test_series_share_no_code_with_their_oracles():
                 todo.append(ref)
     assert not reached & oracles, sorted(reached & oracles)
     assert {"power_step", "PhiParams"} <= reached  # the walk does follow helpers
+
+
+def test_every_function_is_named_somewhere():
+    # a module-level function or method of the library that no library
+    # module, test or benchmark names is API nothing reads; the export
+    # table of __init__ does not count as a reader, attribute strings
+    # elsewhere do (the benchmark wraps methods by name)
+    package = Path(lllcolor.__file__).parent
+    repo = Path(__file__).resolve().parents[1]
+    defined = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for member in members:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                    defined.setdefault(member.name, f"{path.name}:{member.lineno}")
+    named = set()
+    for path in [*package.glob("*.py"), *(repo / "tests").glob("*.py"), *(repo / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and path != package / "__init__.py":
+                named.add(node.value)
+    unread = sorted(where for name, where in defined.items() if name not in named)
+    assert not unread, unread
