@@ -6,7 +6,7 @@ The tail analysis hinges on the sequence
 
 whose closed form is Q_n = p^n * C(delta*n, n) / ((delta-1)*n + 1).  Both
 routes are exact, so their equality is a hard test, not a float tolerance;
-the recurrence runs online through ``power_step``, shared with ``gamma``.
+the recurrence runs online through ``series.power_step``, shared with ``gamma``.
 The asymptotic envelope, the convergence condition and the cutoff
 estimate are plain floating point.
 """
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import ContractError
+from .series import power_step
 
 Q_SERIES_CAP = 300
 MAX_EVENTS = 10**9  # cap on delta and m, far inside the float range
@@ -33,7 +34,7 @@ class BoundParams:
 
     ``p`` bounds the probability of any single event under fresh sampling,
     ``delta`` is the max dependency-neighbourhood size (self included),
-    ``m`` the number of events; neither may exceed ``MAX_EVENTS``.
+    ``m`` the number of events; both are ints no larger than ``MAX_EVENTS``.
     ``prefactor`` is the A > 1 constant of the (A*n)^m * base^n step-count
     bound; the analysis only asserts such a constant exists, so it is
     exposed as a finite input, defaulting to 4.
@@ -48,6 +49,10 @@ class BoundParams:
         object.__setattr__(self, "p", Fraction(self.p))
         if not (0 <= self.p <= 1):
             raise ValueError("p must lie in [0, 1]")
+        for name in ("delta", "m"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool, float or Fraction would turn the exact series into floats
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if not (2 <= self.delta <= MAX_EVENTS):
             raise ValueError(f"delta must lie in 2..{MAX_EVENTS}")
         if not (1 <= self.m <= MAX_EVENTS):
@@ -60,15 +65,6 @@ class BoundParams:
         """Growth base (1 + 1/(delta-1))**(delta-1) * p * delta."""
         d = self.delta
         return (1 + 1 / (d - 1)) ** (d - 1) * float(self.p) * d
-
-
-def power_step(a: list, p: list, alpha: int):
-    """n * [z^n] A**alpha for n = len(p), from A_0 = 1, A_1..A_n (``a``) and
-    the known coefficients P_0..P_(n-1) of P = A**alpha (``p``), by Miller's
-    recurrence n*P_n = sum_{k=1..n} ((alpha+1)*k - n) * A_k * P_(n-k)
-    (Knuth, TAOCP vol. 2, 4.7).  The caller divides by n."""
-    n = len(p)
-    return sum(((alpha + 1) * k - n) * a[k] * p[n - k] for k in range(1, n + 1))
 
 
 def q_series(params: BoundParams, n_max: int) -> list[Fraction]:

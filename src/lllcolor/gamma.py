@@ -24,18 +24,20 @@ half-integral for even girth, and the floor at 3 reflects that
 bichromatic 4-cycles are excluded by construction throughout.
 
 Monotonicity of rho in g (and of the minimal slack in r) is checked
-empirically here, not proven; each bisection spot-checks it on a coarse
-grid of its own bracket.
+empirically here, not proven: each tracked length's bracket is
+spot-checked on a coarse grid once, when the length is first asked for.
+The bisection to a coarser tol is a prefix of the bisection to a finer
+one, so each length keeps its bracket and the narrowest (lo, hi) it has
+reached, and a finer tol goes on from there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .bounds import power_step
 from .graphs import MAX_HEADER_VERTICES
+from .series import power_step
 
 
 class SolverError(RuntimeError):
@@ -85,24 +87,31 @@ def phi(x: float, params: PhiParams) -> float:
     return (1.0 / params.gamma) * q ** (mlen - 3) * (x + 1.0) ** mlen / (1.0 - q * q * (x + 1.0) ** 2)
 
 
-def _log_slopes(x: float, params: PhiParams) -> tuple[float, float]:
+def _slope_constants(params: PhiParams) -> tuple[int, float, float]:
+    """2r, q^2 and 2q^2: what u and u' read at every x, computed once per solve."""
+    q = params.q
+    return params.min_cycle_length, q * q, 2.0 * q * q
+
+
+def _log_slopes(x: float, mlen: int, qq: float, q2: float) -> tuple[float, float]:
     """u = phi'/phi = 2r/(x+1) + 2 q^2 (x+1)/(1 - q^2 (x+1)^2) and its derivative u'."""
-    q, mlen = params.q, params.min_cycle_length
-    denom = 1.0 - q * q * (x + 1.0) ** 2
-    u = mlen / (x + 1.0) + 2.0 * q * q * (x + 1.0) / denom
-    u_prime = -mlen / (x + 1.0) ** 2 + 2.0 * q * q * (denom + 2.0 * q * q * (x + 1.0) ** 2) / denom**2
+    xp = x + 1.0
+    sq = xp**2
+    denom = 1.0 - qq * sq
+    u = mlen / xp + q2 * xp / denom
+    u_prime = -mlen / sq + q2 * (denom + q2 * sq) / denom**2
     return u, u_prime
 
 
 def phi_prime(x: float, params: PhiParams) -> float:
     """Closed-form derivative phi * u."""
     _check_domain(x, params)
-    return phi(x, params) * _log_slopes(x, params)[0]
+    return phi(x, params) * _log_slopes(x, *_slope_constants(params))[0]
 
 
-def _char(x: float, params: PhiParams) -> tuple[float, float]:
+def _char(x: float, mlen: int, qq: float, q2: float) -> tuple[float, float]:
     """h(x) = 1 - x*u(x) and h'(x) = -u - x*u'; 1 at 0, -infinity at the pole."""
-    u, u_prime = _log_slopes(x, params)
+    u, u_prime = _log_slopes(x, mlen, qq, q2)
     return 1.0 - x * u, -u - x * u_prime
 
 
@@ -125,15 +134,15 @@ def solve_tau(params: PhiParams) -> GammaSolution:
     pole at R.  The root is accepted once the bracket has closed to 4 ulps
     (or h is exactly 0): a root then lies within it, whatever |h| reads.
     """
-    radius = params.radius
+    radius, constants = params.radius, _slope_constants(params)
     lo, hi = 0.0, radius * (1.0 - 1e-9)
-    while _char(hi, params)[0] >= 0:
+    while _char(hi, *constants)[0] >= 0:
         hi = radius - (radius - hi) * 0.5
         if radius - hi < 1e-15 * radius:
             raise SolverError("no sign change before the pole")
     x = 0.5 * (lo + hi)
     for _ in range(200):
-        h, slope = _char(x, params)
+        h, slope = _char(x, *constants)
         if h > 0:
             lo = x
         elif h < 0:
@@ -158,48 +167,86 @@ def girth_to_r(girth: int) -> float:
     return max(3.0, (girth + 1) / 2.0)
 
 
-@lru_cache(maxsize=None)
-def _min_gamma_cached(two_r: int, tol: float) -> float:
-    r = two_r / 2.0
+def _rho_at(g: float, r: float) -> float:
+    return solve_tau(PhiParams(g, r)).rho  # through the module, so a wrapper on solve_tau sees each call
 
-    def rho_at(g: float) -> float:
-        return solve_tau(PhiParams(g, r)).rho
 
-    lo, hi = 0.25, 1.0
-    while rho_at(lo) < 1.0:
-        lo /= 2.0
-        if lo < 1e-4:
-            raise SolverError("failed to bracket from below")
-    while rho_at(hi) >= 1.0:
-        hi *= 2.0
-        if hi > 64:
-            raise SolverError("failed to bracket from above")
-    # spot-check the assumed monotone decrease of rho on this bracket
-    samples = [lo + (hi - lo) * i / 8 for i in range(9)]
-    rhos = [rho_at(g) for g in samples]
-    if any(r2 > r1 + 1e-9 for r1, r2 in zip(rhos, rhos[1:])):
-        raise SolverError("rho is not decreasing in gamma on the bracket")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # tol below the float spacing at the bracket
-            break
-        if rho_at(mid) < 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi  # smallest gamma known to satisfy rho < 1, within tol
+class _Bisection:
+    """Bisection for the smallest admissible slack at one tracked half-length r.
+
+    The bracket (lo, hi) with rho(lo) >= 1 > rho(hi) is found and
+    spot-checked once.  The bisection to a coarser tol is a prefix of the
+    bisection to a finer one, so the steps taken are kept as one bit each
+    (set when the midpoint's rho < 1 moved hi down): a request replays
+    them from the bracket and solves only at steps no request took before.
+    """
+
+    __slots__ = ("r", "bracket", "steps", "below", "known", "answers")
+
+    def __init__(self, r: float):
+        self.r, self.steps, self.below, self.known, self.answers = r, 0, 0, {}, {}
+
+        def rho_at(g: float) -> float:
+            if g not in self.known:
+                self.known[g] = _rho_at(g, r)
+            return self.known[g]
+
+        lo, hi = 0.25, 1.0
+        while rho_at(lo) < 1.0:
+            lo /= 2.0
+            if lo < 1e-4:
+                raise SolverError("failed to bracket from below")
+        while rho_at(hi) >= 1.0:
+            hi *= 2.0
+            if hi > 64:
+                raise SolverError("failed to bracket from above")
+        # spot-check the assumed monotone decrease of rho on this bracket
+        rhos = [rho_at(lo + (hi - lo) * i / 8) for i in range(9)]
+        if any(r2 > r1 + 1e-9 for r1, r2 in zip(rhos, rhos[1:])):
+            raise SolverError("rho is not decreasing in gamma on the bracket")
+        self.bracket = lo, hi
+
+    def gamma(self, tol: float) -> float:
+        """Smallest slack known to satisfy rho < 1, within tol."""
+        if tol not in self.answers:
+            (lo, hi), step = self.bracket, 0
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):  # tol below the float spacing at the bracket
+                    break
+                if step == self.steps:  # a step no request has taken yet
+                    rho = self.known[mid] if mid in self.known else _rho_at(mid, self.r)
+                    self.below |= (rho < 1.0) << step
+                    self.steps += 1
+                if self.below >> step & 1:
+                    hi = mid
+                else:
+                    lo = mid
+                step += 1
+            if self.steps >= 3:  # the spot-check's eighths can only be the first three midpoints
+                self.known = {}
+            self.answers[tol] = hi
+        return self.answers[tol]
+
+
+_bisections: dict[int, _Bisection] = {}  # by tracked cycle length 2r
 
 
 def min_gamma(r: float, tol: float = 1e-4) -> float:
     """Smallest admissible slack for tracked half-length r, to width tol.
 
-    A tol below the float spacing at the answer gives the answer to that spacing.
+    A tol below the float spacing at the answer gives the answer to that
+    spacing.  Each tracked length is bracketed and spot-checked once per
+    process; a request at another tol reuses its bisection (``_Bisection``).
     """
     if not (r >= 3):
         raise ValueError("r must be >= 3")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    return _min_gamma_cached(int(round(2 * r)), tol)
+    two_r = int(round(2 * r))
+    if two_r not in _bisections:
+        _bisections[two_r] = _Bisection(two_r / 2.0)
+    return _bisections[two_r].gamma(tol)
 
 
 def colors_needed(delta: int, girth: int = 3) -> int:

@@ -4,13 +4,15 @@ the observers that audit production runs from outside."""
 from __future__ import annotations
 
 import contextlib
+import functools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
 
-from lllcolor import coloring, engine
+from lllcolor import coloring, engine, gamma
 from lllcolor.bounds import BoundParams
 from lllcolor.coloring import (
     ColorRunStats,
@@ -31,6 +33,7 @@ from lllcolor.engine import (
     default_step_limit,
     sample_all,
 )
+from lllcolor.gamma import GammaSolution, PhiParams, SolverError, phi
 from lllcolor.graphs import Graph
 
 
@@ -397,6 +400,95 @@ def reference_q_series(params: BoundParams, n_max: int) -> list[Fraction]:
             conv = nxt
         q.append(params.p * conv[cap])
     return q
+
+
+# The characteristic-equation solver as it stood before each tracked length
+# kept one bisection and each solve read its constants once: the oracles
+# for ``gamma.solve_tau`` and ``gamma.min_gamma``, which must match them bit
+# for bit.
+
+def _reference_log_slopes(x: float, params: PhiParams) -> tuple[float, float]:
+    q, mlen = params.q, params.min_cycle_length
+    denom = 1.0 - q * q * (x + 1.0) ** 2
+    u = mlen / (x + 1.0) + 2.0 * q * q * (x + 1.0) / denom
+    u_prime = -mlen / (x + 1.0) ** 2 + 2.0 * q * q * (denom + 2.0 * q * q * (x + 1.0) ** 2) / denom**2
+    return u, u_prime
+
+
+def _reference_char(x: float, params: PhiParams) -> tuple[float, float]:
+    u, u_prime = _reference_log_slopes(x, params)
+    return 1.0 - x * u, -u - x * u_prime
+
+
+def reference_solve_tau(params: PhiParams) -> GammaSolution:
+    """Root of the characteristic equation, reading q and 2r at every x."""
+    radius = params.radius
+    lo, hi = 0.0, radius * (1.0 - 1e-9)
+    while _reference_char(hi, params)[0] >= 0:
+        hi = radius - (radius - hi) * 0.5
+        if radius - hi < 1e-15 * radius:
+            raise SolverError("no sign change before the pole")
+    x = 0.5 * (lo + hi)
+    for _ in range(200):
+        h, slope = _reference_char(x, params)
+        if h > 0:
+            lo = x
+        elif h < 0:
+            hi = x
+        if h == 0 or hi - lo <= 4 * math.ulp(x):
+            return GammaSolution(params, x, phi(x, params) / x, abs(h))
+        step = x - h / slope if slope else x  # x is lo or hi by now
+        x = step if lo < step < hi else 0.5 * (lo + hi)
+    raise SolverError(f"sign bracket [{lo!r}, {hi!r}] did not close in 200 steps")
+
+
+@functools.lru_cache(maxsize=None)
+def reference_min_gamma(two_r: int, tol: float) -> float:
+    """Brackets, spot-checks and bisects from scratch for every (2r, tol)."""
+    r = two_r / 2.0
+
+    def rho_at(g: float) -> float:
+        return reference_solve_tau(PhiParams(g, r)).rho
+
+    lo, hi = 0.25, 1.0
+    while rho_at(lo) < 1.0:
+        lo /= 2.0
+        if lo < 1e-4:
+            raise SolverError("failed to bracket from below")
+    while rho_at(hi) >= 1.0:
+        hi *= 2.0
+        if hi > 64:
+            raise SolverError("failed to bracket from above")
+    # spot-check the assumed monotone decrease of rho on this bracket
+    samples = [lo + (hi - lo) * i / 8 for i in range(9)]
+    rhos = [rho_at(g) for g in samples]
+    if any(r2 > r1 + 1e-9 for r1, r2 in zip(rhos, rhos[1:])):
+        raise SolverError("rho is not decreasing in gamma on the bracket")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # tol below the float spacing at the bracket
+            break
+        if rho_at(mid) < 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi  # smallest gamma known to satisfy rho < 1, within tol
+
+
+@pytest.fixture
+def solve_tau_calls(monkeypatch) -> list[int]:
+    """Fresh bisections, and a one-item list counting gamma.solve_tau calls
+    made through the module, as the benchmark's wrapper counts them."""
+    calls = [0]
+    solve = gamma.solve_tau
+
+    def counting(params: PhiParams) -> GammaSolution:
+        calls[0] += 1
+        return solve(params)
+
+    monkeypatch.setattr(gamma, "solve_tau", counting)
+    monkeypatch.setattr(gamma, "_bisections", {})
+    return calls
 
 
 def reference_girth(graph: Graph) -> int | None:

@@ -211,3 +211,20 @@ def test_bound_params_validation():
         BoundParams(Fraction(1, 8), 2, m=MAX_EVENTS + 1)
     with pytest.raises(ValueError):
         q_series(BoundParams(Fraction(1, 8), 2), -2)
+
+
+NOT_INTS = (2.5, 3.0, Fraction(5, 2), Fraction(3), True, "3")
+
+
+def test_bound_params_delta_must_be_an_int():
+    # a float or Fraction delta would turn the exact series into floats, and
+    # the closed form's binomial would refuse it; bool is refused with them
+    for delta in NOT_INTS:
+        with pytest.raises(TypeError, match="delta must be an int"):
+            BoundParams(Fraction(1, 8), delta)
+
+
+def test_bound_params_m_must_be_an_int():
+    for m in NOT_INTS:
+        with pytest.raises(TypeError, match="m must be an int"):
+            BoundParams(Fraction(1, 8), 2, m=m)

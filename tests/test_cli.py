@@ -94,6 +94,16 @@ def test_gamma_tolerance_below_float_spacing(capsys):
     assert csv_rows(out)[1][2] == "1.731"
 
 
+def test_gamma_table_solves_each_length_once_per_step(capsys, solve_tau_calls):
+    # each length is bracketed and spot-checked once, the spot-check's
+    # values serve the bisection's first three steps, and the 1e-6 palette
+    # column goes on from the 1e-4 bisection instead of bracketing,
+    # spot-checking and bisecting again from scratch, which took 6,526 calls
+    code, out = run_cli(capsys, "gamma", "--table", "5", "120", "--delta", "11")
+    assert code == 0 and len(csv_rows(out)) == 117
+    assert solve_tau_calls == [3144]
+
+
 # -- color / verify --------------------------------------------------------------
 
 def test_color_hexagon_auto_palette(capsys, hexagon_file):
@@ -482,6 +492,35 @@ def test_commands_import_only_what_they_run(tmp_path):
     assert seen["sat"] == ["lllcolor", "lllcolor.cli", "lllcolor.dimacs", "lllcolor.engine"]
     assert not {m for m in seen["bench"] if not m.startswith("lllcolor")}
     assert "lllcolor.coloring" in seen["bench"]
+
+
+FOOTPRINT_PROBE = """
+import json, sys
+heavy = lambda: sorted(m for m in ("decimal", "fractions", "lllcolor.bounds", "lllcolor.engine") if m in sys.modules)
+from lllcolor.gamma import q_coloring_series
+seen = {"series": heavy()}
+import lllcolor.cli
+for name, argv in json.loads(sys.argv[1]):
+    assert lllcolor.cli.main(argv) == 0, name
+    seen[name] = heavy()
+print(json.dumps(seen))
+"""
+
+
+def test_gamma_and_color_load_no_exact_arithmetic(tmp_path, hexagon_file):
+    # a fresh interpreter: the float series, the gamma command and the
+    # auto palette of color reach the shared power-series helper without
+    # bounds, so fractions and decimal stay unloaded; only color loads engine
+    runs = [
+        ("gamma", ["gamma", "--girth", "5", "--delta", "11", "--out", str(tmp_path / "gamma.csv")]),
+        ("color", ["color", hexagon_file, "--seed", "1", "--out", str(tmp_path / "color.json")]),
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_PROBE, json.dumps(runs)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert json.loads(proc.stdout) == {"series": [], "gamma": [], "color": ["lllcolor.engine"]}
 
 
 # -- golden bytes ----------------------------------------------------------------

@@ -1,10 +1,15 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from conftest import reference_min_gamma, reference_solve_tau
+from lllcolor import gamma as gamma_mod
 from lllcolor.gamma import (
     PhiParams,
+    SolverError,
     _char,
+    _slope_constants,
     colors_needed,
     cycle_prob_bounds,
     girth_to_r,
@@ -118,12 +123,13 @@ def test_solve_tau_residual_scaled_over_parameter_sweep():
     sweep = [(gamma, r) for gamma in (0.2, 0.5, 1.0, 1.73095, 3.0, 8.0) for r in (3.0, 4.5, 27.0)]
     for gamma, r in sweep + [(0.125, 348.5)]:
         params = PhiParams(gamma, r)
+        constants = _slope_constants(params)
         sol = solve_tau(params)
         assert 0 < sol.tau < params.radius
-        assert sol.residual == abs(_char(sol.tau, params)[0])
+        assert sol.residual == abs(_char(sol.tau, *constants)[0])
         ulp = math.ulp(sol.tau)
-        left = [_char(sol.tau - k * ulp, params)[0] for k in range(5)]
-        right = [_char(sol.tau + k * ulp, params)[0] for k in range(5)]
+        left = [_char(sol.tau - k * ulp, *constants)[0] for k in range(5)]
+        right = [_char(sol.tau + k * ulp, *constants)[0] for k in range(5)]
         assert max(left) >= 0 >= min(right), (gamma, r)
 
 
@@ -131,9 +137,27 @@ def test_characteristic_sign_changes_once():
     # 10^4-point scan: the characteristic function crosses zero exactly once
     for gamma, r in [(1.73095, 3.0), (1.74, 3.0), (2.0, 4.0), (0.494, 27.0)]:
         params = PhiParams(gamma, r)
+        constants = _slope_constants(params)
         xs = [params.radius * (1 - 1e-9) * i / 10**4 for i in range(1, 10**4)]
-        signs = [_char(x, params)[0] > 0 for x in xs]
+        signs = [_char(x, *constants)[0] > 0 for x in xs]
         assert sum(1 for a, b in zip(signs, signs[1:]) if a != b) == 1
+
+
+def test_solve_tau_matches_its_oracle_bit_for_bit():
+    # constants read once per solve, not at every x, change no float
+    for gamma in [0.1 * 1.25**i for i in range(20)] + [1.326, 1.73095]:
+        for r in (3.0, 3.5, 4.0, 6.5, 13.5, 27.0, 60.5, 120.5, 348.5):
+            params = PhiParams(gamma, r)
+            sol, ref = solve_tau(params), reference_solve_tau(params)
+            assert (sol.tau.hex(), sol.rho.hex(), sol.residual.hex()) == (
+                ref.tau.hex(), ref.rho.hex(), ref.residual.hex()), (gamma, r)
+
+
+@pytest.mark.parametrize("h, message", [(1.0, "no sign change"), (math.nan, "did not close in 200 steps")])
+def test_solve_tau_refuses_a_bracket_that_never_closes(monkeypatch, h, message):
+    monkeypatch.setattr(gamma_mod, "_char", lambda x, *constants: (h, -1.0))
+    with pytest.raises(SolverError, match=message):
+        solve_tau(ANCHOR)
 
 
 def test_rho_decreasing_in_gamma():
@@ -168,6 +192,45 @@ def test_min_gamma_solution_is_admissible():
     g = min_gamma(3.0)
     assert solve_tau(PhiParams(g, 3.0)).rho < 1.0
     assert solve_tau(PhiParams(g - 2e-4, 3.0)).rho >= 1.0
+
+
+TOLS = (1, 1e-4, 1e-5, 1e-6, 1e-300)
+
+
+@pytest.mark.parametrize("order", [
+    sorted(TOLS),
+    sorted(TOLS, reverse=True),
+    [1e-4, 1e-6, 1e-4, 1e-300, 1e-5, 1e-6, 1, 1e-300, 1],
+], ids=["ascending", "descending", "repeated"])
+def test_min_gamma_matches_its_oracle_in_any_tol_order(monkeypatch, solve_tau_calls, order):
+    # each tracked length keeps one bisection for every tol: whatever the
+    # order of the requests, each answer is the one a fresh bisection gives,
+    # and no request solves at a point another one solved, so all of them
+    # together cost what the finest one costs alone
+    for tol in order:
+        for two_r in range(6, 242):
+            assert min_gamma(two_r / 2, tol).hex() == reference_min_gamma(two_r, tol).hex(), (two_r, tol)
+    # the state per length stays a few numbers: no trajectory, no rho values
+    assert all(not run.known and len(run.answers) == len(set(order)) for run in gamma_mod._bisections.values())
+    in_order, solve_tau_calls[0] = solve_tau_calls[0], 0
+    monkeypatch.setattr(gamma_mod, "_bisections", {})
+    for two_r in range(6, 242):
+        min_gamma(two_r / 2, min(order))
+    assert solve_tau_calls == [in_order]
+
+
+@pytest.mark.parametrize("rho, message", [
+    (lambda g: 0.5, "from below"),
+    (lambda g: 2.0, "from above"),
+    (lambda g: 2.0 if g <= 0.25 else 0.5 if g < 0.5 or g == 1.0 else 0.9, "not decreasing"),
+], ids=["below", "above", "spot-check"])
+def test_min_gamma_refuses_what_it_cannot_bracket(monkeypatch, rho, message):
+    monkeypatch.setattr(gamma_mod, "_bisections", {})
+    monkeypatch.setattr(gamma_mod, "solve_tau", lambda params: SimpleNamespace(rho=rho(params.gamma)))
+    for _ in range(2):  # a failed length is not kept
+        with pytest.raises(SolverError, match=message):
+            min_gamma(3.0)
+    assert not gamma_mod._bisections
 
 
 def test_girth_to_r():

@@ -56,11 +56,12 @@ def test_verifier_shares_no_code_with_the_detector():
 def test_series_share_no_code_with_their_oracles():
     # the closed form and the fixed-point iteration check the two online
     # series, so neither series may reach them, or the naive convolutions
-    # the fixed point is built from, through module-level names
-    from lllcolor import bounds, gamma
+    # the fixed point is built from, through module-level names of the
+    # series modules or of the helper module they share
+    from lllcolor import bounds, gamma, series
 
     defs = {}
-    for module in (bounds, gamma):
+    for module in (bounds, gamma, series):
         tree = ast.parse(Path(module.__file__).read_text())
         defs.update({node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))})
     oracles = {"_mul_trunc", "_series_inverse", "series_fixed_point", "q_closed_form"}
