@@ -14,9 +14,9 @@ estimate are plain floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _Frozen
 from .engine import ContractError
 from .series import power_step
 
@@ -28,8 +28,7 @@ class NoCutoffError(ValueError):
     """The convergence condition fails, so no cutoff point exists."""
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(_Frozen):
     """Inputs of the tail analysis.
 
     ``p`` bounds the probability of any single event under fresh sampling,
@@ -40,25 +39,25 @@ class BoundParams:
     exposed as a finite input, defaulting to 4.
     """
 
-    p: Fraction
-    delta: int
-    m: int = 1
-    prefactor: float = 4.0
+    __slots__ = ("p", "delta", "m", "prefactor")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        if not (0 <= self.p <= 1):
+    def __init__(self, p: Fraction, delta: int, m: int = 1, prefactor: float = 4.0):
+        p = Fraction(p)
+        if not (0 <= p <= 1):
             raise ValueError("p must lie in [0, 1]")
-        for name in ("delta", "m"):
-            value = getattr(self, name)
+        for name, value in (("delta", delta), ("m", m)):
             if type(value) is not int:  # a bool, float or Fraction would turn the exact series into floats
                 raise TypeError(f"{name} must be an int, got {value!r}")
-        if not (2 <= self.delta <= MAX_EVENTS):
+        if not (2 <= delta <= MAX_EVENTS):
             raise ValueError(f"delta must lie in 2..{MAX_EVENTS}")
-        if not (1 <= self.m <= MAX_EVENTS):
+        if not (1 <= m <= MAX_EVENTS):
             raise ValueError(f"m must lie in 1..{MAX_EVENTS}")
-        if not (0 < self.prefactor < math.inf):
+        if not (0 < prefactor < math.inf):
             raise ValueError("prefactor must be positive and finite")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "prefactor", prefactor)
 
     @property
     def base(self) -> float:

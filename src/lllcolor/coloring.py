@@ -36,15 +36,16 @@ so it collects each cycle of its output from the cycle's largest edge, and
 those cycles seed the loop's incremental index; a refresh sweeps only the
 recolored edges, reading their second colors afresh, since other edges of
 the cycle were recolored after each decision.  The full sweep over every
-edge serves only the tests.  The verifier shares none of this: it checks
-that every 2-colored subgraph is a forest by union-find.
+edge serves only the tests.  The verifier shares none of this: it builds
+its own per-vertex color -> neighbour maps and checks that every 2-colored
+subgraph is a forest by a union-find over (second color, vertex) keys.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from . import _Frozen
 from .engine import ContractError, RunStats, resample_loop, start_run
 from .graphs import Graph
 
@@ -361,6 +362,8 @@ class ColorRunStats(RunStats):
     """A coloring run's ``RunStats``: steps are recolor calls, phases are
     root calls, and ``trace`` holds (cycle key, depth) per call."""
 
+    __slots__ = ()
+
     @property
     def cycle_lengths(self) -> list[int]:
         return [key[0] for key, _ in self.trace]
@@ -400,81 +403,86 @@ def col_alg(
     return state, ColorRunStats(phases, trace, terminated, seed, limit)
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    proper: bool
-    acyclic: bool
-    witness: Cycle | None
+class VerifyResult(_Frozen):
+    """Verdict of ``verify_acyclic``: properness, acyclicity and, for a
+    proper coloring with a bichromatic cycle, one such cycle."""
+
+    __slots__ = ("proper", "acyclic", "witness")
+
+    def __init__(self, proper: bool, acyclic: bool, witness: Cycle | None):
+        object.__setattr__(self, "proper", proper)
+        object.__setattr__(self, "acyclic", acyclic)
+        object.__setattr__(self, "witness", witness)
 
 
 def verify_acyclic(graph: Graph, k: int, colors: list[int]) -> VerifyResult:
     """Full verification from the definition; shares no code with the detector.
 
     Palette membership first, then properness through the verifier's own
-    per-vertex color -> edge map.  Acyclicity: every 2-colored subgraph
-    must be a forest, checked by union-find over (color pair, vertex).
-    Pairs (a, b), a < b, are handled grouped by a, over the colors in use
-    only (so the cost does not grow with k), and only a's forests are
-    alive at once: each a-edge with b at both ends joins its endpoints, and
-    so does each b-edge at those ends whose far end carries a as well.
-    Every edge of an (a, b)-cycle is among them (its ends carry both
-    colors), so there are O(m*maxdeg) unions.  A union inside one set
-    closes a bichromatic cycle: the witness is that edge plus the
-    alternating path back between its endpoints, not necessarily the least
-    cycle.  A coloring outside the palette 0..k-1 or an improper one reports
-    proper=False and acyclic=False without a witness.
+    per-vertex color -> neighbour maps, built with one list of end pairs
+    per color.  Acyclicity: every 2-colored subgraph must be a forest,
+    checked by union-find.  Pairs (a, b), a < b, are handled grouped by a,
+    over the colors in use only, and only a's forests are alive at once,
+    in one union-find keyed by b*n + vertex for n vertices, so its size
+    does not grow with k.  Each a-edge {u, v} with b at both ends joins its
+    ends, and so does each b-edge at u or v whose far end carries a as
+    well, seen from its lower end.  Every edge of an (a, b)-cycle is among
+    them (its ends carry both colors), so there are O(m*maxdeg) unions.  A
+    union inside one set closes a bichromatic cycle: the witness is that
+    edge plus the alternating path back between its ends, not necessarily
+    the least cycle.  A coloring outside the palette 0..k-1 or an improper
+    one reports proper=False and acyclic=False without a witness.
     """
     if len(colors) != graph.m or None in colors:
         raise ContractError("verify_acyclic requires one color per edge")
     if not all(0 <= c < k for c in colors):
         return VerifyResult(False, False, None)
-    at: list[dict[int, int]] = [{} for _ in range(graph.n_vertices)]
-    by_color: dict[int, list[int]] = {}
-    for idx, ends in enumerate(graph.edges):
-        c = colors[idx]
-        for vertex in ends:
-            if c in at[vertex]:
-                return VerifyResult(False, False, None)
-            at[vertex][c] = idx
-        by_color.setdefault(c, []).append(idx)
-    for a in sorted(by_color):
-        forests: dict[int, dict[int, int]] = {}  # b -> union-find parents of the (a, b) forest
-        for e in by_color[a]:
-            u, v = graph.edges[e]
-            for b in at[u].keys() & at[v].keys():
+    n = graph.n_vertices
+    nb: list[dict[int, int]] = [{} for _ in range(n)]  # vertex -> color -> neighbour
+    ends_by_color: dict[int, list[tuple[int, int]]] = {}
+    for ends, c in zip(graph.edges, colors):
+        u, v = ends
+        nb_u, nb_v = nb[u], nb[v]
+        if c in nb_u or c in nb_v:
+            return VerifyResult(False, False, None)
+        nb_u[c], nb_v[c] = v, u
+        ends_by_color.setdefault(c, []).append(ends)
+    for a in sorted(ends_by_color):
+        parent: dict[int, int] = {}  # b*n + vertex -> its union-find parent in the (a, b) forest
+        for u, v in ends_by_color[a]:
+            nb_u, nb_v = nb[u], nb[v]
+            for b in nb_u.keys() & nb_v.keys():
                 if b <= a:
                     continue
-                parent = forests.setdefault(b, {})
-                for g in (e, at[u][b], at[v][b]):
-                    lo, hi = graph.edges[g]
-                    # e itself, and a b-edge at u or v when its far end
-                    # carries a too: each joins once, seen from its lower end
-                    if lo not in (u, v) or a not in at[hi]:
+                base = b * n
+                # the a-edge itself, then the b-edges at u and at v, each
+                # joining when it is seen from its lower end and its upper
+                # end carries a (which the a-edge's upper end v does)
+                for lo, hi in ((u, v), (u, nb_u[b]), (v, nb_v[b])):
+                    if hi < lo or a not in nb[hi]:
                         continue
-                    r_lo, r_hi = _root(parent, lo), _root(parent, hi)
-                    if r_lo == r_hi:
-                        return VerifyResult(True, False, _witness(graph, at, g, a, b))
-                    parent[r_lo] = r_hi
+                    x = base + lo
+                    while (p := parent.get(x, x)) != x:
+                        parent[x] = x = parent.get(p, p)
+                    y = base + hi
+                    while (p := parent.get(y, y)) != y:
+                        parent[y] = y = parent.get(p, p)
+                    if x == y:
+                        return VerifyResult(True, False, _witness(graph, nb, lo, hi, a, b))
+                    parent[x] = y
     return VerifyResult(True, True, None)
 
 
-def _root(parent: dict[int, int], x: int) -> int:
-    """Union-find root of x (absent keys are roots), halving the path."""
-    while (p := parent.get(x, x)) != x:
-        parent[x] = x = parent.get(p, p)
-    return x
-
-
-def _witness(graph: Graph, at: list[dict[int, int]], g: int, a: int, b: int) -> Cycle:
-    """Edge g of the (a, b) subgraph plus the alternating path from its
-    upper back to its lower endpoint, which exists because both ends
-    already share a union-find set."""
-    lo, cur = graph.edges[g]
-    want = b if at[cur].get(a) == g else a
-    walk = [g]
+def _witness(graph: Graph, nb: list[dict[int, int]], lo: int, hi: int, a: int, b: int) -> Cycle:
+    """Edge {lo, hi} of the (a, b) subgraph plus the alternating path from
+    hi back to lo, which exists because both ends already share a
+    union-find set."""
+    want = b if nb[hi].get(a) == lo else a
+    walk, cur = [graph.edge_index(lo, hi)], hi
     while cur != lo:
-        walk.append(at[cur][want])
-        cur = graph.other_end(walk[-1], cur)
+        nxt = nb[cur][want]
+        walk.append(graph.edge_index(cur, nxt))
+        cur = nxt
         want = a if want == b else b
     return Cycle.from_walk(graph, walk)
 

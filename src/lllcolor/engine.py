@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
+
+from . import _Frozen, _Record
 
 
 class ContractError(ValueError):
@@ -70,22 +71,22 @@ class VariableSpace:
         return rng.choices(dom, weights=w, k=1)[0]
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(_Frozen):
     """An undesirable event: a predicate over the variables in its scope.
 
     The predicate receives the scoped values as a tuple, in scope order, so
-    it structurally cannot read variables outside the scope.
+    it structurally cannot read variables outside the scope.  The scope is
+    kept sorted and without repeats; an empty one is a ContractError.
     """
 
-    id: int
-    scope: tuple[int, ...]
-    predicate: Callable[[tuple], bool]
+    __slots__ = ("id", "scope", "predicate")
 
-    def __post_init__(self):
-        if not self.scope:
+    def __init__(self, id: int, scope: Iterable[int], predicate: Callable[[tuple], bool]):
+        if not scope:
             raise ContractError("event scope must be non-empty")
-        object.__setattr__(self, "scope", tuple(sorted(set(self.scope))))
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "scope", tuple(sorted(set(scope))))
+        object.__setattr__(self, "predicate", predicate)
 
     def occurs(self, values: Sequence) -> bool:
         return bool(self.predicate(tuple(values[i] for i in self.scope)))
@@ -201,20 +202,29 @@ def resample_loop(next_root: Callable, least_child: Callable, resample: Callable
     return phases, trace, True
 
 
-@dataclass
-class RunStats:
+class RunStats(_Record):
     """Bookkeeping of one resampling run.
 
     ``trace`` lists every resample call as (label, depth), depth 0 being a
     root call from the main loop; it reconstructs the exact call structure,
-    and its length is the run's step count.
+    and its length is the run's step count.  Two runs are equal when they
+    are of one class and agree field by field.
     """
 
-    phases: int
-    trace: list[tuple[Hashable, int]]
-    terminated: bool
-    seed: int
-    step_limit: int
+    __slots__ = ("phases", "trace", "terminated", "seed", "step_limit")
+    __hash__ = None
+
+    def __init__(self, phases: int, trace: list[tuple[Hashable, int]], terminated: bool, seed: int, step_limit: int):
+        self.phases = phases
+        self.trace = trace
+        self.terminated = terminated
+        self.seed = seed
+        self.step_limit = step_limit
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in RunStats.__slots__)
 
     @property
     def steps(self) -> int:
@@ -286,8 +296,7 @@ def m_algorithm(
     return values, RunStats(phases, trace, terminated, seed, limit)
 
 
-@dataclass
-class WitnessForest:
+class WitnessForest(_Record):
     """Rooted labeled forest mirroring the recursion of a run prefix.
 
     Trees appear in root-call order; within a tree, children of a node are
@@ -296,9 +305,12 @@ class WitnessForest:
     coloring runs.
     """
 
-    labels: list[Hashable]
-    children: list[list[int]]
-    roots: list[int]
+    __slots__ = ("labels", "children", "roots")
+
+    def __init__(self, labels: list[Hashable], children: list[list[int]], roots: list[int]):
+        self.labels = labels
+        self.children = children
+        self.roots = roots
 
     def __len__(self) -> int:
         return len(self.labels)

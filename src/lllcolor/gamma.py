@@ -34,8 +34,8 @@ reached, and a finer tol goes on from there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from . import _Frozen
 from .graphs import MAX_HEADER_VERTICES
 from .series import power_step
 
@@ -44,23 +44,23 @@ class SolverError(RuntimeError):
     """Root bracketing or refinement failed."""
 
 
-@dataclass(frozen=True)
-class PhiParams:
+class PhiParams(_Frozen):
     """Slack gamma plus the half-length r of the shortest tracked cycle.
 
     2r must be integral; half-integral r arises from even girth.
     """
 
-    gamma: float
-    r: float = 3.0
+    __slots__ = ("gamma", "r")
 
-    def __post_init__(self):
-        if not (self.gamma > 0):
+    def __init__(self, gamma: float, r: float = 3.0):
+        if not (gamma > 0):
             raise ValueError("gamma must be positive")
-        if not (self.r >= 3):
+        if not (r >= 3):
             raise ValueError("r must be >= 3")
-        if abs(2 * self.r - round(2 * self.r)) > 1e-9:
+        if abs(2 * r - round(2 * r)) > 1e-9:
             raise ValueError("2*r must be an integer")
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "r", r)
 
     @property
     def q(self) -> float:
@@ -83,8 +83,13 @@ def _check_domain(x: float, params: PhiParams) -> None:
 
 def phi(x: float, params: PhiParams) -> float:
     _check_domain(x, params)
-    q, mlen = params.q, params.min_cycle_length
-    return (1.0 / params.gamma) * q ** (mlen - 3) * (x + 1.0) ** mlen / (1.0 - q * q * (x + 1.0) ** 2)
+    q = params.q
+    return _phi(x, params.gamma, q, params.min_cycle_length, q * q)
+
+
+def _phi(x: float, gamma: float, q: float, mlen: int, qq: float) -> float:
+    """phi(x) from the constants of a solve, qq being q*q."""
+    return (1.0 / gamma) * q ** (mlen - 3) * (x + 1.0) ** mlen / (1.0 - qq * (x + 1.0) ** 2)
 
 
 def _slope_constants(params: PhiParams) -> tuple[int, float, float]:
@@ -115,12 +120,17 @@ def _char(x: float, mlen: int, qq: float, q2: float) -> tuple[float, float]:
     return 1.0 - x * u, -u - x * u_prime
 
 
-@dataclass(frozen=True)
-class GammaSolution:
-    params: PhiParams
-    tau: float
-    rho: float
-    residual: float  # |h(tau)|
+class GammaSolution(_Frozen):
+    """The root tau of the characteristic equation for ``params``, the growth
+    rate rho = phi(tau)/tau and the residual |h(tau)|."""
+
+    __slots__ = ("params", "tau", "rho", "residual")
+
+    def __init__(self, params: PhiParams, tau: float, rho: float, residual: float):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "residual", residual)
 
 
 def solve_tau(params: PhiParams) -> GammaSolution:
@@ -133,8 +143,11 @@ def solve_tau(params: PhiParams) -> GammaSolution:
     Newton steps are taken whenever they stay inside it, surviving the
     pole at R.  The root is accepted once the bracket has closed to 4 ulps
     (or h is exactly 0): a root then lies within it, whatever |h| reads.
+    q, 2r and q^2 are derived once, for the pole, the slopes and rho alike.
     """
-    radius, constants = params.radius, _slope_constants(params)
+    q, constants = params.q, _slope_constants(params)
+    mlen, qq, _ = constants
+    radius = 1.0 / q - 1.0
     lo, hi = 0.0, radius * (1.0 - 1e-9)
     while _char(hi, *constants)[0] >= 0:
         hi = radius - (radius - hi) * 0.5
@@ -148,7 +161,7 @@ def solve_tau(params: PhiParams) -> GammaSolution:
         elif h < 0:
             hi = x
         if h == 0 or hi - lo <= 4 * math.ulp(x):
-            return GammaSolution(params, x, phi(x, params) / x, abs(h))
+            return GammaSolution(params, x, _phi(x, params.gamma, q, mlen, qq) / x, abs(h))
         step = x - h / slope if slope else x  # x is lo or hi by now
         x = step if lo < step < hi else 0.5 * (lo + hi)
     raise SolverError(f"sign bracket [{lo!r}, {hi!r}] did not close in 200 steps")

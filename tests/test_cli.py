@@ -462,7 +462,10 @@ def test_unknown_flag_is_input_error(capsys):
 STARTUP_PROBE = """
 import json, sys
 import lllcolor.cli
-loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] in {"lllcolor", "networkx", "concurrent", "multiprocessing"})
+loaded = lambda: sorted(
+    m for m in sys.modules
+    if m.split(".")[0] in {"lllcolor", "networkx", "concurrent", "multiprocessing", "dataclasses", "inspect"}
+)
 seen = {"import": loaded()}
 for name, argv in json.loads(sys.argv[1]):
     assert lllcolor.cli.main(argv) == 0, name
@@ -471,16 +474,22 @@ print(json.dumps(seen))
 """
 
 
-def test_commands_import_only_what_they_run(tmp_path):
+def test_commands_import_only_what_they_run(tmp_path, hexagon_file):
     # a fresh interpreter: `import lllcolor.cli` loads no library module and
-    # no process pool, `sat` loads only dimacs and engine, and a
-    # random-regular bench with one job neither starts nor imports a pool
+    # no process pool, `sat` loads only dimacs and engine, a random-regular
+    # bench with one job neither starts nor imports a pool, and no command
+    # loads dataclasses or inspect (their import costs every process ~15 ms)
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
+    coloring = str(tmp_path / "color.json")
     runs = [
         ("sat", ["sat", str(cnf), "--seed", "1", "--out", str(tmp_path / "sat.json")]),
         ("bench", ["bench", "--generator", "random-regular:3,10", "--runs", "2", "--jobs", "1",
                    "--out", str(tmp_path / "bench.csv")]),
+        ("color", ["color", hexagon_file, "--seed", "1", "--out", coloring]),
+        ("verify", ["verify", hexagon_file, coloring, "--out", str(tmp_path / "verify.json")]),
+        ("gamma", ["gamma", "--girth", "5", "--delta", "11", "--out", str(tmp_path / "gamma.csv")]),
+        ("bounds", ["bounds", "--p", "1/8", "--delta", "3", "--n", "5", "--out", str(tmp_path / "bounds.csv")]),
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -492,6 +501,9 @@ def test_commands_import_only_what_they_run(tmp_path):
     assert seen["sat"] == ["lllcolor", "lllcolor.cli", "lllcolor.dimacs", "lllcolor.engine"]
     assert not {m for m in seen["bench"] if not m.startswith("lllcolor")}
     assert "lllcolor.coloring" in seen["bench"]
+    assert {"lllcolor.bounds", "lllcolor.gamma"} <= set(seen["bounds"])  # every command ran
+    for name, _ in runs:
+        assert not {"dataclasses", "inspect"} & set(seen[name]), name
 
 
 FOOTPRINT_PROBE = """

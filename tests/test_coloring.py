@@ -700,6 +700,43 @@ def test_verifier_agrees_with_brute_force():
     assert cyclic >= 100 and acyclic >= 100, (cyclic, acyclic)
 
 
+def test_verifier_agrees_with_the_sweep_at_mid_size():
+    # the union-find verifier against the detector's full sweep on random
+    # proper colorings of random 4-regular graphs on 40..60 vertices, at
+    # palettes just above maxdeg + 1.  The first cyclic coloring is spread
+    # over 0..10^8 in a palette of 10^9 (the same cycles), so the union-find
+    # keys b*n + vertex are large and the verifier's memory still does not
+    # grow with the palette
+    rng = random.Random(4060)
+    cyclic = acyclic = 0
+    for _ in range(300):
+        g = random_regular_graph(4, rng.randrange(40, 61, 2), seed=rng.randrange(2**31))
+        k = g.max_degree + 2 + rng.randrange(2)
+        colors = random_proper_colors(g, k, rng)
+        if colors is None:
+            continue
+        sweep = all_bichromatic_cycles(colored(g, k, colors))
+        if sweep and not cyclic:
+            spread = sorted(rng.sample(range(10**8), k))
+            k, colors = 10**9, [spread[c] for c in colors]
+            tracemalloc.start()
+            try:
+                verdict = verify_acyclic(g, k, colors)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, peak
+            assert all_bichromatic_cycles(colored(g, k, colors)).keys() == sweep.keys()
+        else:
+            verdict = verify_acyclic(g, k, colors)
+        assert verdict.proper and verdict.acyclic == (not sweep)
+        if sweep:
+            assert verdict.witness.key in sweep
+        cyclic += bool(sweep)
+        acyclic += not sweep
+    assert cyclic >= 50 and acyclic >= 50, (cyclic, acyclic)
+
+
 def test_bichromatic_edge_set():
     g = two_hex_graph()
     assert bichromatic_edge_set(colored(g, 4, [0, 1, 0, 1, 0, 1, 0, 1, 2, 3, 2, 3])) == frozenset(range(6))

@@ -13,6 +13,7 @@ from lllcolor.engine import (
     ContractError,
     Event,
     EventSystem,
+    RunStats,
     VariableSpace,
     build_witness_forest,
     check_feasible,
@@ -24,6 +25,9 @@ from lllcolor.engine import (
 )
 from lllcolor.dimacs import clause_system, formula_satisfied
 from lllcolor.bounds import BoundParams, lll_condition
+from lllcolor.coloring import ColorRunStats, verify_acyclic
+from lllcolor.gamma import PhiParams, solve_tau
+from lllcolor.graphs import cycle_graph
 
 from conftest import (
     chain_3sat,
@@ -95,6 +99,42 @@ def test_event_system_contracts():
         Event(0, (), lambda v: True)
 
 
+def test_event_sorts_and_deduplicates_its_scope():
+    assert Event(0, [4, 1, 4, 2, 1], lambda v: True).scope == (1, 2, 4)
+    assert Event(0, {3}, lambda v: True).scope == (3,)
+    seen = []
+    ev = Event(0, (2, 0, 2), lambda v: seen.append(v) or False)
+    assert ev.occurs(["a", "b", "c"]) is False and seen == [("a", "c")]
+    for empty in ((), [], set()):
+        with pytest.raises(ContractError, match="event scope must be non-empty"):
+            Event(0, empty, lambda v: True)
+
+
+FROZEN_RECORDS = {
+    "Event": lambda: Event(0, (0,), lambda v: True),
+    "PhiParams": lambda: PhiParams(1.5, 3.0),
+    "GammaSolution": lambda: solve_tau(PhiParams(1.5, 3.0)),
+    "BoundParams": lambda: BoundParams(Fraction(1, 8), 3),
+    "VerifyResult": lambda: verify_acyclic(cycle_graph(4), 3, [0, 1, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_RECORDS))
+def test_frozen_records_refuse_assignment_and_deletion(name):
+    record = FROZEN_RECORDS[name]()
+    assert type(record).__name__ == name and not hasattr(record, "__dict__")
+    for field in type(record).__slots__:
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) is value
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert repr(record).startswith(f"{name}({type(record).__slots__[0]}=")
+
+
 # -- the resampling loop ------------------------------------------------------
 
 def test_zero_events_returns_initial_assignment():
@@ -156,6 +196,18 @@ def test_trace_json_schema():
     assert set(payload) == {"seed", "steps", "phases", "trace"}
     assert payload["seed"] == 2
     assert all(len(entry) == 2 for entry in payload["trace"])
+
+
+def test_run_stats_compare_field_by_field_within_one_class():
+    a = RunStats(1, [(0, 0)], True, 5, 10)
+    assert a == RunStats(1, [(0, 0)], True, 5, 10)
+    assert a != RunStats(1, [(0, 0)], True, 6, 10)
+    assert a != ColorRunStats(1, [(0, 0)], True, 5, 10)
+    assert ColorRunStats(1, [], False, 5, 10) == ColorRunStats(1, [], False, 5, 10)
+    assert repr(a) == "RunStats(phases=1, trace=[(0, 0)], terminated=True, seed=5, step_limit=10)"
+    assert repr(ColorRunStats(0, [], True, 1, 2)).startswith("ColorRunStats(phases=0, trace=[]")
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_default_step_limit_formula():
