@@ -129,8 +129,7 @@ def cmd_color(args) -> int:
 
     graph = graphs_mod.Graph.read_edge_list(args.graph)
     k = _auto_palette(graph) if args.k is None else args.k
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    state, stats = coloring_mod.col_alg(graph, k, seed=seed, step_limit=args.step_limit)
+    state, stats = coloring_mod.col_alg(graph, k, seed=args.seed, step_limit=args.step_limit)
     colors = state.colors
     del state  # the verifier builds its own per-vertex maps; do not hold two sets at once
     verdict = (
@@ -145,12 +144,12 @@ def cmd_color(args) -> int:
             "graph": str(args.graph),
             "k": k,
             "auto": args.k is None,
-            "seed": seed,
+            "seed": stats.seed,
             "step_limit": stats.step_limit,
         },
         "K": k,
         "colors": colors,
-        "stats": {"steps": stats.steps, "phases": stats.phases, "seed": seed},
+        "stats": {"steps": stats.steps, "phases": stats.phases, "seed": stats.seed},
         "terminated": stats.terminated,
         "verdict": {"proper": verdict.proper, "acyclic": verdict.acyclic},
     }
@@ -200,15 +199,14 @@ def cmd_sat(args) -> int:
 
     n_vars, clauses = dimacs_mod.read_dimacs(args.cnf)
     system = dimacs_mod.clause_system(n_vars, clauses)
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    values, stats = engine_mod.m_algorithm(system, seed=seed, step_limit=args.step_limit)
+    values, stats = engine_mod.m_algorithm(system, seed=args.seed, step_limit=args.step_limit)
     satisfied = dimacs_mod.formula_satisfied(clauses, values) if stats.terminated else None
     payload = {
         "schema": 1,
         "config": {
             "command": "sat",
             "cnf": str(args.cnf),
-            "seed": seed,
+            "seed": stats.seed,
             "step_limit": stats.step_limit,
         },
         "terminated": stats.terminated,

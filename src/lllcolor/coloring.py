@@ -323,10 +323,6 @@ def find_bichromatic_cycle(state: ColorState, restrict: frozenset[int] | None = 
     return CycleIndex(state, all_bichromatic_cycles(state)).least(restrict)
 
 
-def _is_bichromatic(colors: list[int | None], cycle: Cycle) -> bool:
-    return len({colors[e] for e in cycle.edges}) == 2
-
-
 class CycleIndex:
     """Incrementally maintained set of all current bichromatic cycles.
 
@@ -334,11 +330,12 @@ class CycleIndex:
     in ``col_alg`` those the greedy pass collected, each from its largest
     edge; the tests pass ``all_bichromatic_cycles(state)``.  A cycle's
     status only changes when one of its edges is recolored, so after
-    recoloring an edge set it suffices to revalidate the stored cycles
-    touching it and to sweep those edges for new cycles, each found from
-    its largest recolored edge.  The walks read the state's own maps, so
-    nothing is rebuilt between refreshes.  It is the only detector of
-    ``col_alg``; the tests hold it against full rescans.
+    recoloring an edge set it suffices to drop the stored cycles touching
+    it and to sweep those edges: the sweep finds every bichromatic cycle
+    that meets them, survivors included, each from its largest recolored
+    edge.  The walks read the state's own maps, so nothing is rebuilt
+    between refreshes.  It is the only detector of ``col_alg``; the tests
+    hold it against full rescans.
     """
 
     def __init__(self, state: ColorState, cycles: dict[tuple, Cycle]):
@@ -347,8 +344,7 @@ class CycleIndex:
 
     def refresh_after(self, dirty: frozenset[int]) -> None:
         for key in [k for k, c in self.cycles.items() if c.edge_set & dirty]:
-            if not _is_bichromatic(self.state.colors, self.cycles[key]):
-                del self.cycles[key]
+            del self.cycles[key]
         for e in dirty:
             for cyc in _cycles_through_edge(self.state, e, dirty, _second_colors(self.state, e)):
                 self.cycles[cyc.key] = cyc
@@ -502,12 +498,14 @@ def count_cycles_through_edge(graph: Graph, e: int, length: int) -> int:
         raise ValueError("size guard: enumeration would be too large")
     u, v = graph.edges[e]
 
+    # the walk starts at v and never visits u, so it cannot use edge e
+    # before its closing step, and that step leaves a vertex other than v
     def paths(cur: int, remaining: int, visited: set[int]) -> int:
         if remaining == 1:
-            return sum(1 for w, idx in graph.adj[cur] if idx != e and w == u)
+            return int(u in graph.adj[cur])
         total = 0
-        for w, idx in graph.adj[cur]:
-            if idx == e or w == u or w in visited:
+        for w in graph.adj[cur]:
+            if w == u or w in visited:
                 continue
             visited.add(w)
             total += paths(w, remaining - 1, visited)

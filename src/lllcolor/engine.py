@@ -235,7 +235,7 @@ class RunStats(_Record):
             "seed": self.seed,
             "steps": self.steps,
             "phases": self.phases,
-            "trace": [[j, d] for j, d in self.trace],
+            "trace": self.trace,
         }
 
 

@@ -27,8 +27,9 @@ Monotonicity of rho in g (and of the minimal slack in r) is checked
 empirically here, not proven: each tracked length's bracket is
 spot-checked on a coarse grid once, when the length is first asked for.
 The bisection to a coarser tol is a prefix of the bisection to a finer
-one, so each length keeps its bracket and the narrowest (lo, hi) it has
-reached, and a finer tol goes on from there.
+one, so each length keeps its bracket and one bit per step taken (the
+side the midpoint fell on), and a finer tol replays those steps and
+solves only at the steps past them.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ class Graph:
         self.n_vertices = n_vertices
         self.edges: list[tuple[int, int]] = []
         self._edge_index: dict[tuple[int, int], int] = {}
+        self.adj: list[list[int]] = [[] for _ in range(n_vertices)]  # neighbours, in edge order
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
@@ -26,11 +27,8 @@ class Graph:
                 raise ValueError(f"parallel edge ({u},{v})")
             self._edge_index[e] = len(self.edges)
             self.edges.append(e)
-        # adjacency as (neighbour, edge index) pairs
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
-        for idx, (u, v) in enumerate(self.edges):
-            self.adj[u].append((v, idx))
-            self.adj[v].append((u, idx))
+            self.adj[u].append(v)
+            self.adj[v].append(u)
         self.degrees = [len(a) for a in self.adj]
         self.max_degree = max(self.degrees, default=0)
         self._girth: int | None | str = "unset"
@@ -41,10 +39,6 @@ class Graph:
 
     def edge_index(self, u: int, v: int) -> int | None:
         return self._edge_index.get((u, v) if u < v else (v, u))
-
-    def other_end(self, edge_idx: int, v: int) -> int:
-        a, b = self.edges[edge_idx]
-        return b if v == a else a
 
     def girth(self) -> int | None:
         """Length of a shortest cycle, None if the graph is a forest.
@@ -67,14 +61,16 @@ class Graph:
           of 2d to level d-1 was seen while level d-1 was expanded), and
           every walk is at least the girth, so no later level beats best.
         - The sweep stops once best == 3, the least possible girth.
-        - `dist` and `via` are allocated once; after each search only
+        - `dist` and `parent` are allocated once; after each search only
           the entries it touched are reset, so a search costs its ball.
+          In a simple graph the parent vertex stands for the tree edge
+          that reached a vertex, so it is the one neighbour skipped.
         """
         if self._girth != "unset":
             return self._girth
         adj = self.adj
         dist = [-1] * self.n_vertices
-        via = [-1] * self.n_vertices  # edge index used to reach the vertex
+        parent = [-1] * self.n_vertices  # BFS tree parent of the vertex
         alive = [True] * self.n_vertices
         degree = list(self.degrees)  # among alive vertices
 
@@ -84,7 +80,7 @@ class Graph:
                 if not alive[v]:
                     continue
                 alive[v] = False
-                for w, _ in adj[v]:
+                for w in adj[v]:
                     if alive[w]:
                         degree[w] -= 1
                         if degree[w] == 1:
@@ -102,13 +98,13 @@ class Graph:
             while level and (best is None or 2 * depth + 1 < best):
                 nxt = []
                 for u in level:
-                    parent_edge = via[u]
-                    for w, eidx in adj[u]:
-                        if eidx == parent_edge or not alive[w]:
+                    up = parent[u]
+                    for w in adj[u]:
+                        if w == up or not alive[w]:
                             continue
                         if dist[w] == -1:
                             dist[w] = depth + 1
-                            via[w] = eidx
+                            parent[w] = u
                             nxt.append(w)
                         else:
                             cand = depth + dist[w] + 1
@@ -119,7 +115,7 @@ class Graph:
                 depth += 1
             for v in touched:
                 dist[v] = -1
-                via[v] = -1
+                parent[v] = -1
             if best == 3:
                 break
             peel([s])

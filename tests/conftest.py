@@ -186,7 +186,8 @@ def reference_forbidden_colors(graph: Graph, colors: list[int | None], e: int) -
     at_u: list[tuple[int, int]] = []  # (far endpoint, color)
     at_v: list[tuple[int, int]] = []
     for vertex, bucket in ((u, at_u), (v, at_v)):
-        for w, idx in graph.adj[vertex]:
+        for w in graph.adj[vertex]:
+            idx = graph.edge_index(vertex, w)
             if idx == e or colors[idx] is None:
                 continue
             bucket.append((w, colors[idx]))
@@ -240,14 +241,17 @@ class ColorAudit:
         c = colors[e]
         u, v = graph.edges[e]
         for vertex in (u, v):
-            for _, idx in graph.adj[vertex]:
+            for w in graph.adj[vertex]:
+                idx = graph.edge_index(vertex, w)
                 if idx != e and colors[idx] == c:
                     self.local_violations.append(f"edge {e}: color {c} repeats at vertex {vertex}")
-        for x, e1 in graph.adj[u]:
+        for x in graph.adj[u]:
+            e1 = graph.edge_index(u, x)
             c1 = colors[e1]
             if e1 == e or c1 is None:
                 continue
-            for y, e2 in graph.adj[v]:
+            for y in graph.adj[v]:
+                e2 = graph.edge_index(v, y)
                 if e2 == e or x == y or colors[e2] != c1:
                     continue
                 e3 = graph.edge_index(x, y)
@@ -505,7 +509,8 @@ def reference_girth(graph: Graph) -> int | None:
         while queue:
             nxt = []
             for u in queue:
-                for w, eidx in graph.adj[u]:
+                for w in graph.adj[u]:
+                    eidx = graph.edge_index(u, w)
                     if eidx == via[u]:
                         continue
                     if dist[w] == -1:
@@ -565,7 +570,8 @@ def brute_simple_cycles(graph: Graph, max_len: int | None = None) -> set[frozens
     out: set[frozenset[int]] = set()
 
     def extend(start: int, cur: int, visited: list[int], edges: list[int]):
-        for w, eidx in graph.adj[cur]:
+        for w in graph.adj[cur]:
+            eidx = graph.edge_index(cur, w)
             if w == start and len(edges) >= 2:
                 out.add(frozenset(edges + [eidx]))
                 continue

@@ -34,6 +34,7 @@ from conftest import (
     audited_col_alg,
     bichromatic_edge_set,
     brute_bichromatic_keys,
+    brute_simple_cycles,
     colored,
     random_proper_colors,
     reference_assign,
@@ -758,6 +759,19 @@ def test_count_cycles_k4_and_k5():
     g5 = complete_graph(5)
     assert count_cycles_through_edge(g5, 0, 4) == 6  # ordered pairs of the other 3 vertices
     assert count_cycles_through_edge(g5, 0, 6) == 0  # only 5 vertices
+
+
+def test_count_cycles_match_brute_force_enumeration():
+    # the count per (edge, length) against the exhaustive DFS oracle, on
+    # graphs with cycles of every length asked for
+    graphs = [petersen_graph(), complete_graph(6)]
+    graphs += [random_regular_graph(3, n, seed=seed) for n, seed in ((10, 1), (12, 2), (16, 3), (20, 4))]
+    for g in graphs:
+        cycles = brute_simple_cycles(g, max_len=8)
+        for length in (4, 6, 8):
+            for e in range(g.m):
+                expected = sum(1 for c in cycles if len(c) == length and e in c)
+                assert count_cycles_through_edge(g, e, length) == expected, (g.edges, e, length)
 
 
 def test_count_cycles_guards():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,6 @@ def test_basic_construction():
     assert g.max_degree == 2
     assert g.edge_index(1, 2) == 1 and g.edge_index(2, 1) == 1
     assert g.edge_index(0, 3) is None
-    assert g.other_end(0, 0) == 1 and g.other_end(0, 1) == 0
 
 
 def test_rejects_bad_edges():
@@ -140,6 +140,20 @@ def test_girth_work_bound(graph, bound):
     graph.adj = CountingAdj(graph.adj)
     graph.girth()
     assert graph.adj.reads <= bound
+
+
+def test_graph_memory_per_edge():
+    # the benchmark's dense graph (24-regular, n=600, m=7200): the edge
+    # list, the end-pair index and the neighbour lists take about 140 B
+    # per edge
+    edges = random_regular_graph(24, 600, seed=0).edges
+    tracemalloc.start()
+    try:
+        graph = Graph(600, edges)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / graph.m < 200
 
 
 def test_edge_list_roundtrip():
