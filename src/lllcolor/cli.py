@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -37,6 +38,7 @@ EXIT_INPUT = 4
 
 SUMMARY_GIRTHS = (3, 7, 53, 219)
 MAX_GAMMA_ROWS = 10**4  # girths in one --table; 3,000 rows take about 1.5 s, 2 s with --delta
+JSON_PIECES = 1024  # encoder pieces per write, a few KB of text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,12 +50,28 @@ def _fresh_seed() -> int:
     return random.SystemRandom().randrange(2**32)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(content: str | dict, out_path: str | None) -> None:
+    """Write text, or a JSON payload as ``_json_blocks`` streams it, to --out
+    or stdout."""
+    blocks = [content] if isinstance(content, str) else _json_blocks(content)
+    fh = open(out_path, "w") if out_path else sys.stdout
+    try:
+        for block in blocks:
+            fh.write(block)
+    finally:
+        if out_path:
+            fh.close()
+
+
+def _json_blocks(payload: dict):
+    """The payload as indented JSON with sorted keys and a closing newline,
+    in blocks of JSON_PIECES encoder pieces: no text copy of a long trace is
+    held, and an unbuffered stdout (PYTHONUNBUFFERED) takes one write per
+    block rather than one per piece, as ``json.dump`` would make."""
+    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    while block := "".join(itertools.islice(pieces, JSON_PIECES)):
+        yield block
+    yield "\n"
 
 
 def _csv_text(config: dict, header: list[str], rows, extra_blocks=None) -> str:
@@ -68,10 +86,6 @@ def _csv_text(config: dict, header: list[str], rows, extra_blocks=None) -> str:
         writer.writerow(block_header)
         writer.writerows(block_rows)
     return buf.getvalue()
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # -- gamma -------------------------------------------------------------------
@@ -153,7 +167,7 @@ def cmd_color(args) -> int:
         "terminated": stats.terminated,
         "verdict": {"proper": verdict.proper, "acyclic": verdict.acyclic},
     }
-    _emit(_json_text(payload), args.out)
+    _emit(payload, args.out)
     if not stats.terminated:
         return EXIT_NOT_TERMINATED
     if not (verdict.proper and verdict.acyclic):
@@ -176,18 +190,14 @@ def cmd_verify(args) -> int:
     verdict = coloring_mod.verify_acyclic(graph, k, colors)
     ok = verdict.proper and verdict.acyclic
     witness = list(verdict.witness.edges) if verdict.witness else None
-    _emit(
-        _json_text(
-            {
-                "schema": 1,
-                "config": {"command": "verify", "graph": str(args.graph), "coloring": str(args.coloring)},
-                "proper": verdict.proper,
-                "acyclic": verdict.acyclic,
-                "witness": witness,
-            }
-        ),
-        args.out,
-    )
+    payload = {
+        "schema": 1,
+        "config": {"command": "verify", "graph": str(args.graph), "coloring": str(args.coloring)},
+        "proper": verdict.proper,
+        "acyclic": verdict.acyclic,
+        "witness": witness,
+    }
+    _emit(payload, args.out)
     return EXIT_OK if ok else 1
 
 
@@ -212,9 +222,9 @@ def cmd_sat(args) -> int:
         "terminated": stats.terminated,
         "satisfied": satisfied,
         "assignment": values if stats.terminated else None,
-        "stats": stats.to_json_dict(),
+        "stats": {"seed": stats.seed, "steps": stats.steps, "phases": stats.phases, "trace": stats.trace},
     }
-    _emit(_json_text(payload), args.out)
+    _emit(payload, args.out)
     if not stats.terminated:
         return EXIT_NOT_TERMINATED
     return EXIT_OK if satisfied else EXIT_VERIFY

@@ -394,9 +394,8 @@ def col_alg(
             _assign(state, e, rng)
         index.refresh_after(cycle.edge_set)
 
-    phases, trace, terminated = resample_loop(index.least, lambda top: index.least(top.edge_set), recolor, limit)
-    trace = [(cycle.key, depth) for cycle, depth in trace]
-    return state, ColorRunStats(phases, trace, terminated, seed, limit)
+    trace, terminated = resample_loop(index.least, lambda top: index.least(top.edge_set), recolor, limit)
+    return state, ColorRunStats([(cycle.key, depth) for cycle, depth in trace], terminated, seed, limit)
 
 
 class VerifyResult(_Frozen):

@@ -176,16 +176,14 @@ def resample_loop(next_root: Callable, least_child: Callable, resample: Callable
     root call resamples it, then recurses on an explicit stack into
     ``least_child(top)`` until that is None.  Each call is a step, traced as
     ``(label, depth)`` with depth 0 for roots; a step past ``limit`` aborts
-    the run instead.  Returns ``(phases, trace, terminated)``.  Nothing runs
+    the run instead.  Returns ``(trace, terminated)``.  Nothing runs
     between a root call's return and the next ``next_root()``, so a caller
     that snapshots its state there sees every completed root call's end.
     """
     trace: list[tuple] = []
-    phases = 0
     while (root := next_root()) is not None:
         if len(trace) >= limit:
-            return phases, trace, False
-        phases += 1
+            return trace, False
         stack = [root]
         trace.append((root, 0))
         resample(root)
@@ -195,27 +193,27 @@ def resample_loop(next_root: Callable, least_child: Callable, resample: Callable
                 stack.pop()
                 continue
             if len(trace) >= limit:
-                return phases, trace, False
+                return trace, False
             trace.append((child, len(stack)))
             stack.append(child)
             resample(child)
-    return phases, trace, True
+    return trace, True
 
 
 class RunStats(_Record):
     """Bookkeeping of one resampling run.
 
     ``trace`` lists every resample call as (label, depth), depth 0 being a
-    root call from the main loop; it reconstructs the exact call structure,
-    and its length is the run's step count.  Two runs are equal when they
+    root call from the main loop; it reconstructs the exact call structure.
+    Its length is the run's step count and its root calls are the run's
+    phases (the trees of its witness forest).  Two runs are equal when they
     are of one class and agree field by field.
     """
 
-    __slots__ = ("phases", "trace", "terminated", "seed", "step_limit")
+    __slots__ = ("trace", "terminated", "seed", "step_limit")
     __hash__ = None
 
-    def __init__(self, phases: int, trace: list[tuple[Hashable, int]], terminated: bool, seed: int, step_limit: int):
-        self.phases = phases
+    def __init__(self, trace: list[tuple[Hashable, int]], terminated: bool, seed: int, step_limit: int):
         self.trace = trace
         self.terminated = terminated
         self.seed = seed
@@ -230,13 +228,9 @@ class RunStats(_Record):
     def steps(self) -> int:
         return len(self.trace)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "steps": self.steps,
-            "phases": self.phases,
-            "trace": self.trace,
-        }
+    @property
+    def phases(self) -> int:
+        return sum(1 for _, depth in self.trace if depth == 0)
 
 
 def m_algorithm(
@@ -285,15 +279,16 @@ def m_algorithm(
         for i in neighborhoods[k]:
             occ[i] = None
 
-    phases, trace, terminated = resample_loop(
+    trace, terminated = resample_loop(
         lambda: next((r for r in roots if occurring(r)), None),
         lambda top: next((i for i in neighborhoods[top] if occurring(i)), None),
         resample,
         limit,
     )
-    if terminated and phases > system.m:
-        raise ContractError(f"{phases} phases for {system.m} events on a terminated run")
-    return values, RunStats(phases, trace, terminated, seed, limit)
+    stats = RunStats(trace, terminated, seed, limit)
+    if terminated and stats.phases > system.m:
+        raise ContractError(f"{stats.phases} phases for {system.m} events on a terminated run")
+    return values, stats
 
 
 class WitnessForest(_Record):

@@ -115,8 +115,8 @@ def reference_m_algorithm(system: EventSystem, seed: int, step_limit: int | None
             trace.append((k, len(stack) - 1))
             resample(k)
 
-    assert steps == len(trace)
-    return values, RunStats(phases, trace, not aborted, seed, limit)
+    assert steps == len(trace) and phases == sum(1 for _, depth in trace if depth == 0)
+    return values, RunStats(trace, not aborted, seed, limit)
 
 
 def reference_col_alg(
@@ -169,8 +169,8 @@ def reference_col_alg(
                 break
             stack.append(nxt)
 
-    assert steps == len(trace)
-    return state, ColorRunStats(phases, trace, not aborted, seed, limit)
+    assert steps == len(trace) and phases == sum(1 for _, depth in trace if depth == 0)
+    return state, ColorRunStats(trace, not aborted, seed, limit)
 
 
 def reference_forbidden_colors(graph: Graph, colors: list[int | None], e: int) -> set[int]:

@@ -251,6 +251,43 @@ def test_sat_parse_error(capsys, tmp_path):
     assert code == 4
 
 
+def test_sat_stats_block_is_the_run_record(capsys, tmp_path):
+    cnf = tmp_path / "one.cnf"
+    cnf.write_text("p cnf 1 1\n1 0\n")
+    code, out = run_cli(capsys, "sat", str(cnf), "--seed", "2")
+    stats = json.loads(out)["stats"]
+    assert code == 0 and set(stats) == {"seed", "steps", "phases", "trace"}
+    assert stats["seed"] == 2 and all(len(entry) == 2 for entry in stats["trace"])
+    assert stats["steps"] == len(stats["trace"])
+    assert stats["phases"] == sum(1 for _, depth in stats["trace"] if depth == 0)
+
+
+def test_sat_output_streams_its_trace(tmp_path):
+    # an unsatisfiable formula runs to its step limit, so the trace is the
+    # bulk of the output; writing it must not hold a text copy of it
+    import tracemalloc
+
+    from lllcolor.dimacs import clause_system, read_dimacs
+    from lllcolor.engine import m_algorithm
+
+    patterns = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    clauses = [tuple(s * (3 * copy + v + 1) for v, s in enumerate(p)) for copy in range(25) for p in patterns]
+    cnf = tmp_path / "unsat.cnf"
+    cnf.write_text("p cnf 75 200\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses))
+    system = clause_system(*read_dimacs(cnf))
+    tracemalloc.start()
+    try:
+        m_algorithm(system, seed=1, step_limit=20000)
+        run_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        code = main(["sat", str(cnf), "--seed", "1", "--step-limit", "20000", "--out", str(tmp_path / "out.json")])
+        cli_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and len(json.loads((tmp_path / "out.json").read_text())["stats"]["trace"]) == 20000
+    assert cli_peak <= 1.5 * run_peak, (cli_peak, run_peak)
+
+
 @pytest.mark.parametrize(
     "command, suffix, text",
     [("color", "edges", "p edges 1000001 0\n"), ("sat", "cnf", "p cnf 1000001 1\n1 0\n")],

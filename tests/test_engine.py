@@ -23,6 +23,7 @@ from lllcolor.engine import (
     sample_all,
     validate,
 )
+from lllcolor import engine as engine_mod
 from lllcolor.dimacs import clause_system, formula_satisfied
 from lllcolor.bounds import BoundParams, lll_condition
 from lllcolor.coloring import ColorRunStats, verify_acyclic
@@ -186,28 +187,30 @@ def test_determinism_byte_for_byte():
     runs = [m_algorithm(system, seed=42, step_limit=500) for _ in range(2)]
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
-    assert json.dumps(runs[0][1].to_json_dict()) == json.dumps(runs[1][1].to_json_dict())
-
-
-def test_trace_json_schema():
-    system = single_event_system()
-    _, stats = m_algorithm(system, seed=2)
-    payload = json.loads(json.dumps(stats.to_json_dict()))
-    assert set(payload) == {"seed", "steps", "phases", "trace"}
-    assert payload["seed"] == 2
-    assert all(len(entry) == 2 for entry in payload["trace"])
+    assert json.dumps(runs[0][1].trace) == json.dumps(runs[1][1].trace)
 
 
 def test_run_stats_compare_field_by_field_within_one_class():
-    a = RunStats(1, [(0, 0)], True, 5, 10)
-    assert a == RunStats(1, [(0, 0)], True, 5, 10)
-    assert a != RunStats(1, [(0, 0)], True, 6, 10)
-    assert a != ColorRunStats(1, [(0, 0)], True, 5, 10)
-    assert ColorRunStats(1, [], False, 5, 10) == ColorRunStats(1, [], False, 5, 10)
-    assert repr(a) == "RunStats(phases=1, trace=[(0, 0)], terminated=True, seed=5, step_limit=10)"
-    assert repr(ColorRunStats(0, [], True, 1, 2)).startswith("ColorRunStats(phases=0, trace=[]")
+    a = RunStats([(0, 0)], True, 5, 10)
+    assert a == RunStats([(0, 0)], True, 5, 10)
+    assert a != RunStats([(0, 0)], True, 6, 10)
+    assert a != ColorRunStats([(0, 0)], True, 5, 10)
+    assert ColorRunStats([], False, 5, 10) == ColorRunStats([], False, 5, 10)
+    assert repr(a) == "RunStats(trace=[(0, 0)], terminated=True, seed=5, step_limit=10)"
+    assert repr(ColorRunStats([], True, 1, 2)).startswith("ColorRunStats(trace=[], terminated=True")
     with pytest.raises(TypeError):
         hash(a)
+
+
+def test_more_phases_than_events_is_a_contract_error(monkeypatch):
+    # a root call leaves its event fixed, so a terminated run has at most m
+    # phases; a driver that reports three roots for one event breaks that
+    def three_roots(next_root, least_child, resample, limit):
+        return [(0, 0), (0, 0), (0, 0)], True
+
+    monkeypatch.setattr(engine_mod, "resample_loop", three_roots)
+    with pytest.raises(ContractError, match="3 phases for 1 events"):
+        m_algorithm(single_event_system(), seed=0)
 
 
 def test_default_step_limit_formula():

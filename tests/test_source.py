@@ -1,16 +1,10 @@
 """Checks on the library source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import lllcolor
-
-
-def test_every_lazy_export_resolves():
-    # names load on first use, so a stale entry would otherwise fail only
-    # when a caller first asks for it
-    for name in lllcolor.__all__:
-        assert getattr(lllcolor, name) is not None, name
 
 
 def test_library_raises_contract_errors_not_asserts():
@@ -81,9 +75,8 @@ def test_series_share_no_code_with_their_oracles():
 
 def test_every_function_is_named_somewhere():
     # a module-level function or method of the library that no library
-    # module, test or benchmark names is API nothing reads; the export
-    # table of __init__ does not count as a reader, attribute strings
-    # elsewhere do (the benchmark wraps methods by name)
+    # module, test or benchmark names is API nothing reads; attribute
+    # strings count as readers (the benchmark wraps methods by name)
     package = Path(lllcolor.__file__).parent
     repo = Path(__file__).resolve().parents[1]
     defined = {}
@@ -102,7 +95,17 @@ def test_every_function_is_named_somewhere():
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name.rpartition(".")[2])
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and path != package / "__init__.py":
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 named.add(node.value)
     unread = sorted(where for name, where in defined.items() if name not in named)
     assert not unread, unread
+
+
+def test_readme_python_blocks_run():
+    # the quick start is the library's documented entry point, so each
+    # fenced python block of the README must run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
