@@ -37,7 +37,7 @@ EXIT_NOT_TERMINATED = 3
 EXIT_INPUT = 4
 
 SUMMARY_GIRTHS = (3, 7, 53, 219)
-MAX_GAMMA_ROWS = 10**4  # girths in one --table; 3,000 rows take about 1.5 s, 2 s with --delta
+MAX_GAMMA_ROWS = 10**4  # girths in one --table or --girth list; 3,000 rows take about 1.5 s, 2 s with --delta
 JSON_PIECES = 1024  # encoder pieces per write, a few KB of text
 
 
@@ -104,6 +104,8 @@ def cmd_gamma(args) -> int:
             raise ValueError(f"--table asks for {hi - lo + 1} girths, more than {MAX_GAMMA_ROWS}")
         girths = list(range(lo, hi + 1))
     elif args.girth:
+        if len(args.girth) > MAX_GAMMA_ROWS:
+            raise ValueError(f"--girth gives {len(args.girth)} girths, more than {MAX_GAMMA_ROWS}")
         girths = args.girth
     else:
         raise ValueError("give --girth, --table or --summary")
@@ -189,7 +191,7 @@ def cmd_verify(args) -> int:
         raise ValueError("coloring length does not match the graph's edge count")
     verdict = coloring_mod.verify_acyclic(graph, k, colors)
     ok = verdict.proper and verdict.acyclic
-    witness = list(verdict.witness.edges) if verdict.witness else None
+    witness = list(verdict.witness) if verdict.witness else None
     payload = {
         "schema": 1,
         "config": {"command": "verify", "graph": str(args.graph), "coloring": str(args.coloring)},

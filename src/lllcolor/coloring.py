@@ -17,9 +17,10 @@ second colors of the alternating walks from that edge.
 
 The main loop is the resampling engine's driver (``engine.resample_loop``)
 with cycles in the role of events: while a bichromatic cycle exists, the
-least one (ordered by length, then by sorted edge-index tuple) is recolored
-edge by edge, and any bichromatic cycle sharing an edge with it is handled
-recursively before the call returns.
+least one is recolored edge by edge, and any bichromatic cycle sharing an
+edge with it is handled recursively before the call returns.  A cycle is
+its key (length, sorted edge-index tuple): keys order the cycles, label
+the run's trace, and give each cycle's edges.
 
 Bichromatic cycles are detected through alternating walks.  For an edge e
 colored a and a second color b, the subgraph of a- and b-colored edges has
@@ -38,7 +39,8 @@ recolored edges, reading their second colors afresh, since other edges of
 the cycle were recolored after each decision.  The full sweep over every
 edge serves only the tests.  The verifier shares none of this: it builds
 its own per-vertex color -> neighbour maps and checks that every 2-colored
-subgraph is a forest by a union-find over (second color, vertex) keys.
+subgraph is a forest by a union-find over (second color, vertex) keys,
+and its witness is a walk, a cycle's edge indices in the order met.
 """
 
 from __future__ import annotations
@@ -54,52 +56,27 @@ class PaletteError(ValueError):
     """Palette smaller than the 2*maxdeg - 1 safety threshold."""
 
 
-class Cycle:
-    """Even closed walk of distinct vertices, stored as an edge-index tuple.
-
-    Identity and ordering use the canonical key (length, sorted edge
-    tuple); the stored tuple keeps the walk order for display.
-    """
-
-    __slots__ = ("edges", "edge_set", "length", "key")
-
-    def __init__(self, edges: tuple[int, ...]):
-        self.edges = tuple(edges)
-        self.edge_set = frozenset(self.edges)
-        self.length = len(self.edges)
-        self.key = (self.length, tuple(sorted(self.edges)))
-
-    @classmethod
-    def from_walk(cls, graph: Graph, edges) -> "Cycle":
-        edges = tuple(edges)
-        if len(edges) < 4 or len(edges) % 2:
-            raise ContractError(f"cycle length {len(edges)} is not an even number >= 4")
-        if len(set(edges)) != len(edges):
-            raise ContractError("repeated edge in cycle walk")
-        verts = []
-        prev = set(graph.edges[edges[-1]])
-        for idx in edges:
-            here = set(graph.edges[idx])
-            shared = prev & here
-            if len(shared) != 1:
-                raise ContractError("consecutive cycle edges must share one vertex")
-            verts.append(shared.pop())
-            prev = here
-        if len(set(verts)) != len(verts):
-            raise ContractError("cycle visits a vertex twice")
-        return cls(edges)
-
-    def __eq__(self, other):
-        return isinstance(other, Cycle) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __lt__(self, other):
-        return self.key < other.key
-
-    def __repr__(self):
-        return f"Cycle(edges={self.edges})"
+def cycle_key(graph: Graph, walk) -> tuple[int, tuple[int, ...]]:
+    """The key (length, sorted edge tuple) of a cycle given as its walk, edge
+    indices in walk order; ContractError unless the length is even and >= 4,
+    no edge repeats, consecutive edges share one vertex and no vertex is
+    visited twice.  The key is a bichromatic cycle's one representation."""
+    if len(walk) < 4 or len(walk) % 2:
+        raise ContractError(f"cycle length {len(walk)} is not an even number >= 4")
+    if len(set(walk)) != len(walk):
+        raise ContractError("repeated edge in cycle walk")
+    verts = []
+    prev = set(graph.edges[walk[-1]])
+    for idx in walk:
+        here = set(graph.edges[idx])
+        shared = prev & here
+        if len(shared) != 1:
+            raise ContractError("consecutive cycle edges must share one vertex")
+        verts.append(shared.pop())
+        prev = here
+    if len(set(verts)) != len(verts):
+        raise ContractError("cycle visits a vertex twice")
+    return len(walk), tuple(sorted(walk))
 
 
 class ColorState:
@@ -218,15 +195,15 @@ def _assign(state: ColorState, e: int, rng: random.Random) -> set[int]:
     return second
 
 
-def greedy_4acyclic(graph: Graph, k: int, rng: random.Random) -> tuple[ColorState, dict[tuple, Cycle]]:
+def greedy_4acyclic(graph: Graph, k: int, rng: random.Random) -> tuple[ColorState, set[tuple]]:
     """Color edges in index order, uniformly among the non-forbidden colors.
 
     The output is proper with no bichromatic 4-cycle, and at least
     k - 2*(maxdeg - 1) colors were available at every single decision.
-    Returns the state and every bichromatic cycle of its coloring by key,
-    each collected from its largest edge e right after e is colored: every
-    colored edge is then at most e and no edge is ever recolored, so a walk
-    from e dies at an uncolored edge exactly where the full sweep's walk
+    Returns the state and the key of every bichromatic cycle of its
+    coloring, each collected from its largest edge e right after e is
+    colored: every colored edge is then at most e and no edge is ever
+    recolored, so a walk from e dies at an uncolored edge exactly where the full sweep's walk
     stops at a larger edge, and both find the same cycles.  The walk from
     e takes its second colors from e's decision instead of intersecting
     the endpoint maps again: the drawn color was not forbidden, so it was
@@ -236,12 +213,11 @@ def greedy_4acyclic(graph: Graph, k: int, rng: random.Random) -> tuple[ColorStat
     if k < 2 * graph.max_degree - 1:
         raise PaletteError(f"k={k} below the safety threshold {2 * graph.max_degree - 1}")
     state = ColorState(graph, k)
-    cycles: dict[tuple, Cycle] = {}
+    cycles: set[tuple] = set()
     every_edge = range(graph.m)
     for e in every_edge:
         second = _assign(state, e, rng)
-        for cyc in _cycles_through_edge(state, e, every_edge, second):
-            cycles[cyc.key] = cyc
+        cycles.update(_cycles_through_edge(state, e, every_edge, second))
     return state, cycles
 
 
@@ -253,9 +229,10 @@ def _second_colors(state: ColorState, e: int) -> set[int]:
     return common
 
 
-def _cycles_through_edge(state: ColorState, e: int, scanned: frozenset[int] | range, second: set[int]) -> list[Cycle]:
-    """The bichromatic cycles through edge e whose largest edge in ``scanned``
-    is e, one per workable second color; e must be in ``scanned``.
+def _cycles_through_edge(state: ColorState, e: int, scanned: frozenset[int] | range, second: set[int]) -> list[tuple]:
+    """The keys of the bichromatic cycles through edge e whose largest edge
+    in ``scanned`` is e, one per workable second color; e must be in
+    ``scanned``.
 
     ``second`` holds the colors at both ends of e other than e's own (the
     cycle's first and last edges carry such a color); only these start a
@@ -275,7 +252,7 @@ def _cycles_through_edge(state: ColorState, e: int, scanned: frozenset[int] | ra
     u, v = ends[e]
     a = state.colors[e]
     at_u, at_v = at[u], at[v]
-    out: list[Cycle] = []
+    out: list[tuple] = []
     for b in second:
         last, first = at_u[b], at_v[b]
         if (last > e and last in scanned) or (first > e and first in scanned):
@@ -294,7 +271,7 @@ def _cycles_through_edge(state: ColorState, e: int, scanned: frozenset[int] | ra
             if cur == u:
                 # closing edge carries color b: the cycle alternates a,b
                 if want == b:
-                    out.append(Cycle.from_walk(state.graph, walk))
+                    out.append(cycle_key(state.graph, walk))
                 break
             want, other = other, want
         else:
@@ -302,20 +279,18 @@ def _cycles_through_edge(state: ColorState, e: int, scanned: frozenset[int] | ra
     return out
 
 
-def all_bichromatic_cycles(state: ColorState) -> dict[tuple, Cycle]:
-    """Every bichromatic cycle by key, each built once, from its largest edge."""
-    found: dict[tuple, Cycle] = {}
+def all_bichromatic_cycles(state: ColorState) -> set[tuple]:
+    """The key of every bichromatic cycle, each built once, from its largest edge."""
+    found: set[tuple] = set()
     every_edge = range(state.graph.m)
     for e in every_edge:
-        if state.colors[e] is None:
-            continue
-        for cyc in _cycles_through_edge(state, e, every_edge, _second_colors(state, e)):
-            found[cyc.key] = cyc
+        if state.colors[e] is not None:
+            found.update(_cycles_through_edge(state, e, every_edge, _second_colors(state, e)))
     return found
 
 
-def find_bichromatic_cycle(state: ColorState, restrict: frozenset[int] | None = None) -> Cycle | None:
-    """Least bichromatic cycle under the canonical order, or None.
+def find_bichromatic_cycle(state: ColorState, restrict: frozenset[int] | None = None) -> tuple | None:
+    """The least bichromatic cycle's key, or None.
 
     With ``restrict``, only cycles sharing an edge with the given edge set
     are eligible; the least eligible cycle is still chosen globally.
@@ -326,8 +301,10 @@ def find_bichromatic_cycle(state: ColorState, restrict: frozenset[int] | None = 
 class CycleIndex:
     """Incrementally maintained set of all current bichromatic cycles.
 
-    It starts from ``cycles``, every bichromatic cycle of ``state`` by key:
-    in ``col_alg`` those the greedy pass collected, each from its largest
+    A cycle is its key (length, sorted edge tuple): keys order the cycles,
+    and a key's edge tuple is the cycle's scope.  The index starts from
+    ``cycles``, the key of every bichromatic cycle of ``state``: in
+    ``col_alg`` those the greedy pass collected, each from its largest
     edge; the tests pass ``all_bichromatic_cycles(state)``.  A cycle's
     status only changes when one of its edges is recolored, so after
     recoloring an edge set it suffices to drop the stored cycles touching
@@ -338,25 +315,24 @@ class CycleIndex:
     hold it against full rescans.
     """
 
-    def __init__(self, state: ColorState, cycles: dict[tuple, Cycle]):
+    def __init__(self, state: ColorState, cycles: set[tuple]):
         self.state = state
         self.cycles = cycles
 
     def refresh_after(self, dirty: frozenset[int]) -> None:
-        for key in [k for k, c in self.cycles.items() if c.edge_set & dirty]:
-            del self.cycles[key]
+        self.cycles = {key for key in self.cycles if dirty.isdisjoint(key[1])}
         for e in dirty:
-            for cyc in _cycles_through_edge(self.state, e, dirty, _second_colors(self.state, e)):
-                self.cycles[cyc.key] = cyc
+            self.cycles.update(_cycles_through_edge(self.state, e, dirty, _second_colors(self.state, e)))
 
-    def least(self, restrict: frozenset[int] | None = None) -> Cycle | None:
-        pool = [c for c in self.cycles.values() if restrict is None or (c.edge_set & restrict)]
-        return min(pool) if pool else None
+    def least(self, restrict: frozenset[int] | None = None) -> tuple | None:
+        pool = self.cycles if restrict is None else (key for key in self.cycles if not restrict.isdisjoint(key[1]))
+        return min(pool, default=None)
 
 
 class ColorRunStats(RunStats):
     """A coloring run's ``RunStats``: steps are recolor calls, phases are
-    root calls, and ``trace`` holds (cycle key, depth) per call."""
+    root calls, and ``trace`` holds (cycle key, depth) per call, the key
+    being the cycle itself."""
 
     __slots__ = ()
 
@@ -389,22 +365,23 @@ def col_alg(
     state, cycles = greedy_4acyclic(graph, k, rng)
     index = CycleIndex(state, cycles)
 
-    def recolor(cycle: Cycle) -> None:
-        for e in sorted(cycle.edges):
+    def recolor(key: tuple) -> None:
+        edges = key[1]  # sorted: the edges are recolored in index order
+        for e in edges:
             _assign(state, e, rng)
-        index.refresh_after(cycle.edge_set)
+        index.refresh_after(frozenset(edges))
 
-    trace, terminated = resample_loop(index.least, lambda top: index.least(top.edge_set), recolor, limit)
-    return state, ColorRunStats([(cycle.key, depth) for cycle, depth in trace], terminated, seed, limit)
+    trace, terminated = resample_loop(index.least, lambda top: index.least(frozenset(top[1])), recolor, limit)
+    return state, ColorRunStats(trace, terminated, seed, limit)
 
 
 class VerifyResult(_Frozen):
     """Verdict of ``verify_acyclic``: properness, acyclicity and, for a
-    proper coloring with a bichromatic cycle, one such cycle."""
+    proper coloring with a bichromatic cycle, the walk of one such cycle."""
 
     __slots__ = ("proper", "acyclic", "witness")
 
-    def __init__(self, proper: bool, acyclic: bool, witness: Cycle | None):
+    def __init__(self, proper: bool, acyclic: bool, witness: tuple[int, ...] | None):
         object.__setattr__(self, "proper", proper)
         object.__setattr__(self, "acyclic", acyclic)
         object.__setattr__(self, "witness", witness)
@@ -423,9 +400,9 @@ def verify_acyclic(graph: Graph, k: int, colors: list[int]) -> VerifyResult:
     ends, and so does each b-edge at u or v whose far end carries a as
     well, seen from its lower end.  Every edge of an (a, b)-cycle is among
     them (its ends carry both colors), so there are O(m*maxdeg) unions.  A
-    union inside one set closes a bichromatic cycle: the witness is that
-    edge plus the alternating path back between its ends, not necessarily
-    the least cycle.  A coloring outside the palette 0..k-1 or an improper
+    union inside one set closes a bichromatic cycle: the witness is the
+    walk of that edge plus the alternating path back between its ends, not
+    necessarily the least cycle.  A coloring outside the palette 0..k-1 or an improper
     one reports proper=False and acyclic=False without a witness.
     """
     if len(colors) != graph.m or None in colors:
@@ -468,10 +445,10 @@ def verify_acyclic(graph: Graph, k: int, colors: list[int]) -> VerifyResult:
     return VerifyResult(True, True, None)
 
 
-def _witness(graph: Graph, nb: list[dict[int, int]], lo: int, hi: int, a: int, b: int) -> Cycle:
-    """Edge {lo, hi} of the (a, b) subgraph plus the alternating path from
-    hi back to lo, which exists because both ends already share a
-    union-find set."""
+def _witness(graph: Graph, nb: list[dict[int, int]], lo: int, hi: int, a: int, b: int) -> tuple[int, ...]:
+    """The walk of edge {lo, hi} of the (a, b) subgraph plus the alternating
+    path from hi back to lo, which exists because both ends already share
+    a union-find set; ``cycle_key`` checks that it is a cycle."""
     want = b if nb[hi].get(a) == lo else a
     walk, cur = [graph.edge_index(lo, hi)], hi
     while cur != lo:
@@ -479,7 +456,8 @@ def _witness(graph: Graph, nb: list[dict[int, int]], lo: int, hi: int, a: int, b
         walk.append(graph.edge_index(cur, nxt))
         cur = nxt
         want = a if want == b else b
-    return Cycle.from_walk(graph, walk)
+    cycle_key(graph, walk)
+    return tuple(walk)
 
 
 def count_cycles_through_edge(graph: Graph, e: int, length: int) -> int:

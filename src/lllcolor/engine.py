@@ -422,7 +422,7 @@ def dice_experiment(trials: int, rng: random.Random, phases: int = 2) -> float:
     for _ in range(trials):
         ok = True
         for _ in range(phases):
-            d1, d2, d3 = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+            d1, d2, d3 = rng.randrange(6) + 1, rng.randrange(6) + 1, rng.randrange(6) + 1
             branch0 = d1 == 1 or d2 == 1
             branch1 = d2 == 1 or d3 == 1
             if not (branch0 or branch1):

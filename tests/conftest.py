@@ -137,13 +137,13 @@ def reference_col_alg(
     trace: list[tuple[tuple, int]] = []
     aborted = False
 
-    def recolor(cycle, depth: int) -> bool:
+    def recolor(key, depth: int) -> bool:
         nonlocal steps
         if steps >= limit:
             return False
         steps += 1
-        trace.append((cycle.key, depth))
-        for e in sorted(cycle.edges):
+        trace.append((key, depth))
+        for e in sorted(key[1]):
             _assign(state, e, rng)
         return True
 
@@ -160,7 +160,7 @@ def reference_col_alg(
             break
         stack = [root]
         while stack:
-            nxt = find_bichromatic_cycle(state, stack[-1].edge_set)
+            nxt = find_bichromatic_cycle(state, frozenset(stack[-1][1]))
             if nxt is None:
                 stack.pop()
                 continue
@@ -275,8 +275,8 @@ class ColorAudit:
 def bichromatic_edge_set(state: ColorState) -> frozenset[int]:
     """Union of the edge sets of all bichromatic cycles."""
     out: set[int] = set()
-    for cyc in all_bichromatic_cycles(state).values():
-        out |= cyc.edge_set
+    for _, edges in all_bichromatic_cycles(state):
+        out.update(edges)
     return frozenset(out)
 
 

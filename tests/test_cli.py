@@ -170,6 +170,21 @@ def test_verify_rejects_colors_outside_palette(capsys, tmp_path, path_file):
         assert code == 1 and json.loads(out)["proper"] is False
 
 
+def test_verify_prints_the_witness_walk(capsys, tmp_path, monkeypatch):
+    # an alternating hexagon is one bichromatic cycle; the witness is the
+    # verifier's walk in its own order, not the sorted edge tuple
+    monkeypatch.chdir(tmp_path)
+    Path("c6.edges").write_text(cycle_graph(6).to_edge_list())
+    Path("c6.json").write_text(json.dumps({"K": 3, "colors": [0, 1, 0, 1, 0, 1]}))
+    code, out = run_cli(capsys, "verify", "c6.edges", "c6.json")
+    assert code == 1
+    assert out == (
+        '{\n  "acyclic": false,\n  "config": {\n    "coloring": "c6.json",\n    "command": "verify",\n'
+        '    "graph": "c6.edges"\n  },\n  "proper": true,\n  "schema": 1,\n'
+        '  "witness": [\n    4,\n    5,\n    0,\n    1,\n    2,\n    3\n  ]\n}\n'
+    )
+
+
 def test_huge_palette_on_a_path(capsys, tmp_path, path_file):
     # the color draw and the verifier cost nothing per palette color, so
     # K = 10^9 is as quick as K = 3
@@ -461,6 +476,7 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         ("bounds", "--p", "1/8", "--delta", "3", "--prefactor", "inf"),
         ("gamma", "--girth", "5", "--delta", "1" + "0" * 400),
         ("sat", "{negative_cnf}"),
+        ("gamma", "--girth", *["5"] * 10_001),
     ],
     ids=[
         "sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs",
@@ -472,6 +488,7 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         "dice-phases-negative", "dice-phases-zero", "dice-trials-huge",
         "dice-phases-underflow", "gamma-table-rows", "bounds-float-overflow", "bounds-delta-huge",
         "bounds-m-huge", "bounds-prefactor-inf", "gamma-delta-huge", "sat-negative-variables",
+        "gamma-girth-rows",
     ],
 )
 def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, argv):

@@ -13,6 +13,7 @@ from lllcolor.coloring import (
     all_bichromatic_cycles,
     col_alg,
     count_cycles_through_edge,
+    cycle_key,
     find_bichromatic_cycle,
     forbidden_colors,
     greedy_4acyclic,
@@ -82,19 +83,23 @@ def test_forbidden_ignores_own_color_during_recoloring():
 
 
 def test_cycle_walk_validation():
-    from lllcolor.coloring import Cycle
-
     g = two_hex_graph()
-    cyc = Cycle.from_walk(g, (0, 1, 2, 3, 4, 5))
-    assert cyc.length == 6 and cyc.key == (6, (0, 1, 2, 3, 4, 5))
-    assert Cycle((0, 1, 2, 3)) < cyc  # shorter first, then lexicographic
-    assert Cycle((0, 1, 2, 3)) < Cycle((0, 1, 2, 4))
-    with pytest.raises(ContractError):
-        Cycle.from_walk(g, (0, 1, 2))  # odd
-    with pytest.raises(ContractError):
-        Cycle.from_walk(g, (0, 1, 2, 6))  # edges do not chain
-    with pytest.raises(ContractError):
-        Cycle.from_walk(g, (0, 1, 1, 0))  # repeated edge
+    assert cycle_key(g, (3, 4, 5, 0, 1, 2)) == (6, (0, 1, 2, 3, 4, 5))
+    assert cycle_key(g, [0, 1, 2, 3, 4, 5]) == (6, (0, 1, 2, 3, 4, 5))
+    with pytest.raises(ContractError, match="even number"):
+        cycle_key(g, (0, 1, 2))  # odd
+    with pytest.raises(ContractError, match="even number"):
+        cycle_key(g, (0, 1))  # too short
+    with pytest.raises(ContractError, match="share one vertex"):
+        cycle_key(g, (0, 1, 2, 6))  # edges do not chain
+    with pytest.raises(ContractError, match="repeated edge"):
+        cycle_key(g, (0, 1, 1, 0))  # repeated edge
+    # bowtie: squares 0-1-2-3 and 0-4-5-6 share vertex 0; the closed walk
+    # around both chains its edges but visits vertex 0 twice
+    bowtie = Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6), (0, 6)])
+    assert cycle_key(bowtie, (0, 1, 2, 3)) == (4, (0, 1, 2, 3))
+    with pytest.raises(ContractError, match="visits a vertex twice"):
+        cycle_key(bowtie, (0, 1, 2, 3, 4, 5, 6, 7))
 
 
 def test_forbidden_edge_out_of_range():
@@ -219,7 +224,7 @@ def test_triangle_has_no_bichromatic_cycle():
 def test_hexagon_alternating_is_found():
     g = cycle_graph(6)
     cyc = find_bichromatic_cycle(colored(g, 3, [0, 1, 0, 1, 0, 1]))
-    assert cyc is not None and cyc.key == (6, (0, 1, 2, 3, 4, 5))
+    assert cyc == (6, (0, 1, 2, 3, 4, 5))
 
 
 def test_two_disjoint_hexagons_least_and_restrict():
@@ -227,13 +232,13 @@ def test_two_disjoint_hexagons_least_and_restrict():
     colors = [0, 1, 0, 1, 0, 1, 2, 3, 2, 3, 2, 3]
     state = colored(g, 4, colors)
     least = find_bichromatic_cycle(state)
-    assert least.key == (6, (0, 1, 2, 3, 4, 5))
+    assert least == (6, (0, 1, 2, 3, 4, 5))
     second = find_bichromatic_cycle(state, restrict=frozenset({7}))
-    assert second.key == (6, (6, 7, 8, 9, 10, 11))
-    assert find_bichromatic_cycle(state, restrict=frozenset({0, 7})).key == least.key
+    assert second == (6, (6, 7, 8, 9, 10, 11))
+    assert find_bichromatic_cycle(state, restrict=frozenset({0, 7})) == least
     # ordering oracle: enumerate everything and sort by canonical key
     keys = sorted(brute_bichromatic_keys(g, colors))
-    assert keys[0] == least.key and len(keys) == 2
+    assert keys[0] == least and len(keys) == 2
 
 
 def test_detector_matches_brute_force_oracle():
@@ -243,8 +248,7 @@ def test_detector_matches_brute_force_oracle():
         for _ in range(30):
             k = 2 * g.max_degree - 1 + rng.randrange(3)
             state, _ = greedy_4acyclic(g, k, random.Random(rng.randrange(2**30)))
-            walk_keys = set(all_bichromatic_cycles(state))
-            assert walk_keys == brute_bichromatic_keys(g, state.colors)
+            assert all_bichromatic_cycles(state) == brute_bichromatic_keys(g, state.colors)
 
 
 def test_detector_matches_brute_force_on_arbitrary_colorings():
@@ -261,7 +265,7 @@ def test_detector_matches_brute_force_on_arbitrary_colorings():
                 if colors is None:
                     continue
                 brute = brute_bichromatic_keys(g, colors)
-                assert set(all_bichromatic_cycles(colored(g, k, colors))) == brute
+                assert all_bichromatic_cycles(colored(g, k, colors)) == brute
                 runs += 1
                 cyclic += bool(brute)
                 four_cycles += any(length == 4 for length, _ in brute)
@@ -271,13 +275,13 @@ def test_detector_matches_brute_force_on_arbitrary_colorings():
 def test_full_sweep_builds_each_cycle_once(monkeypatch):
     # each bichromatic cycle is walked to the end only from its largest edge
     built = []
+    cycle_key = coloring.cycle_key
 
-    class CountingCycle(coloring.Cycle):
-        def __init__(self, edges):
-            built.append(edges)
-            super().__init__(edges)
+    def counting_cycle_key(graph, walk):
+        built.append(walk)
+        return cycle_key(graph, walk)
 
-    monkeypatch.setattr(coloring, "Cycle", CountingCycle)
+    monkeypatch.setattr(coloring, "cycle_key", counting_cycle_key)
     states = [greedy_4acyclic(complete_graph(20), 37, random.Random(seed))[0] for seed in range(20)]
     states += [colored(cycle_graph(6), 3, [0, 1] * 3), colored(cycle_graph(8), 3, [0, 1] * 4)]
     total = 0
@@ -410,13 +414,13 @@ def test_cycle_index_matches_rescan_after_multi_edge_refresh():
             index = CycleIndex(state, all_bichromatic_cycles(state))
             for _ in range(8):
                 if index.cycles and rng.random() < 0.5:
-                    dirty = rng.choice(list(index.cycles.values())).edge_set
+                    dirty = frozenset(rng.choice(sorted(index.cycles))[1])
                     whole_cycles += 1
                 else:
                     dirty = frozenset(rng.sample(range(g.m), rng.randint(2, 5)))
                 _recolor_properly(state, rng.sample(sorted(dirty), len(dirty)), rng)
                 index.refresh_after(dirty)
-                assert set(index.cycles) == set(all_bichromatic_cycles(state))
+                assert index.cycles == all_bichromatic_cycles(state)
                 refreshes += 1
     assert refreshes >= 600 and whole_cycles >= 70, (refreshes, whole_cycles)
 
@@ -647,7 +651,7 @@ def test_verify_bichromatic_square():
     g = cycle_graph(4)
     verdict = verify_acyclic(g, 3, [0, 1, 0, 1])
     assert verdict.proper and not verdict.acyclic
-    assert verdict.witness.key == (4, (0, 1, 2, 3))
+    assert verdict.witness == (2, 3, 0, 1)  # the walk, not the sorted key
 
 
 def test_verify_trichromatic_square():
@@ -695,7 +699,7 @@ def test_verifier_agrees_with_brute_force():
             verdict = verify_acyclic(g, k, colors)
             assert verdict.proper and verdict.acyclic == (not brute)
             if brute:
-                assert verdict.witness.key in brute
+                assert cycle_key(g, verdict.witness) in brute
             cyclic += bool(brute)
             acyclic += not brute
     assert cyclic >= 100 and acyclic >= 100, (cyclic, acyclic)
@@ -727,12 +731,12 @@ def test_verifier_agrees_with_the_sweep_at_mid_size():
             finally:
                 tracemalloc.stop()
             assert peak < 2**20, peak
-            assert all_bichromatic_cycles(colored(g, k, colors)).keys() == sweep.keys()
+            assert all_bichromatic_cycles(colored(g, k, colors)) == sweep
         else:
             verdict = verify_acyclic(g, k, colors)
         assert verdict.proper and verdict.acyclic == (not sweep)
         if sweep:
-            assert verdict.witness.key in sweep
+            assert cycle_key(g, verdict.witness) in sweep
         cyclic += bool(sweep)
         acyclic += not sweep
     assert cyclic >= 50 and acyclic >= 50, (cyclic, acyclic)
