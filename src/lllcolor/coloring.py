@@ -157,19 +157,6 @@ def _forbidden_and_second(state: ColorState, e: int) -> tuple[set[int], set[int]
     return forbidden, common
 
 
-def forbidden_colors(state: ColorState, e: int) -> set[int]:
-    """Colors that would break properness or close a bichromatic 4-cycle at e.
-
-    Only colored edges contribute; e's own current color (if any) does not.
-    O(maxdeg) through the state's maps: a color common to both endpoints
-    (edges {u, x} and {v, y}) also forbids the color of the closing edge
-    {x, y}.  The result has at most 2*(maxdeg - 1) members, else
-    ContractError.  It is the first half of the pass every coloring
-    decision makes (``_forbidden_and_second``).
-    """
-    return _forbidden_and_second(state, e)[0]
-
-
 def _assign(state: ColorState, e: int, rng: random.Random) -> set[int]:
     """Color e uniformly among the colors not forbidden there; return e's
     second colors.
@@ -290,29 +277,27 @@ def all_bichromatic_cycles(state: ColorState) -> set[tuple]:
 
 
 def find_bichromatic_cycle(state: ColorState, restrict: frozenset[int] | None = None) -> tuple | None:
-    """The least bichromatic cycle's key, or None.
-
-    With ``restrict``, only cycles sharing an edge with the given edge set
-    are eligible; the least eligible cycle is still chosen globally.
-    """
+    """The least bichromatic cycle's key, or None; with ``restrict``, the
+    least of the cycles that share an edge with that edge set.  Only the
+    tests and ``perfbench/child.py`` call it, and the latter wraps it by
+    name, so it stays until the benchmark changes."""
     return CycleIndex(state, all_bichromatic_cycles(state)).least(restrict)
 
 
 class CycleIndex:
-    """Incrementally maintained set of all current bichromatic cycles.
-
-    A cycle is its key (length, sorted edge tuple): keys order the cycles,
-    and a key's edge tuple is the cycle's scope.  The index starts from
-    ``cycles``, the key of every bichromatic cycle of ``state``: in
-    ``col_alg`` those the greedy pass collected, each from its largest
-    edge; the tests pass ``all_bichromatic_cycles(state)``.  A cycle's
-    status only changes when one of its edges is recolored, so after
-    recoloring an edge set it suffices to drop the stored cycles touching
-    it and to sweep those edges: the sweep finds every bichromatic cycle
-    that meets them, survivors included, each from its largest recolored
-    edge.  The walks read the state's own maps, so nothing is rebuilt
-    between refreshes.  It is the only detector of ``col_alg``; the tests
-    hold it against full rescans.
+    """Incrementally maintained set of the keys of all current bichromatic
+    cycles.  The index starts from ``cycles``, the key of every bichromatic
+    cycle of ``state``: in ``col_alg`` those the greedy pass collected, each
+    from its largest edge; the tests pass ``all_bichromatic_cycles(state)``.
+    A cycle's status only changes when one of its edges is recolored, so
+    after recoloring an edge set it suffices to drop the stored cycles
+    touching it and to sweep those edges: the sweep finds every bichromatic
+    cycle that meets them, survivors included, each from its largest
+    recolored edge.  The walks read the state's own maps, so nothing is
+    rebuilt between refreshes.  It is the only detector of ``col_alg``; the
+    tests hold it against full rescans, and ``perfbench/child.py`` wraps
+    ``__init__`` and ``refresh_after`` by name, so those stay until the
+    benchmark changes.
     """
 
     def __init__(self, state: ColorState, cycles: set[tuple]):
@@ -330,19 +315,15 @@ class CycleIndex:
 
 
 class ColorRunStats(RunStats):
-    """A coloring run's ``RunStats``: steps are recolor calls, phases are
-    root calls, and ``trace`` holds (cycle key, depth) per call, the key
-    being the cycle itself."""
+    """A coloring run's ``RunStats``: steps are recolor calls, and ``trace``
+    holds (cycle key, depth) per call, the key being the cycle itself; the
+    root calls, one per phase, are the trace's depth-0 keys."""
 
     __slots__ = ()
 
     @property
     def cycle_lengths(self) -> list[int]:
         return [key[0] for key, _ in self.trace]
-
-    @property
-    def root_cycles(self) -> list[tuple[int, ...]]:
-        return [key[1] for key, depth in self.trace if depth == 0]
 
 
 def col_alg(
@@ -458,38 +439,3 @@ def _witness(graph: Graph, nb: list[dict[int, int]], lo: int, hi: int, a: int, b
         want = a if want == b else b
     cycle_key(graph, walk)
     return tuple(walk)
-
-
-def count_cycles_through_edge(graph: Graph, e: int, length: int) -> int:
-    """Exact number of simple cycles of the given even length through edge e.
-
-    Exhaustive path enumeration, so only for desk-scale graphs; the count
-    never exceeds (maxdeg - 1)**(length - 2), else ContractError.
-    """
-    if length < 4 or length % 2:
-        raise ValueError("cycle length must be even and >= 4")
-    if not (0 <= e < graph.m):
-        raise ContractError(f"edge index {e} out of range")
-    branching = max(graph.max_degree - 1, 0)
-    if branching ** (length - 2) > 5_000_000:
-        raise ValueError("size guard: enumeration would be too large")
-    u, v = graph.edges[e]
-
-    # the walk starts at v and never visits u, so it cannot use edge e
-    # before its closing step, and that step leaves a vertex other than v
-    def paths(cur: int, remaining: int, visited: set[int]) -> int:
-        if remaining == 1:
-            return int(u in graph.adj[cur])
-        total = 0
-        for w in graph.adj[cur]:
-            if w == u or w in visited:
-                continue
-            visited.add(w)
-            total += paths(w, remaining - 1, visited)
-            visited.remove(w)
-        return total
-
-    count = paths(v, length - 1, {v})
-    if count > branching ** (length - 2):
-        raise ContractError(f"{count} cycles through edge {e} exceed the branching bound")
-    return count

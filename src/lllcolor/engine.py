@@ -131,7 +131,8 @@ class EventSystem:
         """Least-indexed occurring event, or None.  Plain linear scan.
 
         ``m_algorithm`` does not call this; the tests use it to build the
-        reference loop that the engine must match.
+        reference loop that the engine must match, and ``perfbench/child.py``
+        wraps it by name, so it stays until the benchmark changes.
         """
         pool = candidates if candidates is not None else range(self.m)
         for j in pool:

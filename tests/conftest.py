@@ -20,7 +20,6 @@ from lllcolor.coloring import (
     _assign,
     all_bichromatic_cycles,
     find_bichromatic_cycle,
-    forbidden_colors,
     greedy_4acyclic,
 )
 from lllcolor.engine import (
@@ -173,9 +172,17 @@ def reference_col_alg(
     return state, ColorRunStats(trace, not aborted, seed, limit)
 
 
+def forbidden_colors(state: ColorState, e: int) -> set[int]:
+    """The forbidden half of the library's one pass per coloring decision
+    (``_forbidden_and_second``): ContractError if e is out of range or the
+    set exceeds 2*(maxdeg - 1)."""
+    return coloring._forbidden_and_second(state, e)[0]
+
+
 def reference_forbidden_colors(graph: Graph, colors: list[int | None], e: int) -> set[int]:
     """Forbidden colors at e by a pairwise adjacency scan: the oracle for
-    ``forbidden_colors``, which reads the state's per-vertex maps instead.
+    the library's decision pass, which reads the state's per-vertex maps
+    instead.
 
     A color of a colored edge adjacent to e is forbidden, and so is the
     color of the closing edge {x, y} whenever {u, x} and {v, y} share a
@@ -345,7 +352,7 @@ def audited_col_alg(
 
     def assign(original):
         def checked(state, e, rng):
-            n_forbidden = len(coloring.forbidden_colors(state, e))
+            n_forbidden = len(forbidden_colors(state, e))
             second = original(state, e, rng)
             audit.record_decision(n_forbidden, state.k - n_forbidden)
             audit.check_local(state, e)

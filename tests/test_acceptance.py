@@ -129,7 +129,8 @@ def test_criterion_6_invariant_suite(coloring_corpus):
                 failures.append(f"{name}: margin {audit.min_available} < {margin}")
             if audit.progress_violations:
                 failures.append(f"{name}: progress {audit.progress_violations[:1]}")
-            if len({tuple(rc) for rc in stats.root_cycles}) != len(stats.root_cycles):
+            roots = [key for key, depth in stats.trace if depth == 0]
+            if len(set(roots)) != len(roots):
                 root_cycle_repeats += 1
     # engine-side progress snapshots on a resampling corpus
     engine_regressions = 0

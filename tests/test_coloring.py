@@ -12,10 +12,8 @@ from lllcolor.coloring import (
     PaletteError,
     all_bichromatic_cycles,
     col_alg,
-    count_cycles_through_edge,
     cycle_key,
     find_bichromatic_cycle,
-    forbidden_colors,
     greedy_4acyclic,
     verify_acyclic,
 )
@@ -37,6 +35,7 @@ from conftest import (
     brute_bichromatic_keys,
     brute_simple_cycles,
     colored,
+    forbidden_colors,
     random_proper_colors,
     reference_assign,
     reference_col_alg,
@@ -473,7 +472,7 @@ def test_col_alg_matches_reference():
             else:
                 col_b, stats_b = col_alg(g, k, seed=seed, step_limit=limit)
             assert col_a.colors == col_b.colors
-            # steps, phases, trace (hence cycle_lengths, root_cycles), terminated
+            # steps, phases, trace (hence cycle lengths and root keys), terminated
             assert stats_a == stats_b
             recolored_runs += stats_a.steps > 0
             aborted_runs += not stats_a.terminated
@@ -546,8 +545,8 @@ def test_root_cycles_pairwise_distinct():
     for g, k in [(cycle_graph(6), 4), (two_hex_graph(), 4)]:
         for seed in range(150):
             _, stats = col_alg(g, k, seed=seed)
-            seen = {tuple(rc) for rc in stats.root_cycles}
-            assert len(seen) == len(stats.root_cycles)
+            roots = [key for key, depth in stats.trace if depth == 0]
+            assert len(set(roots)) == len(roots)
             assert stats.phases <= g.m
 
 
@@ -747,42 +746,27 @@ def test_bichromatic_edge_set():
     assert bichromatic_edge_set(colored(g, 4, [0, 1, 0, 1, 0, 1, 0, 1, 2, 3, 2, 3])) == frozenset(range(6))
 
 
-# -- exact cycle counting -----------------------------------------------------------
+# -- cycles through an edge ---------------------------------------------------
 
-def test_count_cycles_hexagon():
-    g = cycle_graph(6)
-    assert count_cycles_through_edge(g, 0, 6) == 1
-    assert count_cycles_through_edge(g, 0, 4) == 0
+def test_cycles_through_an_edge_within_the_papers_bound():
+    # the paper counts at most (maxdeg - 1)**(2k - 2) cycles of length 2k
+    # through one edge; checked on the exhaustive DFS oracle's cycles, with
+    # the hand counts first
+    def through(cycles, e, length):
+        return sum(1 for c in cycles if len(c) == length and e in c)
 
-
-def test_count_cycles_k4_and_k5():
-    g4 = complete_graph(4)
-    for e in range(g4.m):
-        assert count_cycles_through_edge(g4, e, 4) == 2
-        assert 2 <= (g4.max_degree - 1) ** 2
-    g5 = complete_graph(5)
-    assert count_cycles_through_edge(g5, 0, 4) == 6  # ordered pairs of the other 3 vertices
-    assert count_cycles_through_edge(g5, 0, 6) == 0  # only 5 vertices
-
-
-def test_count_cycles_match_brute_force_enumeration():
-    # the count per (edge, length) against the exhaustive DFS oracle, on
-    # graphs with cycles of every length asked for
-    graphs = [petersen_graph(), complete_graph(6)]
+    hexagon = brute_simple_cycles(cycle_graph(6), max_len=8)
+    assert through(hexagon, 0, 6) == 1
+    assert through(hexagon, 0, 4) == 0
+    k4 = brute_simple_cycles(complete_graph(4), max_len=8)
+    assert all(through(k4, e, 4) == 2 for e in range(6))
+    k5 = brute_simple_cycles(complete_graph(5), max_len=8)
+    assert through(k5, 0, 4) == 6  # ordered pairs of the other 3 vertices
+    assert through(k5, 0, 6) == 0  # only 5 vertices
+    graphs = [cycle_graph(6), complete_graph(4), complete_graph(5), petersen_graph(), complete_graph(6)]
     graphs += [random_regular_graph(3, n, seed=seed) for n, seed in ((10, 1), (12, 2), (16, 3), (20, 4))]
     for g in graphs:
         cycles = brute_simple_cycles(g, max_len=8)
         for length in (4, 6, 8):
             for e in range(g.m):
-                expected = sum(1 for c in cycles if len(c) == length and e in c)
-                assert count_cycles_through_edge(g, e, length) == expected, (g.edges, e, length)
-
-
-def test_count_cycles_guards():
-    g = cycle_graph(6)
-    with pytest.raises(ValueError):
-        count_cycles_through_edge(g, 0, 5)
-    with pytest.raises(ValueError):
-        count_cycles_through_edge(g, 0, 2)
-    with pytest.raises(ValueError):
-        count_cycles_through_edge(complete_graph(40), 0, 14)
+                assert through(cycles, e, length) <= (g.max_degree - 1) ** (length - 2), (g.edges, e, length)

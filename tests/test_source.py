@@ -6,12 +6,15 @@ from pathlib import Path
 
 import lllcolor
 
+PACKAGE = Path(lllcolor.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
+
 
 def test_library_raises_contract_errors_not_asserts():
     # ``python -O`` strips assert statements, so the bound checks of the
     # library raise ContractError instead
     offenders = []
-    for path in sorted(Path(lllcolor.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             exc = node.exc if isinstance(node, ast.Raise) else None
             if isinstance(exc, ast.Call):
@@ -19,6 +22,52 @@ def test_library_raises_contract_errors_not_asserts():
             if isinstance(node, ast.Assert) or (isinstance(exc, ast.Name) and exc.id == "AssertionError"):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
+
+
+def _reached(defs, roots):
+    """The names of ``defs`` (name -> module-level node) that ``roots``
+    reach, directly or through one another."""
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(defs[name]):
+            ref = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if ref in defs:
+                todo.append(ref)
+    return reached
+
+
+def _names(paths):
+    """Every name the given files read: names, attributes, imported names
+    and whole string constants (the benchmark wraps methods by name)."""
+    named = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    return named
+
+
+def _library_functions():
+    """Each module-level function and method of the library but the
+    dunders, by name, with where it is defined."""
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for member in members:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                    defined.setdefault(member.name, f"{path.name}:{member.lineno}")
+    return defined
 
 
 def test_verifier_shares_no_code_with_the_detector():
@@ -33,16 +82,7 @@ def test_verifier_shares_no_code_with_the_detector():
         "_cycles_through_edge", "_second_colors", "all_bichromatic_cycles", "find_bichromatic_cycle", "CycleIndex",
         "ColorState",
     }
-    reached, todo = set(), ["verify_acyclic"]
-    while todo:
-        name = todo.pop()
-        if name in reached:
-            continue
-        reached.add(name)
-        for node in ast.walk(defs[name]):
-            ref = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-            if ref in defs:
-                todo.append(ref)
+    reached = _reached(defs, ["verify_acyclic"])
     assert not reached & detector, sorted(reached & detector)
     assert {"_witness", "cycle_key"} <= reached  # the walk does follow helpers
 
@@ -59,16 +99,7 @@ def test_series_share_no_code_with_their_oracles():
         tree = ast.parse(Path(module.__file__).read_text())
         defs.update({node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))})
     oracles = {"_mul_trunc", "_series_inverse", "series_fixed_point", "q_closed_form"}
-    reached, todo = set(), ["q_series", "q_coloring_series"]
-    while todo:
-        name = todo.pop()
-        if name in reached:
-            continue
-        reached.add(name)
-        for node in ast.walk(defs[name]):
-            ref = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-            if ref in defs:
-                todo.append(ref)
+    reached = _reached(defs, ["q_series", "q_coloring_series"])
     assert not reached & oracles, sorted(reached & oracles)
     assert {"power_step", "PhiParams"} <= reached  # the walk does follow helpers
 
@@ -77,34 +108,28 @@ def test_every_function_is_named_somewhere():
     # a module-level function or method of the library that no library
     # module, test or benchmark names is API nothing reads; attribute
     # strings count as readers (the benchmark wraps methods by name)
-    package = Path(lllcolor.__file__).parent
-    repo = Path(__file__).resolve().parents[1]
-    defined = {}
-    for path in sorted(package.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            members = node.body if isinstance(node, ast.ClassDef) else [node]
-            for member in members:
-                if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
-                    defined.setdefault(member.name, f"{path.name}:{member.lineno}")
-    named = set()
-    for path in [*package.glob("*.py"), *(repo / "tests").glob("*.py"), *(repo / "perfbench").glob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name.rpartition(".")[2])
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                named.add(node.value)
+    defined = _library_functions()
+    named = _names([*PACKAGE.glob("*.py"), *(REPO / "tests").glob("*.py"), *(REPO / "perfbench").glob("*.py")])
     unread = sorted(where for name, where in defined.items() if name not in named)
     assert not unread, unread
+
+
+def test_library_functions_only_tests_call_are_the_papers_statements():
+    # the library holds what the commands, the benchmark and the paper's
+    # statements run: a function that only tests name must be one of the
+    # paper's statements, which the tests check, or a graph constructor of
+    # the README; once a command runs one, it leaves this set
+    named = _names([*PACKAGE.glob("*.py"), *(REPO / "perfbench").glob("*.py")])
+    test_only = {name for name in _library_functions() if name not in named}
+    papers = {"algorithm_bound", "q_closed_form", "build_witness_forest", "validate", "phi_prime", "cycle_prob_bounds"}
+    readme = {"path_graph", "complete_graph", "star_graph", "petersen_graph"}
+    assert test_only == papers | readme, sorted(test_only ^ (papers | readme))
 
 
 def test_readme_python_blocks_run():
     # the quick start is the library's documented entry point, so each
     # fenced python block of the README must run as written
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (REPO / "README.md").read_text()
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
     assert blocks
     for block in blocks:
