@@ -748,25 +748,35 @@ def test_bichromatic_edge_set():
 
 # -- cycles through an edge ---------------------------------------------------
 
-def test_cycles_through_an_edge_within_the_papers_bound():
-    # the paper counts at most (maxdeg - 1)**(2k - 2) cycles of length 2k
-    # through one edge; checked on the exhaustive DFS oracle's cycles, with
-    # the hand counts first
-    def through(cycles, e, length):
-        return sum(1 for c in cycles if len(c) == length and e in c)
+def _through(cycles, e, length):
+    # cycles of the given length through edge e, from the exhaustive DFS oracle
+    return sum(1 for c in cycles if len(c) == length and e in c)
 
-    hexagon = brute_simple_cycles(cycle_graph(6), max_len=8)
-    assert through(hexagon, 0, 6) == 1
-    assert through(hexagon, 0, 4) == 0
-    k4 = brute_simple_cycles(complete_graph(4), max_len=8)
-    assert all(through(k4, e, 4) == 2 for e in range(6))
-    k5 = brute_simple_cycles(complete_graph(5), max_len=8)
-    assert through(k5, 0, 4) == 6  # ordered pairs of the other 3 vertices
-    assert through(k5, 0, 6) == 0  # only 5 vertices
+
+def test_count_cycles_hexagon():
+    cycles = brute_simple_cycles(cycle_graph(6), max_len=8)
+    assert _through(cycles, 0, 6) == 1
+    assert _through(cycles, 0, 4) == 0
+
+
+def test_count_cycles_k4_and_k5():
+    g4 = complete_graph(4)
+    cycles = brute_simple_cycles(g4, max_len=8)
+    for e in range(g4.m):
+        assert _through(cycles, e, 4) == 2
+        assert 2 <= (g4.max_degree - 1) ** 2
+    cycles = brute_simple_cycles(complete_graph(5), max_len=8)
+    assert _through(cycles, 0, 4) == 6  # ordered pairs of the other 3 vertices
+    assert _through(cycles, 0, 6) == 0  # only 5 vertices
+
+
+def test_count_cycles_match_brute_force_enumeration():
+    # the paper counts at most (maxdeg - 1)**(2k - 2) cycles of length 2k
+    # through one edge; checked per (edge, length) on the oracle's cycles
     graphs = [cycle_graph(6), complete_graph(4), complete_graph(5), petersen_graph(), complete_graph(6)]
     graphs += [random_regular_graph(3, n, seed=seed) for n, seed in ((10, 1), (12, 2), (16, 3), (20, 4))]
     for g in graphs:
         cycles = brute_simple_cycles(g, max_len=8)
         for length in (4, 6, 8):
             for e in range(g.m):
-                assert through(cycles, e, length) <= (g.max_degree - 1) ** (length - 2), (g.edges, e, length)
+                assert _through(cycles, e, length) <= (g.max_degree - 1) ** (length - 2), (g.edges, e, length)
