@@ -116,9 +116,8 @@ def cmd_gamma(args) -> int:
     rows = []
     for g in girths:
         r = gamma_mod.girth_to_r(g)
-        gm = gamma_mod.min_gamma(r, tol=args.tol)
-        sol = gamma_mod.solve_tau(gamma_mod.PhiParams(gm, r))
-        row = [g, r, f"{gm:.3f}", f"{sol.tau:.10f}", f"{sol.rho:.10f}"]
+        sol = gamma_mod.min_gamma_solution(r, tol=args.tol)
+        row = [g, r, f"{sol.params.gamma:.3f}", f"{sol.tau:.10f}", f"{sol.rho:.10f}"]
         if args.delta is not None:
             row.append(gamma_mod.colors_needed(args.delta, g))
         rows.append(row)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import partial
+from operator import eq
+
 from .engine import Event, EventSystem, VariableSpace
 
 MAX_HEADER_VARIABLES = 10**6  # a problem line may not ask for more variables
@@ -20,7 +23,10 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"line {lineno}: bad problem line {line!r}")
-            n_vars, declared_clauses = int(parts[2]), int(parts[3])
+            try:
+                n_vars, declared_clauses = int(parts[2]), int(parts[3])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             if n_vars < 0 or declared_clauses < 0:
                 raise ValueError(f"line {lineno}: negative count in problem line {line!r}")
             if n_vars > MAX_HEADER_VARIABLES:
@@ -29,7 +35,10 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
         if n_vars is None:
             raise ValueError(f"line {lineno}: clause before the problem line")
         for tok in line.split():
-            lit = int(tok)
+            try:
+                lit = int(tok)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             if lit == 0:
                 if not current:
                     raise ValueError(f"line {lineno}: empty clause")
@@ -60,22 +69,31 @@ def clause_system(n_vars: int, clauses: list[tuple[int, ...]]) -> EventSystem:
     2^-w for its w variables, or never if a variable carries both signs
     (then it has more distinct literals than variables).  `p` is the
     largest of these: 2^-w for the narrowest clause that can be violated.
+
+    Each clause is read once, into a dict from variable to its falsifying
+    value (True/False, equal to 1/0): its sorted keys are the scope, and
+    the event occurs iff the scoped values equal the one falsifying tuple,
+    a test in C (``operator.eq`` bound to that tuple).  A clause with a
+    variable of both signs gets the shared never-true predicate instead.
     """
     space = VariableSpace.booleans(n_vars)
     events = []
     narrowest = None
     for j, clause in enumerate(clauses):
-        scope = tuple(sorted({abs(lit) - 1 for lit in clause}))
-        if (narrowest is None or len(scope) < narrowest) and len(set(clause)) == len(scope):
-            narrowest = len(scope)
-        pos = {var: i for i, var in enumerate(scope)}
-        checks = tuple((pos[abs(lit) - 1], 1 if lit > 0 else 0) for lit in clause)
-
-        def violated(values, _checks=checks):
-            return all(values[i] != satisfying for i, satisfying in _checks)
-
-        events.append(Event(j, scope, violated))
+        falsifying = {abs(lit) - 1: lit < 0 for lit in clause}
+        scope = tuple(sorted(falsifying))
+        if len(set(clause)) == len(scope):
+            predicate = partial(eq, tuple(map(falsifying.__getitem__, scope)))
+            if narrowest is None or len(scope) < narrowest:
+                narrowest = len(scope)
+        else:
+            predicate = _never
+        events.append(Event(j, scope, predicate))
     return EventSystem(space, events, p=0.0 if narrowest is None else 2.0 ** -narrowest)
+
+
+def _never(values: tuple) -> bool:
+    return False
 
 
 def clause_satisfied(clause: tuple[int, ...], values) -> bool:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import chain
 from typing import Callable, Hashable, Iterable, Sequence
 
 from . import _Frozen, _Record
@@ -89,7 +90,10 @@ class Event(_Frozen):
         object.__setattr__(self, "predicate", predicate)
 
     def occurs(self, values: Sequence) -> bool:
-        return bool(self.predicate(tuple(values[i] for i in self.scope)))
+        """The predicate on the scoped values, gathered with ``map`` rather
+        than a generator: with a predicate written in C (a bound
+        ``operator.eq``, a dict's ``__getitem__``) no Python frame runs."""
+        return bool(self.predicate(tuple(map(values.__getitem__, self.scope))))
 
 
 class EventSystem:
@@ -99,6 +103,10 @@ class EventSystem:
     its own neighbour.  ``delta`` is the largest neighbourhood size.  ``p``
     is a caller-supplied bound on the probability of any single event under
     fresh sampling.
+
+    The constructor is the one place that checks the events (ids in order,
+    scopes inside the space) and derives the neighbourhoods: each is the
+    sorted union of the event lists of its scope's variables, built in C.
     """
 
     def __init__(self, space: VariableSpace, events: Sequence[Event], p: float | None = None):
@@ -113,14 +121,9 @@ class EventSystem:
         for ev in self.events:
             for i in ev.scope:
                 by_var.setdefault(i, []).append(ev.id)
-        neigh = []
-        for ev in self.events:
-            ns = {ev.id}
-            for i in ev.scope:
-                ns.update(by_var[i])
-            neigh.append(tuple(sorted(ns)))
-        self.neighborhoods = neigh
-        self.delta = max((len(ns) for ns in neigh), default=0)
+        reading = by_var.__getitem__  # every event is on its own variables' lists
+        self.neighborhoods = [tuple(sorted(set(chain.from_iterable(map(reading, ev.scope))))) for ev in self.events]
+        self.delta = max(map(len, self.neighborhoods), default=0)
         self.p = p
 
     @property
@@ -142,13 +145,30 @@ class EventSystem:
 
 
 def sample_all(system: EventSystem, rng: random.Random) -> list:
-    """Fresh independent sample of every variable."""
-    return [system.space.sample(i, rng) for i in range(system.space.count)]
+    """Fresh independent sample of every variable, in variable order.
+
+    An unweighted variable is drawn inline as ``dom[rng.randrange(len(dom))]``,
+    the draw ``VariableSpace.sample`` makes; only a weighted one goes
+    through it.  So the values and the rng state are those of one
+    ``space.sample(i, rng)`` per variable.
+    """
+    space, randrange = system.space, rng.randrange
+    return [
+        dom[randrange(len(dom))] if w is None else space.sample(i, rng)
+        for i, (dom, w) in enumerate(zip(space.domains, space.weights))
+    ]
 
 
 def _resample_scope(system: EventSystem, values: list, j: int, rng: random.Random) -> None:
+    """Redraw event j's scope in scope order, drawing as ``sample_all`` does."""
+    space = system.space
+    domains, weights, randrange = space.domains, space.weights, rng.randrange
     for i in system.events[j].scope:
-        values[i] = system.space.sample(i, rng)
+        if weights[i] is None:
+            dom = domains[i]
+            values[i] = dom[randrange(len(dom))]
+        else:
+            values[i] = space.sample(i, rng)
 
 
 def default_step_limit(m: int) -> int:

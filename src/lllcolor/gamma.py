@@ -181,8 +181,8 @@ def girth_to_r(girth: int) -> float:
     return max(3.0, (girth + 1) / 2.0)
 
 
-def _rho_at(g: float, r: float) -> float:
-    return solve_tau(PhiParams(g, r)).rho  # through the module, so a wrapper on solve_tau sees each call
+def _solve_at(g: float, r: float) -> GammaSolution:
+    return solve_tau(PhiParams(g, r))  # through the module, so a wrapper on solve_tau sees each call
 
 
 class _Bisection:
@@ -193,17 +193,22 @@ class _Bisection:
     bisection to a finer one, so the steps taken are kept as one bit each
     (set when the midpoint's rho < 1 moved hi down): a request replays
     them from the bracket and solves only at steps no request took before.
+
+    ``answers[tol]`` is ``(hi, solution at hi)``: one solution per answer,
+    not one per step.  The solution is None when the step that last moved
+    hi was taken by an earlier request; ``solution`` then takes it from an
+    answer with the same hi, or solves there once.
     """
 
-    __slots__ = ("r", "bracket", "steps", "below", "known", "answers")
+    __slots__ = ("r", "bracket", "top", "steps", "below", "known", "answers")
 
     def __init__(self, r: float):
         self.r, self.steps, self.below, self.known, self.answers = r, 0, 0, {}, {}
 
         def rho_at(g: float) -> float:
             if g not in self.known:
-                self.known[g] = _rho_at(g, r)
-            return self.known[g]
+                self.known[g] = _solve_at(g, r)
+            return self.known[g].rho
 
         lo, hi = 0.25, 1.0
         while rho_at(lo) < 1.0:
@@ -218,29 +223,40 @@ class _Bisection:
         rhos = [rho_at(lo + (hi - lo) * i / 8) for i in range(9)]
         if any(r2 > r1 + 1e-9 for r1, r2 in zip(rhos, rhos[1:])):
             raise SolverError("rho is not decreasing in gamma on the bracket")
-        self.bracket = lo, hi
+        self.bracket, self.top = (lo, hi), self.known[hi]
 
     def gamma(self, tol: float) -> float:
         """Smallest slack known to satisfy rho < 1, within tol."""
         if tol not in self.answers:
-            (lo, hi), step = self.bracket, 0
+            (lo, hi), at_hi, step = self.bracket, self.top, 0
             while hi - lo > tol:
                 mid = 0.5 * (lo + hi)
                 if mid in (lo, hi):  # tol below the float spacing at the bracket
                     break
+                at_mid = None
                 if step == self.steps:  # a step no request has taken yet
-                    rho = self.known[mid] if mid in self.known else _rho_at(mid, self.r)
-                    self.below |= (rho < 1.0) << step
+                    at_mid = self.known[mid] if mid in self.known else _solve_at(mid, self.r)
+                    self.below |= (at_mid.rho < 1.0) << step
                     self.steps += 1
                 if self.below >> step & 1:
-                    hi = mid
+                    hi, at_hi = mid, at_mid
                 else:
                     lo = mid
                 step += 1
             if self.steps >= 3:  # the spot-check's eighths can only be the first three midpoints
                 self.known = {}
-            self.answers[tol] = hi
-        return self.answers[tol]
+            self.answers[tol] = hi, at_hi
+        return self.answers[tol][0]
+
+    def solution(self, tol: float) -> GammaSolution:
+        """The solution at ``gamma(tol)``, which was asked for; solved again
+        only if no request kept it."""
+        hi, at_hi = self.answers[tol]
+        if at_hi is None:
+            kept = (sol for g, sol in self.answers.values() if g == hi and sol is not None)
+            at_hi = next(kept, None) or _solve_at(hi, self.r)
+            self.answers[tol] = hi, at_hi
+        return at_hi
 
 
 _bisections: dict[int, _Bisection] = {}  # by tracked cycle length 2r
@@ -261,6 +277,13 @@ def min_gamma(r: float, tol: float = 1e-4) -> float:
     if two_r not in _bisections:
         _bisections[two_r] = _Bisection(two_r / 2.0)
     return _bisections[two_r].gamma(tol)
+
+
+def min_gamma_solution(r: float, tol: float = 1e-4) -> GammaSolution:
+    """The solution of the characteristic equation at ``min_gamma(r, tol)``,
+    as the bisection kept it, so a caller need not solve at the slack again."""
+    min_gamma(r, tol)  # through the module, so a wrapper on min_gamma sees the bisection
+    return _bisections[int(round(2 * r))].solution(tol)
 
 
 def colors_needed(delta: int, girth: int = 3) -> int:

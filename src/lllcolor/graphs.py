@@ -135,14 +135,20 @@ class Graph:
                 parts = line.split()
                 if len(parts) != 4 or parts[1] != "edges":
                     raise ValueError(f"line {lineno}: bad header {line!r}")
-                n, m = int(parts[2]), int(parts[3])
+                try:
+                    n, m = int(parts[2]), int(parts[3])
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
                 if n > MAX_HEADER_VERTICES:
                     raise ValueError(f"line {lineno}: {n} vertices exceed the cap of {MAX_HEADER_VERTICES}")
                 continue
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+            try:
+                edges.append((int(parts[0]), int(parts[1])))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         if n is None:
             raise ValueError("missing 'p edges <l> <m>' header")
         if m != len(edges):

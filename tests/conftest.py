@@ -30,7 +30,6 @@ from lllcolor.engine import (
     build_witness_forest,
     check_feasible,
     default_step_limit,
-    sample_all,
 )
 from lllcolor.gamma import GammaSolution, PhiParams, SolverError, phi
 from lllcolor.graphs import Graph
@@ -46,6 +45,31 @@ def chain_3sat(n_clauses: int, rng: random.Random) -> tuple[int, list[tuple[int,
         clause = tuple((v + 1) * (1 if rng.random() < 0.5 else -1) for v in (2 * i, 2 * i + 1, 2 * i + 2))
         clauses.append(clause)
     return 2 * n_clauses + 1, clauses
+
+
+def reference_clause_system(n_vars: int, clauses: list[tuple[int, ...]]) -> tuple[list, list, float, list]:
+    """``clause_system``'s scopes, predicates, p and neighbourhoods, built
+    with a position dict and a closure per clause and a set union per
+    variable: ``(scopes, predicates, p, neighborhoods)``."""
+    scopes, predicates, narrowest = [], [], None
+    for clause in clauses:
+        scope = tuple(sorted({abs(lit) - 1 for lit in clause}))
+        if (narrowest is None or len(scope) < narrowest) and len(set(clause)) == len(scope):
+            narrowest = len(scope)
+        pos = {var: i for i, var in enumerate(scope)}
+        checks = tuple((pos[abs(lit) - 1], 1 if lit > 0 else 0) for lit in clause)
+
+        def violated(values, _checks=checks):
+            return all(values[i] != satisfying for i, satisfying in _checks)
+
+        scopes.append(scope)
+        predicates.append(violated)
+    by_var: dict[int, set[int]] = {}
+    for j, scope in enumerate(scopes):
+        for i in scope:
+            by_var.setdefault(i, set()).add(j)
+    neighborhoods = [tuple(sorted(set().union(*(by_var[i] for i in scope)))) for scope in scopes]
+    return scopes, predicates, 0.0 if narrowest is None else 2.0 ** -narrowest, neighborhoods
 
 
 def single_event_system(prob_num: int = 1, prob_den: int = 2) -> EventSystem:
@@ -73,8 +97,10 @@ def reference_m_algorithm(system: EventSystem, seed: int, step_limit: int | None
 
     Every root choice scans all events from id 0 with ``first_occurring``
     and every child choice scans the stack top's neighbourhood, so nothing
-    is cached between choices.  Must give the same values and RunStats as
-    ``m_algorithm`` for every system, seed and limit.
+    is cached between choices.  Every draw, the first sample included, is
+    one ``space.sample`` per variable, not the engine's inline draws.  Must
+    give the same values and RunStats as ``m_algorithm`` for every system,
+    seed and limit.
     """
     rng = random.Random(seed)
     limit = default_step_limit(system.m) if step_limit is None else step_limit
@@ -83,7 +109,7 @@ def reference_m_algorithm(system: EventSystem, seed: int, step_limit: int | None
         for i in system.events[j].scope:
             values[i] = system.space.sample(i, rng)
 
-    values = sample_all(system, rng)
+    values = [system.space.sample(i, rng) for i in range(system.space.count)]
     steps = 0
     phases = 0
     trace: list[tuple[int, int]] = []

@@ -96,12 +96,14 @@ def test_gamma_tolerance_below_float_spacing(capsys):
 
 def test_gamma_table_solves_each_length_once_per_step(capsys, solve_tau_calls):
     # each length is bracketed and spot-checked once, the spot-check's
-    # values serve the bisection's first three steps, and the 1e-6 palette
+    # values serve the bisection's first three steps, the 1e-6 palette
     # column goes on from the 1e-4 bisection instead of bracketing,
-    # spot-checking and bisecting again from scratch, which took 6,526 calls
+    # spot-checking and bisecting again from scratch, which took 6,526 calls,
+    # and each row prints the solution its bisection kept instead of
+    # solving at its slack again, which took 116 more
     code, out = run_cli(capsys, "gamma", "--table", "5", "120", "--delta", "11")
     assert code == 0 and len(csv_rows(out)) == 117
-    assert solve_tau_calls == [3144]
+    assert solve_tau_calls == [3028]
 
 
 # -- color / verify --------------------------------------------------------------
@@ -477,6 +479,11 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         ("gamma", "--girth", "5", "--delta", "1" + "0" * 400),
         ("sat", "{negative_cnf}"),
         ("gamma", "--girth", *["5"] * 10_001),
+        ("sat", "{cnf_token}"),
+        ("sat", "{cnf_beyond}"),
+        ("sat", "{cnf_empty_clause}"),
+        ("sat", "{cnf_count}"),
+        ("color", "{edges_token}"),
     ],
     ids=[
         "sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs",
@@ -488,7 +495,8 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         "dice-phases-negative", "dice-phases-zero", "dice-trials-huge",
         "dice-phases-underflow", "gamma-table-rows", "bounds-float-overflow", "bounds-delta-huge",
         "bounds-m-huge", "bounds-prefactor-inf", "gamma-delta-huge", "sat-negative-variables",
-        "gamma-girth-rows",
+        "gamma-girth-rows", "sat-token", "sat-literal-beyond", "sat-empty-clause", "sat-count-mismatch",
+        "color-vertex-token",
     ],
 )
 def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, argv):
@@ -499,10 +507,22 @@ def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, arg
     negative_cnf = tmp_path / "negative.cnf"
     negative_cnf.write_text("p cnf -2 0\n")
     paths = {"cnf": cnf, "graph": hexagon_file, "negative": negative, "negative_cnf": negative_cnf}
+    malformed = {
+        "cnf_token": "p cnf 2 1\n1 x 0\n",
+        "cnf_beyond": "p cnf 2 1\n1 3 0\n",
+        "cnf_empty_clause": "p cnf 2 1\n0\n",
+        "cnf_count": "p cnf 2 3\n1 2 0\n",
+        "edges_token": "p edges 3 1\n0 a\n",
+    }
+    for name, text in malformed.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
     code = main([a.format(**paths) for a in argv])
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("lllcolor: error:")
+    if argv[1].endswith("_token}"):  # a non-integer token names its line
+        assert "line 2:" in captured.err
 
 
 def test_unknown_flag_is_input_error(capsys):

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from lllcolor.dimacs import clause_system, formula_satisfied, parse_dimacs
 from lllcolor.engine import m_algorithm
 
-from conftest import chain_3sat
+from conftest import chain_3sat, reference_clause_system
 
 
 GOOD = """c sample instance
@@ -80,6 +82,40 @@ def test_clause_system_structure():
         assert j in ns
         for k in ns:
             assert j in system.neighborhoods[k]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(formulas())
+def test_clause_events_follow_their_truth_tables(formula):
+    # each event occurs exactly when every literal of its clause is false,
+    # on all 2^w assignments of its scope, and its scope, p and the
+    # neighbourhoods are those of a closure per clause (repeated literals
+    # and variables of both signs included)
+    n_vars, clauses = formula
+    system = clause_system(n_vars, clauses)
+    scopes, predicates, p, neighborhoods = reference_clause_system(n_vars, clauses)
+    assert [ev.scope for ev in system.events] == scopes
+    assert system.p == p and system.neighborhoods == neighborhoods
+    for ev, clause, predicate in zip(system.events, clauses, predicates):
+        for bits in itertools.product((0, 1), repeat=len(ev.scope)):
+            values = [None] * n_vars
+            for var, bit in zip(ev.scope, bits):
+                values[var] = bit
+            every_literal_false = all(values[abs(lit) - 1] == (lit < 0) for lit in clause)
+            assert ev.occurs(values) == predicate(bits) == every_literal_false, (clause, bits)
+
+
+def test_system_memory_per_clause():
+    # the 4,000-clause chain: events, scopes, predicates and neighbourhoods
+    # take about 607 B per clause (780 B with a Python closure per clause)
+    n_vars, clauses = chain_3sat(4000, random.Random(4000))
+    tracemalloc.start()
+    try:
+        system = clause_system(n_vars, clauses)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / system.m < 700
 
 
 def test_tautological_clause_probability():

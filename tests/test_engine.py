@@ -287,6 +287,27 @@ def test_step_limit_must_be_non_negative():
 ORACLE_LIMITS = (None, 5, 50, 300)
 
 
+def test_draws_are_one_space_sample_per_variable():
+    # the engine draws unweighted variables inline: on tuple, range and
+    # weighted domains alike, a fresh sample and a scope's resample give
+    # the values, and leave the rng in the state, of one space.sample per
+    # variable in order
+    space = VariableSpace(
+        [(3, 1, 4), range(5), ("a", "b"), range(2, 30, 3), (0, 1), (9,), range(-4, 0)],
+        weights=[None, None, (1, 2), None, (3, 1), None, (1, 0, 2, 5)],
+    )
+    system = EventSystem(space, [Event(0, (1, 2, 4, 6), lambda v: False), Event(1, (0, 3, 5), lambda v: False)])
+    for seed in range(200):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        values = sample_all(system, rng)
+        assert values == [space.sample(i, oracle) for i in range(space.count)]
+        for j in (0, 1, 0):
+            engine_mod._resample_scope(system, values, j, rng)
+            for i in system.events[j].scope:
+                assert values[i] == space.sample(i, oracle)
+        assert rng.getstate() == oracle.getstate()
+
+
 def _matches_reference(system, seed, step_limit) -> bool:
     """Asserts field-for-field equality with the oracle; returns termination."""
     values, stats = m_algorithm(system, seed=seed, step_limit=step_limit)

@@ -14,6 +14,7 @@ from lllcolor.gamma import (
     cycle_prob_bounds,
     girth_to_r,
     min_gamma,
+    min_gamma_solution,
     phi,
     phi_prime,
     q_coloring_series,
@@ -217,6 +218,24 @@ def test_min_gamma_matches_its_oracle_in_any_tol_order(monkeypatch, solve_tau_ca
     for two_r in range(6, 242):
         min_gamma(two_r / 2, min(order))
     assert solve_tau_calls == [in_order]
+
+
+@pytest.mark.parametrize("order", [sorted(TOLS, reverse=True), sorted(TOLS)], ids=["coarse-first", "fine-first"])
+def test_min_gamma_solution_is_the_solve_at_the_slack(solve_tau_calls, order):
+    # the solution handed back is solve_tau at min_gamma's answer; a request
+    # that took new steps kept it, so coarse-first requests solve nothing
+    # more, and a request that only replayed steps solves once, when asked
+    for tol in order:
+        for two_r in range(6, 60):
+            calls = solve_tau_calls[0]
+            gm = min_gamma(two_r / 2, tol)
+            bisected = solve_tau_calls[0] - calls
+            sol = min_gamma_solution(two_r / 2, tol)
+            assert solve_tau_calls[0] - calls - bisected <= (0 if order[0] == 1 else 1)
+            assert sol.params.gamma == gm and sol.params.r == two_r / 2
+            again = solve_tau(PhiParams(gm, two_r / 2))  # the unwrapped solver: not counted
+            assert (sol.tau, sol.rho) == (again.tau, again.rho)
+            assert min_gamma_solution(two_r / 2, tol) is sol
 
 
 @pytest.mark.parametrize("rho, message", [
