@@ -186,6 +186,8 @@ def cmd_verify(args) -> int:
     k, colors = (payload.get("K"), payload.get("colors")) if isinstance(payload, dict) else (None, None)
     if not isinstance(colors, list) or not all(type(c) is int for c in [k, *colors]):
         raise ValueError("coloring JSON needs an integer K and a list of integer colors")
+    if k < 1:
+        raise ValueError(f"coloring JSON has palette K={k}; a palette holds at least 1 color")
     if len(colors) != graph.m:
         raise ValueError("coloring length does not match the graph's edge count")
     verdict = coloring_mod.verify_acyclic(graph, k, colors)

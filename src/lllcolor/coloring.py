@@ -9,11 +9,12 @@ same color cannot repeat at one endpoint, so each common endpoint color
 trades one slot of the adjacent union for at most one closing color, and
 at most 2*(maxdeg - 1) colors are ever forbidden.  Any palette of size at
 least 2*maxdeg - 1 therefore leaves a choice at every step, and the greedy
-pass keeps the partial coloring proper with no bichromatic 4-cycle.  Each
-decision, greedy or recolor, is one pass over its edge's two endpoint
-maps: the colors common to both ends are intersected once, and they give
-both the closing-edge term of the forbidden set and, after the draw, the
-second colors of the alternating walks from that edge.
+pass keeps the partial coloring proper with no bichromatic 4-cycle.  One
+loop, ``_color_edges``, makes every decision, greedy or recolor: per
+edge it intersects the two endpoint maps once (the colors common to both
+ends give the closing-edge term of the forbidden set and, after the
+draw, the second colors of the walk from that edge), draws, writes
+through ``ColorState.assign`` and walks from the edge.
 
 The main loop is the resampling engine's driver (``engine.resample_loop``)
 with cycles in the role of events: while a bichromatic cycle exists, the
@@ -31,16 +32,18 @@ unique (a,b)-bichromatic cycle through e; only a color b at both ends of
 e starts a walk.  The walks read the per-vertex color -> edge maps of one
 ``ColorState``, which every assignment keeps up to date.  A sweep over an
 edge set finds each cycle once, from its largest edge in the set: a walk
-stops at any larger edge of the set.  The greedy pass walks from each edge
-right after coloring it, with the second colors of that edge's decision,
-so it collects each cycle of its output from the cycle's largest edge, and
-those cycles seed the loop's incremental index; a refresh sweeps only the
-recolored edges, reading their second colors afresh, since other edges of
-the cycle were recolored after each decision.  The full sweep over every
-edge serves only the tests.  The verifier shares none of this: it builds
-its own per-vertex color -> neighbour maps and checks that every 2-colored
-subgraph is a forest by a union-find over (second color, vertex) keys,
-and its witness is a walk, a cycle's edge indices in the order met.
+stops at any larger edge of the set.  The decision loop walks from each
+edge right after coloring it, over the edges it colors, so the greedy
+pass collects each cycle of its output from the cycle's largest edge, and
+those cycles seed the loop's incremental index; a recolor, taking its
+cycle's edges in index order, collects each cycle that meets them once
+all its edges are final, and the index's refresh drops the cycles that
+touch the recolored edges and adds those, with no sweep.  The full sweep
+over every edge serves only the tests.  The verifier shares none of this:
+it builds its own per-vertex color -> neighbour maps and checks that
+every 2-colored subgraph is a forest by a union-find over (second color,
+vertex) keys, and its witness is a walk, a cycle's edge indices in the
+order met.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .graphs import Graph
 
 
 class PaletteError(ValueError):
-    """Palette smaller than the 2*maxdeg - 1 safety threshold."""
+    """Palette smaller than the max(1, 2*maxdeg - 1) safety threshold."""
 
 
 def cycle_key(graph: Graph, walk) -> tuple[int, tuple[int, ...]]:
@@ -83,11 +86,11 @@ class ColorState:
     """Edge colors (None while uncolored) plus, per vertex, color -> incident edge.
 
     ``assign`` is the only writer, so ``at`` always mirrors ``colors`` and
-    the coloring stays proper; the forbidden-color rule and the
-    alternating walks read the maps instead of rebuilding them.  The run's
-    constants are set once here: ``max_forbidden`` = 2*(maxdeg - 1), the
-    bound on every forbidden set, and ``walk_cap``, a step count no
-    alternating walk reaches.
+    the coloring stays proper; the decision loop and the alternating walks
+    read the maps instead of rebuilding them.  The run's constants are set
+    once here: ``max_forbidden`` = 2*(maxdeg - 1), the bound on every
+    forbidden set, and ``walk_cap``, a step count no alternating walk
+    reaches.
     """
 
     def __init__(self, graph: Graph, k: int):
@@ -116,96 +119,76 @@ class ColorState:
         self.colors[e] = c
 
 
-def _forbidden_and_second(state: ColorState, e: int) -> tuple[set[int], set[int]]:
-    """The forbidden colors at e and its second colors, from one pass over
-    the endpoint maps.
+def _color_edges(state: ColorState, edges, rng: random.Random, scanned: frozenset[int] | range) -> list[tuple]:
+    """Color each edge of ``edges`` in turn, uniformly among the colors not
+    forbidden there, and walk from it: the keys of the cycles the walks close.
 
-    With u, v the ends of e and own its current color (None while
-    uncolored), ``common`` = the colors at both u and v except own.  The
-    forbidden set is the endpoint union except own, plus the color of each
-    closing edge {x, y} with {u, x} and {v, y} carrying a color of
-    ``common``; ContractError if it exceeds 2*(maxdeg - 1) or e is out of
-    range.  ``common`` itself is returned as the second colors: once e is
-    recolored with a color outside the forbidden set, the colors at both
-    its ends are exactly ``common`` plus e's new color, so ``common`` is
-    what an alternating walk from e may pair with that color.
+    With u, v the ends of e and own its color (None while uncolored),
+    ``common`` = the colors at both u and v except own.  The forbidden set
+    is the endpoint union except own, plus the color of each closing edge
+    {x, y} with {u, x} and {v, y} carrying a color of ``common``;
+    ContractError if it exceeds 2*(maxdeg - 1) or e is out of range.  The
+    draw picks an index into the free colors in increasing order, as
+    ``rng.choice`` over that list would, and maps it past the sorted
+    forbidden set, so a decision costs no more than sorting that set,
+    whatever the palette size.  The new color was at neither end, so the
+    colors at both ends of e are now ``common`` plus e's own: ``common``
+    gives the walk from e (``_cycles_through_edge`` over ``scanned``) its
+    second colors.  A sequence of edges draws and finds what one call per
+    edge would.
     """
-    graph, colors = state.graph, state.colors
-    ends = graph.edges
-    if not (0 <= e < len(ends)):
-        raise ContractError(f"edge index {e} out of range")
-    u, v = ends[e]
-    at_u, at_v = state.at[u], state.at[v]
-    own = colors[e]
-    forbidden = at_u.keys() | at_v.keys()
-    common = at_u.keys() & at_v.keys()
-    if own is not None:
-        forbidden.discard(own)
-        common.discard(own)
-    closing = graph._edge_index.get
-    for c in common:
-        x1, x2 = ends[at_u[c]]
-        y1, y2 = ends[at_v[c]]
-        x, y = x1 ^ x2 ^ u, y1 ^ y2 ^ v
-        e3 = closing((x, y) if x < y else (y, x))
-        if e3 is not None:
-            c3 = colors[e3]
-            if c3 is not None:
+    colors, at, ends, closing = state.colors, state.at, state.graph.edges, state.graph._edge_index.get
+    k, cap, m = state.k, state.max_forbidden, len(ends)
+    draw, assign, walk = rng.randrange, state.assign, _cycles_through_edge
+    found: list[tuple] = []
+    for e in edges:
+        if not (0 <= e < m):
+            raise ContractError(f"edge index {e} out of range")
+        u, v = ends[e]
+        at_u, at_v = at[u], at[v]
+        own = colors[e]
+        forbidden = at_u.keys() | at_v.keys()
+        common = at_u.keys() & at_v.keys()
+        if own is not None:
+            forbidden.discard(own)
+            common.discard(own)
+        for c in common:
+            x1, x2 = ends[at_u[c]]
+            y1, y2 = ends[at_v[c]]
+            x, y = x1 ^ x2 ^ u, y1 ^ y2 ^ v
+            e3 = closing((x, y) if x < y else (y, x))
+            if e3 is not None and (c3 := colors[e3]) is not None:
                 forbidden.add(c3)
-    if len(forbidden) > state.max_forbidden:
-        raise ContractError(f"forbidden set of {len(forbidden)} exceeds 2*(maxdeg-1) at edge {e}")
-    return forbidden, common
-
-
-def _assign(state: ColorState, e: int, rng: random.Random) -> set[int]:
-    """Color e uniformly among the colors not forbidden there; return e's
-    second colors.
-
-    One pass over the endpoint maps (``_forbidden_and_second``) gives both
-    the forbidden set and the colors at both ends of e other than its old
-    color; the greedy pass hands the latter to the walk from e, so the
-    maps are intersected once per decision.  The draw picks an index into
-    the free colors in increasing order, as ``rng.choice`` over that list
-    would, and maps it past the sorted forbidden set, so a decision costs
-    no more than sorting that set, whatever the palette size.
-    """
-    forb, second = _forbidden_and_second(state, e)
-    n_free = state.k - len(forb)
-    if n_free < state.k - state.max_forbidden:
-        raise ContractError(f"palette margin violated at edge {e}: {n_free} colors available")
-    c = rng.randrange(n_free)
-    for f in sorted(forb):
-        if f > c:
-            break
-        c += 1
-    state.assign(e, c)
-    return second
+        if len(forbidden) > cap:
+            raise ContractError(f"forbidden set of {len(forbidden)} exceeds 2*(maxdeg-1) at edge {e}")
+        c = draw(k - len(forbidden))
+        for f in sorted(forbidden):
+            if f > c:
+                break
+            c += 1
+        assign(e, c)
+        found += walk(state, e, scanned, common)
+    return found
 
 
 def greedy_4acyclic(graph: Graph, k: int, rng: random.Random) -> tuple[ColorState, set[tuple]]:
     """Color edges in index order, uniformly among the non-forbidden colors.
 
     The output is proper with no bichromatic 4-cycle, and at least
-    k - 2*(maxdeg - 1) colors were available at every single decision.
-    Returns the state and the key of every bichromatic cycle of its
-    coloring, each collected from its largest edge e right after e is
-    colored: every colored edge is then at most e and no edge is ever
-    recolored, so a walk from e dies at an uncolored edge exactly where the full sweep's walk
-    stops at a larger edge, and both find the same cycles.  The walk from
-    e takes its second colors from e's decision instead of intersecting
-    the endpoint maps again: the drawn color was not forbidden, so it was
-    at neither end, and the colors at both ends are now those second
-    colors plus e's own.
+    k - 2*(maxdeg - 1) colors were available at every single decision;
+    PaletteError unless k >= max(1, 2*maxdeg - 1).  Returns the state and
+    the key of every bichromatic cycle of its coloring, each collected from
+    its largest edge e right after e is colored: every colored edge is then
+    at most e and no edge is ever recolored, so a walk from e dies at an
+    uncolored edge exactly where the full sweep's walk stops at a larger
+    edge, and both find the same cycles.
     """
-    if k < 2 * graph.max_degree - 1:
-        raise PaletteError(f"k={k} below the safety threshold {2 * graph.max_degree - 1}")
+    threshold = max(1, 2 * graph.max_degree - 1)
+    if k < threshold:
+        raise PaletteError(f"k={k} below the safety threshold {threshold}")
     state = ColorState(graph, k)
-    cycles: set[tuple] = set()
     every_edge = range(graph.m)
-    for e in every_edge:
-        second = _assign(state, e, rng)
-        cycles.update(_cycles_through_edge(state, e, every_edge, second))
-    return state, cycles
+    return state, set(_color_edges(state, every_edge, rng, every_edge))
 
 
 def _second_colors(state: ColorState, e: int) -> set[int]:
@@ -229,9 +212,9 @@ def _cycles_through_edge(state: ColorState, e: int, scanned: frozenset[int] | ra
     ``scanned``: let e* be the largest edge of C in ``scanned``.  The walk
     from e* with C's second color goes around C and meets no larger scanned
     edge, so it finds C.  A walk from any other scanned edge of C with that
-    color passes e* before it closes, so it stops there.  The greedy pass
-    calls this on each edge as it is colored; the full sweep over every
-    edge serves only the tests.
+    color passes e* before it closes, so it stops there.  ``_color_edges``
+    calls this on each edge right after coloring it; the full sweep over
+    every edge serves only the tests.
     """
     if not second:
         return []
@@ -239,6 +222,7 @@ def _cycles_through_edge(state: ColorState, e: int, scanned: frozenset[int] | ra
     u, v = ends[e]
     a = state.colors[e]
     at_u, at_v = at[u], at[v]
+    steps = range(state.walk_cap)
     out: list[tuple] = []
     for b in second:
         last, first = at_u[b], at_v[b]
@@ -248,7 +232,7 @@ def _cycles_through_edge(state: ColorState, e: int, scanned: frozenset[int] | ra
         x, y = ends[first]
         cur, want, other = x ^ y ^ v, a, b
         walk = [e, first]
-        for _ in range(state.walk_cap):
+        for _ in steps:
             f = at[cur].get(want)
             if f is None or f == e or (f > e and f in scanned):
                 break
@@ -281,33 +265,34 @@ def find_bichromatic_cycle(state: ColorState, restrict: frozenset[int] | None = 
     least of the cycles that share an edge with that edge set.  Only the
     tests and ``perfbench/child.py`` call it, and the latter wraps it by
     name, so it stays until the benchmark changes."""
-    return CycleIndex(state, all_bichromatic_cycles(state)).least(restrict)
+    return CycleIndex(all_bichromatic_cycles(state)).least(restrict)
 
 
 class CycleIndex:
     """Incrementally maintained set of the keys of all current bichromatic
     cycles.  The index starts from ``cycles``, the key of every bichromatic
-    cycle of ``state``: in ``col_alg`` those the greedy pass collected, each
-    from its largest edge; the tests pass ``all_bichromatic_cycles(state)``.
-    A cycle's status only changes when one of its edges is recolored, so
-    after recoloring an edge set it suffices to drop the stored cycles
-    touching it and to sweep those edges: the sweep finds every bichromatic
-    cycle that meets them, survivors included, each from its largest
-    recolored edge.  The walks read the state's own maps, so nothing is
-    rebuilt between refreshes.  It is the only detector of ``col_alg``; the
-    tests hold it against full rescans, and ``perfbench/child.py`` wraps
-    ``__init__`` and ``refresh_after`` by name, so those stay until the
-    benchmark changes.
+    cycle: in ``col_alg`` those the greedy pass collected, each from its
+    largest edge; the tests pass ``all_bichromatic_cycles(state)``.  A
+    cycle's status only changes when one of its edges is recolored, so
+    after recoloring the edge set ``dirty`` it suffices to drop the stored
+    cycles touching it and to add ``found``, the keys the recoloring's
+    walks closed (``_color_edges`` over ``dirty`` in index order, walking
+    over ``dirty``).  Those are exactly the bichromatic cycles that now
+    meet ``dirty``: each is found from its largest edge e in ``dirty``,
+    when all its edges are final, and a walk from e stops at any larger
+    edge of ``dirty``, which is still to be recolored, so it closes only
+    final cycles.  It is the only detector of ``col_alg``; the tests hold
+    it against full rescans, and ``perfbench/child.py`` wraps ``__init__``
+    and ``refresh_after`` by name, so those stay until the benchmark
+    changes.
     """
 
-    def __init__(self, state: ColorState, cycles: set[tuple]):
-        self.state = state
+    def __init__(self, cycles: set[tuple]):
         self.cycles = cycles
 
-    def refresh_after(self, dirty: frozenset[int]) -> None:
+    def refresh_after(self, dirty: frozenset[int], found: list[tuple]) -> None:
         self.cycles = {key for key in self.cycles if dirty.isdisjoint(key[1])}
-        for e in dirty:
-            self.cycles.update(_cycles_through_edge(self.state, e, dirty, _second_colors(self.state, e)))
+        self.cycles.update(found)
 
     def least(self, restrict: frozenset[int] | None = None) -> tuple | None:
         pool = self.cycles if restrict is None else (key for key in self.cycles if not restrict.isdisjoint(key[1]))
@@ -344,13 +329,11 @@ def col_alg(
     """
     seed, rng, limit = start_run(seed, step_limit, graph.m)
     state, cycles = greedy_4acyclic(graph, k, rng)
-    index = CycleIndex(state, cycles)
+    index = CycleIndex(cycles)
 
     def recolor(key: tuple) -> None:
-        edges = key[1]  # sorted: the edges are recolored in index order
-        for e in edges:
-            _assign(state, e, rng)
-        index.refresh_after(frozenset(edges))
+        dirty = frozenset(key[1])  # the key's edges are sorted: recolored in index order
+        index.refresh_after(dirty, _color_edges(state, key[1], rng, dirty))
 
     trace, terminated = resample_loop(index.least, lambda top: index.least(frozenset(top[1])), recolor, limit)
     return state, ColorRunStats(trace, terminated, seed, limit)

@@ -17,7 +17,6 @@ from lllcolor.bounds import BoundParams
 from lllcolor.coloring import (
     ColorRunStats,
     ColorState,
-    _assign,
     all_bichromatic_cycles,
     find_bichromatic_cycle,
     greedy_4acyclic,
@@ -168,8 +167,7 @@ def reference_col_alg(
             return False
         steps += 1
         trace.append((key, depth))
-        for e in sorted(key[1]):
-            _assign(state, e, rng)
+        coloring._color_edges(state, sorted(key[1]), rng, frozenset(key[1]))
         return True
 
     while not aborted:
@@ -198,11 +196,41 @@ def reference_col_alg(
     return state, ColorRunStats(trace, not aborted, seed, limit)
 
 
+class _NoFreeColor(Exception):
+    pass
+
+
+class _IndexDraw:
+    """A stand-in rng: ``randrange(n)`` notes n and returns ``index``; an
+    empty range raises ``_NoFreeColor``."""
+
+    def __init__(self, index: int):
+        self.index, self.n = index, 0
+
+    def randrange(self, n: int) -> int:
+        self.n = n
+        if n <= 0:
+            raise _NoFreeColor
+        return self.index
+
+
 def forbidden_colors(state: ColorState, e: int) -> set[int]:
-    """The forbidden half of the library's one pass per coloring decision
-    (``_forbidden_and_second``): ContractError if e is out of range or the
-    set exceeds 2*(maxdeg - 1)."""
-    return coloring._forbidden_and_second(state, e)[0]
+    """The forbidden colors at e as the library's decision loop
+    (``_color_edges``) reads them: run on copies of the state, one per
+    index 0..n-1 into its n free colors, the loop reaches every free color,
+    and the palette minus those is forbidden.  ContractError if e is out
+    of range or the set exceeds 2*(maxdeg - 1)."""
+    free: set[int] = set()
+    index, n = 0, 1
+    while index < n:
+        twin, draw = colored(state.graph, state.k, state.colors), _IndexDraw(index)
+        try:
+            coloring._color_edges(twin, (e,), draw, frozenset({e}))
+        except _NoFreeColor:
+            break
+        free.add(twin.colors[e])
+        index, n = index + 1, draw.n
+    return set(range(state.k)) - free
 
 
 def reference_forbidden_colors(graph: Graph, colors: list[int | None], e: int) -> set[int]:
@@ -236,14 +264,47 @@ def reference_forbidden_colors(graph: Graph, colors: list[int | None], e: int) -
 
 
 def reference_assign(state: ColorState, e: int, rng: random.Random) -> set[int]:
-    """``rng.choice`` over the list of free colors: the oracle for the
-    library's ``_assign``, which draws an index without building the list.
-    Returns e's second colors, read from the maps before the draw."""
-    forb = forbidden_colors(state, e)
+    """``rng.choice`` over the list of colors that the pairwise scan leaves
+    free: the oracle for one decision of the library's ``_color_edges``,
+    which draws an index without building the list.  Returns e's second
+    colors, read from the maps before the draw."""
+    forb = reference_forbidden_colors(state.graph, state.colors, e)
     u, v = state.graph.edges[e]
     second = (state.at[u].keys() & state.at[v].keys()) - {state.colors[e]}
     state.assign(e, rng.choice([c for c in range(state.k) if c not in forb]))
     return second
+
+
+def reference_color_edges(state: ColorState, edges, rng: random.Random, scanned) -> list[tuple]:
+    """``_color_edges`` by one ``reference_assign`` per edge, each followed
+    by the library's walk: the draw-order oracle."""
+    found: list[tuple] = []
+    for e in edges:
+        second = reference_assign(state, e, rng)
+        found += coloring._cycles_through_edge(state, e, scanned, second)
+    return found
+
+
+def color_edges_without_closing_edges(state: ColorState, edges, rng: random.Random, scanned) -> list[tuple]:
+    """A copy of ``_color_edges`` whose rule forbids the adjacent colors
+    only, so a decision may close a bichromatic 4-cycle: the flawed rule
+    the local audit must flag."""
+    found: list[tuple] = []
+    for e in edges:
+        u, v = state.graph.edges[e]
+        at_u, at_v = state.at[u], state.at[v]
+        forbidden = at_u.keys() | at_v.keys()
+        common = at_u.keys() & at_v.keys()
+        forbidden.discard(state.colors[e])
+        common.discard(state.colors[e])
+        c = rng.randrange(state.k - len(forbidden))
+        for f in sorted(forbidden):
+            if f > c:
+                break
+            c += 1
+        state.assign(e, c)
+        found += coloring._cycles_through_edge(state, e, scanned, common)
+    return found
 
 
 # -- run audits, taken from outside the production loops -----------------------
@@ -357,12 +418,14 @@ def audited_col_alg(
 ) -> tuple[ColorState, ColorRunStats, ColorAudit]:
     """``col_alg`` watched through the module-level names it calls.
 
-    The greedy pass hands over the run's one ColorState; each ``_assign``
-    is checked against the decision bounds and ``check_local``, and its
-    second colors are passed on to the greedy pass's walk; the union
-    of bichromatic edges is taken before each root choice; the witness
-    forest comes from the trace.  Observing draws no randomness, so the
-    state and stats are those of an unwatched run.
+    The greedy pass hands over the run's one ColorState; ``_color_edges``
+    is fed one edge at a time, which draws and finds what one call over
+    the whole sequence would, and each decision is checked against the
+    decision bounds, with the forbidden count from the pairwise scan, and
+    against ``check_local``; the union of bichromatic edges is taken before
+    each root choice; the witness forest comes from the trace.  Observing
+    draws no randomness, so the state and stats are those of an unwatched
+    run.
     """
     audit = ColorAudit()
     states: list[ColorState] = []
@@ -376,19 +439,21 @@ def audited_col_alg(
 
         return capture
 
-    def assign(original):
-        def checked(state, e, rng):
-            n_forbidden = len(forbidden_colors(state, e))
-            second = original(state, e, rng)
-            audit.record_decision(n_forbidden, state.k - n_forbidden)
-            audit.check_local(state, e)
-            return second
+    def color_edges(original):
+        def checked(state, edges, rng, scanned):
+            found = []
+            for e in edges:
+                n_forbidden = len(reference_forbidden_colors(state.graph, state.colors, e))
+                found += original(state, (e,), rng, scanned)
+                audit.record_decision(n_forbidden, state.k - n_forbidden)
+                audit.check_local(state, e)
+            return found
 
         return checked
 
     with contextlib.ExitStack() as watch:
         watch.enter_context(_wrapped(coloring, "greedy_4acyclic", greedy))
-        watch.enter_context(_wrapped(coloring, "_assign", assign))
+        watch.enter_context(_wrapped(coloring, "_color_edges", color_edges))
         watch.enter_context(_snapshot_each_root(coloring, lambda: seen.append(bichromatic_edge_set(states[0]))))
         state, stats = coloring.col_alg(graph, k, seed=seed, step_limit=step_limit)
     for before, after in zip(seen, seen[1:]):

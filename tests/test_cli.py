@@ -484,6 +484,11 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         ("sat", "{cnf_empty_clause}"),
         ("sat", "{cnf_count}"),
         ("color", "{edges_token}"),
+        ("color", "{edgeless}", "--k", "-1"),
+        ("color", "{edgeless}", "--k", "0"),
+        ("bench", "--generator", "gnp:3,0", "--runs", "1", "--k", "-7"),
+        ("verify", "{edgeless}", "{negative_palette}"),
+        ("verify", "{edgeless}", "{zero_palette}"),
     ],
     ids=[
         "sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs",
@@ -496,7 +501,8 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         "dice-phases-underflow", "gamma-table-rows", "bounds-float-overflow", "bounds-delta-huge",
         "bounds-m-huge", "bounds-prefactor-inf", "gamma-delta-huge", "sat-negative-variables",
         "gamma-girth-rows", "sat-token", "sat-literal-beyond", "sat-empty-clause", "sat-count-mismatch",
-        "color-vertex-token",
+        "color-vertex-token", "color-palette-negative", "color-palette-zero", "bench-palette-negative",
+        "verify-palette-negative", "verify-palette-zero",
     ],
 )
 def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, argv):
@@ -513,6 +519,9 @@ def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, arg
         "cnf_empty_clause": "p cnf 2 1\n0\n",
         "cnf_count": "p cnf 2 3\n1 2 0\n",
         "edges_token": "p edges 3 1\n0 a\n",
+        "edgeless": "p edges 3 0\n",
+        "negative_palette": '{"K": -4, "colors": []}',
+        "zero_palette": '{"K": 0, "colors": []}',
     }
     for name, text in malformed.items():
         paths[name] = tmp_path / name

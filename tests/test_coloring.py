@@ -34,11 +34,12 @@ from conftest import (
     bichromatic_edge_set,
     brute_bichromatic_keys,
     brute_simple_cycles,
+    color_edges_without_closing_edges,
     colored,
     forbidden_colors,
     random_proper_colors,
-    reference_assign,
     reference_col_alg,
+    reference_color_edges,
     reference_forbidden_colors,
     two_hex_graph,
 )
@@ -377,51 +378,68 @@ def test_cycle_index_matches_rescan_after_updates():
     rng = random.Random(5)
     for seed in range(40):
         state, cycles = greedy_4acyclic(g, 4, random.Random(seed))
-        index = CycleIndex(state, cycles)
+        index = CycleIndex(cycles)
         for _ in range(6):
-            e = rng.randrange(g.m)
-            safe = [c for c in range(state.k) if c not in forbidden_colors(state, e)]
-            state.assign(e, rng.choice(safe))
-            index.refresh_after(frozenset({e}))
+            dirty = frozenset({rng.randrange(g.m)})
+            index.refresh_after(dirty, coloring._color_edges(state, dirty, rng, dirty))
             assert set(index.cycles) == set(all_bichromatic_cycles(state))
             assert state.at == colored(g, state.k, state.colors).at
 
 
-def _recolor_properly(state: ColorState, edges, rng: random.Random) -> None:
-    """Give each edge a uniform color free at both of its endpoints (its own
-    included), so bichromatic cycles of any length may form."""
-    for e in edges:
-        u, v = state.graph.edges[e]
-        taken = (state.at[u].keys() | state.at[v].keys()) - {state.colors[e]}
-        free = [c for c in range(state.k) if c not in taken]
-        if free:
-            state.assign(e, rng.choice(free))
-
-
 def test_cycle_index_matches_rescan_after_multi_edge_refresh():
-    # refreshing a whole cycle or several random edges at once: each new
-    # cycle must be found from its largest recolored edge
+    # recoloring a whole cycle or several random edges at once, in index
+    # order, from random proper colorings: the walks of the decisions find
+    # each cycle that meets the recolored edges from its largest one
     rng = random.Random(31)
     refreshes = whole_cycles = 0
     for g in (two_hex_graph(), petersen_graph(), complete_graph(6), cycle_graph(8)):
-        for _ in range(25):
-            k = g.max_degree + 1 + rng.randrange(2)
+        for _ in range(100):  # cycles are rarer at k >= 2*maxdeg - 1
+            k = 2 * g.max_degree - 1 + rng.randrange(2)
             colors = random_proper_colors(g, k, rng, fill=rng.choice((0.8, 1.0)))
             if colors is None:
                 continue
             state = colored(g, k, colors)
-            index = CycleIndex(state, all_bichromatic_cycles(state))
+            index = CycleIndex(all_bichromatic_cycles(state))
             for _ in range(8):
                 if index.cycles and rng.random() < 0.5:
                     dirty = frozenset(rng.choice(sorted(index.cycles))[1])
                     whole_cycles += 1
                 else:
                     dirty = frozenset(rng.sample(range(g.m), rng.randint(2, 5)))
-                _recolor_properly(state, rng.sample(sorted(dirty), len(dirty)), rng)
-                index.refresh_after(dirty)
+                index.refresh_after(dirty, coloring._color_edges(state, sorted(dirty), rng, dirty))
                 assert index.cycles == all_bichromatic_cycles(state)
                 refreshes += 1
     assert refreshes >= 600 and whole_cycles >= 70, (refreshes, whole_cycles)
+
+
+def test_color_edges_over_a_sequence_equals_one_call_per_edge():
+    # the audit feeds _color_edges one edge at a time; that must draw, color
+    # and find exactly what one call over the whole sequence does, for the
+    # greedy pass and for recolors of whole cycles and of random edge sets
+    rng = random.Random(47)
+    corpus = [(g, 2 * g.max_degree - 1, range(10)) for g in brute_force_graphs()]
+    corpus.append((complete_graph(20), 37, range(10)))
+    runs = found = 0
+    for g, k, seeds in corpus:
+        for seed in seeds:
+            states = [ColorState(g, k), ColorState(g, k)]
+            rngs = [random.Random(seed), random.Random(seed)]
+            dirty = scanned = range(g.m)
+            for _ in range(6):
+                whole = coloring._color_edges(states[0], dirty, rngs[0], scanned)
+                one_by_one = [key for e in dirty for key in coloring._color_edges(states[1], (e,), rngs[1], scanned)]
+                assert whole == one_by_one
+                assert states[0].colors == states[1].colors and states[0].at == states[1].at
+                assert rngs[0].getstate() == rngs[1].getstate()
+                found += len(whole)
+                cycles = all_bichromatic_cycles(states[0])
+                if cycles and rng.random() < 0.5:
+                    dirty = rng.choice(sorted(cycles))[1]
+                else:
+                    dirty = sorted(rng.sample(range(g.m), rng.randint(2, min(g.m, 6))))
+                scanned = frozenset(dirty)
+            runs += 1
+    assert runs == 90 and found >= 60, (runs, found)
 
 
 # -- the full coloring loop ------------------------------------------------------
@@ -513,20 +531,20 @@ def test_coloring_draw_order_is_pinned_without_all_closing_edges():
 
 
 def test_assign_draws_as_choice_over_free_colors(monkeypatch):
-    # _assign maps one randrange draw past the sorted forbidden set; that
-    # equals rng.choice over the free-color list only while choice(seq) is
-    # seq[_randbelow(len(seq))], so a Python that changes choice fails here
+    # _color_edges maps one randrange draw past the sorted forbidden set;
+    # that equals rng.choice over the free-color list only while choice(seq)
+    # is seq[_randbelow(len(seq))], so a Python that changes choice fails here
     cases = [(complete_graph(20), 37, None, 60), (complete_graph(20), 37, 2, 30), (petersen_graph(), 6, 60, 100)]
     runs = []
     reference_decisions = 0
 
-    def counted_reference(state, e, rng):
+    def counted_reference(state, edges, rng, scanned):
         nonlocal reference_decisions
-        reference_decisions += 1
-        return reference_assign(state, e, rng)
+        reference_decisions += len(edges)
+        return reference_color_edges(state, edges, rng, scanned)
 
-    for draw in (coloring._assign, counted_reference):
-        monkeypatch.setattr(coloring, "_assign", draw)
+    for draw in (coloring._color_edges, counted_reference):
+        monkeypatch.setattr(coloring, "_color_edges", draw)
         runs.append([
             col_alg(g, k, seed=seed, step_limit=limit)
             for g, k, limit, seeds in cases
@@ -614,16 +632,8 @@ def test_forest_audit_flags_a_driver_without_child_search(monkeypatch):
 def test_local_audit_flags_a_rule_without_closing_edges(monkeypatch):
     # a forbidden-color rule that keeps only the adjacent colors lets a
     # decision close a bichromatic 4-cycle, which check_local must report;
-    # every decision, greedy or recolor, reads the rule through this pass
-    def adjacent_only(state, e):
-        u, v = state.graph.edges[e]
-        forbidden = state.at[u].keys() | state.at[v].keys()
-        common = state.at[u].keys() & state.at[v].keys()
-        forbidden.discard(state.colors[e])
-        common.discard(state.colors[e])
-        return forbidden, common
-
-    monkeypatch.setattr(coloring, "_forbidden_and_second", adjacent_only)
+    # every decision, greedy or recolor, is made by this loop
+    monkeypatch.setattr(coloring, "_color_edges", color_edges_without_closing_edges)
     flagged = 0
     for g, k in ((petersen_graph(), 5), (complete_graph(8), 13)):
         for seed in range(50):

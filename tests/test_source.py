@@ -79,8 +79,8 @@ def test_verifier_shares_no_code_with_the_detector():
     tree = ast.parse(Path(coloring.__file__).read_text())
     defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     detector = {
-        "_cycles_through_edge", "_second_colors", "all_bichromatic_cycles", "find_bichromatic_cycle", "CycleIndex",
-        "ColorState",
+        "_color_edges", "_cycles_through_edge", "_second_colors", "all_bichromatic_cycles", "find_bichromatic_cycle",
+        "CycleIndex", "ColorState",
     }
     reached = _reached(defs, ["verify_acyclic"])
     assert not reached & detector, sorted(reached & detector)
