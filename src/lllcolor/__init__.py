@@ -27,8 +27,8 @@ class _Record:
 
 class _Frozen(_Record):
     """A record whose ``__init__`` sets each field once, through
-    ``object.__setattr__``; assigning or deleting a field afterwards raises
-    AttributeError."""
+    ``object.__setattr__`` or the slot's own descriptor; assigning or
+    deleting a field afterwards raises AttributeError."""
 
     __slots__ = ()
 

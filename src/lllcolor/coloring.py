@@ -360,14 +360,14 @@ def verify_acyclic(graph: Graph, k: int, colors: list[int]) -> VerifyResult:
     checked by union-find.  Pairs (a, b), a < b, are handled grouped by a,
     over the colors in use only, and only a's forests are alive at once,
     in one union-find keyed by b*n + vertex for n vertices, so its size
-    does not grow with k.  Each a-edge {u, v} with b at both ends joins its
-    ends, and so does each b-edge at u or v whose far end carries a as
-    well, seen from its lower end.  Every edge of an (a, b)-cycle is among
-    them (its ends carry both colors), so there are O(m*maxdeg) unions.  A
-    union inside one set closes a bichromatic cycle: the witness is the
-    walk of that edge plus the alternating path back between its ends, not
-    necessarily the least cycle.  A coloring outside the palette 0..k-1 or an improper
-    one reports proper=False and acyclic=False without a witness.
+    does not grow with k.  An a-edge {u, v} with b at both ends joins its
+    ends and the b-edges {u, x}, {v, y}, each from its lower end, unless x
+    or y lacks a: then it ends an (a, b) path holding all three.  So each
+    edge of an (a, b)-cycle is joined.  A union inside one set closes a
+    bichromatic cycle: the witness is the walk of that edge plus the
+    alternating path back between its ends, not necessarily the least
+    cycle.  A coloring outside the palette 0..k-1 or an improper one
+    reports proper=False and acyclic=False without a witness.
     """
     if len(colors) != graph.m or None in colors:
         raise ContractError("verify_acyclic requires one color per edge")
@@ -390,12 +390,13 @@ def verify_acyclic(graph: Graph, k: int, colors: list[int]) -> VerifyResult:
             for b in nb_u.keys() & nb_v.keys():
                 if b <= a:
                     continue
+                bu, bv = nb_u[b], nb_v[b]
+                if a not in nb[bu] or a not in nb[bv]:
+                    continue  # a path end: no cycle through these three edges
                 base = b * n
-                # the a-edge itself, then the b-edges at u and at v, each
-                # joining when it is seen from its lower end and its upper
-                # end carries a (which the a-edge's upper end v does)
-                for lo, hi in ((u, v), (u, nb_u[b]), (v, nb_v[b])):
-                    if hi < lo or a not in nb[hi]:
+                # the a-edge, then the b-edges at u and at v, from their lower ends
+                for lo, hi in ((u, v), (u, bu), (v, bv)):
+                    if hi < lo:
                         continue
                     x = base + lo
                     while (p := parent.get(x, x)) != x:

@@ -20,6 +20,8 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
         if not line or line.startswith("c") or line.startswith("%"):
             continue
         if line.startswith("p"):
+            if n_vars is not None:
+                raise ValueError(f"line {lineno}: second header")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"line {lineno}: bad problem line {line!r}")

@@ -48,9 +48,12 @@ class VariableSpace:
 
     def __init__(self, domains: Sequence[Sequence], weights: Sequence | None = None):
         self.domains = [d if isinstance(d, range) else tuple(d) for d in domains]
-        if not all(len(d) > 0 for d in self.domains):
+        if not all(map(len, self.domains)):
             raise ContractError("every variable domain must be non-empty")
-        self.weights = list(weights) if weights is not None else [None] * len(self.domains)
+        if weights is None:
+            self.weights = [None] * len(self.domains)
+            return
+        self.weights = list(weights)
         if len(self.weights) != len(self.domains):
             raise ContractError("one weight table (or None) per variable required")
         for dom, w in zip(self.domains, self.weights):
@@ -85,15 +88,19 @@ class Event(_Frozen):
     def __init__(self, id: int, scope: Iterable[int], predicate: Callable[[tuple], bool]):
         if not scope:
             raise ContractError("event scope must be non-empty")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "scope", tuple(sorted(set(scope))))
-        object.__setattr__(self, "predicate", predicate)
+        _set_id(self, id)
+        _set_scope(self, tuple(sorted(set(scope))))
+        _set_predicate(self, predicate)
 
     def occurs(self, values: Sequence) -> bool:
         """The predicate on the scoped values, gathered with ``map`` rather
         than a generator: with a predicate written in C (a bound
         ``operator.eq``, a dict's ``__getitem__``) no Python frame runs."""
         return bool(self.predicate(tuple(map(values.__getitem__, self.scope))))
+
+
+# the slots' own setters: Event.__init__ calls them without a lookup by name
+_set_id, _set_scope, _set_predicate = (vars(Event)[name].__set__ for name in Event.__slots__)
 
 
 class EventSystem:

@@ -132,6 +132,8 @@ class Graph:
             if not line or line.startswith("c"):
                 continue
             if line.startswith("p"):
+                if n is not None:
+                    raise ValueError(f"line {lineno}: second header")
                 parts = line.split()
                 if len(parts) != 4 or parts[1] != "edges":
                     raise ValueError(f"line {lineno}: bad header {line!r}")

@@ -17,11 +17,13 @@ from lllcolor.bounds import BoundParams
 from lllcolor.coloring import (
     ColorRunStats,
     ColorState,
+    VerifyResult,
     all_bichromatic_cycles,
     find_bichromatic_cycle,
     greedy_4acyclic,
 )
 from lllcolor.engine import (
+    ContractError,
     Event,
     EventSystem,
     RunStats,
@@ -194,6 +196,51 @@ def reference_col_alg(
 
     assert steps == len(trace) and phases == sum(1 for _, depth in trace if depth == 0)
     return state, ColorRunStats(trace, not aborted, seed, limit)
+
+
+def reference_verify_acyclic(graph: Graph, k: int, colors: list[int]) -> VerifyResult:
+    """``verify_acyclic`` as it stood before it skipped path ends: every
+    a-edge {u, v} with b at both ends tries all three of its edges, and
+    each b-edge joins when its upper end carries a.  The oracle for the
+    library's verifier, which must give the same verdict and witness."""
+    if len(colors) != graph.m or None in colors:
+        raise ContractError("verify_acyclic requires one color per edge")
+    if not all(0 <= c < k for c in colors):
+        return VerifyResult(False, False, None)
+    n = graph.n_vertices
+    nb: list[dict[int, int]] = [{} for _ in range(n)]  # vertex -> color -> neighbour
+    ends_by_color: dict[int, list[tuple[int, int]]] = {}
+    for ends, c in zip(graph.edges, colors):
+        u, v = ends
+        nb_u, nb_v = nb[u], nb[v]
+        if c in nb_u or c in nb_v:
+            return VerifyResult(False, False, None)
+        nb_u[c], nb_v[c] = v, u
+        ends_by_color.setdefault(c, []).append(ends)
+    for a in sorted(ends_by_color):
+        parent: dict[int, int] = {}  # b*n + vertex -> its union-find parent in the (a, b) forest
+        for u, v in ends_by_color[a]:
+            nb_u, nb_v = nb[u], nb[v]
+            for b in nb_u.keys() & nb_v.keys():
+                if b <= a:
+                    continue
+                base = b * n
+                # the a-edge itself, then the b-edges at u and at v, each
+                # joining when it is seen from its lower end and its upper
+                # end carries a (which the a-edge's upper end v does)
+                for lo, hi in ((u, v), (u, nb_u[b]), (v, nb_v[b])):
+                    if hi < lo or a not in nb[hi]:
+                        continue
+                    x = base + lo
+                    while (p := parent.get(x, x)) != x:
+                        parent[x] = x = parent.get(p, p)
+                    y = base + hi
+                    while (p := parent.get(y, y)) != y:
+                        parent[y] = y = parent.get(p, p)
+                    if x == y:
+                        return VerifyResult(True, False, coloring._witness(graph, nb, lo, hi, a, b))
+                    parent[x] = y
+    return VerifyResult(True, True, None)
 
 
 class _NoFreeColor(Exception):

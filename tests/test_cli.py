@@ -489,6 +489,8 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         ("bench", "--generator", "gnp:3,0", "--runs", "1", "--k", "-7"),
         ("verify", "{edgeless}", "{negative_palette}"),
         ("verify", "{edgeless}", "{zero_palette}"),
+        ("color", "{edges_second_header}"),
+        ("sat", "{cnf_second_header}"),
     ],
     ids=[
         "sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs",
@@ -502,7 +504,7 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         "bounds-m-huge", "bounds-prefactor-inf", "gamma-delta-huge", "sat-negative-variables",
         "gamma-girth-rows", "sat-token", "sat-literal-beyond", "sat-empty-clause", "sat-count-mismatch",
         "color-vertex-token", "color-palette-negative", "color-palette-zero", "bench-palette-negative",
-        "verify-palette-negative", "verify-palette-zero",
+        "verify-palette-negative", "verify-palette-zero", "color-second-header", "sat-second-header",
     ],
 )
 def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, argv):
@@ -522,6 +524,8 @@ def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, arg
         "edgeless": "p edges 3 0\n",
         "negative_palette": '{"K": -4, "colors": []}',
         "zero_palette": '{"K": 0, "colors": []}',
+        "edges_second_header": "p edges 3 1\n0 1\np edges 5 1\n",
+        "cnf_second_header": "p cnf 5 1\n5 0\np cnf 2 1\n",
     }
     for name, text in malformed.items():
         paths[name] = tmp_path / name
@@ -532,6 +536,8 @@ def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, arg
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("lllcolor: error:")
     if argv[1].endswith("_token}"):  # a non-integer token names its line
         assert "line 2:" in captured.err
+    if argv[1].endswith("_second_header}"):  # so does a second header
+        assert "line 3: second header" in captured.err
 
 
 def test_unknown_flag_is_input_error(capsys):

@@ -41,6 +41,7 @@ from conftest import (
     reference_col_alg,
     reference_color_edges,
     reference_forbidden_colors,
+    reference_verify_acyclic,
     two_hex_graph,
 )
 
@@ -749,6 +750,83 @@ def test_verifier_agrees_with_the_sweep_at_mid_size():
         cyclic += bool(sweep)
         acyclic += not sweep
     assert cyclic >= 50 and acyclic >= 50, (cyclic, acyclic)
+
+
+def _matching_colors(degree: int, n: int, k: int, rng: random.Random) -> tuple[Graph, list[int]]:
+    """A degree-regular graph on n vertices (n even) made of ``degree``
+    edge-disjoint random perfect matchings, one color each out of 0..k-1,
+    its edges shuffled; then mixed by recoloring random edges to a color
+    free at both ends, which keeps it proper and breaks up its 2-factors."""
+    edges: list[tuple[int, int]] = []
+    while len(edges) < degree * n // 2:
+        perm = rng.sample(range(n), n)
+        matching = [(min(perm[i], perm[i + 1]), max(perm[i], perm[i + 1])) for i in range(0, n, 2)]
+        if not set(edges).intersection(matching):
+            edges += matching
+    palette = rng.sample(range(k), degree)
+    colored_edges = [(ends, palette[i // (n // 2)]) for i, ends in enumerate(edges)]
+    rng.shuffle(colored_edges)
+    g = Graph(n, [ends for ends, _ in colored_edges])
+    colors = [c for _, c in colored_edges]
+    at = [set() for _ in range(n)]
+    for (u, v), c in zip(g.edges, colors):
+        at[u].add(c)
+        at[v].add(c)
+    for _ in range(4 * g.m):
+        e = rng.randrange(g.m)
+        u, v = g.edges[e]
+        free = [c for c in range(k) if c not in at[u] and c not in at[v]]
+        if free:
+            at[u].discard(colors[e])
+            at[v].discard(colors[e])
+            colors[e] = rng.choice(free)
+            at[u].add(colors[e])
+            at[v].add(colors[e])
+    return g, colors
+
+
+def _verifier_corpus():
+    """(graph, palette, colors) for the witness oracle test: random proper
+    colorings of the brute-force graphs at palettes maxdeg..maxdeg+2 and
+    of 4-regular graphs on 40..60 vertices at maxdeg+2..maxdeg+3, as in
+    the mid-size test above; mixed colorings of 8-regular graphs on about
+    100 vertices at maxdeg+1..maxdeg+3, where many (a, b) pairs end in a
+    path; then every two-hexagon coloring whose hexagons alternate two
+    colors each, so two bichromatic cycles race to close first."""
+    rng = random.Random(2408)
+    for g in brute_force_graphs():
+        for _ in range(40):
+            k = g.max_degree + rng.randrange(3)
+            yield g, k, random_proper_colors(g, k, rng)
+    for _ in range(60):
+        g = random_regular_graph(4, rng.randrange(40, 61, 2), seed=rng.randrange(2**31))
+        k = g.max_degree + 2 + rng.randrange(2)
+        yield g, k, random_proper_colors(g, k, rng)
+    for _ in range(30):
+        k = 9 + rng.randrange(3)
+        g, colors = _matching_colors(8, rng.randrange(96, 105, 2), k, rng)
+        yield g, k, colors
+    g = two_hex_graph()
+    pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+    for a, b in pairs:
+        for c, d in pairs:
+            yield g, 4, [a, b] * 3 + [c, d] * 3
+
+
+def test_verifier_matches_its_oracle_witness_for_witness():
+    # skipping path ends leaves every union of a bichromatic cycle in place
+    # and in order, so the first union that closes one, and with it the
+    # witness, is the one the oracle finds
+    cyclic = acyclic = 0
+    for g, k, colors in _verifier_corpus():
+        if colors is None:
+            continue
+        verdict = verify_acyclic(g, k, colors)
+        oracle = reference_verify_acyclic(g, k, colors)
+        assert (verdict.proper, verdict.acyclic, verdict.witness) == (oracle.proper, oracle.acyclic, oracle.witness)
+        cyclic += not verdict.acyclic
+        acyclic += verdict.acyclic
+    assert cyclic >= 200 and acyclic >= 100, (cyclic, acyclic)
 
 
 def test_bichromatic_edge_set():
