@@ -7,9 +7,18 @@ the characteristic-equation solver for the minimal palette slack.
 Import each name from the module that defines it, for example
 ``from lllcolor.coloring import col_alg``: ``import lllcolor`` loads no
 submodule, so each command line process loads only the modules it runs.
+What several modules share lives here: ``ContractError``, the vertex cap
+``MAX_HEADER_VERTICES`` and the record bases, so ``bounds`` and ``gamma``
+reach them without loading ``engine`` or ``graphs``.
 """
 
 __version__ = "0.1.0"
+
+MAX_HEADER_VERTICES = 10**6  # a graph file's header may not ask for more vertex lists
+
+
+class ContractError(ValueError):
+    """A documented precondition was violated."""
 
 
 class _Record:

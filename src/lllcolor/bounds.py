@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import _Frozen
-from .engine import ContractError
+from . import ContractError, _Frozen
 from .series import power_step
 
 Q_SERIES_CAP = 300

@@ -27,6 +27,8 @@ import os
 import random
 import sys
 
+from . import MAX_HEADER_VERTICES
+
 # Each command imports the library modules it runs and no others, so a
 # process pays start-up only for those; calls go through the module
 # (`coloring_mod.col_alg`), so a wrapper set on the module is seen.
@@ -92,14 +94,13 @@ def _csv_text(config: dict, header: list[str], rows, extra_blocks=None) -> str:
 
 def cmd_gamma(args) -> int:
     from . import gamma as gamma_mod
-    from . import graphs as graphs_mod
 
     if args.summary:
         girths = list(SUMMARY_GIRTHS)
     elif args.table:
         lo, hi = args.table
-        if not 3 <= lo <= hi <= graphs_mod.MAX_HEADER_VERTICES:
-            raise ValueError(f"--table needs 3 <= gmin <= gmax <= {graphs_mod.MAX_HEADER_VERTICES}")
+        if not 3 <= lo <= hi <= MAX_HEADER_VERTICES:
+            raise ValueError(f"--table needs 3 <= gmin <= gmax <= {MAX_HEADER_VERTICES}")
         if hi - lo + 1 > MAX_GAMMA_ROWS:
             raise ValueError(f"--table asks for {hi - lo + 1} girths, more than {MAX_GAMMA_ROWS}")
         girths = list(range(lo, hi + 1))
@@ -130,11 +131,9 @@ def cmd_gamma(args) -> int:
 def _auto_palette(graph) -> int:
     from . import gamma as gamma_mod
 
-    if graph.max_degree < 2:
-        return max(1, 2 * graph.max_degree - 1)
-    girth = graph.girth()
+    girth = None if graph.max_degree < 2 else graph.girth()
     if girth is None:  # forest: the greedy threshold suffices, nothing to recolor
-        return 2 * graph.max_degree - 1
+        return max(1, 2 * graph.max_degree - 1)
     return gamma_mod.colors_needed(graph.max_degree, girth)
 
 
@@ -290,8 +289,8 @@ def _parse_generator(descriptor: str, gen_seed: int):
     if len(params) != GENERATOR_ARITY[name]:
         raise ValueError(f"generator {name!r} takes {GENERATOR_ARITY[name]} parameter(s), got {descriptor!r}")
     n_vertices = int(params[1] if name == "random-regular" else params[0])
-    if n_vertices > graphs_mod.MAX_HEADER_VERTICES:
-        raise ValueError(f"{n_vertices} vertices exceed the cap of {graphs_mod.MAX_HEADER_VERTICES}")
+    if n_vertices > MAX_HEADER_VERTICES:
+        raise ValueError(f"{n_vertices} vertices exceed the cap of {MAX_HEADER_VERTICES}")
     if name == "gnp" and n_vertices > 0 and n_vertices * (n_vertices - 1) // 2 > MAX_GENERATOR_PAIRS:
         raise ValueError(f"gnp on {n_vertices} vertices draws more than {MAX_GENERATOR_PAIRS} vertex pairs")
     if name == "random-regular" and int(params[0]) * n_vertices // 2 > MAX_GENERATOR_PAIRS:
@@ -333,7 +332,6 @@ def cmd_bench(args) -> int:
             results = list(pool.map(_bench_one, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     else:
         results = [_bench_one(t) for t in tasks]
-    results.sort()
     steps = [r[1] for r in results]
     tail_rows = []
     n = 1

@@ -30,11 +30,7 @@ import random
 from itertools import chain
 from typing import Callable, Hashable, Iterable, Sequence
 
-from . import _Frozen, _Record
-
-
-class ContractError(ValueError):
-    """A documented precondition was violated."""
+from . import ContractError, _Frozen, _Record
 
 
 class VariableSpace:

@@ -16,6 +16,8 @@ Since phi > 0 there, tau is solved for as the root of the scale-free form
     h(x) = 1 - x * u(x),   u = phi'/phi = 2r/(x+1) + 2q^2(x+1)/(1 - q^2(x+1)^2),
 
 which carries none of phi's scale: phi is evaluated once, at tau, for rho.
+``PhiParams`` derives q, 2r, q^2, 2q^2 and the pole R once, when built;
+phi, the solver and the series all read them from there.
 
 A slack g is admissible when rho < 1; ``min_gamma`` bisects for the
 smallest admissible slack.  For a graph of girth girth, cycles of length
@@ -36,8 +38,7 @@ from __future__ import annotations
 
 import math
 
-from . import _Frozen
-from .graphs import MAX_HEADER_VERTICES
+from . import MAX_HEADER_VERTICES, _Frozen
 from .series import power_step
 
 
@@ -46,12 +47,15 @@ class SolverError(RuntimeError):
 
 
 class PhiParams(_Frozen):
-    """Slack gamma plus the half-length r of the shortest tracked cycle.
+    """Slack gamma plus the half-length r of the shortest tracked cycle, and
+    the constants of phi they fix, derived once: q, the tracked length 2r
+    (``min_cycle_length``), ``qq`` = q^2, ``q2`` = 2q^2 and the pole
+    ``radius`` = 1/q - 1, past which the series around 0 diverges.
 
     2r must be integral; half-integral r arises from even girth.
     """
 
-    __slots__ = ("gamma", "r")
+    __slots__ = ("gamma", "r", "q", "min_cycle_length", "qq", "q2", "radius")
 
     def __init__(self, gamma: float, r: float = 3.0):
         if not (gamma > 0):
@@ -60,43 +64,28 @@ class PhiParams(_Frozen):
             raise ValueError("r must be >= 3")
         if abs(2 * r - round(2 * r)) > 1e-9:
             raise ValueError("2*r must be an integer")
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "r", r)
-
-    @property
-    def q(self) -> float:
-        return 1.0 - math.exp(-1.0 / self.gamma)
-
-    @property
-    def radius(self) -> float:
-        """Pole of phi: the series around 0 converges on [0, 1/q - 1)."""
-        return 1.0 / self.q - 1.0
-
-    @property
-    def min_cycle_length(self) -> int:
-        return int(round(2 * self.r))
+        q = 1.0 - math.exp(-1.0 / gamma)
+        _set_gamma(self, gamma)
+        _set_r(self, r)
+        _set_q(self, q)
+        _set_min_cycle_length(self, int(round(2 * r)))
+        _set_qq(self, q * q)
+        _set_q2(self, 2.0 * q * q)
+        _set_radius(self, 1.0 / q - 1.0 if q else math.inf)  # q is 0.0 past gamma ~ 1e16: phi is 0, no pole
 
 
-def _check_domain(x: float, params: PhiParams) -> None:
-    if x < 0 or x >= params.radius:
-        raise ValueError(f"x={x} outside [0, {params.radius})")
+# the slots' own setters: PhiParams.__init__ calls them without a lookup by name
+_set_gamma, _set_r, _set_q, _set_min_cycle_length, _set_qq, _set_q2, _set_radius = (
+    vars(PhiParams)[name].__set__ for name in PhiParams.__slots__
+)
 
 
 def phi(x: float, params: PhiParams) -> float:
-    _check_domain(x, params)
-    q = params.q
-    return _phi(x, params.gamma, q, params.min_cycle_length, q * q)
-
-
-def _phi(x: float, gamma: float, q: float, mlen: int, qq: float) -> float:
-    """phi(x) from the constants of a solve, qq being q*q."""
-    return (1.0 / gamma) * q ** (mlen - 3) * (x + 1.0) ** mlen / (1.0 - qq * (x + 1.0) ** 2)
-
-
-def _slope_constants(params: PhiParams) -> tuple[int, float, float]:
-    """2r, q^2 and 2q^2: what u and u' read at every x, computed once per solve."""
-    q = params.q
-    return params.min_cycle_length, q * q, 2.0 * q * q
+    """phi(x) from the constants of ``params``; ValueError outside [0, R)."""
+    if not 0 <= x < params.radius:  # NaN fails too
+        raise ValueError(f"x={x} outside [0, {params.radius})")
+    q, mlen = params.q, params.min_cycle_length
+    return (1.0 / params.gamma) * q ** (mlen - 3) * (x + 1.0) ** mlen / (1.0 - params.qq * (x + 1.0) ** 2)
 
 
 def _log_slopes(x: float, mlen: int, qq: float, q2: float) -> tuple[float, float]:
@@ -110,9 +99,8 @@ def _log_slopes(x: float, mlen: int, qq: float, q2: float) -> tuple[float, float
 
 
 def phi_prime(x: float, params: PhiParams) -> float:
-    """Closed-form derivative phi * u."""
-    _check_domain(x, params)
-    return phi(x, params) * _log_slopes(x, *_slope_constants(params))[0]
+    """Closed-form derivative phi * u; phi checks the domain."""
+    return phi(x, params) * _log_slopes(x, params.min_cycle_length, params.qq, params.q2)[0]
 
 
 def _char(x: float, mlen: int, qq: float, q2: float) -> tuple[float, float]:
@@ -144,11 +132,10 @@ def solve_tau(params: PhiParams) -> GammaSolution:
     Newton steps are taken whenever they stay inside it, surviving the
     pole at R.  The root is accepted once the bracket has closed to 4 ulps
     (or h is exactly 0): a root then lies within it, whatever |h| reads.
-    q, 2r and q^2 are derived once, for the pole, the slopes and rho alike.
+    The slopes read 2r, q^2 and 2q^2 from locals, as ``PhiParams`` derived
+    them; rho is phi(tau)/tau.
     """
-    q, constants = params.q, _slope_constants(params)
-    mlen, qq, _ = constants
-    radius = 1.0 / q - 1.0
+    radius, constants = params.radius, (params.min_cycle_length, params.qq, params.q2)
     lo, hi = 0.0, radius * (1.0 - 1e-9)
     while _char(hi, *constants)[0] >= 0:
         hi = radius - (radius - hi) * 0.5
@@ -162,7 +149,7 @@ def solve_tau(params: PhiParams) -> GammaSolution:
         elif h < 0:
             hi = x
         if h == 0 or hi - lo <= 4 * math.ulp(x):
-            return GammaSolution(params, x, _phi(x, params.gamma, q, mlen, qq) / x, abs(h))
+            return GammaSolution(params, x, phi(x, params) / x, abs(h))
         step = x - h / slope if slope else x  # x is lo or hi by now
         x = step if lo < step < hi else 0.5 * (lo + hi)
     raise SolverError(f"sign bracket [{lo!r}, {hi!r}] did not close in 200 steps")
@@ -339,8 +326,8 @@ def q_coloring_series(gamma: float, r: float, n_max: int) -> list[float]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     params = PhiParams(gamma, r)
-    q, base_len = params.q, params.min_cycle_length
-    scale, qq = q ** (base_len - 3) / gamma, q * q
+    q, base_len, qq = params.q, params.min_cycle_length, params.qq
+    scale = q ** (base_len - 3) / gamma
     if not (qq < 1.0):
         raise ValueError(f"gamma={gamma} leaves q = 1 in floating point: phi has its pole at 0")
     series, power, square, quotient = [1.0], [1.0], [1.0], [1.0 / (1.0 - qq)]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-MAX_HEADER_VERTICES = 10**6  # a file's header may not ask for more vertex lists
+from . import MAX_HEADER_VERTICES
 
 
 class Graph:
@@ -124,7 +124,7 @@ class Graph:
 
     @classmethod
     def from_edge_list(cls, text: str) -> "Graph":
-        """Parse the `p edges <l> <m>` header plus one `u v` line per edge."""
+        """Parse the `p edges <l> <m>` header, then one `u v` line per edge."""
         n = m = None
         edges: list[tuple[int, int]] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -144,6 +144,8 @@ class Graph:
                 if n > MAX_HEADER_VERTICES:
                     raise ValueError(f"line {lineno}: {n} vertices exceed the cap of {MAX_HEADER_VERTICES}")
                 continue
+            if n is None:
+                raise ValueError(f"line {lineno}: edge before the header")
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")

@@ -491,6 +491,7 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         ("verify", "{edgeless}", "{zero_palette}"),
         ("color", "{edges_second_header}"),
         ("sat", "{cnf_second_header}"),
+        ("color", "{edges_before_header}"),
     ],
     ids=[
         "sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs",
@@ -505,6 +506,7 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         "gamma-girth-rows", "sat-token", "sat-literal-beyond", "sat-empty-clause", "sat-count-mismatch",
         "color-vertex-token", "color-palette-negative", "color-palette-zero", "bench-palette-negative",
         "verify-palette-negative", "verify-palette-zero", "color-second-header", "sat-second-header",
+        "color-edges-before-header",
     ],
 )
 def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, argv):
@@ -526,6 +528,7 @@ def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, arg
         "zero_palette": '{"K": 0, "colors": []}',
         "edges_second_header": "p edges 3 1\n0 1\np edges 5 1\n",
         "cnf_second_header": "p cnf 5 1\n5 0\np cnf 2 1\n",
+        "edges_before_header": "0 1\n1 2\np edges 3 2\n",
     }
     for name, text in malformed.items():
         paths[name] = tmp_path / name
@@ -538,6 +541,8 @@ def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, arg
         assert "line 2:" in captured.err
     if argv[1].endswith("_second_header}"):  # so does a second header
         assert "line 3: second header" in captured.err
+    if argv[1] == "{edges_before_header}":  # as DIMACS refuses a clause before its problem line
+        assert "line 1: edge before the header" in captured.err
 
 
 def test_unknown_flag_is_input_error(capsys):
@@ -597,7 +602,9 @@ def test_commands_import_only_what_they_run(tmp_path, hexagon_file):
 
 FOOTPRINT_PROBE = """
 import json, sys
-heavy = lambda: sorted(m for m in ("decimal", "fractions", "lllcolor.bounds", "lllcolor.engine") if m in sys.modules)
+heavy = lambda: sorted(
+    m for m in ("decimal", "fractions", "lllcolor.bounds", "lllcolor.engine", "lllcolor.graphs") if m in sys.modules
+)
 from lllcolor.gamma import q_coloring_series
 seen = {"series": heavy()}
 import lllcolor.cli
@@ -609,19 +616,30 @@ print(json.dumps(seen))
 
 
 def test_gamma_and_color_load_no_exact_arithmetic(tmp_path, hexagon_file):
-    # a fresh interpreter: the float series, the gamma command and the
+    # fresh interpreters: the float series, the gamma command and the
     # auto palette of color reach the shared power-series helper without
-    # bounds, so fractions and decimal stay unloaded; only color loads engine
+    # bounds, so fractions and decimal stay unloaded; the analytic side
+    # takes ContractError and the vertex cap from the package, so series,
+    # gamma and bounds load neither engine nor graphs; color loads both
     runs = [
-        ("gamma", ["gamma", "--girth", "5", "--delta", "11", "--out", str(tmp_path / "gamma.csv")]),
-        ("color", ["color", hexagon_file, "--seed", "1", "--out", str(tmp_path / "color.json")]),
+        [
+            ("gamma", ["gamma", "--girth", "5", "--delta", "11", "--out", str(tmp_path / "gamma.csv")]),
+            ("color", ["color", hexagon_file, "--seed", "1", "--out", str(tmp_path / "color.json")]),
+        ],
+        [("bounds", ["bounds", "--p", "1/8", "--delta", "3", "--n", "20", "--out", str(tmp_path / "bounds.csv")])],
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT_PROBE, json.dumps(runs)],
-        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
-    )
-    assert json.loads(proc.stdout) == {"series": [], "gamma": [], "color": ["lllcolor.engine"]}
+    seen = [
+        json.loads(subprocess.run(
+            [sys.executable, "-c", FOOTPRINT_PROBE, json.dumps(process_runs)],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+        ).stdout)
+        for process_runs in runs
+    ]
+    assert seen == [
+        {"series": [], "gamma": [], "color": ["lllcolor.engine", "lllcolor.graphs"]},
+        {"series": [], "bounds": ["decimal", "fractions", "lllcolor.bounds"]},
+    ]
 
 
 # -- golden bytes ----------------------------------------------------------------

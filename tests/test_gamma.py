@@ -9,7 +9,6 @@ from lllcolor.gamma import (
     PhiParams,
     SolverError,
     _char,
-    _slope_constants,
     colors_needed,
     cycle_prob_bounds,
     girth_to_r,
@@ -77,6 +76,27 @@ def test_phi_prime_equals_rho_at_tau():
     assert phi(sol.tau, ANCHOR) / sol.tau == pytest.approx(sol.rho, rel=1e-15)
 
 
+def test_phi_prime_refuses_x_outside_its_domain():
+    for params in (ANCHOR, PhiParams(0.5, 27.0)):
+        for x in (-1e-300, -0.1, params.radius, 2.0 * params.radius, math.inf, math.nan):
+            with pytest.raises(ValueError, match="outside"):
+                phi_prime(x, params)
+
+
+def test_phi_params_derives_its_constants_once():
+    # the fields hold phi's constants, each from one float expression, so
+    # every reader sees the bits the solver and the series read
+    for gamma, r in [(1.73095, 3.0), (0.125, 348.5), (8.0, 4.5)]:
+        params = PhiParams(gamma, r)
+        q = 1.0 - math.exp(-1.0 / gamma)
+        assert (params.q, params.min_cycle_length, params.qq, params.q2, params.radius) == (
+            q, int(round(2 * r)), q * q, 2.0 * q * q, 1.0 / q - 1.0)
+    # past gamma ~ 1e16, q underflows to 0: phi vanishes and has no pole
+    flat = PhiParams(1e17, 3.0)
+    assert (flat.q, flat.radius, phi(0.0, flat)) == (0.0, math.inf, 0.0)
+    assert q_coloring_series(1e17, 3.0, 3) == [1.0, 0.0, 0.0, 0.0]
+
+
 def test_phi_params_validation():
     with pytest.raises(ValueError):
         PhiParams(0.0, 3.0)
@@ -124,7 +144,7 @@ def test_solve_tau_residual_scaled_over_parameter_sweep():
     sweep = [(gamma, r) for gamma in (0.2, 0.5, 1.0, 1.73095, 3.0, 8.0) for r in (3.0, 4.5, 27.0)]
     for gamma, r in sweep + [(0.125, 348.5)]:
         params = PhiParams(gamma, r)
-        constants = _slope_constants(params)
+        constants = (params.min_cycle_length, params.qq, params.q2)
         sol = solve_tau(params)
         assert 0 < sol.tau < params.radius
         assert sol.residual == abs(_char(sol.tau, *constants)[0])
@@ -138,7 +158,7 @@ def test_characteristic_sign_changes_once():
     # 10^4-point scan: the characteristic function crosses zero exactly once
     for gamma, r in [(1.73095, 3.0), (1.74, 3.0), (2.0, 4.0), (0.494, 27.0)]:
         params = PhiParams(gamma, r)
-        constants = _slope_constants(params)
+        constants = (params.min_cycle_length, params.qq, params.q2)
         xs = [params.radius * (1 - 1e-9) * i / 10**4 for i in range(1, 10**4)]
         signs = [_char(x, *constants)[0] > 0 for x in xs]
         assert sum(1 for a, b in zip(signs, signs[1:]) if a != b) == 1
