@@ -14,9 +14,10 @@ loop, ``_color_edges``, makes every decision, greedy or recolor: per
 edge it intersects the two endpoint maps once (the colors common to both
 ends give the closing-edge term of the forbidden set and, after the
 draw, the second colors of the walk from that edge), draws, writes
-through ``ColorState.assign`` and walks from the edge.
+through ``ColorState.assign`` and walks from the edge if it has a second
+color.
 
-The main loop is the resampling engine's driver (``engine.resample_loop``)
+The main loop is the resampling driver (``driver.resample_loop``)
 with cycles in the role of events: while a bichromatic cycle exists, the
 least one is recolored edge by edge, and any bichromatic cycle sharing an
 edge with it is handled recursively before the call returns.  A cycle is
@@ -29,8 +30,9 @@ degree at most 2 at every vertex, so the walk leaving e's far endpoint
 along color b is deterministic: it either dies at a vertex missing the
 wanted color or returns to e's near endpoint along a b-edge, closing the
 unique (a,b)-bichromatic cycle through e; only a color b at both ends of
-e starts a walk.  The walks read the per-vertex color -> edge maps of one
-``ColorState``, which every assignment keeps up to date.  A sweep over an
+e whose two b-edges end at a-edges starts a walk.  The walks read the
+per-vertex color -> edge maps of one ``ColorState``, which every
+assignment keeps up to date.  A sweep over an
 edge set finds each cycle once, from its largest edge in the set: a walk
 stops at any larger edge of the set.  The decision loop walks from each
 edge right after coloring it, over the edges it colors, so the greedy
@@ -50,8 +52,8 @@ from __future__ import annotations
 
 import random
 
-from . import _Frozen
-from .engine import ContractError, RunStats, resample_loop, start_run
+from . import ContractError, _Frozen
+from .driver import RunStats, resample_loop, start_run
 from .graphs import Graph
 
 
@@ -127,19 +129,20 @@ def _color_edges(state: ColorState, edges, rng: random.Random, scanned: frozense
     ``common`` = the colors at both u and v except own.  The forbidden set
     is the endpoint union except own, plus the color of each closing edge
     {x, y} with {u, x} and {v, y} carrying a color of ``common``;
-    ContractError if it exceeds 2*(maxdeg - 1) or e is out of range.  The
-    draw picks an index into the free colors in increasing order, as
-    ``rng.choice`` over that list would, and maps it past the sorted
-    forbidden set, so a decision costs no more than sorting that set,
-    whatever the palette size.  The new color was at neither end, so the
-    colors at both ends of e are now ``common`` plus e's own: ``common``
-    gives the walk from e (``_cycles_through_edge`` over ``scanned``) its
-    second colors.  A sequence of edges draws and finds what one call per
-    edge would.
+    ContractError if it exceeds 2*(maxdeg - 1), leaves no free color or e
+    is out of range.  The draw picks an index into the free colors in
+    increasing order, as ``rng.choice`` over that list would, by the
+    rejection loop of ``rng.randrange(n)`` inlined on ``getrandbits``, and
+    maps it past the sorted forbidden set, so a decision costs no more than
+    sorting that set, whatever the palette size.  The new color was at
+    neither end, so the colors at both ends of e are now ``common`` plus
+    e's own: a nonempty ``common`` gives the walk from e
+    (``_cycles_through_edge`` over ``scanned``) its second colors.  A
+    sequence of edges draws and finds what one call per edge would.
     """
     colors, at, ends, closing = state.colors, state.at, state.graph.edges, state.graph._edge_index.get
     k, cap, m = state.k, state.max_forbidden, len(ends)
-    draw, assign, walk = rng.randrange, state.assign, _cycles_through_edge
+    bits, assign, walk = rng.getrandbits, state.assign, _cycles_through_edge
     found: list[tuple] = []
     for e in edges:
         if not (0 <= e < m):
@@ -161,13 +164,20 @@ def _color_edges(state: ColorState, edges, rng: random.Random, scanned: frozense
                 forbidden.add(c3)
         if len(forbidden) > cap:
             raise ContractError(f"forbidden set of {len(forbidden)} exceeds 2*(maxdeg-1) at edge {e}")
-        c = draw(k - len(forbidden))
+        n = k - len(forbidden)
+        if n < 1:
+            raise ContractError(f"no free color at edge {e}")
+        width = n.bit_length()
+        c = bits(width)
+        while c >= n:
+            c = bits(width)
         for f in sorted(forbidden):
             if f > c:
                 break
             c += 1
         assign(e, c)
-        found += walk(state, e, scanned, common)
+        if common:
+            found += walk(state, e, scanned, common)
     return found
 
 
@@ -205,19 +215,19 @@ def _cycles_through_edge(state: ColorState, e: int, scanned: frozenset[int] | ra
     ``scanned``.
 
     ``second`` holds the colors at both ends of e other than e's own (the
-    cycle's first and last edges carry such a color); only these start a
-    walk.  A walk stops at the first edge f in ``scanned`` with f > e, and
-    at an uncolored edge, which carries no color.  This finds every
-    bichromatic cycle C that meets ``scanned`` exactly once over a sweep of
-    ``scanned``: let e* be the largest edge of C in ``scanned``.  The walk
-    from e* with C's second color goes around C and meets no larger scanned
-    edge, so it finds C.  A walk from any other scanned edge of C with that
-    color passes e* before it closes, so it stops there.  ``_color_edges``
-    calls this on each edge right after coloring it; the full sweep over
-    every edge serves only the tests.
+    cycle's first and last edges carry such a color); such a color b starts
+    a walk only when the far ends of both b-edges at e carry e's color a,
+    since otherwise e lies on an (a, b) path.  A walk stops at the first
+    edge f in ``scanned`` with f > e, and at an uncolored edge, which
+    carries no color.  This finds every bichromatic cycle C that meets
+    ``scanned`` exactly once over a sweep of ``scanned``: let e* be the
+    largest edge of C in ``scanned``.  The walk from e* with C's second
+    color goes around C and meets no larger scanned edge, so it finds C.  A
+    walk from any other scanned edge of C with that color passes e* before
+    it closes, so it stops there.  ``_color_edges`` calls this on each edge
+    with a second color right after coloring it; the full sweep over every
+    edge serves only the tests.
     """
-    if not second:
-        return []
     at, ends = state.at, state.graph.edges
     u, v = ends[e]
     a = state.colors[e]
@@ -230,7 +240,11 @@ def _cycles_through_edge(state: ColorState, e: int, scanned: frozenset[int] | ra
             continue  # the walk would stop at its last or its first edge
         # the walk leaves v along its first edge, which cannot end at u
         x, y = ends[first]
-        cur, want, other = x ^ y ^ v, a, b
+        cur = x ^ y ^ v
+        x, y = ends[last]
+        if a not in at[cur] or a not in at[x ^ y ^ u]:
+            continue  # a far end lacks a: no (a, b) cycle through e
+        want, other = a, b
         walk = [e, first]
         for _ in steps:
             f = at[cur].get(want)
@@ -322,7 +336,7 @@ def col_alg(
     While some bichromatic cycle exists, the least one is recolored (edges
     in index order, each uniformly among the safe colors); while any
     bichromatic cycle shares an edge with the cycle of the current call,
-    the least such cycle is handled recursively (``engine.resample_loop``
+    the least such cycle is handled recursively (``driver.resample_loop``
     over a ``CycleIndex`` on the run's one ``ColorState``).  Returns that
     state; on termination its coloring is proper and has no bichromatic
     cycle of any length.

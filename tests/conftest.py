@@ -19,6 +19,7 @@ from lllcolor.coloring import (
     ColorState,
     VerifyResult,
     all_bichromatic_cycles,
+    cycle_key,
     find_bichromatic_cycle,
     greedy_4acyclic,
 )
@@ -26,12 +27,11 @@ from lllcolor.engine import (
     ContractError,
     Event,
     EventSystem,
-    RunStats,
     VariableSpace,
     build_witness_forest,
     check_feasible,
-    default_step_limit,
 )
+from lllcolor.driver import RunStats, default_step_limit
 from lllcolor.gamma import GammaSolution, PhiParams, SolverError, phi
 from lllcolor.graphs import Graph
 
@@ -248,15 +248,16 @@ class _NoFreeColor(Exception):
 
 
 class _IndexDraw:
-    """A stand-in rng: ``randrange(n)`` notes n and returns ``index``; an
-    empty range raises ``_NoFreeColor``."""
+    """A stand-in rng: the first ``getrandbits`` call returns ``index``; a
+    second one, the redraw of an index past the free colors, raises
+    ``_NoFreeColor``."""
 
     def __init__(self, index: int):
-        self.index, self.n = index, 0
+        self.index, self.calls = index, 0
 
-    def randrange(self, n: int) -> int:
-        self.n = n
-        if n <= 0:
+    def getrandbits(self, width: int) -> int:
+        self.calls += 1
+        if self.calls > 1:
             raise _NoFreeColor
         return self.index
 
@@ -264,19 +265,23 @@ class _IndexDraw:
 def forbidden_colors(state: ColorState, e: int) -> set[int]:
     """The forbidden colors at e as the library's decision loop
     (``_color_edges``) reads them: run on copies of the state, one per
-    index 0..n-1 into its n free colors, the loop reaches every free color,
-    and the palette minus those is forbidden.  ContractError if e is out
-    of range or the set exceeds 2*(maxdeg - 1)."""
+    index 0, 1, ... into its free colors until the loop redraws an index,
+    the loop reaches every free color, and the palette minus those is
+    forbidden; a loop that refuses to draw for lack of a free color forbids
+    the whole palette.  ContractError if e is out of range or the set
+    exceeds 2*(maxdeg - 1)."""
     free: set[int] = set()
-    index, n = 0, 1
-    while index < n:
-        twin, draw = colored(state.graph, state.k, state.colors), _IndexDraw(index)
+    for index in range(state.k):
+        twin = colored(state.graph, state.k, state.colors)
         try:
-            coloring._color_edges(twin, (e,), draw, frozenset({e}))
+            coloring._color_edges(twin, (e,), _IndexDraw(index), frozenset({e}))
         except _NoFreeColor:
             break
+        except ContractError as err:
+            if "no free color" not in str(err):
+                raise
+            break
         free.add(twin.colors[e])
-        index, n = index + 1, draw.n
     return set(range(state.k)) - free
 
 
@@ -324,12 +329,45 @@ def reference_assign(state: ColorState, e: int, rng: random.Random) -> set[int]:
 
 def reference_color_edges(state: ColorState, edges, rng: random.Random, scanned) -> list[tuple]:
     """``_color_edges`` by one ``reference_assign`` per edge, each followed
-    by the library's walk: the draw-order oracle."""
+    by the unguarded walk: the draw-order oracle."""
     found: list[tuple] = []
     for e in edges:
         second = reference_assign(state, e, rng)
-        found += coloring._cycles_through_edge(state, e, scanned, second)
+        found += reference_cycles_through_edge(state, e, scanned, second)
     return found
+
+
+def reference_cycles_through_edge(state: ColorState, e: int, scanned, second: set[int]) -> list[tuple]:
+    """``_cycles_through_edge`` without its guard: every second color b
+    that the scanned-edge test lets through starts a walk, which dies
+    wherever the wanted color is missing.  The oracle for the guarded walk,
+    which must return the same keys in the same order."""
+    at, ends = state.at, state.graph.edges
+    u, v = ends[e]
+    a = state.colors[e]
+    out: list[tuple] = []
+    for b in second:
+        last, first = at[u][b], at[v][b]
+        if (last > e and last in scanned) or (first > e and first in scanned):
+            continue
+        x, y = ends[first]
+        cur, want, other = x ^ y ^ v, a, b
+        walk = [e, first]
+        for _ in range(state.walk_cap):
+            f = at[cur].get(want)
+            if f is None or f == e or (f > e and f in scanned):
+                break
+            walk.append(f)
+            x, y = ends[f]
+            cur ^= x ^ y
+            if cur == u:
+                if want == b:
+                    out.append(cycle_key(state.graph, walk))
+                break
+            want, other = other, want
+        else:
+            raise ContractError("alternating walk failed to terminate")
+    return out
 
 
 def color_edges_without_closing_edges(state: ColorState, edges, rng: random.Random, scanned) -> list[tuple]:
@@ -350,7 +388,8 @@ def color_edges_without_closing_edges(state: ColorState, edges, rng: random.Rand
                 break
             c += 1
         state.assign(e, c)
-        found += coloring._cycles_through_edge(state, e, scanned, common)
+        if common:
+            found += coloring._cycles_through_edge(state, e, scanned, common)
     return found
 
 
@@ -381,19 +420,20 @@ class ColorAudit:
         graph, colors = state.graph, state.colors
         c = colors[e]
         u, v = graph.edges[e]
-        for vertex in (u, v):
-            for w in graph.adj[vertex]:
-                idx = graph.edge_index(vertex, w)
-                if idx != e and colors[idx] == c:
+        # each end's (neighbour, edge, color) but e itself, built once per call
+        at_u, at_v = (
+            [(w, idx, colors[idx]) for w in graph.adj[vertex] if (idx := graph.edge_index(vertex, w)) != e]
+            for vertex in (u, v)
+        )
+        for vertex, around in ((u, at_u), (v, at_v)):
+            for _, _, c1 in around:
+                if c1 == c:
                     self.local_violations.append(f"edge {e}: color {c} repeats at vertex {vertex}")
-        for x in graph.adj[u]:
-            e1 = graph.edge_index(u, x)
-            c1 = colors[e1]
-            if e1 == e or c1 is None:
+        for x, e1, c1 in at_u:
+            if c1 is None:
                 continue
-            for y in graph.adj[v]:
-                e2 = graph.edge_index(v, y)
-                if e2 == e or x == y or colors[e2] != c1:
+            for y, e2, c2 in at_v:
+                if x == y or c2 != c1:
                     continue
                 e3 = graph.edge_index(x, y)
                 if e3 is not None and colors[e3] == c:

@@ -570,9 +570,11 @@ print(json.dumps(seen))
 
 def test_commands_import_only_what_they_run(tmp_path, hexagon_file):
     # a fresh interpreter: `import lllcolor.cli` loads no library module and
-    # no process pool, `sat` loads only dimacs and engine, a random-regular
-    # bench with one job neither starts nor imports a pool, and no command
-    # loads dataclasses or inspect (their import costs every process ~15 ms)
+    # no process pool, `sat` loads only dimacs, the driver and engine, a
+    # random-regular bench with one job neither starts nor imports a pool,
+    # the coloring commands reach the driver without the variable engine,
+    # and no command loads dataclasses or inspect (their import costs every
+    # process ~15 ms)
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
     coloring = str(tmp_path / "color.json")
@@ -586,15 +588,21 @@ def test_commands_import_only_what_they_run(tmp_path, hexagon_file):
         ("bounds", ["bounds", "--p", "1/8", "--delta", "3", "--n", "5", "--out", str(tmp_path / "bounds.csv")]),
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", STARTUP_PROBE, json.dumps(runs)],
-        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    # sat loads engine, so the coloring commands also run in a process of their own
+    seen, coloring_only = (
+        json.loads(subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE, json.dumps(process_runs)],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+        ).stdout)
+        for process_runs in (runs, runs[1:4])
     )
-    seen = json.loads(proc.stdout)
     assert seen["import"] == ["lllcolor", "lllcolor.cli"]
-    assert seen["sat"] == ["lllcolor", "lllcolor.cli", "lllcolor.dimacs", "lllcolor.engine"]
+    assert seen["sat"] == ["lllcolor", "lllcolor.cli", "lllcolor.dimacs", "lllcolor.driver", "lllcolor.engine"]
     assert not {m for m in seen["bench"] if not m.startswith("lllcolor")}
     assert "lllcolor.coloring" in seen["bench"]
+    assert "lllcolor.driver" in coloring_only["bench"]
+    for name in ("bench", "color", "verify"):
+        assert "lllcolor.engine" not in coloring_only[name], name
     assert {"lllcolor.bounds", "lllcolor.gamma"} <= set(seen["bounds"])  # every command ran
     for name, _ in runs:
         assert not {"dataclasses", "inspect"} & set(seen[name]), name
@@ -620,7 +628,8 @@ def test_gamma_and_color_load_no_exact_arithmetic(tmp_path, hexagon_file):
     # auto palette of color reach the shared power-series helper without
     # bounds, so fractions and decimal stay unloaded; the analytic side
     # takes ContractError and the vertex cap from the package, so series,
-    # gamma and bounds load neither engine nor graphs; color loads both
+    # gamma and bounds load neither engine nor graphs; color loads graphs
+    # and reaches the resampling driver without the engine
     runs = [
         [
             ("gamma", ["gamma", "--girth", "5", "--delta", "11", "--out", str(tmp_path / "gamma.csv")]),
@@ -637,7 +646,7 @@ def test_gamma_and_color_load_no_exact_arithmetic(tmp_path, hexagon_file):
         for process_runs in runs
     ]
     assert seen == [
-        {"series": [], "gamma": [], "color": ["lllcolor.engine", "lllcolor.graphs"]},
+        {"series": [], "gamma": [], "color": ["lllcolor.graphs"]},
         {"series": [], "bounds": ["decimal", "fractions", "lllcolor.bounds"]},
     ]
 

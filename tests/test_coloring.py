@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from lllcolor import coloring, engine
+from lllcolor import ContractError, coloring, driver
 from lllcolor.coloring import (
     ColorState,
     CycleIndex,
@@ -17,7 +17,6 @@ from lllcolor.coloring import (
     greedy_4acyclic,
     verify_acyclic,
 )
-from lllcolor.engine import ContractError
 from lllcolor.graphs import (
     Graph,
     complete_graph,
@@ -40,6 +39,7 @@ from conftest import (
     random_proper_colors,
     reference_col_alg,
     reference_color_edges,
+    reference_cycles_through_edge,
     reference_forbidden_colors,
     reference_verify_acyclic,
     two_hex_graph,
@@ -316,45 +316,62 @@ def test_greedy_collects_exactly_the_full_sweep():
 
 
 def test_col_alg_walks_once_per_decision(monkeypatch):
-    # no full sweep runs: the greedy pass walks from each edge once and each
-    # refresh from each recolored edge once, so the walk calls equal the
-    # decisions, m + the summed recolored cycle lengths
-    calls = 0
-    walk = coloring._cycles_through_edge
+    # no full sweep runs: the greedy pass and each refresh walk once from
+    # each edge they color that has a second color, and from no other, so
+    # the walk calls equal those decisions; fed one edge at a time, the loop
+    # makes m + the summed recolored cycle lengths decisions, and each one's
+    # second colors are read from the maps right after it
+    calls = decisions = seconded = 0
+    walk, color_edges = coloring._cycles_through_edge, coloring._color_edges
 
     def counting(state, e, scanned, second):
         nonlocal calls
+        assert second
         calls += 1
         return walk(state, e, scanned, second)
+
+    def one_by_one(state, edges, rng, scanned):
+        nonlocal decisions, seconded
+        found = []
+        for e in edges:
+            found += color_edges(state, (e,), rng, scanned)
+            u, v = state.graph.edges[e]
+            decisions += 1
+            seconded += bool((state.at[u].keys() & state.at[v].keys()) - {state.colors[e]})
+        return found
 
     def no_sweep(state):
         raise AssertionError("col_alg ran a full sweep")
 
     monkeypatch.setattr(coloring, "_cycles_through_edge", counting)
+    monkeypatch.setattr(coloring, "_color_edges", one_by_one)
     monkeypatch.setattr(coloring, "all_bichromatic_cycles", no_sweep)
-    steps = 0
+    steps = walked = skipped = 0
     for g, k in ((complete_graph(20), 37), (petersen_graph(), 5)):
         for seed in range(40):
-            calls = 0
+            calls = decisions = seconded = 0
             _, stats = col_alg(g, k, seed=seed)
-            assert calls == g.m + sum(stats.cycle_lengths)
+            assert decisions == g.m + sum(stats.cycle_lengths)
+            assert calls == seconded
             steps += stats.steps
+            walked, skipped = walked + calls, skipped + decisions - calls
     assert steps == 149, steps
+    assert walked and skipped, (walked, skipped)
 
 
 def test_greedy_walk_reuses_the_exact_second_colors(monkeypatch):
     # the greedy pass hands each walk the second colors of e's decision; they
     # must equal the colors at both ends of e other than its own, read from
-    # the maps after the assignment
+    # the maps after the assignment, and it walks exactly from the edges
+    # whose ends shared a color of the edges before them when colored
     walk = coloring._cycles_through_edge
-    walks = nonempty = 0
+    walks = 0
 
     def checked(state, e, scanned, second):
-        nonlocal walks, nonempty
+        nonlocal walks
         u, v = state.graph.edges[e]
-        assert second == (state.at[u].keys() & state.at[v].keys()) - {state.colors[e]}
+        assert second and second == (state.at[u].keys() & state.at[v].keys()) - {state.colors[e]}
         walks += 1
-        nonempty += bool(second)
         return walk(state, e, scanned, second)
 
     monkeypatch.setattr(coloring, "_cycles_through_edge", checked)
@@ -366,12 +383,46 @@ def test_greedy_walk_reuses_the_exact_second_colors(monkeypatch):
             g = gnp_graph(n, p, seed=rng.randrange(2**30))
             if g.max_degree:
                 corpus.append((g, 2 * g.max_degree - 1, range(10)))
-    expected = 0
+    expected = decisions = 0
     for g, k, seeds in corpus:
         for seed in seeds:
-            greedy_4acyclic(g, k, random.Random(seed))
-            expected += g.m
-    assert walks == expected and nonempty >= walks // 4, (walks, nonempty)
+            state, _ = greedy_4acyclic(g, k, random.Random(seed))
+            decisions += g.m
+            for e, ends in enumerate(g.edges):
+                before = [{state.colors[f] for f in (g.edge_index(w, x) for x in g.adj[w]) if f < e} for w in ends]
+                expected += bool(before[0] & before[1])
+    assert walks == expected and walks >= decisions // 4, (walks, decisions)
+
+
+def test_walk_guard_matches_the_unguarded_walk():
+    # the guard drops a second color b only where a far end of e's b-edges
+    # lacks e's color, so the guarded walk must close the same cycles, in
+    # the same order, as the unguarded one; over the full sweep's range and
+    # over recolor-style frozensets (a cycle's edges, a random edge set)
+    cases = [cycle_graph(6), two_hex_graph(), petersen_graph(), complete_graph(6), complete_graph(9)]
+    rng = random.Random(47)
+    closed = guarded = 0
+    for g in cases:
+        for _ in range(40):
+            k = g.max_degree + rng.randrange(g.max_degree)
+            colors = random_proper_colors(g, k, rng, fill=rng.choice([0.6, 0.85, 1.0]))
+            if colors is None:
+                continue
+            state = colored(g, k, colors)
+            sets = [range(g.m), frozenset(rng.sample(range(g.m), rng.randint(1, g.m)))]
+            sets += [frozenset(edges) for _, edges in all_bichromatic_cycles(state)]
+            for scanned in sets:
+                for e in scanned:
+                    if colors[e] is None:
+                        continue
+                    u, v = g.edges[e]
+                    second = (state.at[u].keys() & state.at[v].keys()) - {colors[e]}
+                    mine = coloring._cycles_through_edge(state, e, scanned, second)
+                    assert mine == reference_cycles_through_edge(state, e, scanned, second), (g.m, colors, e)
+                    closed += len(mine)
+                    far = [sum(g.edges[state.at[w][b]]) - w for w in (u, v) for b in second]
+                    guarded += any(colors[e] not in state.at[x] for x in far)
+    assert closed >= 400 and guarded >= 1000, (closed, guarded)
 
 
 def test_cycle_index_matches_rescan_after_updates():
@@ -560,6 +611,41 @@ def test_assign_draws_as_choice_over_free_colors(monkeypatch):
         assert state_a.colors == state_b.colors and stats_a == stats_b
 
 
+def test_inline_draw_is_randrange():
+    # _color_edges draws randrange(n) inlined as randrange's rejection loop
+    # on getrandbits: on one edge with nothing forbidden the color drawn is
+    # the index, so it must equal randrange(n) and leave the same generator
+    # state; a Python that changes _randbelow fails here
+    edge = Graph(2, [(0, 1)])
+    sizes = [*range(1, 301), *(2**j + d for j in range(41) for d in (-1, 0, 1) if 2**j + d >= 1)]
+    for seed in (0, 1, 29, 2**32 + 7):
+        mine, ref = random.Random(seed), random.Random(seed)
+        for n in sizes:
+            state = ColorState(edge, n)
+            coloring._color_edges(state, (0,), mine, frozenset({0}))
+            assert state.colors[0] == ref.randrange(n), (seed, n)
+            assert mine.getstate() == ref.getstate(), (seed, n)
+
+
+def test_no_free_color_is_refused_before_any_draw():
+    # a hand-built state whose palette is all forbidden at edge {1, 3}:
+    # getrandbits(0) would return 0 forever, so the loop must refuse at once
+    class Draws(random.Random):
+        calls = 0
+
+        def getrandbits(self, width):
+            self.calls += 1
+            if self.calls > 10:
+                raise AssertionError("the draw loops")
+            return super().getrandbits(width)
+
+    g = Graph(4, [(0, 1), (1, 2), (1, 3)])
+    state, rng = colored(g, 2, [0, 1, None]), Draws(5)
+    with pytest.raises(ContractError, match="no free color at edge 2"):
+        coloring._color_edges(state, (2,), rng, frozenset({2}))
+    assert rng.calls == 0 and state.colors == [0, 1, None]
+
+
 def test_root_cycles_pairwise_distinct():
     for g, k in [(cycle_graph(6), 4), (two_hex_graph(), 4)]:
         for seed in range(150):
@@ -617,7 +703,7 @@ def test_audited_witness_forests_are_feasible():
 def test_forest_audit_flags_a_driver_without_child_search(monkeypatch):
     # a driver that never recurses makes every overlapping cycle a root
     def rootless(next_root, least_child, resample, limit):
-        return engine.resample_loop(next_root, lambda top: None, resample, limit)
+        return driver.resample_loop(next_root, lambda top: None, resample, limit)
 
     monkeypatch.setattr(coloring, "resample_loop", rootless)
     flagged = 0

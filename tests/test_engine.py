@@ -13,17 +13,16 @@ from lllcolor.engine import (
     ContractError,
     Event,
     EventSystem,
-    RunStats,
     VariableSpace,
     build_witness_forest,
     check_feasible,
-    default_step_limit,
     dice_experiment,
     m_algorithm,
     sample_all,
     validate,
 )
 from lllcolor import engine as engine_mod
+from lllcolor.driver import RunStats, default_step_limit
 from lllcolor.dimacs import clause_system, formula_satisfied
 from lllcolor.bounds import BoundParams, lll_condition
 from lllcolor.coloring import ColorRunStats, verify_acyclic
