@@ -140,6 +140,7 @@ def _auto_palette(graph) -> int:
 def cmd_color(args) -> int:
     from . import coloring as coloring_mod
     from . import graphs as graphs_mod
+    from . import verify as verify_mod
 
     graph = graphs_mod.Graph.read_edge_list(args.graph)
     k = _auto_palette(graph) if args.k is None else args.k
@@ -147,9 +148,9 @@ def cmd_color(args) -> int:
     colors = state.colors
     del state  # the verifier builds its own per-vertex maps; do not hold two sets at once
     verdict = (
-        coloring_mod.verify_acyclic(graph, k, colors)
+        verify_mod.verify_acyclic(graph, k, colors)
         if stats.terminated
-        else coloring_mod.VerifyResult(False, False, None)
+        else verify_mod.VerifyResult(False, False, None)
     )
     payload = {
         "schema": 1,
@@ -176,8 +177,8 @@ def cmd_color(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import coloring as coloring_mod
     from . import graphs as graphs_mod
+    from . import verify as verify_mod
 
     graph = graphs_mod.Graph.read_edge_list(args.graph)
     with open(args.coloring) as fh:
@@ -189,7 +190,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"coloring JSON has palette K={k}; a palette holds at least 1 color")
     if len(colors) != graph.m:
         raise ValueError("coloring length does not match the graph's edge count")
-    verdict = coloring_mod.verify_acyclic(graph, k, colors)
+    verdict = verify_mod.verify_acyclic(graph, k, colors)
     ok = verdict.proper and verdict.acyclic
     witness = list(verdict.witness) if verdict.witness else None
     payload = {

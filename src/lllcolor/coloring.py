@@ -41,47 +41,24 @@ those cycles seed the loop's incremental index; a recolor, taking its
 cycle's edges in index order, collects each cycle that meets them once
 all its edges are final, and the index's refresh drops the cycles that
 touch the recolored edges and adds those, with no sweep.  The full sweep
-over every edge serves only the tests.  The verifier shares none of this:
-it builds its own per-vertex color -> neighbour maps and checks that
-every 2-colored subgraph is a forest by a union-find over (second color,
-vertex) keys, and its witness is a walk, a cycle's edge indices in the
-order met.
+over every edge serves only the tests.  The verifier, in ``verify``,
+shares none of this.
 """
 
 from __future__ import annotations
 
 import random
 
-from . import ContractError, _Frozen
+from . import ContractError
 from .driver import RunStats, resample_loop, start_run
-from .graphs import Graph
+from .graphs import Graph, cycle_key
+# perfbench/child.py wraps ``coloring.verify_acyclic`` by name, so the name stays
+# here until the benchmark changes; the commands call ``verify`` directly
+from .verify import verify_acyclic  # noqa: F401
 
 
 class PaletteError(ValueError):
     """Palette smaller than the max(1, 2*maxdeg - 1) safety threshold."""
-
-
-def cycle_key(graph: Graph, walk) -> tuple[int, tuple[int, ...]]:
-    """The key (length, sorted edge tuple) of a cycle given as its walk, edge
-    indices in walk order; ContractError unless the length is even and >= 4,
-    no edge repeats, consecutive edges share one vertex and no vertex is
-    visited twice.  The key is a bichromatic cycle's one representation."""
-    if len(walk) < 4 or len(walk) % 2:
-        raise ContractError(f"cycle length {len(walk)} is not an even number >= 4")
-    if len(set(walk)) != len(walk):
-        raise ContractError("repeated edge in cycle walk")
-    verts = []
-    prev = set(graph.edges[walk[-1]])
-    for idx in walk:
-        here = set(graph.edges[idx])
-        shared = prev & here
-        if len(shared) != 1:
-            raise ContractError("consecutive cycle edges must share one vertex")
-        verts.append(shared.pop())
-        prev = here
-    if len(set(verts)) != len(verts):
-        raise ContractError("cycle visits a vertex twice")
-    return len(walk), tuple(sorted(walk))
 
 
 class ColorState:
@@ -351,89 +328,3 @@ def col_alg(
 
     trace, terminated = resample_loop(index.least, lambda top: index.least(frozenset(top[1])), recolor, limit)
     return state, ColorRunStats(trace, terminated, seed, limit)
-
-
-class VerifyResult(_Frozen):
-    """Verdict of ``verify_acyclic``: properness, acyclicity and, for a
-    proper coloring with a bichromatic cycle, the walk of one such cycle."""
-
-    __slots__ = ("proper", "acyclic", "witness")
-
-    def __init__(self, proper: bool, acyclic: bool, witness: tuple[int, ...] | None):
-        object.__setattr__(self, "proper", proper)
-        object.__setattr__(self, "acyclic", acyclic)
-        object.__setattr__(self, "witness", witness)
-
-
-def verify_acyclic(graph: Graph, k: int, colors: list[int]) -> VerifyResult:
-    """Full verification from the definition; shares no code with the detector.
-
-    Palette membership first, then properness through the verifier's own
-    per-vertex color -> neighbour maps, built with one list of end pairs
-    per color.  Acyclicity: every 2-colored subgraph must be a forest,
-    checked by union-find.  Pairs (a, b), a < b, are handled grouped by a,
-    over the colors in use only, and only a's forests are alive at once,
-    in one union-find keyed by b*n + vertex for n vertices, so its size
-    does not grow with k.  An a-edge {u, v} with b at both ends joins its
-    ends and the b-edges {u, x}, {v, y}, each from its lower end, unless x
-    or y lacks a: then it ends an (a, b) path holding all three.  So each
-    edge of an (a, b)-cycle is joined.  A union inside one set closes a
-    bichromatic cycle: the witness is the walk of that edge plus the
-    alternating path back between its ends, not necessarily the least
-    cycle.  A coloring outside the palette 0..k-1 or an improper one
-    reports proper=False and acyclic=False without a witness.
-    """
-    if len(colors) != graph.m or None in colors:
-        raise ContractError("verify_acyclic requires one color per edge")
-    if not all(0 <= c < k for c in colors):
-        return VerifyResult(False, False, None)
-    n = graph.n_vertices
-    nb: list[dict[int, int]] = [{} for _ in range(n)]  # vertex -> color -> neighbour
-    ends_by_color: dict[int, list[tuple[int, int]]] = {}
-    for ends, c in zip(graph.edges, colors):
-        u, v = ends
-        nb_u, nb_v = nb[u], nb[v]
-        if c in nb_u or c in nb_v:
-            return VerifyResult(False, False, None)
-        nb_u[c], nb_v[c] = v, u
-        ends_by_color.setdefault(c, []).append(ends)
-    for a in sorted(ends_by_color):
-        parent: dict[int, int] = {}  # b*n + vertex -> its union-find parent in the (a, b) forest
-        for u, v in ends_by_color[a]:
-            nb_u, nb_v = nb[u], nb[v]
-            for b in nb_u.keys() & nb_v.keys():
-                if b <= a:
-                    continue
-                bu, bv = nb_u[b], nb_v[b]
-                if a not in nb[bu] or a not in nb[bv]:
-                    continue  # a path end: no cycle through these three edges
-                base = b * n
-                # the a-edge, then the b-edges at u and at v, from their lower ends
-                for lo, hi in ((u, v), (u, bu), (v, bv)):
-                    if hi < lo:
-                        continue
-                    x = base + lo
-                    while (p := parent.get(x, x)) != x:
-                        parent[x] = x = parent.get(p, p)
-                    y = base + hi
-                    while (p := parent.get(y, y)) != y:
-                        parent[y] = y = parent.get(p, p)
-                    if x == y:
-                        return VerifyResult(True, False, _witness(graph, nb, lo, hi, a, b))
-                    parent[x] = y
-    return VerifyResult(True, True, None)
-
-
-def _witness(graph: Graph, nb: list[dict[int, int]], lo: int, hi: int, a: int, b: int) -> tuple[int, ...]:
-    """The walk of edge {lo, hi} of the (a, b) subgraph plus the alternating
-    path from hi back to lo, which exists because both ends already share
-    a union-find set; ``cycle_key`` checks that it is a cycle."""
-    want = b if nb[hi].get(a) == lo else a
-    walk, cur = [graph.edge_index(lo, hi)], hi
-    while cur != lo:
-        nxt = nb[cur][want]
-        walk.append(graph.edge_index(cur, nxt))
-        cur = nxt
-        want = a if want == b else b
-    cycle_key(graph, walk)
-    return tuple(walk)

@@ -11,13 +11,18 @@ MAX_HEADER_VARIABLES = 10**6  # a problem line may not ask for more variables
 
 
 def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
-    """Parse CNF text into (variable count, clauses of signed 1-based literals)."""
+    """Parse CNF text into (variable count, clauses of signed 1-based literals).
+
+    A line starting with `%` ends the data: SATLIB's uf/uuf files end with
+    `%` and a lone `0`, which is not a clause."""
     n_vars = declared_clauses = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if n_vars is not None:

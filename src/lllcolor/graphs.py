@@ -1,10 +1,20 @@
-"""Simple undirected graphs with indexed edges, file IO and generators."""
+"""Simple undirected graphs with indexed edges, the check of a cycle's walk,
+file IO and generators."""
 
 from __future__ import annotations
 
 import random
+import re
+from itertools import chain
 
-from . import MAX_HEADER_VERTICES
+from . import MAX_HEADER_VERTICES, ContractError
+
+# The shape ``Graph.to_edge_list`` writes, which ``from_edge_list`` parses in
+# bulk: the header, and a newline that neither starts a `u v` line nor ends
+# the text.  Both are compiled on first use, by ``re``'s cache.
+_PLAIN_HEADER = r"p edges ([0-9]{1,9}) ([0-9]{1,9})\n"
+_IRREGULAR_LINE = r"\n(?![0-9]{1,9} [0-9]{1,9}\n|\Z)"
+PARSE_CHUNK = 8192  # characters split at once by the bulk parse
 
 
 class Graph:
@@ -124,7 +134,36 @@ class Graph:
 
     @classmethod
     def from_edge_list(cls, text: str) -> "Graph":
-        """Parse the `p edges <l> <m>` header, then one `u v` line per edge."""
+        """Parse the `p edges <l> <m>` header, then one `u v` line per edge.
+
+        Text in exactly the shape ``to_edge_list`` writes (a header of two
+        counts of at most 9 digits, then m lines of two such numbers, each
+        line ending in a newline, and at most ``MAX_HEADER_VERTICES``
+        vertices) takes a bulk path: the shape is checked by regular
+        expressions that run in C and allocate nothing, then each chunk of
+        about ``PARSE_CHUNK`` characters, cut after a newline, is split
+        and converted in C, every vertex is mapped to one shared int
+        object per vertex, and the values stream as pairs into the
+        constructor; no list of lines, tokens or edges is built.  Any
+        other text, and any error while building, goes through the line
+        loop, the one place that words errors, with their line numbers.
+        """
+        head = re.match(_PLAIN_HEADER, text)
+        if head:
+            n, m = int(head[1]), int(head[2])
+            body = head.end()
+            plain = text.count("\n", body) == m and not re.compile(_IRREGULAR_LINE).search(text, body - 1)
+            if plain and n <= MAX_HEADER_VERTICES:
+                values = chain.from_iterable(_vertex_chunks(text, body, n))
+                try:
+                    return cls(n, zip(values, values))
+                except (IndexError, ValueError):
+                    pass  # a vertex >= n, a loop or a parallel edge: the line loop words it
+        return cls._from_lines(text)
+
+    @classmethod
+    def _from_lines(cls, text: str) -> "Graph":
+        # the line loop: any text, every error with its line number
         n = m = None
         edges: list[tuple[int, int]] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -168,6 +207,41 @@ class Graph:
         lines = [f"p edges {self.n_vertices} {self.m}"]
         lines += [f"{u} {v}" for u, v in self.edges]
         return "\n".join(lines) + "\n"
+
+
+def _vertex_chunks(text: str, start: int, n: int):
+    # the numbers of text[start:], one iterator per chunk cut after a
+    # newline, each number as the one int object of its vertex; IndexError
+    # for a number >= n
+    vertex = list(range(n)).__getitem__
+    end = len(text)
+    while start < end:
+        stop = text.find("\n", start + PARSE_CHUNK) + 1 or end
+        yield map(vertex, map(int, text[start:stop].split()))
+        start = stop
+
+
+def cycle_key(graph: Graph, walk) -> tuple[int, tuple[int, ...]]:
+    """The key (length, sorted edge tuple) of a cycle given as its walk, edge
+    indices in walk order; ContractError unless the length is even and >= 4,
+    no edge repeats, consecutive edges share one vertex and no vertex is
+    visited twice.  The key is a bichromatic cycle's one representation."""
+    if len(walk) < 4 or len(walk) % 2:
+        raise ContractError(f"cycle length {len(walk)} is not an even number >= 4")
+    if len(set(walk)) != len(walk):
+        raise ContractError("repeated edge in cycle walk")
+    verts = []
+    prev = set(graph.edges[walk[-1]])
+    for idx in walk:
+        here = set(graph.edges[idx])
+        shared = prev & here
+        if len(shared) != 1:
+            raise ContractError("consecutive cycle edges must share one vertex")
+        verts.append(shared.pop())
+        prev = here
+    if len(set(verts)) != len(verts):
+        raise ContractError("cycle visits a vertex twice")
+    return len(walk), tuple(sorted(walk))
 
 
 def cycle_graph(length: int) -> Graph:

@@ -12,14 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from lllcolor import coloring, engine, gamma
+from lllcolor import MAX_HEADER_VERTICES, coloring, engine, gamma, verify
 from lllcolor.bounds import BoundParams
 from lllcolor.coloring import (
     ColorRunStats,
     ColorState,
-    VerifyResult,
     all_bichromatic_cycles,
-    cycle_key,
     find_bichromatic_cycle,
     greedy_4acyclic,
 )
@@ -33,7 +31,8 @@ from lllcolor.engine import (
 )
 from lllcolor.driver import RunStats, default_step_limit
 from lllcolor.gamma import GammaSolution, PhiParams, SolverError, phi
-from lllcolor.graphs import Graph
+from lllcolor.graphs import Graph, cycle_key
+from lllcolor.verify import VerifyResult
 
 
 def chain_3sat(n_clauses: int, rng: random.Random) -> tuple[int, list[tuple[int, ...]]]:
@@ -238,7 +237,7 @@ def reference_verify_acyclic(graph: Graph, k: int, colors: list[int]) -> VerifyR
                     while (p := parent.get(y, y)) != y:
                         parent[y] = y = parent.get(p, p)
                     if x == y:
-                        return VerifyResult(True, False, coloring._witness(graph, nb, lo, hi, a, b))
+                        return VerifyResult(True, False, verify._witness(graph, nb, lo, hi, a, b))
                     parent[x] = y
     return VerifyResult(True, True, None)
 
@@ -708,6 +707,45 @@ def reference_girth(graph: Graph) -> int | None:
                             best = cand
             queue = nxt
     return best
+
+
+def reference_from_edge_list(text: str) -> Graph:
+    """``Graph.from_edge_list`` as it stood before its bulk path: the line
+    loop alone.  The oracle for the parser, which must give the same graph
+    or the same error message on every text."""
+    n = m = None
+    edges: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            if n is not None:
+                raise ValueError(f"line {lineno}: second header")
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "edges":
+                raise ValueError(f"line {lineno}: bad header {line!r}")
+            try:
+                n, m = int(parts[2]), int(parts[3])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            if n > MAX_HEADER_VERTICES:
+                raise ValueError(f"line {lineno}: {n} vertices exceed the cap of {MAX_HEADER_VERTICES}")
+            continue
+        if n is None:
+            raise ValueError(f"line {lineno}: edge before the header")
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    if n is None:
+        raise ValueError("missing 'p edges <l> <m>' header")
+    if m != len(edges):
+        raise ValueError(f"header declares {m} edges, found {len(edges)}")
+    return Graph(n, edges)
 
 
 def colored(graph: Graph, k: int, colors: list[int | None]) -> ColorState:

@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from lllcolor.bounds import BoundParams, q_closed_form, q_series
-from lllcolor.coloring import verify_acyclic
 from lllcolor.dimacs import clause_system, formula_satisfied
 from lllcolor.engine import dice_experiment, m_algorithm
 from lllcolor.gamma import (
@@ -27,6 +26,7 @@ from lllcolor.gamma import (
     solve_tau,
 )
 from lllcolor.graphs import cycle_graph, petersen_graph, random_regular_graph
+from lllcolor.verify import verify_acyclic
 
 from conftest import audited_col_alg, chain_3sat, progress_snapshots
 

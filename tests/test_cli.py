@@ -573,8 +573,9 @@ def test_commands_import_only_what_they_run(tmp_path, hexagon_file):
     # no process pool, `sat` loads only dimacs, the driver and engine, a
     # random-regular bench with one job neither starts nor imports a pool,
     # the coloring commands reach the driver without the variable engine,
-    # and no command loads dataclasses or inspect (their import costs every
-    # process ~15 ms)
+    # verify loads only graphs and the verifier, which never reaches the
+    # detector, and no command loads dataclasses or inspect (their import
+    # costs every process ~15 ms)
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
     coloring = str(tmp_path / "color.json")
@@ -588,13 +589,14 @@ def test_commands_import_only_what_they_run(tmp_path, hexagon_file):
         ("bounds", ["bounds", "--p", "1/8", "--delta", "3", "--n", "5", "--out", str(tmp_path / "bounds.csv")]),
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
-    # sat loads engine, so the coloring commands also run in a process of their own
-    seen, coloring_only = (
+    # sat loads engine and color loads coloring, so the coloring commands
+    # also run in a process of their own, and verify in one more
+    seen, coloring_only, verify_only = (
         json.loads(subprocess.run(
             [sys.executable, "-c", STARTUP_PROBE, json.dumps(process_runs)],
             capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
         ).stdout)
-        for process_runs in (runs, runs[1:4])
+        for process_runs in (runs, runs[1:4], runs[3:4])
     )
     assert seen["import"] == ["lllcolor", "lllcolor.cli"]
     assert seen["sat"] == ["lllcolor", "lllcolor.cli", "lllcolor.dimacs", "lllcolor.driver", "lllcolor.engine"]
@@ -603,6 +605,7 @@ def test_commands_import_only_what_they_run(tmp_path, hexagon_file):
     assert "lllcolor.driver" in coloring_only["bench"]
     for name in ("bench", "color", "verify"):
         assert "lllcolor.engine" not in coloring_only[name], name
+    assert verify_only["verify"] == ["lllcolor", "lllcolor.cli", "lllcolor.graphs", "lllcolor.verify"]
     assert {"lllcolor.bounds", "lllcolor.gamma"} <= set(seen["bounds"])  # every command ran
     for name, _ in runs:
         assert not {"dataclasses", "inspect"} & set(seen[name]), name

@@ -12,21 +12,21 @@ from lllcolor.coloring import (
     PaletteError,
     all_bichromatic_cycles,
     col_alg,
-    cycle_key,
     find_bichromatic_cycle,
     greedy_4acyclic,
-    verify_acyclic,
 )
 from lllcolor.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    cycle_key,
     gnp_graph,
     path_graph,
     petersen_graph,
     random_regular_graph,
     star_graph,
 )
+from lllcolor.verify import verify_acyclic
 
 from conftest import (
     audited_col_alg,

@@ -55,6 +55,25 @@ def test_parse_roundtrip_generated(formula, per_line):
     assert parse_dimacs(format_dimacs(*formula, per_line)) == formula
 
 
+def test_percent_line_ends_the_data():
+    # SATLIB's uf/uuf files end with `%` and a lone `0`: the trailer is not
+    # a clause, so the text parses as it does without it
+    plain = "p cnf 3 2\n1 -2 3 0\n-1 2 0\n"
+    assert parse_dimacs(plain + "%\n0\n") == parse_dimacs(plain) == (3, [(1, -2, 3), (-1, 2)])
+    assert parse_dimacs(plain + "%\n0\n\n") == parse_dimacs(plain + "  %\n") == parse_dimacs(plain)
+
+
+def test_clauses_after_a_percent_line_are_not_read():
+    # what follows `%` is no longer data, so the declared count finds the
+    # clauses before it only
+    with pytest.raises(ValueError, match="declares 3 clauses, found 2$"):
+        parse_dimacs("p cnf 3 3\n1 -2 3 0\n-1 2 0\n%\n2 3 0\n")
+    with pytest.raises(ValueError, match="declares 2 clauses, found 1$"):
+        parse_dimacs("p cnf 3 2\n1 -2 3\n%\n-1 2 0\n")
+    with pytest.raises(ValueError, match="missing 'p cnf' problem line"):
+        parse_dimacs("%\np cnf 3 1\n1 0\n")
+
+
 def test_parse_errors():
     with pytest.raises(ValueError):
         parse_dimacs("1 2 0\n")

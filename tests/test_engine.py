@@ -25,9 +25,10 @@ from lllcolor import engine as engine_mod
 from lllcolor.driver import RunStats, default_step_limit
 from lllcolor.dimacs import clause_system, formula_satisfied
 from lllcolor.bounds import BoundParams, lll_condition
-from lllcolor.coloring import ColorRunStats, verify_acyclic
+from lllcolor.coloring import ColorRunStats
 from lllcolor.gamma import PhiParams, solve_tau
 from lllcolor.graphs import cycle_graph
+from lllcolor.verify import verify_acyclic
 
 from conftest import (
     chain_3sat,

@@ -3,10 +3,12 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_girth
+from conftest import reference_from_edge_list, reference_girth
+from lllcolor import MAX_HEADER_VERTICES
+from lllcolor import graphs as graphs_mod
 from lllcolor.graphs import (
     Graph,
     complete_graph,
@@ -156,6 +158,25 @@ def test_graph_memory_per_edge():
     assert held / graph.m < 200
 
 
+DENSE = random_regular_graph(24, 600, seed=0)  # the benchmark's dense graph
+DENSE_TEXT = DENSE.to_edge_list()  # about 7 chunks of the default size
+
+
+def test_edge_list_parse_memory_per_edge():
+    # the bulk parse holds no list of lines, tokens or edges, and every
+    # edge shares its vertices' int objects, so its peak is the graph plus
+    # about a chunk (about 155 B per edge); the line loop's peaked at about
+    # 235 B per edge
+    tracemalloc.start()
+    try:
+        graph = Graph.from_edge_list(DENSE_TEXT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.m == 7200
+    assert peak / graph.m < 200
+
+
 def test_edge_list_roundtrip():
     g = petersen_graph()
     text = g.to_edge_list()
@@ -176,6 +197,99 @@ def graphs(draw):
 def test_edge_list_roundtrip_generated(g):
     h = Graph.from_edge_list(g.to_edge_list())
     assert h.n_vertices == g.n_vertices and h.edges == g.edges
+
+
+def _parsed(parse, text):
+    """The graph's fields, or the error message: what a parser reports."""
+    try:
+        graph = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return graph.n_vertices, graph.edges, graph.adj, graph.degrees
+
+
+def _line_loop_refused(cls, text):
+    raise AssertionError(f"plain text took the line loop: {text[:40]!r}")
+
+
+@pytest.mark.parametrize("chunk", [1, 7, graphs_mod.PARSE_CHUNK])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(graphs())
+@example(DENSE)
+def test_plain_text_takes_the_bulk_path(chunk, g):
+    # the shape to_edge_list writes never reaches the line loop, and it
+    # parses to what the loop gives, wherever the chunks are cut
+    text = g.to_edge_list()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs_mod, "PARSE_CHUNK", chunk)
+        mp.setattr(Graph, "_from_lines", classmethod(_line_loop_refused))
+        assert _parsed(Graph.from_edge_list, text) == _parsed(reference_from_edge_list, text)
+
+
+DENSE_BUT_LAST = DENSE_TEXT[:DENSE_TEXT.rindex("\n", 0, -1) + 1]
+PARSE_VARIANTS = {
+    "comments": "c made by hand\np edges 3 2\n0 1\nc between\n1 2\n",
+    "blank-lines": "p edges 3 2\n\n0 1\n\n1 2\n\n",
+    "crlf": "p edges 3 2\r\n0 1\r\n1 2\r\n",
+    "tab": "p edges 3 2\n0\t1\n1 2\n",
+    "double-space": "p edges 3 2\n0  1\n1 2\n",
+    "double-space-header": "p  edges 3 2\n0 1\n1 2\n",
+    "outer-blanks": "  p edges 3 2\n 0 1\n1 2  \n",
+    "no-final-newline": "p edges 3 2\n0 1\n1 2",
+    "leading-zeros": "p edges 003 02\n00 01\n1 002\n",  # the plain shape
+    "10-digit-tokens": "p edges 0000000003 1\n0 0000000001\n",
+    "10-digit-vertex": "p edges 3 1\n0 1234567890\n",
+    "4400-digit-vertex": "p edges 3 1\n0 " + "1" * 4400 + "\n",  # over int()'s digit limit
+    "4400-digit-count": "p edges " + "3" * 4400 + " 1\n0 1\n",
+    "plus-sign": "p edges 3 2\n0 +1\n1 2\n",
+    "minus-sign": "p edges 3 2\n0 -1\n1 2\n",
+    "negative-count": "p edges 3 -2\n0 1\n1 2\n",
+    "arabic-indic-digit": "p edges 3 1\n0 \u0661\n",
+    "fullwidth-digit": "p edges \uff13 1\n0 1\n",
+    "line-separator": "p edges 3 2\n0 1\u20281 2\n",  # a line break to str.splitlines
+    "form-feed": "p edges 3 2\n0 1\x0c1 2\n",
+    "vertex-at-n": "p edges 3 1\n0 3\n",  # the plain shape from here to parallel-edge
+    "vertex-past-n": "p edges 3 2\n0 1\n2 7\n",
+    "loop-then-out-of-range": "p edges 3 2\n1 1\n0 9\n",
+    "loop": "p edges 3 1\n2 2\n",
+    "dense": DENSE_TEXT,
+    "dense-late-vertex-at-n": DENSE_BUT_LAST + "599 600\n",  # past the first chunks
+    "dense-late-parallel-edge": DENSE_BUT_LAST + " ".join(DENSE_TEXT.splitlines()[1].split()[::-1]) + "\n",
+    "dense-late-crlf": DENSE_BUT_LAST + DENSE_TEXT.splitlines()[-1] + "\r\n",
+    "parallel-edge": "p edges 3 2\n0 1\n1 0\n",
+    "too-few-edges": "p edges 3 3\n0 1\n1 2\n",
+    "too-many-edges": "p edges 3 1\n0 1\n1 2\n",
+    "header-over-cap": f"p edges {MAX_HEADER_VERTICES + 1} 0\n",
+    "9-digit-header": "p edges 999999999 0\n",
+    "second-header": "p edges 3 1\np edges 3 1\n0 1\n",
+    "trailing-header": "p edges 3 1\n0 1\np edges 3 1\n",
+    "edge-before-header": "0 1\np edges 3 1\n",
+    "bad-header-word": "p nodes 3 1\n0 1\n",
+    "short-header": "p edges 3\n",
+    "bad-header-count": "p edges x 1\n0 1\n",
+    "three-tokens": "p edges 3 1\n0 1 2\n",
+    "one-token": "p edges 3 1\n0\n",
+    "no-edges": "p edges 3 0\n",
+    "empty-graph": "p edges 0 0\n",
+    "empty-text": "",
+    "newline-only": "\n",
+    "comment-only": "c only a comment\n",
+}
+
+
+@pytest.mark.parametrize("text", PARSE_VARIANTS.values(), ids=list(PARSE_VARIANTS))
+def test_edge_list_parse_matches_the_line_loop(text):
+    # the bulk path and its fall-through give the old loop's graph, or its
+    # exact error message, line number included
+    assert _parsed(Graph.from_edge_list, text) == _parsed(reference_from_edge_list, text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 5), st.integers(0, 4), st.text(alphabet="0123456789 \n\r\t+-cp", max_size=40))
+def test_edge_list_parse_matches_the_line_loop_on_noise(n, m, body):
+    # a header, then noise close to the plain shape
+    text = f"p edges {n} {m}\n{body}"
+    assert _parsed(Graph.from_edge_list, text) == _parsed(reference_from_edge_list, text)
 
 
 def test_edge_list_parsing():

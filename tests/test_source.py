@@ -72,19 +72,28 @@ def _library_functions():
 
 def test_verifier_shares_no_code_with_the_detector():
     # verify_acyclic gates CI, so it must not reach the alternating-walk
-    # detector or the coloring state it checks, directly or through
-    # module-level helpers of the coloring module
-    from lllcolor import coloring
+    # detector or the coloring state it checks: the verifier's module
+    # imports nothing but the package and graphs, and its walk over the
+    # module-level names of verify and graphs reaches no detector name
+    from lllcolor import coloring, graphs, verify
 
-    tree = ast.parse(Path(coloring.__file__).read_text())
-    defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    tree = ast.parse(Path(verify.__file__).read_text())
+    imported = {
+        (node.level, node.module) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    } | {(0, alias.name) for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert imported <= {(0, "__future__"), (1, None), (1, "graphs")}, sorted(imported, key=str)
+    defs = {}
+    for module in (graphs, verify):
+        body = ast.parse(Path(module.__file__).read_text()).body
+        defs.update({node.name: node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))})
     detector = {
         "_color_edges", "_cycles_through_edge", "_second_colors", "all_bichromatic_cycles", "find_bichromatic_cycle",
         "CycleIndex", "ColorState",
     }
+    assert detector <= set(vars(coloring))  # the names still exist where the detector lives
     reached = _reached(defs, ["verify_acyclic"])
     assert not reached & detector, sorted(reached & detector)
-    assert {"_witness", "cycle_key"} <= reached  # the walk does follow helpers
+    assert {"_witness", "cycle_key", "Graph"} <= reached  # the walk does follow helpers, into graphs
 
 
 def test_series_share_no_code_with_their_oracles():
