@@ -8,7 +8,9 @@ coloring batches with tail statistics), dice (the two-phase dice demo).
 Every run echoes its full configuration in the output (`schema`/`config`
 fields in JSON, `#`-prefixed comment lines before CSV headers) and a
 missing --seed is replaced by a recorded random one, so any data output is
-byte-reproducible from its own metadata.
+byte-reproducible from its own metadata.  JSON (color, verify, sat) is
+streamed by `lllcolor.jsonout` and `csv` is imported by the CSV commands
+alone, so a process loads only the writer it uses.
 
 Exit codes: 0 success, 2 verification failure, 3 not terminated within the
 step limit, 4 input error (one line on stderr).  `verify` exits 1 unless
@@ -18,9 +20,7 @@ the coloring is proper, acyclic and within the palette 0..K-1.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -40,7 +40,6 @@ EXIT_INPUT = 4
 
 SUMMARY_GIRTHS = (3, 7, 53, 219)
 MAX_GAMMA_ROWS = 10**4  # girths in one --table or --girth list; 3,000 rows take about 1.5 s, 2 s with --delta
-JSON_PIECES = 1024  # encoder pieces per write, a few KB of text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,9 +52,14 @@ def _fresh_seed() -> int:
 
 
 def _emit(content: str | dict, out_path: str | None) -> None:
-    """Write text, or a JSON payload as ``_json_blocks`` streams it, to --out
-    or stdout."""
-    blocks = [content] if isinstance(content, str) else _json_blocks(content)
+    """Write text, or a JSON payload as ``jsonout.json_blocks`` streams it,
+    to --out or stdout."""
+    if isinstance(content, str):
+        blocks = [content]
+    else:
+        from . import jsonout as jsonout_mod
+
+        blocks = jsonout_mod.json_blocks(content)
     fh = open(out_path, "w") if out_path else sys.stdout
     try:
         for block in blocks:
@@ -65,18 +69,9 @@ def _emit(content: str | dict, out_path: str | None) -> None:
             fh.close()
 
 
-def _json_blocks(payload: dict):
-    """The payload as indented JSON with sorted keys and a closing newline,
-    in blocks of JSON_PIECES encoder pieces: no text copy of a long trace is
-    held, and an unbuffered stdout (PYTHONUNBUFFERED) takes one write per
-    block rather than one per piece, as ``json.dump`` would make."""
-    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    while block := "".join(itertools.islice(pieces, JSON_PIECES)):
-        yield block
-    yield "\n"
-
-
 def _csv_text(config: dict, header: list[str], rows, extra_blocks=None) -> str:
+    import csv
+
     buf = io.StringIO()
     buf.write("# schema=1\n")
     buf.write(f"# config={json.dumps(config, sort_keys=True)}\n")
@@ -373,14 +368,14 @@ MAX_DICE_PHASES = 800
 def cmd_dice(args) -> int:
     from fractions import Fraction
 
-    from . import engine as engine_mod
+    from . import witness as witness_mod
 
     if not 1 <= args.trials <= MAX_DICE_TRIALS:
         raise ValueError(f"--trials must be in 1..{MAX_DICE_TRIALS}")
     if not 1 <= args.phases <= MAX_DICE_PHASES:
         raise ValueError(f"--phases must be in 1..{MAX_DICE_PHASES}")
     seed = args.seed if args.seed is not None else _fresh_seed()
-    estimate = engine_mod.dice_experiment(args.trials, random.Random(seed), phases=args.phases)
+    estimate = witness_mod.dice_experiment(args.trials, random.Random(seed), phases=args.phases)
     exact = float(Fraction(91, 216) ** args.phases)
     sigma = math.sqrt(exact * (1 - exact) / args.trials)
     z = (estimate - exact) / sigma if sigma else float("nan")

@@ -1,9 +1,18 @@
-"""DIMACS CNF parsing and clause-violation systems for the engine."""
+"""DIMACS CNF parsing, clause-violation systems for the engine, and an
+independent satisfaction check.
+
+A header or clause token is ASCII ``[+-]?[0-9]+``: ``int`` alone would also
+take ``1_0`` and non-ASCII digits, so a data line that is not ASCII or
+holds ``_`` is refused before any token is read.  The check reads a truth
+table indexed by signed literal, through ``map``, and shares nothing with
+the event predicates.
+"""
 
 from __future__ import annotations
 
 from functools import partial
-from operator import eq
+from itertools import chain, repeat
+from operator import eq, not_
 
 from .engine import Event, EventSystem, VariableSpace
 
@@ -24,6 +33,8 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
             break
         if not line or line.startswith("c"):
             continue
+        if not line.isascii() or "_" in line:
+            raise _not_a_token(lineno, line)
         if line.startswith("p"):
             if n_vars is not None:
                 raise ValueError(f"line {lineno}: second header")
@@ -62,6 +73,13 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
     if declared_clauses is not None and declared_clauses != len(clauses):
         raise ValueError(f"problem line declares {declared_clauses} clauses, found {len(clauses)}")
     return n_vars, clauses
+
+
+def _not_a_token(lineno: int, line: str) -> ValueError:
+    """The error for a data line that is not ASCII or holds ``_``: it names
+    the first such token, or the line when only its separators are."""
+    bad = next((tok for tok in line.split() if not tok.isascii() or "_" in tok), line)
+    return ValueError(f"line {lineno}: {bad!r} is not an ASCII integer")
 
 
 def read_dimacs(path) -> tuple[int, list[tuple[int, ...]]]:
@@ -103,10 +121,20 @@ def _never(values: tuple) -> bool:
     return False
 
 
-def clause_satisfied(clause: tuple[int, ...], values) -> bool:
-    return any((values[abs(lit) - 1] == 1) == (lit > 0) for lit in clause)
-
-
 def formula_satisfied(clauses: list[tuple[int, ...]], values) -> bool:
-    """Independent satisfaction check, bypassing the event predicates."""
-    return all(clause_satisfied(c, values) for c in clauses)
+    """Whether every clause has a true literal under ``values``, bypassing
+    the event predicates.
+
+    Literal v > 0 is true iff ``values[v - 1] == 1``, and -v iff it is not.
+    ``table[lit]`` holds that truth for lit in 1..n and, by negative
+    indexing, -n..-1, so each clause is ``any`` over a ``map`` and the
+    formula one ``all``, in C.  A literal beyond the n values would read
+    the wrong half of the table, so it is refused first with IndexError.
+    """
+    n = len(values)
+    if max(map(abs, chain.from_iterable(clauses)), default=0) > n:
+        lit = next(lit for lit in chain.from_iterable(clauses) if abs(lit) > n)
+        raise IndexError(f"literal {lit} beyond the {n} values")
+    true = list(map(eq, values, repeat(1)))
+    table = [False, *true, *map(not_, reversed(true))]
+    return all(map(any, map(map, repeat(table.__getitem__), clauses)))

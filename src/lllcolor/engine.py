@@ -16,8 +16,13 @@ per root choice.
 
 Every resample call is recorded as a ``(event id, call depth)`` pair, which
 is enough to rebuild the exact recursion structure afterwards as a rooted
-labeled forest (the witness forest).  The companion validation routine
-replays such a forest against fresh randomness.
+labeled forest (the witness forest).  Witness forests, their validation
+replay and the dice demo live in ``lllcolor.witness``, which ``sat`` does
+not load.
+
+Unweighted variables are drawn inline, by ``randrange``'s own rejection
+loop on ``getrandbits``: a draw makes no ``randrange`` call, yet gives the
+same value and leaves the generator in the same state.
 
 The loop itself, ``driver.resample_loop``, also drives the acyclic edge
 colorer, with bichromatic cycles in the role of events.
@@ -26,10 +31,10 @@ colorer, with bichromatic cycles in the role of events.
 from __future__ import annotations
 
 import random
-from itertools import chain
-from typing import Callable, Hashable, Iterable, Sequence
+from itertools import chain, repeat
+from typing import Callable, Iterable, Sequence
 
-from . import ContractError, _Frozen, _Record
+from . import ContractError, _Frozen
 from .driver import RunStats, resample_loop, start_run
 
 
@@ -62,7 +67,11 @@ class VariableSpace:
 
     @classmethod
     def booleans(cls, count: int) -> "VariableSpace":
-        return cls([(0, 1)] * count)
+        """``count`` unweighted variables over (0, 1), built without the
+        constructor's per-domain checks."""
+        space = cls.__new__(cls)
+        space.domains, space.weights = [(0, 1)] * count, [None] * count
+        return space
 
     def sample(self, i: int, rng: random.Random):
         dom, w = self.domains[i], self.weights[i]
@@ -109,23 +118,29 @@ class EventSystem:
 
     The constructor is the one place that checks the events (ids in order,
     scopes inside the space) and derives the neighbourhoods: each is the
-    sorted union of the event lists of its scope's variables, built in C.
+    sorted union of the event lists of its scope's variables, built by
+    chained ``map``s in C.  The event lists are kept only for the variables
+    that occur, not one per declared variable.
     """
 
     def __init__(self, space: VariableSpace, events: Sequence[Event], p: float | None = None):
         self.space = space
         self.events = list(events)
+        count, scopes = space.count, []
+        by_var: dict[int, list[int]] = {}
+        listed = by_var.setdefault
         for j, ev in enumerate(self.events):
+            scope = ev.scope
             if ev.id != j:
                 raise ContractError(f"event at position {j} has id {ev.id}")
-            if ev.scope[-1] >= space.count:
+            if scope[-1] >= count:
                 raise ContractError(f"event {j} scope exceeds variable count")
-        by_var: dict[int, list[int]] = {}
-        for ev in self.events:
-            for i in ev.scope:
-                by_var.setdefault(i, []).append(ev.id)
-        reading = by_var.__getitem__  # every event is on its own variables' lists
-        self.neighborhoods = [tuple(sorted(set(chain.from_iterable(map(reading, ev.scope))))) for ev in self.events]
+            scopes.append(scope)
+            for i in scope:
+                listed(i, []).append(ev.id)  # the ids the events hold, no new ints
+        # every event is on its own variables' lists, so no lookup misses
+        lists = map(map, repeat(by_var.__getitem__), scopes)
+        self.neighborhoods = list(map(tuple, map(sorted, map(set, map(chain.from_iterable, lists)))))
         self.delta = max(map(len, self.neighborhoods), default=0)
         self.p = p
 
@@ -151,25 +166,40 @@ def sample_all(system: EventSystem, rng: random.Random) -> list:
     """Fresh independent sample of every variable, in variable order.
 
     An unweighted variable is drawn inline as ``dom[rng.randrange(len(dom))]``,
-    the draw ``VariableSpace.sample`` makes; only a weighted one goes
-    through it.  So the values and the rng state are those of one
+    the draw ``VariableSpace.sample`` makes, written as ``randrange``'s
+    rejection loop on ``getrandbits``; only a weighted one goes through
+    ``sample``.  So the values and the rng state are those of one
     ``space.sample(i, rng)`` per variable.
     """
-    space, randrange = system.space, rng.randrange
-    return [
-        dom[randrange(len(dom))] if w is None else space.sample(i, rng)
-        for i, (dom, w) in enumerate(zip(space.domains, space.weights))
-    ]
+    space, bits = system.space, rng.getrandbits
+    values = []
+    draw = values.append
+    for i, (dom, w) in enumerate(zip(space.domains, space.weights)):
+        if w is None:
+            n = len(dom)
+            width = n.bit_length()
+            r = bits(width)
+            while r >= n:
+                r = bits(width)
+            draw(dom[r])
+        else:
+            draw(space.sample(i, rng))
+    return values
 
 
 def _resample_scope(system: EventSystem, values: list, j: int, rng: random.Random) -> None:
     """Redraw event j's scope in scope order, drawing as ``sample_all`` does."""
     space = system.space
-    domains, weights, randrange = space.domains, space.weights, rng.randrange
+    domains, weights, bits = space.domains, space.weights, rng.getrandbits
     for i in system.events[j].scope:
         if weights[i] is None:
             dom = domains[i]
-            values[i] = dom[randrange(len(dom))]
+            n = len(dom)
+            width = n.bit_length()
+            r = bits(width)
+            while r >= n:
+                r = bits(width)
+            values[i] = dom[r]
         else:
             values[i] = space.sample(i, rng)
 
@@ -230,145 +260,3 @@ def m_algorithm(
     if terminated and stats.phases > system.m:
         raise ContractError(f"{stats.phases} phases for {system.m} events on a terminated run")
     return values, stats
-
-
-class WitnessForest(_Record):
-    """Rooted labeled forest mirroring the recursion of a run prefix.
-
-    Trees appear in root-call order; within a tree, children of a node are
-    ordered by their labels and traversal is preorder.  Node ``i`` carries
-    label ``labels[i]``: an event id for engine runs, a cycle key for
-    coloring runs.
-    """
-
-    __slots__ = ("labels", "children", "roots")
-
-    def __init__(self, labels: list[Hashable], children: list[list[int]], roots: list[int]):
-        self.labels = labels
-        self.children = children
-        self.roots = roots
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def node_order(self) -> list[int]:
-        order: list[int] = []
-        for root in self.roots:
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                order.append(node)
-                stack.extend(reversed(self.children[node]))
-        return order
-
-
-def build_witness_forest(trace: Sequence[tuple[Hashable, int]]) -> WitnessForest:
-    """Rebuild the recursion forest from a run trace.
-
-    Entry (j, d) is a resample call on label j (an event id, a cycle key)
-    at stack depth d; its parent is the call sitting at depth d-1 at that
-    moment.  Depth may drop by any amount between entries (returns from
-    recursion) but can only grow by entering a child, so a depth more than
-    one past the current stack is a malformed trace.
-    """
-    labels: list[int] = []
-    children: list[list[int]] = []
-    roots: list[int] = []
-    path: list[int] = []
-    for j, depth in trace:
-        if depth < 0 or depth > len(path):
-            raise ContractError(f"trace depth jumps to {depth} with stack of {len(path)}")
-        node = len(labels)
-        labels.append(j)
-        children.append([])
-        if depth == 0:
-            roots.append(node)
-        else:
-            children[path[depth - 1]].append(node)
-        del path[depth:]
-        path.append(node)
-    for ch in children:
-        ch.sort(key=lambda i: labels[i])
-    return WitnessForest(labels, children, roots)
-
-
-def check_feasible(forest: WitnessForest, scope: Callable[[Hashable], Iterable]) -> bool:
-    """Feasibility of a labeled forest, ``scope(label)`` giving what a label
-    reads (an event's variables, a cycle's edges).
-
-    (i) root labels have pairwise disjoint scopes, (ii) the labels of any
-    node's children have pairwise disjoint scopes, (iii) each child's label
-    shares a scope member with its parent's label.
-    """
-    scopes = [set(scope(label)) for label in forest.labels]
-
-    def pairwise_disjoint(nodes: Sequence[int]) -> bool:
-        seen: set = set()
-        for node in nodes:
-            if seen & scopes[node]:
-                return False
-            seen |= scopes[node]
-        return True
-
-    if not pairwise_disjoint(forest.roots):
-        return False
-    for node in range(len(forest)):
-        kids = forest.children[node]
-        if not pairwise_disjoint(kids):
-            return False
-        for kid in kids:
-            if not (scopes[node] & scopes[kid]):
-                return False
-    return True
-
-
-def validate(forest: WitnessForest, system: EventSystem, rng: random.Random) -> bool:
-    """Replay a feasible forest against fresh randomness.
-
-    Samples all variables, then walks the node labels in forest order: if
-    the labeled event does not occur the replay fails, otherwise its scope
-    is resampled and the walk continues.  Returns True when every node
-    passed.  Labels are event ids, so one outside 0..m-1 is a ContractError.
-    """
-    for j in forest.labels:
-        if not (0 <= j < system.m):
-            raise ContractError(f"forest references unknown event {j}")
-    if not check_feasible(forest, lambda j: system.events[j].scope):
-        raise ContractError("validate requires a feasible forest")
-    values = sample_all(system, rng)
-    for node in forest.node_order():
-        j = forest.labels[node]
-        if not system.events[j].occurs(values):
-            return False
-        _resample_scope(system, values, j, rng)
-    return True
-
-
-def dice_experiment(trials: int, rng: random.Random, phases: int = 2) -> float:
-    """Two-phase dice demo: fraction of trials passing every phase.
-
-    Each phase rolls three dice and succeeds if some admissible bit choice
-    works, i.e. an ace shows among dice (1,2) or among dice (2,3); the union
-    of the two branches covers all three dice.  After a success the two
-    examined dice are rerolled, and the third die was never examined within
-    the succeeding branch, so by the principle of deferred decisions the
-    next phase again faces three fresh dice.  The all-phase success
-    probability is therefore (1 - (5/6)^3) ** phases.
-    """
-    if trials < 1:
-        raise ContractError("trials must be >= 1")
-    if phases < 1:
-        raise ContractError("phases must be >= 1")
-    hits = 0
-    for _ in range(trials):
-        ok = True
-        for _ in range(phases):
-            d1, d2, d3 = rng.randrange(6) + 1, rng.randrange(6) + 1, rng.randrange(6) + 1
-            branch0 = d1 == 1 or d2 == 1
-            branch1 = d2 == 1 or d3 == 1
-            if not (branch0 or branch1):
-                ok = False
-                break
-        if ok:
-            hits += 1
-    return hits / trials

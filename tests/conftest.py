@@ -26,13 +26,12 @@ from lllcolor.engine import (
     Event,
     EventSystem,
     VariableSpace,
-    build_witness_forest,
-    check_feasible,
 )
 from lllcolor.driver import RunStats, default_step_limit
 from lllcolor.gamma import GammaSolution, PhiParams, SolverError, phi
 from lllcolor.graphs import Graph, cycle_key
 from lllcolor.verify import VerifyResult
+from lllcolor.witness import build_witness_forest, check_feasible
 
 
 def chain_3sat(n_clauses: int, rng: random.Random) -> tuple[int, list[tuple[int, ...]]]:
@@ -45,6 +44,12 @@ def chain_3sat(n_clauses: int, rng: random.Random) -> tuple[int, list[tuple[int,
         clause = tuple((v + 1) * (1 if rng.random() < 0.5 else -1) for v in (2 * i, 2 * i + 1, 2 * i + 2))
         clauses.append(clause)
     return 2 * n_clauses + 1, clauses
+
+
+def clause_satisfied(clause: tuple[int, ...], values) -> bool:
+    """The satisfaction oracle of one clause, literal by literal: v > 0 is
+    true iff ``values[v - 1] == 1``, and -v iff it is not."""
+    return any((values[abs(lit) - 1] == 1) == (lit > 0) for lit in clause)
 
 
 def reference_clause_system(n_vars: int, clauses: list[tuple[int, ...]]) -> tuple[list, list, float, list]:

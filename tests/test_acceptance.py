@@ -13,7 +13,7 @@ import pytest
 
 from lllcolor.bounds import BoundParams, q_closed_form, q_series
 from lllcolor.dimacs import clause_system, formula_satisfied
-from lllcolor.engine import dice_experiment, m_algorithm
+from lllcolor.engine import m_algorithm
 from lllcolor.gamma import (
     PhiParams,
     colors_needed,
@@ -27,6 +27,7 @@ from lllcolor.gamma import (
 )
 from lllcolor.graphs import cycle_graph, petersen_graph, random_regular_graph
 from lllcolor.verify import verify_acyclic
+from lllcolor.witness import dice_experiment
 
 from conftest import audited_col_alg, chain_3sat, progress_snapshots
 

@@ -492,6 +492,9 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         ("color", "{edges_second_header}"),
         ("sat", "{cnf_second_header}"),
         ("color", "{edges_before_header}"),
+        ("sat", "{cnf_underscore_token}"),
+        ("sat", "{cnf_digit_token}"),
+        ("sat", "{cnf_header_underscore}"),
     ],
     ids=[
         "sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs",
@@ -506,7 +509,7 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         "gamma-girth-rows", "sat-token", "sat-literal-beyond", "sat-empty-clause", "sat-count-mismatch",
         "color-vertex-token", "color-palette-negative", "color-palette-zero", "bench-palette-negative",
         "verify-palette-negative", "verify-palette-zero", "color-second-header", "sat-second-header",
-        "color-edges-before-header",
+        "color-edges-before-header", "sat-underscore", "sat-non-ascii-digit", "sat-header-underscore",
     ],
 )
 def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, argv):
@@ -529,6 +532,9 @@ def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, arg
         "edges_second_header": "p edges 3 1\n0 1\np edges 5 1\n",
         "cnf_second_header": "p cnf 5 1\n5 0\np cnf 2 1\n",
         "edges_before_header": "0 1\n1 2\np edges 3 2\n",
+        "cnf_underscore_token": "p cnf 12 1\n1_0 0\n",
+        "cnf_digit_token": "p cnf 3 1\n\u0663 0\n",
+        "cnf_header_underscore": "p cnf 1_2 1\n1 0\n",
     }
     for name, text in malformed.items():
         paths[name] = tmp_path / name
@@ -541,6 +547,8 @@ def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, arg
         assert "line 2:" in captured.err
     if argv[1].endswith("_second_header}"):  # so does a second header
         assert "line 3: second header" in captured.err
+    if argv[1] == "{cnf_header_underscore}":  # a problem line is held to the same tokens
+        assert "line 1:" in captured.err
     if argv[1] == "{edges_before_header}":  # as DIMACS refuses a clause before its problem line
         assert "line 1: edge before the header" in captured.err
 
@@ -558,7 +566,7 @@ import json, sys
 import lllcolor.cli
 loaded = lambda: sorted(
     m for m in sys.modules
-    if m.split(".")[0] in {"lllcolor", "networkx", "concurrent", "multiprocessing", "dataclasses", "inspect"}
+    if m.split(".")[0] in {"lllcolor", "networkx", "concurrent", "multiprocessing", "dataclasses", "inspect", "csv"}
 )
 seen = {"import": loaded()}
 for name, argv in json.loads(sys.argv[1]):
@@ -570,16 +578,18 @@ print(json.dumps(seen))
 
 def test_commands_import_only_what_they_run(tmp_path, hexagon_file):
     # a fresh interpreter: `import lllcolor.cli` loads no library module and
-    # no process pool, `sat` loads only dimacs, the driver and engine, a
-    # random-regular bench with one job neither starts nor imports a pool,
+    # no process pool, `sat` loads only dimacs, the driver, engine and the
+    # JSON emitter (no witness forests, no csv), a random-regular bench with
+    # one job neither starts nor imports a pool and loads no JSON emitter,
     # the coloring commands reach the driver without the variable engine,
-    # verify loads only graphs and the verifier, which never reaches the
-    # detector, and no command loads dataclasses or inspect (their import
-    # costs every process ~15 ms)
+    # color and verify load no csv, verify loads only graphs, the emitter
+    # and the verifier, which never reaches the detector, dice loads the
+    # witness module and nothing more, and no command loads dataclasses or
+    # inspect (their import costs every process ~15 ms)
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
     coloring = str(tmp_path / "color.json")
-    runs = [
+    sat, bench, color, verify, gamma, bounds, dice = runs = [
         ("sat", ["sat", str(cnf), "--seed", "1", "--out", str(tmp_path / "sat.json")]),
         ("bench", ["bench", "--generator", "random-regular:3,10", "--runs", "2", "--jobs", "1",
                    "--out", str(tmp_path / "bench.csv")]),
@@ -587,25 +597,35 @@ def test_commands_import_only_what_they_run(tmp_path, hexagon_file):
         ("verify", ["verify", hexagon_file, coloring, "--out", str(tmp_path / "verify.json")]),
         ("gamma", ["gamma", "--girth", "5", "--delta", "11", "--out", str(tmp_path / "gamma.csv")]),
         ("bounds", ["bounds", "--p", "1/8", "--delta", "3", "--n", "5", "--out", str(tmp_path / "bounds.csv")]),
+        ("dice", ["dice", "--trials", "10", "--seed", "1", "--out", str(tmp_path / "dice.txt")]),
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
-    # sat loads engine and color loads coloring, so the coloring commands
-    # also run in a process of their own, and verify in one more
-    seen, coloring_only, verify_only = (
+    # sat loads engine and color loads coloring, and bench loads csv, so
+    # the coloring commands also run in a process of their own, verify in
+    # one more, and dice after a bench
+    seen, coloring_only, verify_only, after_bench = (
         json.loads(subprocess.run(
             [sys.executable, "-c", STARTUP_PROBE, json.dumps(process_runs)],
             capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
         ).stdout)
-        for process_runs in (runs, runs[1:4], runs[3:4])
+        for process_runs in (runs, [color, verify, bench], [verify], [bench, dice])
     )
     assert seen["import"] == ["lllcolor", "lllcolor.cli"]
-    assert seen["sat"] == ["lllcolor", "lllcolor.cli", "lllcolor.dimacs", "lllcolor.driver", "lllcolor.engine"]
-    assert not {m for m in seen["bench"] if not m.startswith("lllcolor")}
+    assert seen["sat"] == [
+        "lllcolor", "lllcolor.cli", "lllcolor.dimacs", "lllcolor.driver", "lllcolor.engine", "lllcolor.jsonout",
+    ]
+    assert {m for m in seen["bench"] if not m.startswith("lllcolor")} == {"csv"}
     assert "lllcolor.coloring" in seen["bench"]
     assert "lllcolor.driver" in coloring_only["bench"]
     for name in ("bench", "color", "verify"):
         assert "lllcolor.engine" not in coloring_only[name], name
-    assert verify_only["verify"] == ["lllcolor", "lllcolor.cli", "lllcolor.graphs", "lllcolor.verify"]
+    for name in ("color", "verify"):
+        assert "csv" not in coloring_only[name], name
+    assert verify_only["verify"] == [
+        "lllcolor", "lllcolor.cli", "lllcolor.graphs", "lllcolor.jsonout", "lllcolor.verify",
+    ]
+    assert "lllcolor.jsonout" not in after_bench["bench"]
+    assert set(after_bench["dice"]) - set(after_bench["bench"]) == {"lllcolor.witness"}
     assert {"lllcolor.bounds", "lllcolor.gamma"} <= set(seen["bounds"])  # every command ran
     for name, _ in runs:
         assert not {"dataclasses", "inspect"} & set(seen[name]), name

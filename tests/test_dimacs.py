@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lllcolor.dimacs import clause_system, formula_satisfied, parse_dimacs
 from lllcolor.engine import m_algorithm
 
-from conftest import chain_3sat, reference_clause_system
+from conftest import chain_3sat, clause_satisfied, reference_clause_system
 
 
 GOOD = """c sample instance
@@ -88,6 +88,18 @@ def test_parse_errors():
     for header in ("p cnf -2 0\n", "p cnf 2 -1\n"):
         with pytest.raises(ValueError, match="negative count"):
             parse_dimacs(header)
+    # int() alone would read `1_0` as 10 and take non-ASCII digits and
+    # separators; a DIMACS token is ASCII [+-]?[0-9]+
+    for text, lineno in [
+        ("p cnf 12 1\n1_0 0\n", 2),
+        ("p cnf 1_2 1\n1 0\n", 1),
+        ("p cnf 3 1\n\u0663 0\n", 2),
+        ("p cnf \u0663 1\n1 0\n", 1),
+        ("p cnf 3 1\n1 -2 0\n-\uff13 0\n", 3),
+        ("p cnf 3 1\n1\u00a02 0\n", 2),
+    ]:
+        with pytest.raises(ValueError, match=f"^line {lineno}: .* is not an ASCII integer$"):
+            parse_dimacs(text)
 
 
 def test_clause_system_structure():
@@ -150,6 +162,32 @@ def test_formula_satisfied():
     assert formula_satisfied(clauses, [1, 0, 1])
     assert not formula_satisfied(clauses, [0, 1, 0])
     assert formula_satisfied([], [0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_formula_satisfied_matches_the_clause_oracle(data):
+    # the truth-table check answers as the per-clause oracle does on any
+    # values: a value equal to 1 (1, 1.0, True) makes its variable true, any
+    # other (0, 2, 0.5, None, "1") false; empty clauses are never satisfied
+    values = data.draw(st.lists(st.sampled_from([0, 1, 2, -1, 0.5, 1.0, 0.0, True, False, None, "1"]), max_size=8))
+    clauses = []
+    if values:
+        literal = st.integers(1, len(values)).flatmap(lambda v: st.sampled_from((v, -v)))
+        clauses = data.draw(st.lists(st.lists(literal, max_size=5).map(tuple), max_size=10))
+    expected = all(clause_satisfied(c, values) for c in clauses)
+    assert formula_satisfied(clauses, values) == expected
+
+
+def test_formula_satisfied_refuses_a_literal_beyond_the_values():
+    # the oracle raises on such a literal when it reaches it; the check
+    # refuses one anywhere, before it reads the table
+    for clauses in ([(1, 3)], [(-3,)], [(-3, 1)]):
+        with pytest.raises(IndexError):
+            all(clause_satisfied(c, [0, 0]) for c in clauses)
+    for clauses in ([(1, 3)], [(-3,)], [(1,), (2, -4)], [(2,), (1, 9)]):
+        with pytest.raises(IndexError, match="beyond the 2 values"):
+            formula_satisfied(clauses, [1, 0])
 
 
 def test_end_to_end_solve():

@@ -14,14 +14,11 @@ from lllcolor.engine import (
     Event,
     EventSystem,
     VariableSpace,
-    build_witness_forest,
-    check_feasible,
-    dice_experiment,
     m_algorithm,
     sample_all,
-    validate,
 )
 from lllcolor import engine as engine_mod
+from lllcolor.witness import build_witness_forest, check_feasible, dice_experiment, validate
 from lllcolor.driver import RunStats, default_step_limit
 from lllcolor.dimacs import clause_system, formula_satisfied
 from lllcolor.bounds import BoundParams, lll_condition
@@ -71,6 +68,49 @@ def test_weighted_sampling():
     n = 50_000
     freq = sum(sample_all(system, rng)[0] for _ in range(n)) / n
     assert abs(freq - 0.75) <= 3 * math.sqrt(0.75 * 0.25 / n)
+
+
+def test_engine_draws_are_randrange(monkeypatch):
+    # sample_all and _resample_scope draw an unweighted variable inlined as
+    # randrange's rejection loop on getrandbits: each value must be
+    # dom[randrange(len(dom))], in variable (or scope) order, leaving the same
+    # generator state, and a weighted variable still goes through
+    # VariableSpace.sample; a Python that changes _randbelow fails here
+    sizes = [*range(1, 301), *(2**j + d for j in range(41) for d in (-1, 0, 1) if 2**j + d >= 1)]
+    domains = [tuple(range(n, 0, -1)) if n <= 300 else range(-n, 0) for n in sizes]
+    weights = [None] * len(sizes)
+    for i in (0, 7, 150, len(sizes) - 1):
+        domains[i], weights[i] = (3, 5, 9), (1, 0, 2)
+    space = VariableSpace(domains, weights)
+    every_third = range(1, len(sizes), 3)
+    system = EventSystem(space, [Event(0, range(len(sizes)), any), Event(1, every_third, any)])
+    sampled, weighted_draw = [], VariableSpace.sample
+
+    def sample(self, i, rng):
+        sampled.append(i)
+        return weighted_draw(self, i, rng)
+
+    monkeypatch.setattr(VariableSpace, "sample", sample)
+
+    def reference(rng, variables):
+        return [
+            domains[i][rng.randrange(len(domains[i]))] if weights[i] is None
+            else rng.choices(domains[i], weights=weights[i], k=1)[0]
+            for i in variables
+        ]
+
+    for seed in (0, 1, 29, 2**32 + 7):
+        mine, ref = random.Random(seed), random.Random(seed)
+        values = sample_all(system, mine)
+        assert values == reference(ref, range(len(sizes))), seed
+        assert mine.getstate() == ref.getstate(), seed
+        for j in (0, 1, 0):
+            engine_mod._resample_scope(system, values, j, mine)
+            scope = system.events[j].scope
+            assert [values[i] for i in scope] == reference(ref, scope), (seed, j)
+            assert mine.getstate() == ref.getstate(), (seed, j)
+    weighted = [i for i, w in enumerate(weights) if w is not None]
+    assert sampled == 4 * (weighted + weighted + [i for i in weighted if i in every_third] + weighted)
 
 
 def test_variable_space_validation():
