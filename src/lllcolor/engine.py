@@ -67,11 +67,7 @@ class VariableSpace:
 
     @classmethod
     def booleans(cls, count: int) -> "VariableSpace":
-        """``count`` unweighted variables over (0, 1), built without the
-        constructor's per-domain checks."""
-        space = cls.__new__(cls)
-        space.domains, space.weights = [(0, 1)] * count, [None] * count
-        return space
+        return cls([(0, 1)] * count)
 
     def sample(self, i: int, rng: random.Random):
         dom, w = self.domains[i], self.weights[i]

@@ -8,9 +8,9 @@ write per block.  One recursive emitter walks the payload: a list or tuple
 of plain ints (an assignment, a coloring) or of int-pair tuples (a trace)
 is written ``RUN`` items per ``str.join``; other containers are walked item
 by item, and keys and scalars go through ``json.dumps``.
-A dict with a key that is not a string is handed whole to ``json.dumps``,
-which converts and sorts such keys its own way.  The other commands write
-CSV or plain text and never load this module.
+Every dict key must be a string, as in every payload of these commands;
+any other key is a TypeError.  The other commands write CSV or plain text
+and never load this module.
 """
 
 from __future__ import annotations
@@ -48,15 +48,15 @@ def _pieces(value, pad: str):
     if isinstance(value, dict):
         if not value:
             yield "{}"
-        elif all(type(key) is str for key in value):
-            opening = "{" + inner
-            for key in sorted(value):
-                yield opening + _dumps(key) + ": "
-                opening = "," + inner
-                yield from _pieces(value[key], inner)
-            yield pad + "}"
-        else:
-            yield _dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+            return
+        if not all(type(key) is str for key in value):
+            raise TypeError("JSON output takes string keys only")
+        opening = "{" + inner
+        for key in sorted(value):
+            yield opening + _dumps(key) + ": "
+            opening = "," + inner
+            yield from _pieces(value[key], inner)
+        yield pad + "}"
     elif isinstance(value, (list, tuple)):
         if not value:
             yield "[]"

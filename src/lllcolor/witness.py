@@ -14,9 +14,12 @@ demo, so the engine is loaded by ``validate`` when it is called.
 from __future__ import annotations
 
 import random
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
 from . import ContractError, _Record
+
+if TYPE_CHECKING:
+    from .engine import EventSystem
 
 
 class WitnessForest(_Record):

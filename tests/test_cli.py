@@ -602,7 +602,7 @@ def test_commands_import_only_what_they_run(tmp_path, hexagon_file):
     src = str(Path(cli.__file__).resolve().parents[1])
     # sat loads engine and color loads coloring, and bench loads csv, so
     # the coloring commands also run in a process of their own, verify in
-    # one more, and dice after a bench
+    # one more, and bench first in a last one, followed by dice
     seen, coloring_only, verify_only, after_bench = (
         json.loads(subprocess.run(
             [sys.executable, "-c", STARTUP_PROBE, json.dumps(process_runs)],
@@ -616,7 +616,8 @@ def test_commands_import_only_what_they_run(tmp_path, hexagon_file):
     ]
     assert {m for m in seen["bench"] if not m.startswith("lllcolor")} == {"csv"}
     assert "lllcolor.coloring" in seen["bench"]
-    assert "lllcolor.driver" in coloring_only["bench"]
+    assert "lllcolor.driver" in after_bench["bench"]  # bench runs first there
+    assert "lllcolor.engine" not in after_bench["bench"]
     for name in ("bench", "color", "verify"):
         assert "lllcolor.engine" not in coloring_only[name], name
     for name in ("color", "verify"):

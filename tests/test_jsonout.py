@@ -3,6 +3,7 @@
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +47,6 @@ payloads = st.recursive(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(strings, inner, max_size=4),
-        st.dictionaries(st.integers(), inner, max_size=3),  # non-string keys: json.dumps converts them
     ),
     max_leaves=20,
 )
@@ -56,6 +56,12 @@ payloads = st.recursive(
 @given(payloads)
 def test_emitter_gives_the_bytes_of_json_dumps(payload):
     assert "".join(json_blocks(payload)) == dumped(payload)
+
+
+def test_keys_other_than_strings_are_refused():
+    for payload in ({1: 2}, {"a": {"b": 1, 2: 3}}, [{None: 0}]):
+        with pytest.raises(TypeError):
+            "".join(json_blocks(payload))
 
 
 def test_long_runs_stream_in_bounded_blocks():
