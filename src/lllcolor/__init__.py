@@ -7,9 +7,9 @@ the characteristic-equation solver for the minimal palette slack.
 Import each name from the module that defines it, for example
 ``from lllcolor.coloring import col_alg``: ``import lllcolor`` loads no
 submodule, so each command line process loads only the modules it runs.
-What several modules share lives here: ``ContractError``, the vertex cap
-``MAX_HEADER_VERTICES`` and the record bases, so ``bounds`` and ``gamma``
-reach them without loading ``engine`` or ``graphs``.
+What several modules share lives here, so none loads another for it:
+``ContractError``, the vertex cap ``MAX_HEADER_VERTICES``, the record
+bases, ``seed_or_fresh`` and the graph and CNF token rule ``token_error``.
 """
 
 __version__ = "0.1.0"
@@ -19,6 +19,24 @@ MAX_HEADER_VERTICES = 10**6  # a graph file's header may not ask for more vertex
 
 class ContractError(ValueError):
     """A documented precondition was violated."""
+
+
+def seed_or_fresh(seed: int | None) -> int:
+    """The seed of a run: the one given, or a fresh one from the system's
+    entropy, which the run records so that it can be repeated."""
+    if seed is not None:
+        return seed
+    import random
+
+    return random.SystemRandom().randrange(2**32)
+
+
+def token_error(lineno: int, line: str) -> ValueError:
+    """A token is ASCII ``[+-]?[0-9]+``, but ``int`` also reads ``1_0`` and
+    other digits, so a parser refuses a data line that is not ASCII or has
+    ``_`` with this error, naming its first such token, or else the line."""
+    bad = next((tok for tok in line.split() if not tok.isascii() or "_" in tok), line)
+    return ValueError(f"line {lineno}: {bad!r} is not an ASCII integer")
 
 
 class _Record:

@@ -27,7 +27,7 @@ import os
 import random
 import sys
 
-from . import MAX_HEADER_VERTICES
+from . import MAX_HEADER_VERTICES, seed_or_fresh
 
 # Each command imports the library modules it runs and no others, so a
 # process pays start-up only for those; calls go through the module
@@ -45,10 +45,6 @@ MAX_GAMMA_ROWS = 10**4  # girths in one --table or --girth list; 3,000 rows take
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
-
-
-def _fresh_seed() -> int:
-    return random.SystemRandom().randrange(2**32)
 
 
 def _emit(content: str | dict, out_path: str | None) -> None:
@@ -317,7 +313,7 @@ def cmd_bench(args) -> int:
         raise ValueError("--jobs must be >= 1")
     graph = _parse_generator(args.generator, args.gen_seed)
     k = _auto_palette(graph) if args.k is None else args.k
-    base = args.seed_base if args.seed_base is not None else _fresh_seed()
+    base = seed_or_fresh(args.seed_base)
     seeds = [base + i for i in range(args.runs)]
     tasks = [(graph, k, args.step_limit, s) for s in seeds]
     workers = min(args.jobs, os.cpu_count() or 1, args.runs)
@@ -374,7 +370,7 @@ def cmd_dice(args) -> int:
         raise ValueError(f"--trials must be in 1..{MAX_DICE_TRIALS}")
     if not 1 <= args.phases <= MAX_DICE_PHASES:
         raise ValueError(f"--phases must be in 1..{MAX_DICE_PHASES}")
-    seed = args.seed if args.seed is not None else _fresh_seed()
+    seed = seed_or_fresh(args.seed)
     estimate = witness_mod.dice_experiment(args.trials, random.Random(seed), phases=args.phases)
     exact = float(Fraction(91, 216) ** args.phases)
     sigma = math.sqrt(exact * (1 - exact) / args.trials)

@@ -1,11 +1,11 @@
 """DIMACS CNF parsing, clause-violation systems for the engine, and an
 independent satisfaction check.
 
-A header or clause token is ASCII ``[+-]?[0-9]+``: ``int`` alone would also
-take ``1_0`` and non-ASCII digits, so a data line that is not ASCII or
-holds ``_`` is refused before any token is read.  The check reads a truth
-table indexed by signed literal, through ``map``, and shares nothing with
-the event predicates.
+A header or clause token is ASCII ``[+-]?[0-9]+``, the package's token
+rule (``lllcolor.token_error``), so a data line that is not ASCII or holds
+``_`` is refused before any token is read.  The check reads a truth table
+indexed by signed literal, through ``map``, and shares nothing with the
+event predicates.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from functools import partial
 from itertools import chain, repeat
 from operator import eq, not_
 
+from . import token_error
 from .engine import Event, EventSystem, VariableSpace
 
 MAX_HEADER_VARIABLES = 10**6  # a problem line may not ask for more variables
@@ -34,7 +35,7 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
         if not line or line.startswith("c"):
             continue
         if not line.isascii() or "_" in line:
-            raise _not_a_token(lineno, line)
+            raise token_error(lineno, line)
         if line.startswith("p"):
             if n_vars is not None:
                 raise ValueError(f"line {lineno}: second header")
@@ -73,13 +74,6 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
     if declared_clauses is not None and declared_clauses != len(clauses):
         raise ValueError(f"problem line declares {declared_clauses} clauses, found {len(clauses)}")
     return n_vars, clauses
-
-
-def _not_a_token(lineno: int, line: str) -> ValueError:
-    """The error for a data line that is not ASCII or holds ``_``: it names
-    the first such token, or the line when only its separators are."""
-    bad = next((tok for tok in line.split() if not tok.isascii() or "_" in tok), line)
-    return ValueError(f"line {lineno}: {bad!r} is not an ASCII integer")
 
 
 def read_dimacs(path) -> tuple[int, list[tuple[int, ...]]]:

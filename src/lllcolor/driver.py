@@ -14,7 +14,7 @@ import math
 import random
 from typing import Callable, Hashable
 
-from . import ContractError, _Record
+from . import ContractError, _Record, seed_or_fresh
 
 
 def default_step_limit(m: int) -> int:
@@ -31,8 +31,7 @@ def start_run(seed: int | None, step_limit: int | None, m: int) -> tuple[int, ra
     """
     if step_limit is not None and step_limit < 0:
         raise ContractError(f"step_limit must be >= 0, got {step_limit}")
-    if seed is None:
-        seed = random.SystemRandom().randrange(2**32)
+    seed = seed_or_fresh(seed)
     return seed, random.Random(seed), default_step_limit(m) if step_limit is None else step_limit
 
 

@@ -20,9 +20,8 @@ labeled forest (the witness forest).  Witness forests, their validation
 replay and the dice demo live in ``lllcolor.witness``, which ``sat`` does
 not load.
 
-Unweighted variables are drawn inline, by ``randrange``'s own rejection
-loop on ``getrandbits``: a draw makes no ``randrange`` call, yet gives the
-same value and leaves the generator in the same state.
+Every random draw, the first sample's and each resample's, is one call of
+``VariableSpace.draw``, which redraws the given variables in order.
 
 The loop itself, ``driver.resample_loop``, also drives the acyclic edge
 colorer, with bichromatic cycles in the role of events.
@@ -69,11 +68,26 @@ class VariableSpace:
     def booleans(cls, count: int) -> "VariableSpace":
         return cls([(0, 1)] * count)
 
-    def sample(self, i: int, rng: random.Random):
-        dom, w = self.domains[i], self.weights[i]
-        if w is None:
-            return dom[rng.randrange(len(dom))]
-        return rng.choices(dom, weights=w, k=1)[0]
+    def draw(self, indices: Iterable[int], values: list, rng: random.Random) -> None:
+        """Redraw ``values[i]`` for each i of ``indices``, in that order.
+
+        A weighted variable is ``rng.choices(dom, weights=w, k=1)[0]``.  An
+        unweighted one is ``dom[rng.randrange(len(dom))]``, written out as
+        ``randrange``'s own rejection loop on ``getrandbits``: the same
+        value and generator state, without a ``randrange`` call.
+        """
+        domains, weights, bits = self.domains, self.weights, rng.getrandbits
+        for i in indices:
+            dom, w = domains[i], weights[i]
+            if w is None:
+                n = len(dom)
+                width = n.bit_length()
+                r = bits(width)
+                while r >= n:
+                    r = bits(width)
+                values[i] = dom[r]
+            else:
+                values[i] = rng.choices(dom, weights=w, k=1)[0]
 
 
 class Event(_Frozen):
@@ -159,45 +173,11 @@ class EventSystem:
 
 
 def sample_all(system: EventSystem, rng: random.Random) -> list:
-    """Fresh independent sample of every variable, in variable order.
-
-    An unweighted variable is drawn inline as ``dom[rng.randrange(len(dom))]``,
-    the draw ``VariableSpace.sample`` makes, written as ``randrange``'s
-    rejection loop on ``getrandbits``; only a weighted one goes through
-    ``sample``.  So the values and the rng state are those of one
-    ``space.sample(i, rng)`` per variable.
-    """
-    space, bits = system.space, rng.getrandbits
-    values = []
-    draw = values.append
-    for i, (dom, w) in enumerate(zip(space.domains, space.weights)):
-        if w is None:
-            n = len(dom)
-            width = n.bit_length()
-            r = bits(width)
-            while r >= n:
-                r = bits(width)
-            draw(dom[r])
-        else:
-            draw(space.sample(i, rng))
-    return values
-
-
-def _resample_scope(system: EventSystem, values: list, j: int, rng: random.Random) -> None:
-    """Redraw event j's scope in scope order, drawing as ``sample_all`` does."""
+    """Fresh independent sample of every variable, in variable order."""
     space = system.space
-    domains, weights, bits = space.domains, space.weights, rng.getrandbits
-    for i in system.events[j].scope:
-        if weights[i] is None:
-            dom = domains[i]
-            n = len(dom)
-            width = n.bit_length()
-            r = bits(width)
-            while r >= n:
-                r = bits(width)
-            values[i] = dom[r]
-        else:
-            values[i] = space.sample(i, rng)
+    values = [None] * space.count
+    space.draw(range(space.count), values, rng)
+    return values
 
 
 def m_algorithm(
@@ -230,7 +210,7 @@ def m_algorithm(
     event would produce.
     """
     seed, rng, limit = start_run(seed, step_limit, system.m)
-    events, neighborhoods = system.events, system.neighborhoods
+    events, neighborhoods, draw = system.events, system.neighborhoods, system.space.draw
 
     values = sample_all(system, rng)
     occ: list[bool | None] = [None] * system.m
@@ -242,7 +222,7 @@ def m_algorithm(
         return occ[i]
 
     def resample(k: int) -> None:
-        _resample_scope(system, values, k, rng)
+        draw(events[k].scope, values, rng)
         for i in neighborhoods[k]:
             occ[i] = None
 

@@ -7,7 +7,7 @@ import random
 import re
 from itertools import chain
 
-from . import MAX_HEADER_VERTICES, ContractError
+from . import MAX_HEADER_VERTICES, ContractError, token_error
 
 # The shape ``Graph.to_edge_list`` writes, which ``from_edge_list`` parses in
 # bulk: the header, and a newline that neither starts a `u v` line nor ends
@@ -163,13 +163,16 @@ class Graph:
 
     @classmethod
     def _from_lines(cls, text: str) -> "Graph":
-        # the line loop: any text, every error with its line number
+        # the line loop: any text, every error with its line number; a data
+        # line is held to the package's token rule, as DIMACS's are
         n = m = None
         edges: list[tuple[int, int]] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("c"):
                 continue
+            if not line.isascii() or "_" in line:
+                raise token_error(lineno, line)
             if line.startswith("p"):
                 if n is not None:
                     raise ValueError(f"line {lineno}: second header")

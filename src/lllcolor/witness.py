@@ -8,7 +8,8 @@ forest's scope conditions for any labels (event ids, cycle keys), and
 ``validate`` replays a forest of event ids against fresh randomness.
 
 No command but ``dice`` loads this module, and ``dice`` runs only the
-demo, so the engine is loaded by ``validate`` when it is called.
+demo, so the engine is loaded by ``validate`` when it is called; the
+replay draws through the engine's one draw, ``VariableSpace.draw``.
 """
 
 from __future__ import annotations
@@ -117,22 +118,24 @@ def validate(forest: WitnessForest, system: EventSystem, rng: random.Random) -> 
 
     Samples all variables, then walks the node labels in forest order: if
     the labeled event does not occur the replay fails, otherwise its scope
-    is resampled and the walk continues.  Returns True when every node
-    passed.  Labels are event ids, so one outside 0..m-1 is a ContractError.
+    is redrawn and the walk continues.  The draws are the engine's:
+    ``sample_all``, then ``system.space.draw`` per node.  Returns True when
+    every node passed.  Labels are event ids, so one outside 0..m-1 is a
+    ContractError.
     """
-    from .engine import _resample_scope, sample_all
+    from .engine import sample_all
 
     for j in forest.labels:
         if not (0 <= j < system.m):
             raise ContractError(f"forest references unknown event {j}")
     if not check_feasible(forest, lambda j: system.events[j].scope):
         raise ContractError("validate requires a feasible forest")
-    values = sample_all(system, rng)
+    values, draw = sample_all(system, rng), system.space.draw
     for node in forest.node_order():
-        j = forest.labels[node]
-        if not system.events[j].occurs(values):
+        event = system.events[forest.labels[node]]
+        if not event.occurs(values):
             return False
-        _resample_scope(system, values, j, rng)
+        draw(event.scope, values, rng)
     return True
 
 

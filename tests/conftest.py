@@ -97,13 +97,23 @@ def random_truth_table_system(rng: random.Random, n_vars: int = 6, n_events: int
     return EventSystem(space, events)
 
 
+def reference_sample(space: VariableSpace, i: int, rng: random.Random):
+    """One draw of variable i through ``randrange``, or ``choices`` for a
+    weighted one: the oracle for ``VariableSpace.draw``, which writes the
+    unweighted draw as its own rejection loop on ``getrandbits``."""
+    dom, w = space.domains[i], space.weights[i]
+    if w is None:
+        return dom[rng.randrange(len(dom))]
+    return rng.choices(dom, weights=w, k=1)[0]
+
+
 def reference_m_algorithm(system: EventSystem, seed: int, step_limit: int | None = None) -> tuple[list, RunStats]:
     """The resampling loop by linear scans: the oracle for ``m_algorithm``.
 
     Every root choice scans all events from id 0 with ``first_occurring``
     and every child choice scans the stack top's neighbourhood, so nothing
     is cached between choices.  Every draw, the first sample included, is
-    one ``space.sample`` per variable, not the engine's inline draws.  Must
+    one ``reference_sample`` per variable, not the engine's draws.  Must
     give the same values and RunStats as ``m_algorithm`` for every system,
     seed and limit.
     """
@@ -112,9 +122,9 @@ def reference_m_algorithm(system: EventSystem, seed: int, step_limit: int | None
 
     def resample(j: int) -> None:
         for i in system.events[j].scope:
-            values[i] = system.space.sample(i, rng)
+            values[i] = reference_sample(system.space, i, rng)
 
-    values = [system.space.sample(i, rng) for i in range(system.space.count)]
+    values = [reference_sample(system.space, i, rng) for i in range(system.space.count)]
     steps = 0
     phases = 0
     trace: list[tuple[int, int]] = []
@@ -716,14 +726,21 @@ def reference_girth(graph: Graph) -> int | None:
 
 def reference_from_edge_list(text: str) -> Graph:
     """``Graph.from_edge_list`` as it stood before its bulk path: the line
-    loop alone.  The oracle for the parser, which must give the same graph
-    or the same error message on every text."""
+    loop alone, with the token rule of CNF files.  The oracle for the
+    parser, which must give the same graph or the same error message on
+    every text."""
     n = m = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        # a token is ASCII [+-]?[0-9]+: int() alone takes `1_0` and other digits
+        for tok in line.split():
+            if not tok.isascii() or "_" in tok:
+                raise ValueError(f"line {lineno}: {tok!r} is not an ASCII integer")
+        if not line.isascii():  # only a separator is not ASCII
+            raise ValueError(f"line {lineno}: {line!r} is not an ASCII integer")
         if line.startswith("p"):
             if n is not None:
                 raise ValueError(f"line {lineno}: second header")

@@ -495,6 +495,9 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         ("sat", "{cnf_underscore_token}"),
         ("sat", "{cnf_digit_token}"),
         ("sat", "{cnf_header_underscore}"),
+        ("color", "{edges_underscore_token}"),
+        ("color", "{edges_digit_token}"),
+        ("verify", "{edges_header_underscore}", "{zero_palette}"),
     ],
     ids=[
         "sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs",
@@ -510,6 +513,7 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         "color-vertex-token", "color-palette-negative", "color-palette-zero", "bench-palette-negative",
         "verify-palette-negative", "verify-palette-zero", "color-second-header", "sat-second-header",
         "color-edges-before-header", "sat-underscore", "sat-non-ascii-digit", "sat-header-underscore",
+        "color-underscore", "color-non-ascii-digit", "verify-header-underscore",
     ],
 )
 def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, argv):
@@ -535,6 +539,9 @@ def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, arg
         "cnf_underscore_token": "p cnf 12 1\n1_0 0\n",
         "cnf_digit_token": "p cnf 3 1\n\u0663 0\n",
         "cnf_header_underscore": "p cnf 1_2 1\n1 0\n",
+        "edges_underscore_token": "p edges 11 1\n1_0 2\n",
+        "edges_digit_token": "p edges 4 1\n\u0663 2\n",
+        "edges_header_underscore": "p edges 1_2 0\n",
     }
     for name, text in malformed.items():
         paths[name] = tmp_path / name
@@ -547,8 +554,8 @@ def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, arg
         assert "line 2:" in captured.err
     if argv[1].endswith("_second_header}"):  # so does a second header
         assert "line 3: second header" in captured.err
-    if argv[1] == "{cnf_header_underscore}":  # a problem line is held to the same tokens
-        assert "line 1:" in captured.err
+    if argv[1].endswith("header_underscore}"):  # a header is held to the same tokens
+        assert "line 1: '1_2' is not an ASCII integer" in captured.err
     if argv[1] == "{edges_before_header}":  # as DIMACS refuses a clause before its problem line
         assert "line 1: edge before the header" in captured.err
 

@@ -32,6 +32,7 @@ from conftest import (
     progress_snapshots,
     random_truth_table_system,
     reference_m_algorithm,
+    reference_sample,
     single_event_system,
 )
 
@@ -70,47 +71,39 @@ def test_weighted_sampling():
     assert abs(freq - 0.75) <= 3 * math.sqrt(0.75 * 0.25 / n)
 
 
-def test_engine_draws_are_randrange(monkeypatch):
-    # sample_all and _resample_scope draw an unweighted variable inlined as
-    # randrange's rejection loop on getrandbits: each value must be
-    # dom[randrange(len(dom))], in variable (or scope) order, leaving the same
-    # generator state, and a weighted variable still goes through
-    # VariableSpace.sample; a Python that changes _randbelow fails here
+def test_draws_are_one_reference_sample_per_variable():
+    # VariableSpace.draw writes an unweighted draw as randrange's rejection
+    # loop on getrandbits, and sample_all draws through it: on every domain
+    # size up to 300 and around each power of two to 2^40, on tuple, range
+    # and string domains and on weighted ones, a fresh sample and each
+    # redraw give the values, and leave the rng in the state, of one
+    # reference_sample per variable in the order given (variable order,
+    # scope order, any order); a Python that changes _randbelow fails here
     sizes = [*range(1, 301), *(2**j + d for j in range(41) for d in (-1, 0, 1) if 2**j + d >= 1)]
     domains = [tuple(range(n, 0, -1)) if n <= 300 else range(-n, 0) for n in sizes]
     weights = [None] * len(sizes)
     for i in (0, 7, 150, len(sizes) - 1):
         domains[i], weights[i] = (3, 5, 9), (1, 0, 2)
+    domains += [(3, 1, 4), range(5), ("a", "b"), range(2, 30, 3), (0, 1), (9,), range(-4, 0)]
+    weights += [None, None, (1, 2), None, (3, 1), None, (1, 0, 2, 5)]
     space = VariableSpace(domains, weights)
-    every_third = range(1, len(sizes), 3)
-    system = EventSystem(space, [Event(0, range(len(sizes)), any), Event(1, every_third, any)])
-    sampled, weighted_draw = [], VariableSpace.sample
-
-    def sample(self, i, rng):
-        sampled.append(i)
-        return weighted_draw(self, i, rng)
-
-    monkeypatch.setattr(VariableSpace, "sample", sample)
-
-    def reference(rng, variables):
-        return [
-            domains[i][rng.randrange(len(domains[i]))] if weights[i] is None
-            else rng.choices(domains[i], weights=weights[i], k=1)[0]
-            for i in variables
-        ]
-
-    for seed in (0, 1, 29, 2**32 + 7):
-        mine, ref = random.Random(seed), random.Random(seed)
-        values = sample_all(system, mine)
-        assert values == reference(ref, range(len(sizes))), seed
-        assert mine.getstate() == ref.getstate(), seed
-        for j in (0, 1, 0):
-            engine_mod._resample_scope(system, values, j, mine)
-            scope = system.events[j].scope
-            assert [values[i] for i in scope] == reference(ref, scope), (seed, j)
-            assert mine.getstate() == ref.getstate(), (seed, j)
-    weighted = [i for i, w in enumerate(weights) if w is not None]
-    assert sampled == 4 * (weighted + weighted + [i for i in weighted if i in every_third] + weighted)
+    small = range(len(sizes), space.count)
+    system = EventSystem(space, [
+        Event(0, range(space.count), any),
+        Event(1, range(1, space.count, 3), any),
+        Event(2, [small[i] for i in (1, 2, 4, 6)], any),
+        Event(3, [small[i] for i in (0, 3, 5)], any),
+    ])
+    orders = [*(ev.scope for ev in system.events), (small[6], 0, small[2], 7, small[0])]
+    for seed in (*range(200), 2**32 + 7):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        values = sample_all(system, rng)
+        assert values == [reference_sample(space, i, oracle) for i in range(space.count)], seed
+        assert rng.getstate() == oracle.getstate(), seed
+        for order in (*orders, orders[0]):
+            space.draw(order, values, rng)
+            assert [values[i] for i in order] == [reference_sample(space, i, oracle) for i in order], seed
+            assert rng.getstate() == oracle.getstate(), seed
 
 
 def test_variable_space_validation():
@@ -325,27 +318,6 @@ def test_step_limit_must_be_non_negative():
 # -- the occurrence table against the linear-scan loop -------------------------
 
 ORACLE_LIMITS = (None, 5, 50, 300)
-
-
-def test_draws_are_one_space_sample_per_variable():
-    # the engine draws unweighted variables inline: on tuple, range and
-    # weighted domains alike, a fresh sample and a scope's resample give
-    # the values, and leave the rng in the state, of one space.sample per
-    # variable in order
-    space = VariableSpace(
-        [(3, 1, 4), range(5), ("a", "b"), range(2, 30, 3), (0, 1), (9,), range(-4, 0)],
-        weights=[None, None, (1, 2), None, (3, 1), None, (1, 0, 2, 5)],
-    )
-    system = EventSystem(space, [Event(0, (1, 2, 4, 6), lambda v: False), Event(1, (0, 3, 5), lambda v: False)])
-    for seed in range(200):
-        rng, oracle = random.Random(seed), random.Random(seed)
-        values = sample_all(system, rng)
-        assert values == [space.sample(i, oracle) for i in range(space.count)]
-        for j in (0, 1, 0):
-            engine_mod._resample_scope(system, values, j, rng)
-            for i in system.events[j].scope:
-                assert values[i] == space.sample(i, oracle)
-        assert rng.getstate() == oracle.getstate()
 
 
 def _matches_reference(system, seed, step_limit) -> bool:

@@ -244,8 +244,13 @@ PARSE_VARIANTS = {
     "plus-sign": "p edges 3 2\n0 +1\n1 2\n",
     "minus-sign": "p edges 3 2\n0 -1\n1 2\n",
     "negative-count": "p edges 3 -2\n0 1\n1 2\n",
+    # each refused as a CNF line is (`line N: ... is not an ASCII
+    # integer`), where split() and int() alone would read it
     "arabic-indic-digit": "p edges 3 1\n0 \u0661\n",
     "fullwidth-digit": "p edges \uff13 1\n0 1\n",
+    "underscore-vertex": "p edges 11 1\n1_0 2\n",
+    "underscore-count": "p edges 3 1_0\n0 1\n",
+    "non-ascii-separator": "p edges 3 1\n0\u00a01\n",
     "line-separator": "p edges 3 2\n0 1\u20281 2\n",  # a line break to str.splitlines
     "form-feed": "p edges 3 2\n0 1\x0c1 2\n",
     "vertex-at-n": "p edges 3 1\n0 3\n",  # the plain shape from here to parallel-edge
