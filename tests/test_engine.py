@@ -71,39 +71,37 @@ def test_weighted_sampling():
     assert abs(freq - 0.75) <= 3 * math.sqrt(0.75 * 0.25 / n)
 
 
-def test_draws_are_one_reference_sample_per_variable():
+def _assert_draws_match_reference(space, orders, seeds):
+    # a fresh sample_all and each space.draw in the orders given must give
+    # the values, and leave the rng in the state, of one reference_sample
+    # per variable in that order
+    system = EventSystem(space, [Event(0, range(space.count), any)])
+    for seed in seeds:
+        rng, oracle = random.Random(seed), random.Random(seed)
+        values = sample_all(system, rng)
+        assert values == [reference_sample(space, i, oracle) for i in range(space.count)], seed
+        assert rng.getstate() == oracle.getstate(), seed
+        for order in orders:
+            space.draw(order, values, rng)
+            assert [values[i] for i in order] == [reference_sample(space, i, oracle) for i in order], seed
+            assert rng.getstate() == oracle.getstate(), seed
+
+
+def test_engine_draws_are_randrange():
     # VariableSpace.draw writes an unweighted draw as randrange's rejection
     # loop on getrandbits, and sample_all draws through it: on every domain
-    # size up to 300 and around each power of two to 2^40, on tuple, range
-    # and string domains and on weighted ones, a fresh sample and each
-    # redraw give the values, and leave the rng in the state, of one
-    # reference_sample per variable in the order given (variable order,
-    # scope order, any order); a Python that changes _randbelow fails here
+    # size up to 300 and around each power of two to 2^40, with four
+    # weighted variables among them, each value is dom[randrange(len(dom))]
+    # in variable, scope or any other order given, leaving the same
+    # generator state; a Python that changes _randbelow fails here
     sizes = [*range(1, 301), *(2**j + d for j in range(41) for d in (-1, 0, 1) if 2**j + d >= 1)]
     domains = [tuple(range(n, 0, -1)) if n <= 300 else range(-n, 0) for n in sizes]
     weights = [None] * len(sizes)
     for i in (0, 7, 150, len(sizes) - 1):
         domains[i], weights[i] = (3, 5, 9), (1, 0, 2)
-    domains += [(3, 1, 4), range(5), ("a", "b"), range(2, 30, 3), (0, 1), (9,), range(-4, 0)]
-    weights += [None, None, (1, 2), None, (3, 1), None, (1, 0, 2, 5)]
-    space = VariableSpace(domains, weights)
-    small = range(len(sizes), space.count)
-    system = EventSystem(space, [
-        Event(0, range(space.count), any),
-        Event(1, range(1, space.count, 3), any),
-        Event(2, [small[i] for i in (1, 2, 4, 6)], any),
-        Event(3, [small[i] for i in (0, 3, 5)], any),
-    ])
-    orders = [*(ev.scope for ev in system.events), (small[6], 0, small[2], 7, small[0])]
-    for seed in (*range(200), 2**32 + 7):
-        rng, oracle = random.Random(seed), random.Random(seed)
-        values = sample_all(system, rng)
-        assert values == [reference_sample(space, i, oracle) for i in range(space.count)], seed
-        assert rng.getstate() == oracle.getstate(), seed
-        for order in (*orders, orders[0]):
-            space.draw(order, values, rng)
-            assert [values[i] for i in order] == [reference_sample(space, i, oracle) for i in order], seed
-            assert rng.getstate() == oracle.getstate(), seed
+    every_third = range(1, len(sizes), 3)
+    orders = [range(len(sizes)), every_third, range(len(sizes)), (len(sizes) - 1, 0, 150, 7, 2)]
+    _assert_draws_match_reference(VariableSpace(domains, weights), orders, (*range(200), 2**32 + 7))
 
 
 def test_variable_space_validation():
@@ -318,6 +316,18 @@ def test_step_limit_must_be_non_negative():
 # -- the occurrence table against the linear-scan loop -------------------------
 
 ORACLE_LIMITS = (None, 5, 50, 300)
+
+
+def test_draws_are_one_space_sample_per_variable():
+    # on tuple, range, string and weighted domains alike, a fresh sample and
+    # a scope's redraw give the values, and leave the rng in the state, of
+    # one reference_sample per variable in order
+    space = VariableSpace(
+        [(3, 1, 4), range(5), ("a", "b"), range(2, 30, 3), (0, 1), (9,), range(-4, 0)],
+        weights=[None, None, (1, 2), None, (3, 1), None, (1, 0, 2, 5)],
+    )
+    orders = [(1, 2, 4, 6), (0, 3, 5), (1, 2, 4, 6), (6, 0, 2, 5, 3)]
+    _assert_draws_match_reference(space, orders, range(200))
 
 
 def _matches_reference(system, seed, step_limit) -> bool:
