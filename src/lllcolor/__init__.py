@@ -23,12 +23,15 @@ class ContractError(ValueError):
 
 def seed_or_fresh(seed: int | None) -> int:
     """The seed of a run: the one given, or a fresh one from the system's
-    entropy, which the run records so that it can be repeated."""
-    if seed is not None:
-        return seed
-    import random
+    entropy, which the run records so that it can be repeated.  A negative
+    seed is a ContractError: ``random.Random(-s)`` repeats the run of s."""
+    if seed is None:
+        import random
 
-    return random.SystemRandom().randrange(2**32)
+        return random.SystemRandom().randrange(2**32)
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def token_error(lineno: int, line: str) -> ValueError:

@@ -274,6 +274,8 @@ MAX_BENCH_RUNS = 10**6
 def _parse_generator(descriptor: str, gen_seed: int):
     from . import graphs as graphs_mod
 
+    if gen_seed < 0:
+        raise ValueError(f"--gen-seed must be >= 0, got {gen_seed}")
     name, _, rest = descriptor.partition(":")
     params = [p for p in rest.split(",") if p]
     if name not in GENERATOR_ARITY:

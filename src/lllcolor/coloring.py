@@ -11,11 +11,11 @@ at most 2*(maxdeg - 1) colors are ever forbidden.  Any palette of size at
 least 2*maxdeg - 1 therefore leaves a choice at every step, and the greedy
 pass keeps the partial coloring proper with no bichromatic 4-cycle.  One
 loop, ``_color_edges``, makes every decision, greedy or recolor: per
-edge it intersects the two endpoint maps once (the colors common to both
-ends give the closing-edge term of the forbidden set and, after the
-draw, the second colors of the walk from that edge), draws, writes
-through ``ColorState.assign`` and walks from the edge if it has a second
-color.
+edge it intersects the two endpoint maps once and reads each common
+color's two edges and far ends once, which serves the closing-edge term
+of the forbidden set, the scanned-edge test and, after the draw, the
+walk's far-end guard; it draws, writes through ``ColorState.assign`` and
+hands each start that passes to ``_walk``, the one alternating walk.
 
 The main loop is the resampling driver (``driver.resample_loop``)
 with cycles in the role of events: while a bichromatic cycle exists, the
@@ -24,25 +24,23 @@ edge with it is handled recursively before the call returns.  A cycle is
 its key (length, sorted edge-index tuple): keys order the cycles, label
 the run's trace, and give each cycle's edges.
 
-Bichromatic cycles are detected through alternating walks.  For an edge e
-colored a and a second color b, the subgraph of a- and b-colored edges has
-degree at most 2 at every vertex, so the walk leaving e's far endpoint
-along color b is deterministic: it either dies at a vertex missing the
-wanted color or returns to e's near endpoint along a b-edge, closing the
-unique (a,b)-bichromatic cycle through e; only a color b at both ends of
-e whose two b-edges end at a-edges starts a walk.  The walks read the
-per-vertex color -> edge maps of one ``ColorState``, which every
-assignment keeps up to date.  A sweep over an
-edge set finds each cycle once, from its largest edge in the set: a walk
-stops at any larger edge of the set.  The decision loop walks from each
-edge right after coloring it, over the edges it colors, so the greedy
-pass collects each cycle of its output from the cycle's largest edge, and
-those cycles seed the loop's incremental index; a recolor, taking its
-cycle's edges in index order, collects each cycle that meets them once
-all its edges are final, and the index's refresh drops the cycles that
-touch the recolored edges and adds those, with no sweep.  The full sweep
-over every edge serves only the tests.  The verifier, in ``verify``,
-shares none of this.
+Bichromatic cycles are detected through alternating walks.  For an edge
+e colored a and a second color b, the subgraph of a- and b-colored edges
+has degree at most 2 at every vertex, so the walk leaving e's far
+endpoint along color b is deterministic: it either dies at a vertex
+missing the wanted color or returns to e's near endpoint along a b-edge,
+closing the unique (a,b)-bichromatic cycle through e.  The walks read
+the per-vertex color -> edge maps of one ``ColorState``, which every
+assignment keeps up to date.  A sweep over an edge set finds each cycle
+once, from its largest edge in the set: a walk stops at any larger edge
+of the set.  The decision loop walks from each edge right after coloring
+it, over the edges it colors, so the greedy pass collects each cycle of
+its output from the cycle's largest edge, and those cycles seed the
+loop's incremental index; a recolor, taking its cycle's edges in index
+order, collects each cycle that meets them once all its edges are final,
+and the index's refresh drops the cycles that touch the recolored edges
+and adds those, with no sweep.  The verifier, in ``verify``, shares none
+of this.
 """
 
 from __future__ import annotations
@@ -111,15 +109,16 @@ def _color_edges(state: ColorState, edges, rng: random.Random, scanned: frozense
     increasing order, as ``rng.choice`` over that list would, by the
     rejection loop of ``rng.randrange(n)`` inlined on ``getrandbits``, and
     maps it past the sorted forbidden set, so a decision costs no more than
-    sorting that set, whatever the palette size.  The new color was at
-    neither end, so the colors at both ends of e are now ``common`` plus
-    e's own: a nonempty ``common`` gives the walk from e
-    (``_cycles_through_edge`` over ``scanned``) its second colors.  A
-    sequence of edges draws and finds what one call per edge would.
+    sorting that set, whatever the palette size.  The new color a was at
+    neither end, so ``common`` holds e's second colors, and the one read of
+    each one's edges and far ends x, y picks the walks to start, as
+    ``_cycles_through_edge`` does: edges past the scanned-edge test, and x
+    and y carrying a.  A sequence of edges draws and finds what one call
+    per edge would.
     """
     colors, at, ends, closing = state.colors, state.at, state.graph.edges, state.graph._edge_index.get
     k, cap, m = state.k, state.max_forbidden, len(ends)
-    bits, assign, walk = rng.getrandbits, state.assign, _cycles_through_edge
+    bits, assign = rng.getrandbits, state.assign
     found: list[tuple] = []
     for e in edges:
         if not (0 <= e < m):
@@ -132,13 +131,17 @@ def _color_edges(state: ColorState, edges, rng: random.Random, scanned: frozense
         if own is not None:
             forbidden.discard(own)
             common.discard(own)
-        for c in common:
-            x1, x2 = ends[at_u[c]]
-            y1, y2 = ends[at_v[c]]
+        starts = []
+        for b in common:
+            last, first = at_u[b], at_v[b]
+            x1, x2 = ends[last]
+            y1, y2 = ends[first]
             x, y = x1 ^ x2 ^ u, y1 ^ y2 ^ v
             e3 = closing((x, y) if x < y else (y, x))
             if e3 is not None and (c3 := colors[e3]) is not None:
                 forbidden.add(c3)
+            if (last < e or last not in scanned) and (first < e or first not in scanned):
+                starts.append((b, first, x, y))
         if len(forbidden) > cap:
             raise ContractError(f"forbidden set of {len(forbidden)} exceeds 2*(maxdeg-1) at edge {e}")
         n = k - len(forbidden)
@@ -153,8 +156,9 @@ def _color_edges(state: ColorState, edges, rng: random.Random, scanned: frozense
                 break
             c += 1
         assign(e, c)
-        if common:
-            found += walk(state, e, scanned, common)
+        for b, first, x, y in starts:
+            if c in at[x] and c in at[y] and (key := _walk(state, scanned, e, u, first, y, c, b)):
+                found.append(key)
     return found
 
 
@@ -191,54 +195,48 @@ def _cycles_through_edge(state: ColorState, e: int, scanned: frozenset[int] | ra
     in ``scanned`` is e, one per workable second color; e must be in
     ``scanned``.
 
-    ``second`` holds the colors at both ends of e other than e's own (the
-    cycle's first and last edges carry such a color); such a color b starts
-    a walk only when the far ends of both b-edges at e carry e's color a,
-    since otherwise e lies on an (a, b) path.  A walk stops at the first
-    edge f in ``scanned`` with f > e, and at an uncolored edge, which
-    carries no color.  This finds every bichromatic cycle C that meets
-    ``scanned`` exactly once over a sweep of ``scanned``: let e* be the
-    largest edge of C in ``scanned``.  The walk from e* with C's second
-    color goes around C and meets no larger scanned edge, so it finds C.  A
-    walk from any other scanned edge of C with that color passes e* before
-    it closes, so it stops there.  ``_color_edges`` calls this on each edge
-    with a second color right after coloring it; the full sweep over every
-    edge serves only the tests.
+    ``second`` holds the colors at both ends of e other than e's own; such
+    a color b starts a walk only when neither b-edge at e is a scanned edge
+    above e and the far ends of both carry e's color a, since otherwise e
+    lies on an (a, b) path.  A sweep of ``scanned`` finds each bichromatic
+    cycle C meeting it exactly once: the walk from C's largest edge e* in
+    ``scanned`` goes around C, and a walk from any other scanned edge of C
+    stops at e*.  Only the tests sweep.
     """
     at, ends = state.at, state.graph.edges
     u, v = ends[e]
     a = state.colors[e]
-    at_u, at_v = at[u], at[v]
-    steps = range(state.walk_cap)
     out: list[tuple] = []
     for b in second:
-        last, first = at_u[b], at_v[b]
+        last, first = at[u][b], at[v][b]
         if (last > e and last in scanned) or (first > e and first in scanned):
             continue  # the walk would stop at its last or its first edge
-        # the walk leaves v along its first edge, which cannot end at u
-        x, y = ends[first]
-        cur = x ^ y ^ v
-        x, y = ends[last]
-        if a not in at[cur] or a not in at[x ^ y ^ u]:
-            continue  # a far end lacks a: no (a, b) cycle through e
-        want, other = a, b
-        walk = [e, first]
-        for _ in steps:
-            f = at[cur].get(want)
-            if f is None or f == e or (f > e and f in scanned):
-                break
-            walk.append(f)
-            x, y = ends[f]
-            cur ^= x ^ y
-            if cur == u:
-                # closing edge carries color b: the cycle alternates a,b
-                if want == b:
-                    out.append(cycle_key(state.graph, walk))
-                break
-            want, other = other, want
-        else:
-            raise ContractError("alternating walk failed to terminate")
+        x, y = sum(ends[last]) - u, sum(ends[first]) - v
+        if a in at[x] and a in at[y] and (key := _walk(state, scanned, e, u, first, y, a, b)):
+            out.append(key)
     return out
+
+
+def _walk(state: ColorState, scanned, e: int, u: int, first: int, cur: int, a: int, b: int) -> tuple | None:
+    """The key of the (a, b) cycle that the walk from edge e = {u, v},
+    colored a, closes after leaving v along its b-edge ``first`` for
+    ``cur``, or None if it dies: at a vertex lacking the wanted color, at
+    e, or at an edge of ``scanned`` above e."""
+    at, ends = state.at, state.graph.edges
+    want, other = a, b
+    walk = [e, first]
+    for _ in range(state.walk_cap):
+        f = at[cur].get(want)
+        if f is None or f == e or (f > e and f in scanned):
+            return None
+        walk.append(f)
+        x, y = ends[f]
+        cur ^= x ^ y
+        if cur == u:
+            # closing edge carries color b: the cycle alternates a,b
+            return cycle_key(state.graph, walk) if want == b else None
+        want, other = other, want
+    raise ContractError("alternating walk failed to terminate")
 
 
 def all_bichromatic_cycles(state: ColorState) -> set[tuple]:

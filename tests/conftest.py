@@ -7,6 +7,7 @@ import contextlib
 import functools
 import math
 import random
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -299,44 +300,62 @@ def forbidden_colors(state: ColorState, e: int) -> set[int]:
     return set(range(state.k)) - free
 
 
+_INCIDENCE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def incidence(graph: Graph) -> list[list[tuple[int, int]]]:
+    """Each vertex's (neighbour, edge) pairs in ``adj`` order, read from the
+    graph's edge list once per graph and kept while the graph lives: the
+    audit oracles look up an end's edges here instead of once per
+    neighbour and decision."""
+    around = _INCIDENCE.get(graph)
+    if around is None:
+        around = [[] for _ in range(graph.n_vertices)]
+        for idx, (u, v) in enumerate(graph.edges):
+            around[u].append((v, idx))
+            around[v].append((u, idx))
+        _INCIDENCE[graph] = around
+    return around
+
+
 def reference_forbidden_colors(graph: Graph, colors: list[int | None], e: int) -> set[int]:
-    """Forbidden colors at e by a pairwise adjacency scan: the oracle for
-    the library's decision pass, which reads the state's per-vertex maps
+    """Forbidden colors at e by an adjacency scan: the oracle for the
+    library's decision pass, which reads the state's per-vertex maps
     instead.
 
     A color of a colored edge adjacent to e is forbidden, and so is the
     color of the closing edge {x, y} whenever {u, x} and {v, y} share a
-    color; e's own color does not count.
+    color; e's own color does not count.  The far ends at v are looked up
+    by color, so each of u's edges pairs only with v's edges of its color.
     """
     u, v = graph.edges[e]
+    around = incidence(graph)
     forbidden: set[int] = set()
-    at_u: list[tuple[int, int]] = []  # (far endpoint, color)
-    at_v: list[tuple[int, int]] = []
-    for vertex, bucket in ((u, at_u), (v, at_v)):
-        for w in graph.adj[vertex]:
-            idx = graph.edge_index(vertex, w)
-            if idx == e or colors[idx] is None:
-                continue
-            bucket.append((w, colors[idx]))
-            forbidden.add(colors[idx])
-    for x, c1 in at_u:
-        for y, c2 in at_v:
-            if c1 != c2 or x == y:
-                continue
-            e3 = graph.edge_index(x, y)
-            if e3 is not None and colors[e3] is not None:
+    far_v: dict[int, list[int]] = {}  # color -> far endpoints of v's edges
+    for y, idx in around[v]:
+        if idx != e and (c := colors[idx]) is not None:
+            forbidden.add(c)
+            far_v.setdefault(c, []).append(y)
+    for x, idx in around[u]:
+        if idx == e or (c := colors[idx]) is None:
+            continue
+        forbidden.add(c)
+        for y in far_v.get(c, ()):
+            if x != y and (e3 := graph.edge_index(x, y)) is not None and colors[e3] is not None:
                 forbidden.add(colors[e3])
     return forbidden
 
 
 def reference_assign(state: ColorState, e: int, rng: random.Random) -> set[int]:
-    """``rng.choice`` over the list of colors that the pairwise scan leaves
+    """``rng.choice`` over the list of colors that the adjacency scan leaves
     free: the oracle for one decision of the library's ``_color_edges``,
     which draws an index without building the list.  Returns e's second
-    colors, read from the maps before the draw."""
+    colors, read from the maps before the draw, as a set built as the
+    library builds its own, so that both iterate in one order."""
     forb = reference_forbidden_colors(state.graph, state.colors, e)
     u, v = state.graph.edges[e]
-    second = (state.at[u].keys() & state.at[v].keys()) - {state.colors[e]}
+    second = state.at[u].keys() & state.at[v].keys()
+    second.discard(state.colors[e])
     state.assign(e, rng.choice([c for c in range(state.k) if c not in forb]))
     return second
 
@@ -381,6 +400,24 @@ def reference_cycles_through_edge(state: ColorState, e: int, scanned, second: se
             want, other = other, want
         else:
             raise ContractError("alternating walk failed to terminate")
+    return out
+
+
+def reference_walk_starts(state: ColorState, e: int, scanned, second: set[int]) -> list[int]:
+    """The second colors b of colored edge e, in ``second``'s order, from
+    which the guarded walk starts: those that
+    ``reference_cycles_through_edge``'s scanned-edge test lets through and
+    whose two b-edges at e both end at a vertex carrying e's color."""
+    at, ends, a = state.at, state.graph.edges, state.colors[e]
+    u, v = ends[e]
+    out = []
+    for b in second:
+        last, first = at[u][b], at[v][b]
+        if (last > e and last in scanned) or (first > e and first in scanned):
+            continue
+        far_ends = [w for f, near in ((last, u), (first, v)) for w in ends[f] if w != near]
+        if all(a in at[w] for w in far_ends):
+            out.append(b)
     return out
 
 
@@ -434,20 +471,23 @@ class ColorAudit:
         graph, colors = state.graph, state.colors
         c = colors[e]
         u, v = graph.edges[e]
-        # each end's (neighbour, edge, color) but e itself, built once per call
-        at_u, at_v = (
-            [(w, idx, colors[idx]) for w in graph.adj[vertex] if (idx := graph.edge_index(vertex, w)) != e]
-            for vertex in (u, v)
-        )
-        for vertex, around in ((u, at_u), (v, at_v)):
-            for _, _, c1 in around:
-                if c1 == c:
+        # each end's (neighbour, edge) but e itself, from the graph's incidence lists
+        around = incidence(graph)
+        at_u = [(w, idx) for w, idx in around[u] if idx != e]
+        at_v = [(w, idx) for w, idx in around[v] if idx != e]
+        for vertex, ends in ((u, at_u), (v, at_v)):
+            for _, idx in ends:
+                if colors[idx] == c:
                     self.local_violations.append(f"edge {e}: color {c} repeats at vertex {vertex}")
-        for x, e1, c1 in at_u:
+        by_color: dict[int | None, list[tuple[int, int]]] = {}  # v's edges by color, in adj order
+        for y, e2 in at_v:
+            by_color.setdefault(colors[e2], []).append((y, e2))
+        for x, e1 in at_u:
+            c1 = colors[e1]
             if c1 is None:
                 continue
-            for y, e2, c2 in at_v:
-                if x == y or c2 != c1:
+            for y, e2 in by_color.get(c1, ()):
+                if x == y:
                     continue
                 e3 = graph.edge_index(x, y)
                 if e3 is not None and colors[e3] == c:
@@ -522,7 +562,7 @@ def audited_col_alg(
     The greedy pass hands over the run's one ColorState; ``_color_edges``
     is fed one edge at a time, which draws and finds what one call over
     the whole sequence would, and each decision is checked against the
-    decision bounds, with the forbidden count from the pairwise scan, and
+    decision bounds, with the forbidden count from the adjacency scan, and
     against ``check_local``; the union of bichromatic edges is taken before
     each root choice; the witness forest comes from the trace.  Observing
     draws no randomness, so the state and stats are those of an unwatched

@@ -498,6 +498,9 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         ("color", "{edges_underscore_token}"),
         ("color", "{edges_digit_token}"),
         ("verify", "{edges_header_underscore}", "{zero_palette}"),
+        ("bench", "--generator", "cycle:6", "--runs", "5", "--seed-base", "-2"),
+        ("color", "{graph}", "--seed", "-3"),
+        ("bench", "--generator", "random-regular:3,10", "--runs", "1", "--gen-seed", "-1"),
     ],
     ids=[
         "sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs",
@@ -514,6 +517,7 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         "verify-palette-negative", "verify-palette-zero", "color-second-header", "sat-second-header",
         "color-edges-before-header", "sat-underscore", "sat-non-ascii-digit", "sat-header-underscore",
         "color-underscore", "color-non-ascii-digit", "verify-header-underscore",
+        "bench-negative-seed-base", "color-negative-seed", "bench-negative-gen-seed",
     ],
 )
 def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, argv):

@@ -42,6 +42,7 @@ from conftest import (
     reference_cycles_through_edge,
     reference_forbidden_colors,
     reference_verify_acyclic,
+    reference_walk_starts,
     two_hex_graph,
 )
 
@@ -110,7 +111,7 @@ def test_forbidden_edge_out_of_range():
 
 
 def test_forbidden_matches_adjacency_scan():
-    # the O(maxdeg) map reading against the pairwise scan, on every edge of
+    # the O(maxdeg) map reading against the adjacency scan, on every edge of
     # random partial and full proper colorings
     cases = [cycle_graph(6), two_hex_graph(), petersen_graph(), complete_graph(6), complete_graph(9)]
     rng = random.Random(31)
@@ -316,65 +317,72 @@ def test_greedy_collects_exactly_the_full_sweep():
 
 
 def test_col_alg_walks_once_per_decision(monkeypatch):
-    # no full sweep runs: the greedy pass and each refresh walk once from
-    # each edge they color that has a second color, and from no other, so
-    # the walk calls equal those decisions; fed one edge at a time, the loop
-    # makes m + the summed recolored cycle lengths decisions, and each one's
-    # second colors are read from the maps right after it
-    calls = decisions = seconded = 0
-    walk, color_edges = coloring._cycles_through_edge, coloring._color_edges
+    # no full sweep runs: the greedy pass and each refresh walk only from the
+    # edges they color, once per second color that passes the scanned-edge
+    # test and the far-end guard as the maps read right after the decision,
+    # and from no other; fed one edge at a time, the loop makes m + the
+    # summed recolored cycle lengths decisions
+    calls: list[tuple[int, int]] = []
+    decisions = silent = 0
+    walk, color_edges = coloring._walk, coloring._color_edges
 
-    def counting(state, e, scanned, second):
-        nonlocal calls
-        assert second
-        calls += 1
-        return walk(state, e, scanned, second)
+    def counting(state, scanned, e, u, first, cur, a, b):
+        calls.append((e, b))
+        return walk(state, scanned, e, u, first, cur, a, b)
 
     def one_by_one(state, edges, rng, scanned):
-        nonlocal decisions, seconded
+        nonlocal decisions, silent
         found = []
         for e in edges:
+            before = len(calls)
             found += color_edges(state, (e,), rng, scanned)
             u, v = state.graph.edges[e]
+            second = (state.at[u].keys() & state.at[v].keys()) - {state.colors[e]}
+            expected = [(e, b) for b in reference_walk_starts(state, e, scanned, second)]
+            assert sorted(calls[before:]) == sorted(expected), (e, calls[before:], expected)
             decisions += 1
-            seconded += bool((state.at[u].keys() & state.at[v].keys()) - {state.colors[e]})
+            silent += not expected
         return found
 
     def no_sweep(state):
         raise AssertionError("col_alg ran a full sweep")
 
-    monkeypatch.setattr(coloring, "_cycles_through_edge", counting)
+    monkeypatch.setattr(coloring, "_walk", counting)
     monkeypatch.setattr(coloring, "_color_edges", one_by_one)
     monkeypatch.setattr(coloring, "all_bichromatic_cycles", no_sweep)
-    steps = walked = skipped = 0
+    steps = walked = 0
     for g, k in ((complete_graph(20), 37), (petersen_graph(), 5)):
         for seed in range(40):
-            calls = decisions = seconded = 0
+            calls.clear()
+            decisions = 0
             _, stats = col_alg(g, k, seed=seed)
             assert decisions == g.m + sum(stats.cycle_lengths)
-            assert calls == seconded
             steps += stats.steps
-            walked, skipped = walked + calls, skipped + decisions - calls
+            walked += len(calls)
     assert steps == 149, steps
-    assert walked and skipped, (walked, skipped)
+    assert walked and silent, (walked, silent)
 
 
 def test_greedy_walk_reuses_the_exact_second_colors(monkeypatch):
-    # the greedy pass hands each walk the second colors of e's decision; they
-    # must equal the colors at both ends of e other than its own, read from
-    # the maps after the assignment, and it walks exactly from the edges
-    # whose ends shared a color of the edges before them when colored
-    walk = coloring._cycles_through_edge
-    walks = 0
+    # the greedy pass reads each second color's edges and far ends before
+    # the draw and hands them to _walk after it: each walk's color b, b-edge
+    # and far end must be those the maps hold after the assignment, and the
+    # pass walks exactly from the second colors whose far ends carry e's
+    # color, where e's second colors are those its ends shared among the
+    # edges before it when it was colored
+    walk = coloring._walk
+    walks: list[tuple[int, int]] = []
 
-    def checked(state, e, scanned, second):
-        nonlocal walks
-        u, v = state.graph.edges[e]
-        assert second and second == (state.at[u].keys() & state.at[v].keys()) - {state.colors[e]}
-        walks += 1
-        return walk(state, e, scanned, second)
+    def checked(state, scanned, e, u, first, cur, a, b):
+        g = state.graph
+        v = sum(g.edges[e]) - u
+        assert (u, v) == g.edges[e] and a == state.colors[e]
+        assert b in (state.at[u].keys() & state.at[v].keys()) - {a}
+        assert first == state.at[v][b] and cur == sum(g.edges[first]) - v
+        walks.append((e, b))
+        return walk(state, scanned, e, u, first, cur, a, b)
 
-    monkeypatch.setattr(coloring, "_cycles_through_edge", checked)
+    monkeypatch.setattr(coloring, "_walk", checked)
     rng = random.Random(29)
     corpus = [(g, 2 * g.max_degree - 1, range(30)) for g in brute_force_graphs()]
     corpus.append((complete_graph(20), 37, range(30)))
@@ -383,15 +391,26 @@ def test_greedy_walk_reuses_the_exact_second_colors(monkeypatch):
             g = gnp_graph(n, p, seed=rng.randrange(2**30))
             if g.max_degree:
                 corpus.append((g, 2 * g.max_degree - 1, range(10)))
-    expected = decisions = 0
+    seconded = decisions = started = 0
     for g, k, seeds in corpus:
         for seed in seeds:
+            walks.clear()
             state, _ = greedy_4acyclic(g, k, random.Random(seed))
             decisions += g.m
+            colors = state.colors
+            expected = []
             for e, ends in enumerate(g.edges):
-                before = [{state.colors[f] for f in (g.edge_index(w, x) for x in g.adj[w]) if f < e} for w in ends]
-                expected += bool(before[0] & before[1])
-    assert walks == expected and walks >= decisions // 4, (walks, decisions)
+                # per end of e, color -> edge among the edges colored before e
+                before = [{colors[f]: f for f in (g.edge_index(w, x) for x in g.adj[w]) if f < e} for w in ends]
+                second = before[0].keys() & before[1].keys()
+                seconded += bool(second)
+                for b in second:
+                    far = [sum(g.edges[edge_at[b]]) - w for w, edge_at in zip(ends, before)]
+                    if all(any(f < e and colors[f] == colors[e] for f in (g.edge_index(w, x) for x in g.adj[w])) for w in far):
+                        expected.append((e, b))
+            assert sorted(walks) == sorted(expected), (g.m, seed)
+            started += len(expected)
+    assert seconded >= decisions // 4 and started >= decisions // 8, (seconded, started, decisions)
 
 
 def test_walk_guard_matches_the_unguarded_walk():
@@ -423,6 +442,36 @@ def test_walk_guard_matches_the_unguarded_walk():
                     far = [sum(g.edges[state.at[w][b]]) - w for w in (u, v) for b in second]
                     guarded += any(colors[e] not in state.at[x] for x in far)
     assert closed >= 400 and guarded >= 1000, (closed, guarded)
+
+
+def test_color_edges_matches_the_reference_loop():
+    # the fused loop reads each common color once for the rule, the scanned-
+    # edge test and the guard; it must color, draw and find as the oracle's
+    # one decision plus unguarded walk per edge does, the same keys in the
+    # same order, over the full sweep's range, random frozensets and the
+    # edge sets of bichromatic cycles, each taken in index order
+    cases = [cycle_graph(6), two_hex_graph(), petersen_graph(), complete_graph(6), complete_graph(9), complete_graph(12)]
+    rng = random.Random(53)
+    calls = closed = 0
+    for g in cases:
+        for _ in range(100):
+            k = 2 * g.max_degree - 1 + rng.randrange(2)
+            colors = random_proper_colors(g, k, rng, fill=rng.choice([0.0, 0.6, 0.85, 1.0]))
+            if colors is None:
+                continue
+            sets = [range(g.m), frozenset(rng.sample(range(g.m), rng.randint(1, g.m)))]
+            sets += [frozenset(edges) for _, edges in all_bichromatic_cycles(colored(g, k, colors))]
+            for scanned in sets:
+                seed = rng.randrange(2**32)
+                mine, ref = colored(g, k, colors), colored(g, k, colors)
+                mine_rng, ref_rng = random.Random(seed), random.Random(seed)
+                edges = sorted(scanned)
+                found = coloring._color_edges(mine, edges, mine_rng, scanned)
+                assert found == reference_color_edges(ref, edges, ref_rng, scanned), (g.m, colors, sorted(scanned))
+                assert mine.colors == ref.colors and mine_rng.getstate() == ref_rng.getstate()
+                calls += 1
+                closed += len(found)
+    assert calls >= 1000 and closed >= 200, (calls, closed)
 
 
 def test_cycle_index_matches_rescan_after_updates():

@@ -1,7 +1,9 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import lllcolor
@@ -87,8 +89,8 @@ def test_verifier_shares_no_code_with_the_detector():
         body = ast.parse(Path(module.__file__).read_text()).body
         defs.update({node.name: node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))})
     detector = {
-        "_color_edges", "_cycles_through_edge", "_second_colors", "all_bichromatic_cycles", "find_bichromatic_cycle",
-        "CycleIndex", "ColorState",
+        "_color_edges", "_cycles_through_edge", "_walk", "_second_colors", "all_bichromatic_cycles",
+        "find_bichromatic_cycle", "CycleIndex", "ColorState",
     }
     assert detector <= set(vars(coloring))  # the names still exist where the detector lives
     reached = _reached(defs, ["verify_acyclic"])
@@ -146,3 +148,21 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+
+
+def test_benchmark_wraps_names_that_exist(monkeypatch):
+    # perfbench/child.py wraps each (owner, attribute) of its targets()
+    # through vars(owner) on traced runs, so a library change that moves or
+    # renames one of them breaks those runs; each must resolve to a function
+    # defined on that owner (the import writes no bytecode, and the path
+    # entry it adds goes when the test ends)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_child", REPO / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    targets = child.targets()
+    assert len(targets) >= 20
+    for owner, attr, _, _ in targets:
+        raw = vars(owner).get(attr)
+        assert callable(raw) or isinstance(raw, classmethod), (owner, attr)
