@@ -1,11 +1,12 @@
-"""DIMACS CNF parsing, clause-violation systems for the engine, and an
+"""DIMACS CNF parsing, clause-violation systems for the engine (a scope
+and a test per clause, passed to the engine as two lists), and an
 independent satisfaction check.
 
 A header or clause token is ASCII ``[+-]?[0-9]+``, the package's token
 rule (``lllcolor.token_error``), so a data line that is not ASCII or holds
 ``_`` is refused before any token is read.  The check reads a truth table
 indexed by signed literal, through ``map``, and shares nothing with the
-event predicates.
+event tests.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import chain, repeat
 from operator import eq, not_
 
 from . import token_error
-from .engine import Event, EventSystem, VariableSpace
+from .engine import EventSystem, VariableSpace
 
 MAX_HEADER_VARIABLES = 10**6  # a problem line may not ask for more variables
 
@@ -92,23 +93,29 @@ def clause_system(n_vars: int, clauses: list[tuple[int, ...]]) -> EventSystem:
     Each clause is read once, into a dict from variable to its falsifying
     value (True/False, equal to 1/0): its sorted keys are the scope, and
     the event occurs iff the scoped values equal the one falsifying tuple,
-    a test in C (``operator.eq`` bound to that tuple).  A clause with a
-    variable of both signs gets the shared never-true predicate instead.
+    a test in C (``operator.eq`` bound to that tuple).  Clauses with the
+    same falsifying tuple share one test, and a clause with a variable of
+    both signs gets the shared never-true test.  The scopes and tests go to
+    ``EventSystem.from_scopes`` as two lists; no ``Event`` is built.
     """
-    space = VariableSpace.booleans(n_vars)
-    events = []
-    narrowest = None
-    for j, clause in enumerate(clauses):
+    scopes, tests, narrowest = [], [], None
+    shared: dict[tuple, partial] = {}  # one test per falsifying tuple
+    for clause in clauses:
         falsifying = {abs(lit) - 1: lit < 0 for lit in clause}
         scope = tuple(sorted(falsifying))
         if len(set(clause)) == len(scope):
-            predicate = partial(eq, tuple(map(falsifying.__getitem__, scope)))
+            key = tuple(map(falsifying.__getitem__, scope))
+            test = shared.get(key)
+            if test is None:
+                test = shared[key] = partial(eq, key)
+            tests.append(test)
             if narrowest is None or len(scope) < narrowest:
                 narrowest = len(scope)
         else:
-            predicate = _never
-        events.append(Event(j, scope, predicate))
-    return EventSystem(space, events, p=0.0 if narrowest is None else 2.0 ** -narrowest)
+            tests.append(_never)
+        scopes.append(scope)
+    p = 0.0 if narrowest is None else 2.0 ** -narrowest
+    return EventSystem.from_scopes(VariableSpace.booleans(n_vars), scopes, tests, p)
 
 
 def _never(values: tuple) -> bool:
@@ -117,7 +124,7 @@ def _never(values: tuple) -> bool:
 
 def formula_satisfied(clauses: list[tuple[int, ...]], values) -> bool:
     """Whether every clause has a true literal under ``values``, bypassing
-    the event predicates.
+    the event tests.
 
     Literal v > 0 is true iff ``values[v - 1] == 1``, and -v iff it is not.
     ``table[lit]`` holds that truth for lit in 1..n and, by negative

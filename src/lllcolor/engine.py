@@ -1,17 +1,19 @@
 """Variable-resampling engine for the constructive Lovász Local Lemma.
 
 The engine operates on a system of "undesirable" events over mutually
-independent finite-domain variables.  The main loop samples every variable,
-then repeatedly picks the least-indexed occurring event and resamples it;
-resampling an event recursively fixes every occurring neighbour (an event
-whose scope shares a variable) before returning.  If the loop ever stops,
-no event occurs under the final assignment.
+independent finite-domain variables, each event a scope (the variables it
+reads) and a test of their values, which the system holds as two parallel
+lists.  The main loop samples every variable, then repeatedly picks the
+least-indexed occurring event and resamples it; resampling an event
+recursively fixes every occurring neighbour (an event whose scope shares a
+variable) before returning.  If the loop ever stops, no event occurs under
+the final assignment.
 
 The loop caches whether each event occurs.  A resample of event k marks
 only the neighbourhood of k as stale, since no other event reads a variable
 it changed, and a stale entry is evaluated when the loop next reads it.
 All root choices together make one pass over the event ids, so a run costs
-at most m + Δ·steps event evaluations rather than a scan of all m events
+at most m + Δ·steps test evaluations rather than a scan of all m events
 per root choice.
 
 Every resample call is recorded as a ``(event id, call depth)`` pair, which
@@ -119,44 +121,78 @@ _set_id, _set_scope, _set_predicate = (vars(Event)[name].__set__ for name in Eve
 
 
 class EventSystem:
-    """Ordered events plus their scope-overlap dependency structure.
+    """Ordered events as two parallel lists, plus their scope-overlap
+    dependency structure.
 
-    Two events are neighbours when their scopes intersect; every event is
-    its own neighbour.  ``delta`` is the largest neighbourhood size.  ``p``
-    is a caller-supplied bound on the probability of any single event under
-    fresh sampling.
+    Event j reads ``scopes[j]``, a strictly increasing tuple of variable
+    indices, and occurs when ``tests[j]`` is true on their values in scope
+    order.  Two events are neighbours when their scopes intersect; every
+    event is its own neighbour.  ``delta`` is the largest neighbourhood
+    size.  ``p`` is a caller-supplied bound on the probability of any single
+    event under fresh sampling.
 
-    The constructor is the one place that checks the events (ids in order,
-    scopes inside the space) and derives the neighbourhoods: each is the
-    sorted union of the event lists of its scope's variables, built by
-    chained ``map``s in C.  The event lists are kept only for the variables
-    that occur, not one per declared variable.
+    The constructor takes ``Event``s and checks that their ids are their
+    positions; ``from_scopes`` takes the two lists.  Both hand the lists to
+    ``_derive``, the one place that checks scopes (non-empty, strictly
+    increasing from 0, inside the space) and derives the neighbourhoods:
+    each is the sorted union of the event lists of its scope's variables,
+    built by chained ``map``s in C.  The event lists are kept only for the
+    variables that occur, not one per declared variable.
     """
 
     def __init__(self, space: VariableSpace, events: Sequence[Event], p: float | None = None):
-        self.space = space
-        self.events = list(events)
-        count, scopes = space.count, []
-        by_var: dict[int, list[int]] = {}
-        listed = by_var.setdefault
-        for j, ev in enumerate(self.events):
-            scope = ev.scope
+        events = list(events)
+        for j, ev in enumerate(events):
             if ev.id != j:
                 raise ContractError(f"event at position {j} has id {ev.id}")
-            if scope[-1] >= count:
-                raise ContractError(f"event {j} scope exceeds variable count")
-            scopes.append(scope)
+        self._derive(space, [ev.scope for ev in events], [ev.predicate for ev in events], p)
+        self._events = events
+
+    @classmethod
+    def from_scopes(cls, space: VariableSpace, scopes: list, tests: list, p: float | None = None) -> "EventSystem":
+        """The system of the two lists, which it keeps, not copies; no ``Event`` is built."""
+        system = cls.__new__(cls)
+        system._derive(space, scopes, tests, p)
+        system._events = None
+        return system
+
+    def _derive(self, space: VariableSpace, scopes: list, tests: list, p: float | None) -> None:
+        if len(scopes) != len(tests):
+            raise ContractError(f"{len(scopes)} scopes for {len(tests)} tests")
+        count = space.count
+        by_var: dict[int, list[int]] = {}
+        listed = by_var.setdefault
+        for j, scope in enumerate(scopes):
+            last = -1
             for i in scope:
-                listed(i, []).append(ev.id)  # the ids the events hold, no new ints
+                if i <= last:
+                    problem = "has a negative index" if i < 0 else "is not strictly increasing"
+                    raise ContractError(f"event {j} scope {problem}")
+                listed(i, []).append(j)
+                last = i
+            if last < 0:
+                raise ContractError("event scope must be non-empty")
+            if last >= count:
+                raise ContractError(f"event {j} scope exceeds variable count")
         # every event is on its own variables' lists, so no lookup misses
         lists = map(map, repeat(by_var.__getitem__), scopes)
+        self.space = space
+        self.scopes = scopes
+        self.tests = tests
         self.neighborhoods = list(map(tuple, map(sorted, map(set, map(chain.from_iterable, lists)))))
         self.delta = max(map(len, self.neighborhoods), default=0)
         self.p = p
 
     @property
     def m(self) -> int:
-        return len(self.events)
+        return len(self.scopes)
+
+    @property
+    def events(self) -> list[Event]:
+        """Event j as an ``Event(j, scopes[j], tests[j])``, built when first read."""
+        if self._events is None:
+            self._events = list(map(Event, range(self.m), self.scopes, self.tests))
+        return self._events
 
     def first_occurring(self, values: Sequence, candidates: Sequence[int] | None = None) -> int | None:
         """Least-indexed occurring event, or None.  Plain linear scan.
@@ -204,25 +240,27 @@ def m_algorithm(
     after it returns (the last call that touched its variables returned
     only once none of its neighbours occurred), and the root itself is fixed
     by its own call.  So each root choice resumes one pass over the ids in
-    increasing order where the previous one stopped.  A run thus calls
-    ``Event.occurs`` at most m + Δ·steps times.  Evaluation draws no
+    increasing order where the previous one stopped.  A run thus calls the
+    tests at most m + Δ·steps times, each on its scope's values gathered by
+    ``map``, and stores its truth as a bool.  Evaluation draws no
     randomness, so the run is the one a linear scan for the least occurring
     event would produce.
     """
     seed, rng, limit = start_run(seed, step_limit, system.m)
-    events, neighborhoods, draw = system.events, system.neighborhoods, system.space.draw
+    scopes, tests, neighborhoods, draw = system.scopes, system.tests, system.neighborhoods, system.space.draw
 
     values = sample_all(system, rng)
+    get = values.__getitem__
     occ: list[bool | None] = [None] * system.m
     roots = iter(range(system.m))
 
     def occurring(i: int) -> bool:
         if occ[i] is None:
-            occ[i] = events[i].occurs(values)
+            occ[i] = True if tests[i](tuple(map(get, scopes[i]))) else False
         return occ[i]
 
     def resample(k: int) -> None:
-        draw(events[k].scope, values, rng)
+        draw(scopes[k], values, rng)
         for i in neighborhoods[k]:
             occ[i] = None
 

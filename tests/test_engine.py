@@ -129,6 +129,52 @@ def test_event_system_contracts():
         EventSystem(space, [Event(1, (0,), lambda v: True)])
     with pytest.raises(ContractError, match="non-empty"):
         Event(0, (), lambda v: True)
+    # -1 would index variable 2 of 3, so without the refusal both events
+    # would read it and still get independent neighbourhoods
+    reads_minus_one = [Event(0, (-1,), lambda v: v[0] == 1), Event(1, (2,), lambda v: v[0] == 0)]
+    with pytest.raises(ContractError, match="event 0 scope has a negative index"):
+        EventSystem(VariableSpace.booleans(3), reads_minus_one)
+
+
+def test_flat_system_contracts():
+    # from_scopes checks as the Event-list constructor does, and since it
+    # does not normalise scopes as Event does, it refuses an unsorted or
+    # repeated one, which would change the test's argument order or the draws
+    space, test = VariableSpace.booleans(3), (lambda v: True)
+    for scopes, message in [
+        ([(0,), ()], "event scope must be non-empty"),
+        ([(3,)], "event 0 scope exceeds variable count"),
+        ([(0, 1), (1, 3)], "event 1 scope exceeds variable count"),
+        ([(-1,)], "event 0 scope has a negative index"),
+        ([(0,), (-2, 1)], "event 1 scope has a negative index"),
+        ([(2, 1)], "event 0 scope is not strictly increasing"),
+        ([(0, 1), (1, 1)], "event 1 scope is not strictly increasing"),
+    ]:
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            EventSystem.from_scopes(space, scopes, [test] * len(scopes))
+    with pytest.raises(ContractError, match="^2 scopes for 1 tests$"):
+        EventSystem.from_scopes(space, [(0,), (1,)], [test])
+
+
+def test_flat_system_events_are_built_from_its_lists():
+    # each system.events[j] is built on first read with id j and scope
+    # scopes[j], and occurs exactly when tests[j] does on every assignment;
+    # the flat system runs as the Event-list system over the same events
+    rng = random.Random(0xF1A7)
+    for _ in range(40):
+        listed = random_truth_table_system(rng, n_vars=rng.randint(3, 6), n_events=rng.randint(0, 8))
+        scopes = [ev.scope for ev in listed.events]
+        tests = [ev.predicate for ev in listed.events]
+        system = EventSystem.from_scopes(listed.space, scopes, tests, p=0.5)
+        assert system.scopes is scopes and system.tests is tests and system.p == 0.5
+        assert system.neighborhoods == listed.neighborhoods and system.delta == listed.delta
+        assert [(ev.id, ev.scope) for ev in system.events] == list(enumerate(scopes))
+        assert system.events is system.events
+        for values in itertools.product((0, 1), repeat=listed.space.count):
+            for ev, scope, test in zip(system.events, scopes, tests):
+                assert ev.occurs(values) is bool(test(tuple(values[i] for i in scope)))
+        seed = rng.randrange(2**32)
+        assert m_algorithm(system, seed=seed, step_limit=200) == m_algorithm(listed, seed=seed, step_limit=200)
 
 
 def test_event_sorts_and_deduplicates_its_scope():
@@ -381,24 +427,29 @@ def test_matches_reference_on_generated_systems(system, seed, step_limit):
     _matches_reference(system, seed, step_limit)
 
 
-def test_event_evaluations_linear_in_steps(monkeypatch):
+def test_event_evaluations_linear_in_steps():
     # one evaluation per event after the initial sample, then one per
     # neighbour of each resampled event: a scan of all m events per root
-    # choice would exceed this bound by orders of magnitude
+    # choice would exceed this bound by orders of magnitude.  The count is
+    # of the system's own tests, which the engine calls, so it is never 0
+    # on a run that terminates: the pass over the roots reads every event
     n_vars, clauses = chain_3sat(2000, random.Random(2000))
     system = clause_system(n_vars, clauses)
     evaluations = 0
-    occurs_unpatched = Event.occurs
 
-    def counting_occurs(self, values):
-        nonlocal evaluations
-        evaluations += 1
-        return occurs_unpatched(self, values)
+    def counted(test):
+        def counting_test(values):
+            nonlocal evaluations
+            evaluations += 1
+            return test(values)
 
-    monkeypatch.setattr(Event, "occurs", counting_occurs)
-    _, stats = m_algorithm(system, seed=11)
+        return counting_test
+
+    counting = EventSystem.from_scopes(system.space, system.scopes, list(map(counted, system.tests)), system.p)
+    values, stats = m_algorithm(counting, seed=11)
+    assert (values, stats) == m_algorithm(system, seed=11)
     assert stats.terminated and stats.steps > 0
-    assert evaluations <= system.m + stats.steps * system.delta
+    assert system.m <= evaluations <= system.m + stats.steps * system.delta
 
 
 # -- witness forests ----------------------------------------------------------
@@ -499,6 +550,21 @@ def test_validate_two_disjoint_roots_multiply():
     n = 10**5
     hits = sum(validate(forest, system, random.Random(s)) for s in range(n))
     p = 1 / 6
+    assert abs(hits / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
+
+
+def test_validate_replays_a_clause_system_forest():
+    # a forest from a real sat run, whose events are built on first read:
+    # every check of the replay sees fresh values of its three variables,
+    # so it passes with probability (1/8) per node
+    n_vars, clauses = chain_3sat(8, random.Random(8))
+    system = clause_system(n_vars, clauses)
+    trace = next(stats.trace for stats in (m_algorithm(system, seed=s)[1] for s in range(500)) if len(stats.trace) == 2)
+    forest = build_witness_forest(trace)
+    assert check_feasible(forest, _scope(system))
+    n = 20_000
+    hits = sum(validate(forest, system, random.Random(s)) for s in range(n))
+    p = 1 / 64
     assert abs(hits / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
 
