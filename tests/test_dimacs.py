@@ -133,8 +133,7 @@ def test_clause_events_follow_their_truth_tables(formula):
             for var, bit in zip(ev.scope, bits):
                 values[var] = bit
             every_literal_false = all(values[abs(lit) - 1] == (lit < 0) for lit in clause)
-            occurs = ev.occurs(values)
-            assert occurs == system.tests[ev.id](bits) == predicate(bits) == every_literal_false, (clause, bits)
+            assert ev.occurs(values) == system.tests[ev.id](bits) == predicate(bits) == every_literal_false, (clause, bits)
 
 
 def test_system_memory_per_clause():
