@@ -1,6 +1,5 @@
 """DIMACS CNF parsing, clause-violation systems for the engine (a scope
-and a test per clause, passed to the engine as two lists), and an
-independent satisfaction check.
+and a test per clause), and an independent satisfaction check.
 
 A header or clause token is ASCII ``[+-]?[0-9]+``, the package's token
 rule (``lllcolor.token_error``), so a data line that is not ASCII or holds
@@ -95,8 +94,7 @@ def clause_system(n_vars: int, clauses: list[tuple[int, ...]]) -> EventSystem:
     the event occurs iff the scoped values equal the one falsifying tuple,
     a test in C (``operator.eq`` bound to that tuple).  Clauses with the
     same falsifying tuple share one test, and a clause with a variable of
-    both signs gets the shared never-true test.  The scopes and tests go to
-    ``EventSystem.from_scopes`` as two lists; no ``Event`` is built.
+    both signs gets the shared never-true test.
     """
     scopes, tests, narrowest = [], [], None
     shared: dict[tuple, partial] = {}  # one test per falsifying tuple
@@ -115,7 +113,7 @@ def clause_system(n_vars: int, clauses: list[tuple[int, ...]]) -> EventSystem:
             tests.append(_never)
         scopes.append(scope)
     p = 0.0 if narrowest is None else 2.0 ** -narrowest
-    return EventSystem.from_scopes(VariableSpace.booleans(n_vars), scopes, tests, p)
+    return EventSystem(VariableSpace.booleans(n_vars), scopes, tests, p)
 
 
 def _never(values: tuple) -> bool:

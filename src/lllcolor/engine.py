@@ -93,31 +93,26 @@ class VariableSpace:
 
 
 class Event(_Frozen):
-    """An undesirable event: a predicate over the variables in its scope.
-
-    The predicate receives the scoped values as a tuple, in scope order, so
-    it structurally cannot read variables outside the scope.  The scope is
-    kept sorted and without repeats; an empty one is a ContractError.
+    """Event j of a system, ``system.events[j]``: id j, scope ``scopes[j]``
+    and predicate ``tests[j]``, a view the system builds from its checked
+    lists.  The engine reads the lists; the view is kept for
+    ``witness.validate``, for ``EventSystem.first_occurring`` (the scan of
+    the tests' reference engine) and for the benchmark's traced runs, which
+    wrap ``first_occurring`` and count ``Event.occurs`` by name.
     """
 
     __slots__ = ("id", "scope", "predicate")
 
-    def __init__(self, id: int, scope: Iterable[int], predicate: Callable[[tuple], bool]):
-        if not scope:
-            raise ContractError("event scope must be non-empty")
-        _set_id(self, id)
-        _set_scope(self, tuple(sorted(set(scope))))
-        _set_predicate(self, predicate)
+    def __init__(self, id: int, scope: tuple, predicate: Callable[[tuple], bool]):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "scope", scope)
+        object.__setattr__(self, "predicate", predicate)
 
     def occurs(self, values: Sequence) -> bool:
         """The predicate on the scoped values, gathered with ``map`` rather
         than a generator: with a predicate written in C (a bound
         ``operator.eq``, a dict's ``__getitem__``) no Python frame runs."""
         return bool(self.predicate(tuple(map(values.__getitem__, self.scope))))
-
-
-# the slots' own setters: Event.__init__ calls them without a lookup by name
-_set_id, _set_scope, _set_predicate = (vars(Event)[name].__set__ for name in Event.__slots__)
 
 
 class EventSystem:
@@ -131,38 +126,24 @@ class EventSystem:
     size.  ``p`` is a caller-supplied bound on the probability of any single
     event under fresh sampling.
 
-    The constructor takes ``Event``s and checks that their ids are their
-    positions; ``from_scopes`` takes the two lists.  Both hand the lists to
-    ``_derive``, the one place that checks scopes (non-empty, strictly
-    increasing from 0, inside the space) and derives the neighbourhoods:
-    each is the sorted union of the event lists of its scope's variables,
-    built by chained ``map``s in C.  The event lists are kept only for the
-    variables that occur, not one per declared variable.
+    The constructor keeps the two lists, not copies, and checks each scope:
+    a tuple, non-empty, strictly increasing from 0 and inside the space.  A
+    scope is refused, not normalised: sorting would change the test's
+    argument order and the draws, and a one-shot iterator would be used up
+    by the check.  Each neighbourhood is the sorted union of the event
+    lists of its scope's variables, built by chained ``map``s in C; those
+    lists are kept only for the variables that occur.
     """
 
-    def __init__(self, space: VariableSpace, events: Sequence[Event], p: float | None = None):
-        events = list(events)
-        for j, ev in enumerate(events):
-            if ev.id != j:
-                raise ContractError(f"event at position {j} has id {ev.id}")
-        self._derive(space, [ev.scope for ev in events], [ev.predicate for ev in events], p)
-        self._events = events
-
-    @classmethod
-    def from_scopes(cls, space: VariableSpace, scopes: list, tests: list, p: float | None = None) -> "EventSystem":
-        """The system of the two lists, which it keeps, not copies; no ``Event`` is built."""
-        system = cls.__new__(cls)
-        system._derive(space, scopes, tests, p)
-        system._events = None
-        return system
-
-    def _derive(self, space: VariableSpace, scopes: list, tests: list, p: float | None) -> None:
+    def __init__(self, space: VariableSpace, scopes: list, tests: list, p: float | None = None):
         if len(scopes) != len(tests):
             raise ContractError(f"{len(scopes)} scopes for {len(tests)} tests")
         count = space.count
         by_var: dict[int, list[int]] = {}
         listed = by_var.setdefault
         for j, scope in enumerate(scopes):
+            if not isinstance(scope, tuple):
+                raise ContractError(f"event {j} scope is not a tuple")
             last = -1
             for i in scope:
                 if i <= last:
@@ -182,6 +163,7 @@ class EventSystem:
         self.neighborhoods = list(map(tuple, map(sorted, map(set, map(chain.from_iterable, lists)))))
         self.delta = max(map(len, self.neighborhoods), default=0)
         self.p = p
+        self._events = None
 
     @property
     def m(self) -> int:

@@ -24,7 +24,6 @@ from lllcolor.coloring import (
 )
 from lllcolor.engine import (
     ContractError,
-    Event,
     EventSystem,
     VariableSpace,
 )
@@ -81,21 +80,20 @@ def reference_clause_system(n_vars: int, clauses: list[tuple[int, ...]]) -> tupl
 def single_event_system(prob_num: int = 1, prob_den: int = 2) -> EventSystem:
     """One event over one uniform variable on {0..den-1}: value < num."""
     space = VariableSpace([range(prob_den)])
-    event = Event(0, (0,), lambda vals: vals[0] < prob_num)
-    return EventSystem(space, [event], p=prob_num / prob_den)
+    return EventSystem(space, [(0,)], [lambda vals: vals[0] < prob_num], p=prob_num / prob_den)
 
 
 def random_truth_table_system(rng: random.Random, n_vars: int = 6, n_events: int = 5) -> EventSystem:
     """Random scopes over booleans with random truth-table predicates."""
     import itertools
 
-    space = VariableSpace.booleans(n_vars)
-    events = []
-    for j in range(n_events):
+    scopes, tests = [], []
+    for _ in range(n_events):
         scope = tuple(sorted(rng.sample(range(n_vars), rng.randint(1, 3))))
         table = {combo: rng.random() < 0.3 for combo in itertools.product((0, 1), repeat=len(scope))}
-        events.append(Event(j, scope, table.__getitem__))
-    return EventSystem(space, events)
+        scopes.append(scope)
+        tests.append(table.__getitem__)
+    return EventSystem(VariableSpace.booleans(n_vars), scopes, tests)
 
 
 def reference_sample(space: VariableSpace, i: int, rng: random.Random):

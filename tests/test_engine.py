@@ -40,20 +40,20 @@ from conftest import (
 # -- sampling -----------------------------------------------------------------
 
 def test_sample_all_singleton_domain():
-    system = EventSystem(VariableSpace([(7,)]), [Event(0, (0,), lambda v: False)])
+    system = EventSystem(VariableSpace([(7,)]), [(0,)], [lambda v: False])
     assert sample_all(system, random.Random(3)) == [7]
 
 
 def test_sample_all_deterministic():
     space = VariableSpace.booleans(3)
-    system = EventSystem(space, [Event(0, (0, 1, 2), lambda v: False)])
+    system = EventSystem(space, [(0, 1, 2)], [lambda v: False])
     assert sample_all(system, random.Random(11)) == sample_all(system, random.Random(11))
 
 
 def test_sample_all_uniform_frequency():
     # 10^6 draws of one uniform variable on {0..5}: each frequency within
     # 3 sigma of 1/6, sigma = sqrt((1/6)(5/6)/N)
-    system = EventSystem(VariableSpace([range(6)]), [Event(0, (0,), lambda v: False)])
+    system = EventSystem(VariableSpace([range(6)]), [(0,)], [lambda v: False])
     rng = random.Random(2024)
     n = 10**6
     counts = Counter(sample_all(system, rng)[0] for _ in range(n))
@@ -64,7 +64,7 @@ def test_sample_all_uniform_frequency():
 
 def test_weighted_sampling():
     space = VariableSpace([(0, 1)], weights=[(1, 3)])
-    system = EventSystem(space, [Event(0, (0,), lambda v: v[0] == 1)])
+    system = EventSystem(space, [(0,)], [lambda v: v[0] == 1])
     rng = random.Random(5)
     n = 50_000
     freq = sum(sample_all(system, rng)[0] for _ in range(n)) / n
@@ -75,7 +75,7 @@ def _assert_draws_match_reference(space, orders, seeds):
     # a fresh sample_all and each space.draw in the orders given must give
     # the values, and leave the rng in the state, of one reference_sample
     # per variable in that order
-    system = EventSystem(space, [Event(0, range(space.count), any)])
+    system = EventSystem(space, [tuple(range(space.count))], [any])
     for seed in seeds:
         rng, oracle = random.Random(seed), random.Random(seed)
         values = sample_all(system, rng)
@@ -122,70 +122,45 @@ def test_occurs_basic():
 
 
 def test_event_system_contracts():
-    space = VariableSpace.booleans(2)
-    with pytest.raises(ContractError, match="exceeds variable count"):
-        EventSystem(space, [Event(0, (2,), lambda v: True)])
-    with pytest.raises(ContractError, match="has id 1"):
-        EventSystem(space, [Event(1, (0,), lambda v: True)])
-    with pytest.raises(ContractError, match="non-empty"):
-        Event(0, (), lambda v: True)
-    # -1 would index variable 2 of 3, so without the refusal both events
-    # would read it and still get independent neighbourhoods
-    reads_minus_one = [Event(0, (-1,), lambda v: v[0] == 1), Event(1, (2,), lambda v: v[0] == 0)]
-    with pytest.raises(ContractError, match="event 0 scope has a negative index"):
-        EventSystem(VariableSpace.booleans(3), reads_minus_one)
-
-
-def test_flat_system_contracts():
-    # from_scopes checks as the Event-list constructor does, and since it
-    # does not normalise scopes as Event does, it refuses an unsorted or
-    # repeated one, which would change the test's argument order or the draws
+    # the constructor checks each scope and does not normalise it: an
+    # unsorted or repeated scope would change the test's argument order or
+    # the draws, and a scope that is not a tuple, such as a one-shot
+    # iterator, would be used up by the check and get no neighbourhood
     space, test = VariableSpace.booleans(3), (lambda v: True)
     for scopes, message in [
         ([(0,), ()], "event scope must be non-empty"),
         ([(3,)], "event 0 scope exceeds variable count"),
         ([(0, 1), (1, 3)], "event 1 scope exceeds variable count"),
-        ([(-1,)], "event 0 scope has a negative index"),
+        # -1 would index variable 2 of 3, so without the refusal both events
+        # would read it and still get independent neighbourhoods
+        ([(-1,), (2,)], "event 0 scope has a negative index"),
         ([(0,), (-2, 1)], "event 1 scope has a negative index"),
         ([(2, 1)], "event 0 scope is not strictly increasing"),
         ([(0, 1), (1, 1)], "event 1 scope is not strictly increasing"),
+        ([iter((0, 1))], "event 0 scope is not a tuple"),
+        ([(0,), [1, 2]], "event 1 scope is not a tuple"),
     ]:
         with pytest.raises(ContractError, match=f"^{message}$"):
-            EventSystem.from_scopes(space, scopes, [test] * len(scopes))
+            EventSystem(space, scopes, [test] * len(scopes))
     with pytest.raises(ContractError, match="^2 scopes for 1 tests$"):
-        EventSystem.from_scopes(space, [(0,), (1,)], [test])
+        EventSystem(space, [(0,), (1,)], [test])
 
 
 def test_flat_system_events_are_built_from_its_lists():
-    # each system.events[j] is built on first read with id j and scope
-    # scopes[j], and occurs exactly when tests[j] does on every assignment;
-    # the flat system runs as the Event-list system over the same events
+    # the system keeps its two lists, not copies, and each system.events[j]
+    # is built on first read with id j and scope scopes[j], and occurs
+    # exactly when tests[j] does on every assignment
     rng = random.Random(0xF1A7)
     for _ in range(40):
-        listed = random_truth_table_system(rng, n_vars=rng.randint(3, 6), n_events=rng.randint(0, 8))
-        scopes = [ev.scope for ev in listed.events]
-        tests = [ev.predicate for ev in listed.events]
-        system = EventSystem.from_scopes(listed.space, scopes, tests, p=0.5)
+        drawn = random_truth_table_system(rng, n_vars=rng.randint(3, 6), n_events=rng.randint(0, 8))
+        scopes, tests = drawn.scopes, drawn.tests
+        system = EventSystem(drawn.space, scopes, tests, p=0.5)
         assert system.scopes is scopes and system.tests is tests and system.p == 0.5
-        assert system.neighborhoods == listed.neighborhoods and system.delta == listed.delta
         assert [(ev.id, ev.scope) for ev in system.events] == list(enumerate(scopes))
         assert system.events is system.events
-        for values in itertools.product((0, 1), repeat=listed.space.count):
+        for values in itertools.product((0, 1), repeat=drawn.space.count):
             for ev, scope, test in zip(system.events, scopes, tests):
                 assert ev.occurs(values) is bool(test(tuple(values[i] for i in scope)))
-        seed = rng.randrange(2**32)
-        assert m_algorithm(system, seed=seed, step_limit=200) == m_algorithm(listed, seed=seed, step_limit=200)
-
-
-def test_event_sorts_and_deduplicates_its_scope():
-    assert Event(0, [4, 1, 4, 2, 1], lambda v: True).scope == (1, 2, 4)
-    assert Event(0, {3}, lambda v: True).scope == (3,)
-    seen = []
-    ev = Event(0, (2, 0, 2), lambda v: seen.append(v) or False)
-    assert ev.occurs(["a", "b", "c"]) is False and seen == [("a", "c")]
-    for empty in ((), [], set()):
-        with pytest.raises(ContractError, match="event scope must be non-empty"):
-            Event(0, empty, lambda v: True)
 
 
 FROZEN_RECORDS = {
@@ -216,7 +191,7 @@ def test_frozen_records_refuse_assignment_and_deletion(name):
 # -- the resampling loop ------------------------------------------------------
 
 def test_zero_events_returns_initial_assignment():
-    system = EventSystem(VariableSpace.booleans(2), [])
+    system = EventSystem(VariableSpace.booleans(2), [], [])
     values, stats = m_algorithm(system, seed=9)
     assert stats.steps == 0 and stats.phases == 0 and stats.terminated
     assert values == sample_all(system, random.Random(9))
@@ -345,7 +320,7 @@ def test_stack_depth_beyond_interpreter_limit():
     # driving the call depth far past the native recursion limit; the
     # explicit stack must not care, and the forest must still rebuild
     space = VariableSpace([(0, 1)], weights=[(1, 1999)])
-    system = EventSystem(space, [Event(0, (0,), lambda v: v[0] == 1)], p=0.9995)
+    system = EventSystem(space, [(0,)], [lambda v: v[0] == 1], p=0.9995)
     values, stats = m_algorithm(system, seed=1, step_limit=100_000)
     depth = max(d for _, d in stats.trace)
     assert stats.terminated and values == [0]
@@ -406,15 +381,14 @@ def test_matches_reference_on_chain_3sat():
 def event_systems(draw):
     """Small systems over variables with 1-3 values and random truth tables."""
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=8))
-    space = VariableSpace([range(size) for size in sizes])
-    events = []
-    for j in range(draw(st.integers(0, 12))):
+    scopes, tests = [], []
+    for _ in range(draw(st.integers(0, 12))):
         scope = tuple(sorted(draw(st.sets(st.integers(0, len(sizes) - 1), min_size=1, max_size=3))))
         combos = list(itertools.product(*(range(sizes[i]) for i in scope)))
         hits = draw(st.lists(st.booleans(), min_size=len(combos), max_size=len(combos)))
-        table = frozenset(c for c, hit in zip(combos, hits) if hit)
-        events.append(Event(j, scope, table.__contains__))
-    return EventSystem(space, events)
+        scopes.append(scope)
+        tests.append(frozenset(c for c, hit in zip(combos, hits) if hit).__contains__)
+    return EventSystem(VariableSpace([range(size) for size in sizes]), scopes, tests)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -445,7 +419,7 @@ def test_event_evaluations_linear_in_steps():
 
         return counting_test
 
-    counting = EventSystem.from_scopes(system.space, system.scopes, list(map(counted, system.tests)), system.p)
+    counting = EventSystem(system.space, system.scopes, list(map(counted, system.tests)), system.p)
     values, stats = m_algorithm(counting, seed=11)
     assert (values, stats) == m_algorithm(system, seed=11)
     assert stats.terminated and stats.steps > 0
@@ -459,9 +433,7 @@ def _scope(system):
 
 
 def _three_event_system():
-    space = VariableSpace.booleans(1)
-    events = [Event(j, (0,), lambda v: False) for j in range(3)]
-    return EventSystem(space, events)
+    return EventSystem(VariableSpace.booleans(1), [(0,)] * 3, [lambda v: False] * 3)
 
 
 def test_forest_empty_trace():
@@ -506,13 +478,7 @@ def test_forests_from_real_traces_are_feasible():
 
 
 def test_check_feasible_violations():
-    space = VariableSpace.booleans(3)
-    events = [
-        Event(0, (0,), lambda v: True),
-        Event(1, (0, 1), lambda v: True),
-        Event(2, (2,), lambda v: True),
-    ]
-    system = EventSystem(space, events)
+    system = EventSystem(VariableSpace.booleans(3), [(0,), (0, 1), (2,)], [lambda v: True] * 3)
     # two roots sharing variable 0
     overlapping_roots = build_witness_forest([(0, 0), (1, 0)])
     assert not check_feasible(overlapping_roots, _scope(system))
@@ -544,8 +510,7 @@ def test_validate_two_disjoint_roots_multiply():
     # success needs both events at once under one fresh sample: disjoint
     # scopes make that (1/2) * (1/3)
     space = VariableSpace([(0, 1), (0, 1, 2)])
-    events = [Event(0, (0,), lambda v: v[0] == 1), Event(1, (1,), lambda v: v[0] == 2)]
-    system = EventSystem(space, events)
+    system = EventSystem(space, [(0,), (1,)], [lambda v: v[0] == 1, lambda v: v[0] == 2])
     forest = build_witness_forest([(0, 0), (1, 0)])
     n = 10**5
     hits = sum(validate(forest, system, random.Random(s)) for s in range(n))
