@@ -142,8 +142,19 @@ def test_event_system_contracts():
     ]:
         with pytest.raises(ContractError, match=f"^{message}$"):
             EventSystem(space, scopes, [test] * len(scopes))
-    with pytest.raises(ContractError, match="^2 scopes for 1 tests$"):
-        EventSystem(space, [(0,), (1,)], [test])
+
+
+def test_flat_system_contracts():
+    # scopes and tests are parallel lists, one entry per event, so a
+    # length mismatch either way is refused before any scope is read
+    space, test = VariableSpace.booleans(3), (lambda v: True)
+    for scopes, tests, message in [
+        ([(0,), (1,)], [test], "2 scopes for 1 tests"),
+        ([(0,)], [test, test], "1 scopes for 2 tests"),
+        ([iter(())], [], "1 scopes for 0 tests"),
+    ]:
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            EventSystem(space, scopes, tests)
 
 
 def test_flat_system_events_are_built_from_its_lists():
