@@ -235,7 +235,7 @@ def cmd_bounds(args) -> int:
         p = Fraction(args.p)
     except ZeroDivisionError:
         raise ValueError(f"--p {args.p!r} divides by zero") from None
-    params = bounds_mod.BoundParams(p, args.delta, m=args.m, prefactor=args.prefactor)
+    params = bounds_mod.BoundParams(p, args.delta, m=args.m)
     flags = bounds_mod.lll_condition(params)
     try:
         cutoff = bounds_mod.cutoff_estimate(params)
@@ -246,7 +246,6 @@ def cmd_bounds(args) -> int:
         "p": str(params.p),
         "delta": params.delta,
         "m": params.m,
-        "prefactor": params.prefactor,
         "n": args.n,
     }
     rows = [
@@ -430,7 +429,6 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--prefactor", type=float, default=4.0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)
 

@@ -643,6 +643,14 @@ def reference_q_series(params: BoundParams, n_max: int) -> list[Fraction]:
     return q
 
 
+def forest_count(params: BoundParams, n: int) -> Fraction:
+    """T_n = p^n * m/(delta*n+m) * C(delta*n+m, n), exactly: the weighted
+    count of witness forests with n nodes, the oracle for
+    ``bounds.cutoff_estimate``."""
+    d, m = params.delta, params.m
+    return params.p**n * Fraction(m * math.comb(d * n + m, n), d * n + m)
+
+
 # The characteristic-equation solver as it stood before each tracked length
 # kept one bisection and each solve read its constants once: the oracles
 # for ``gamma.solve_tau`` and ``gamma.min_gamma``, which must match them bit

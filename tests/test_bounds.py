@@ -9,7 +9,6 @@ from lllcolor.bounds import (
     BoundParams,
     NoCutoffError,
     Q_SERIES_CAP,
-    algorithm_bound,
     bound_rows,
     cutoff_estimate,
     lll_condition,
@@ -18,7 +17,7 @@ from lllcolor.bounds import (
     q_series,
 )
 
-from conftest import reference_q_series
+from conftest import forest_count, reference_q_series
 
 
 def brute_q(p: Fraction, delta: int, n: int, memo=None) -> Fraction:
@@ -140,45 +139,97 @@ def test_classic_implies_strict_sampled():
             assert not flags["classic"] or flags["strict"]
 
 
-def _cutoff_scan(m, a, base):
+CUTOFF_GRID = [
+    (p, delta, m)
+    for delta in (2, 3, 5)
+    for m in (1, 2, 10, 40, 1000)
+    for p in (Fraction(1, 8), Fraction(1, 16), Fraction(1, 64))
+]
+
+
+def _exact_base(params):
+    # (1 + 1/(d-1))^(d-1) * p * d = d^d / (d-1)^(d-1) * p, rational
+    d = params.delta
+    return Fraction(d**d, (d - 1) ** (d - 1)) * params.p
+
+
+def _cutoff_scan(params):
     n = 1
-    while True:
-        if m * math.log(n) + m * math.log(a) + n * math.log(base) < 0:
-            return n
+    while forest_count(params, n) >= 1:
         n += 1
+    return n
+
+
+def _ratio_at_least_one(params, n):
+    """T_(n+1) >= T_n, where T_(n+1)/T_n is
+    p * (dn+m)(dn+m+1)...(dn+m+d-1) / ((n+1) * ((d-1)n+m+1)...((d-1)n+m+d-1))."""
+    d, m = params.delta, params.m
+    rise = math.prod(range(d * n + m, d * n + m + d))
+    fall = (n + 1) * math.prod(range((d - 1) * n + m + 1, (d - 1) * n + m + d))
+    return params.p * rise >= fall
+
+
+def test_forest_count_matches_the_power_series():
+    # T_n = p^n [z^n] R^m with R = 1 + z R^delta; q_series at p = 1 gives R
+    for delta in (2, 3, 5):
+        r = q_series(BoundParams(Fraction(1), delta), 12)
+        power = [Fraction(1)] + [Fraction(0)] * 12
+        for m in range(1, 11):
+            power = [sum(power[i] * r[k - i] for i in range(k + 1)) for k in range(13)]
+            params = BoundParams(Fraction(1, 8), delta, m=m)
+            assert all(forest_count(params, n) == params.p**n * power[n] for n in range(13))
+            if m == 1:
+                assert all(forest_count(params, n) == q_closed_form(params, n) for n in range(13))
 
 
 def test_cutoff_examples():
-    # delta=2 makes base = 4p, so p = 1/8 gives base = 1/2
-    one = BoundParams(Fraction(1, 8), 2, m=1, prefactor=2.0)
-    assert cutoff_estimate(one) == _cutoff_scan(1, 2.0, 0.5) == 3
-    ten = BoundParams(Fraction(1, 8), 2, m=10, prefactor=2.0)
-    value = cutoff_estimate(ten)
-    assert value == _cutoff_scan(10, 2.0, 0.5) == 72
-    assert 71 <= value <= 80
-    # tiny base with prefactor barely above 1: the first step already works
-    immediate = BoundParams(Fraction(1, 4096), 2, m=1, prefactor=1.0 + 1e-9)
-    assert cutoff_estimate(immediate) == 1
+    for p, delta, m, cutoff in [
+        (Fraction(1, 8), 3, 40, 58),
+        (Fraction(1, 8), 3, 10, 3),
+        (Fraction(1, 10), 3, 10, 2),  # the tie T_1 = p*m = 1 exactly
+        (Fraction(1, 8), 3, 1, 1),
+        # the (A*n)^m * base^n cutoff returned 1 here at A = 1.0001, yet
+        # that bound read 9.8e6 at n = 10: its f(1) < 0 shortcut ignored
+        # that f rises until n = -m/log(base); T_1 = 1.25 and T_2 = 1.016
+        (Fraction(1, 8), 2, 10, 3),
+    ]:
+        params = BoundParams(p, delta, m=m)
+        assert cutoff_estimate(params) == _cutoff_scan(params) == cutoff
+    assert forest_count(BoundParams(Fraction(1, 10), 3, m=10), 1) == 1
+    # m = 10^9 returns, at the cutoff/m ratio that m = 10^6 reads
+    huge = cutoff_estimate(BoundParams(Fraction(1, 8), 3, m=10**9))
+    assert huge / 10**9 == pytest.approx(cutoff_estimate(BoundParams(Fraction(1, 8), 3, m=10**6)) / 10**6, rel=1e-4)
 
 
 def test_cutoff_random_grid_matches_scan():
-    for m in (1, 2, 5):
-        for p in (Fraction(1, 8), Fraction(1, 16), Fraction(1, 64)):
-            for a in (1.5, 4.0):
-                params = BoundParams(p, 2, m=m, prefactor=a)
-                assert cutoff_estimate(params) == _cutoff_scan(m, a, params.base)
+    for p, delta, m in CUTOFF_GRID:
+        params = BoundParams(p, delta, m=m)
+        if _exact_base(params) >= 1:
+            with pytest.raises(NoCutoffError):
+                cutoff_estimate(params)
+        else:
+            assert cutoff_estimate(params) == _cutoff_scan(params), (p, delta, m)
+
+
+def test_forest_count_ratio_is_at_least_one_only_on_a_prefix():
+    # the doubling and bisection of cutoff_estimate rest on this where
+    # base < 1 (at base >= 1 the ratio tends to base and no search runs); n
+    # runs past every cutoff on the grid (at most 2.2*m), and the ratio's
+    # closed form is checked against the counts first
+    for p, delta, m in CUTOFF_GRID:
+        params = BoundParams(p, delta, m=m)
+        if _exact_base(params) >= 1:
+            continue
+        counts = [forest_count(params, n) for n in range(12)]
+        assert all(_ratio_at_least_one(params, n) == (counts[n + 1] >= counts[n]) for n in range(11))
+        rising = [_ratio_at_least_one(params, n) for n in range(5 * m + 200)]
+        k = rising.count(True)
+        assert rising == [True] * k + [False] * (len(rising) - k), (p, delta, m)
 
 
 def test_cutoff_errors():
     with pytest.raises(NoCutoffError):
         cutoff_estimate(BoundParams(Fraction(2, 5), 2, m=1))  # base = 1.6
-    with pytest.raises(NoCutoffError):
-        cutoff_estimate(BoundParams(Fraction(1, 8), 2, m=1, prefactor=1.0))
-
-
-def test_algorithm_bound_value():
-    params = BoundParams(Fraction(1, 8), 2, m=3, prefactor=2.0)
-    assert algorithm_bound(params, 10) == pytest.approx((2.0 * 10) ** 3 * 0.5**10)
 
 
 def test_bound_rows():
@@ -201,9 +252,6 @@ def test_bound_params_validation():
         BoundParams(Fraction(1, 2), 1)
     with pytest.raises(ValueError):
         BoundParams(Fraction(1, 2), 2, m=0)
-    for prefactor in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            BoundParams(Fraction(1, 8), 2, prefactor=prefactor)
     BoundParams(Fraction(1, 8), MAX_EVENTS, m=MAX_EVENTS)
     with pytest.raises(ValueError):
         BoundParams(Fraction(1, 8), MAX_EVENTS + 1)

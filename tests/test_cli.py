@@ -323,14 +323,14 @@ def test_header_counts_above_the_cap_are_input_errors(capsys, tmp_path, command,
 # -- bounds -------------------------------------------------------------------------
 
 def test_bounds_table(capsys):
-    code, out = run_cli(capsys, "bounds", "--p", "1/8", "--delta", "2", "--n", "4", "--prefactor", "2")
+    code, out = run_cli(capsys, "bounds", "--p", "1/8", "--delta", "2", "--n", "4")
     assert code == 0
     rows = csv_rows(out)
     assert rows[0] == ["n", "q_exact", "q_float", "phase_bound", "base_pow"]
     q_by_n = {r[0]: r[1] for r in rows[1:6]}
     assert q_by_n["2"] == "1/32"
     summary = rows[-1]
-    assert summary[:2] == ["True", "True"] and summary[3] == "3"
+    assert summary[:2] == ["True", "True"] and summary[3] == "1"  # T_1 = p*m = 1/8
 
 
 def test_bounds_zero_probability(capsys):
@@ -460,7 +460,7 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         ("bench", "--generator", "cycle:6", "--runs", "1000001"),
         ("bounds", "--p", "1/0", "--delta", "2"),
         ("bounds", "--p", "1/8", "--delta", "2", "--n", "-2"),
-        ("bounds", "--p", "1/8", "--delta", "2", "--prefactor", "nan"),
+        ("bounds", "--p", "1/8", "--delta", "2", "--prefactor", "4"),
         ("color", "{negative}"),
         ("gamma", "--girth", "5", "--tol", "nan"),
         ("gamma", "--girth", "5", "--tol", "inf"),
@@ -475,7 +475,7 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         ("bounds", "--p", "1", "--delta", "10", "--n", "300"),
         ("bounds", "--p", "1/8", "--delta", "1" + "0" * 400),
         ("bounds", "--p", "1/8", "--delta", "3", "--m", "1" + "0" * 400),
-        ("bounds", "--p", "1/8", "--delta", "3", "--prefactor", "inf"),
+        ("bounds", "--p", "1/8", "--delta", "3", "--n", "5", "--prefactor", "4"),
         ("gamma", "--girth", "5", "--delta", "1" + "0" * 400),
         ("sat", "{negative_cnf}"),
         ("gamma", "--girth", *["5"] * 10_001),
@@ -507,11 +507,11 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         "cycle-negative", "gnp-arity", "gnp-prob", "regular-odd", "regular-dense", "regular-alias",
         "regular-edges", "cycle-huge", "regular-huge",
         "gnp-pairs", "bench-runs-huge", "bounds-p-zero-den", "bounds-n",
-        "bounds-prefactor-nan", "color-negative-vertices", "gamma-tol-nan",
+        "bounds-prefactor-refused", "color-negative-vertices", "gamma-tol-nan",
         "gamma-tol-inf", "gamma-girth-huge", "gamma-table-huge", "gamma-delta-zero",
         "dice-phases-negative", "dice-phases-zero", "dice-trials-huge",
         "dice-phases-underflow", "gamma-table-rows", "bounds-float-overflow", "bounds-delta-huge",
-        "bounds-m-huge", "bounds-prefactor-inf", "gamma-delta-huge", "sat-negative-variables",
+        "bounds-m-huge", "bounds-prefactor-refused-after-n", "gamma-delta-huge", "sat-negative-variables",
         "gamma-girth-rows", "sat-token", "sat-literal-beyond", "sat-empty-clause", "sat-count-mismatch",
         "color-vertex-token", "color-palette-negative", "color-palette-zero", "bench-palette-negative",
         "verify-palette-negative", "verify-palette-zero", "color-second-header", "sat-second-header",
@@ -550,10 +550,16 @@ def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, arg
     for name, text in malformed.items():
         paths[name] = tmp_path / name
         paths[name].write_text(text)
-    code = main([a.format(**paths) for a in argv])
+    try:
+        code = main([a.format(**paths) for a in argv])
+    except SystemExit as exc:  # the parser's refusal, before any command runs
+        code = exc.code
+        assert "--prefactor" in argv
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("lllcolor: error:")
+    if "--prefactor" in argv:  # the removed option, which T_n replaced
+        assert captured.err == "lllcolor: error: unrecognized arguments: --prefactor 4\n"
     if argv[1].endswith("_token}"):  # a non-integer token names its line
         assert "line 2:" in captured.err
     if argv[1].endswith("_second_header}"):  # so does a second header
@@ -568,6 +574,27 @@ def test_unknown_flag_is_input_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gamma", "--bogus"])
     assert exc.value.code == 4
+
+
+def test_each_command_takes_exactly_these_options():
+    # every option is a setting that tests and the benchmark must cover, so
+    # one that appears or returns shows here as an edit
+    import argparse
+
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: " ".join(o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for name, sub in commands.choices.items()
+    }
+    assert got == {
+        "gamma": "--girth --table --summary --delta --tol --out",
+        "color": "--k --seed --step-limit --out",
+        "verify": "--out",
+        "sat": "--seed --step-limit --out",
+        "bounds": "--p --delta --n --m --out",
+        "bench": "--generator --gen-seed --runs --seed-base --k --step-limit --jobs --out",
+        "dice": "--trials --seed --phases --out",
+    }
 
 
 # -- start-up -------------------------------------------------------------------
@@ -707,7 +734,7 @@ GOLDEN = [
     (("sat", "chain.cnf", "--seed", "11"), 0,
      "6d674ac778fe167eb01ca8336c6a44b18f59f1e38239562ae8b5364a4f5fca2f"),
     (("bounds", "--p", "1/8", "--delta", "3", "--n", "70"), 0,
-     "05ad4fb685c35b6f6b0649ed1a53bd89be0482516357fe61b81422b6d843a4b4"),
+     "d5b996514dc0b83c13ad5ea458003e234b660097d9cd15a67417e2ca87e995ff"),
     (("gamma", "--table", "5", "120", "--delta", "11"), 0,
      "8ed52f04074c26a22d6eb853c502c95008504260f9c2077c4fd4a5b06c6d8840"),
     (("bench", "--generator", "random-regular:19,20", "--k", "37", "--runs", "40", "--seed-base", "7",

@@ -29,6 +29,7 @@ from lllcolor.verify import verify_acyclic
 
 from conftest import (
     chain_3sat,
+    forest_count,
     progress_snapshots,
     random_truth_table_system,
     reference_m_algorithm,
@@ -324,6 +325,44 @@ def test_termination_tail_on_fixed_system():
     cutoff = 4 * mean
     tail = sum(1 for s in steps if s >= cutoff) / len(steps)
     assert tail < 0.05
+
+
+def _width5_chain(n_clauses: int, rng: random.Random) -> tuple[int, list[tuple[int, ...]]]:
+    # clause i reads variables 2i..2i+4, so it meets the clauses up to two
+    # away: delta = 5, p = 1/32
+    clauses = [
+        tuple((v + 1) * (1 if rng.random() < 0.5 else -1) for v in range(2 * i, 2 * i + 5)) for i in range(n_clauses)
+    ]
+    return 2 * n_clauses + 3, clauses
+
+
+@pytest.mark.parametrize(
+    "formula, p, delta",
+    [
+        (chain_3sat(10, random.Random(1)), Fraction(1, 8), 3),
+        # T_n < 1 only from n = 58, past every run: the rows there are
+        # checked, but only a run that long could fail them
+        (chain_3sat(40, random.Random(2)), Fraction(1, 8), 3),
+        # T_1 = 20/32: every n >= 1 is checked, and n = 1 is the tightest
+        (_width5_chain(20, random.Random(3)), Fraction(1, 32), 5),
+    ],
+    ids=["chain3-m10", "chain3-m40", "width5-m20"],
+)
+def test_step_tail_below_the_forest_count(formula, p, delta):
+    # the witness-forest count T_n bounds Pr[steps >= n]; the observed
+    # frequency of 2,000 fixed seeds may exceed T_n by at most 3 standard
+    # deviations of a binomial frequency whose probability is T_n
+    n_vars, clauses = formula
+    system = clause_system(n_vars, clauses)
+    assert (system.p, system.delta) == (p, delta)
+    params = BoundParams(p, delta, m=len(clauses))
+    runs = 2000
+    steps = [m_algorithm(system, seed=seed)[1].steps for seed in range(runs)]
+    for n in range(1, max(steps) + 1):
+        t_n = float(forest_count(params, n))
+        if t_n < 1:
+            observed = sum(s >= n for s in steps) / runs
+            assert observed <= t_n + 3 * math.sqrt(t_n * (1 - t_n) / runs), (n, observed, t_n)
 
 
 def test_stack_depth_beyond_interpreter_limit():

@@ -133,7 +133,7 @@ def test_library_functions_only_tests_call_are_the_papers_statements():
     named = _names([*PACKAGE.glob("*.py"), *(REPO / "perfbench").glob("*.py")])
     defined = _library_functions()
     test_only = {name for name in defined if name not in named}
-    papers = {"algorithm_bound", "q_closed_form", "build_witness_forest", "validate", "phi_prime", "cycle_prob_bounds"}
+    papers = {"q_closed_form", "build_witness_forest", "validate", "phi_prime", "cycle_prob_bounds"}
     readme = {"path_graph", "complete_graph", "star_graph", "petersen_graph"}
     assert test_only == papers | readme, sorted(test_only ^ (papers | readme))
     # the witness statements live where `sat` does not compile them
