@@ -7,8 +7,9 @@ The tail analysis hinges on the sequence
 whose closed form is Q_n = p^n * C(delta*n, n) / ((delta-1)*n + 1).  Both
 routes are exact, so their equality is a hard test, not a float tolerance;
 the recurrence runs online through ``series.power_step``, shared with ``gamma``.
-The asymptotic envelope, the convergence condition and the cutoff
-estimate are plain floating point.
+The asymptotic envelope and the cutoff estimate are plain floating point;
+the convergence condition base < 1 is decided in integers where the float
+base lies within its rounding of 1.
 
 Pr[steps >= n] of a run on m events is bounded by counting witness
 forests, as Moser and Tardos do: at most m roots, each with a delta-ary
@@ -73,6 +74,17 @@ class BoundParams(_Frozen):
         d = self.delta
         return (1 + 1 / (d - 1)) ** (d - 1) * float(self.p) * d
 
+    def base_below_one(self) -> bool:
+        """base < 1.  The float base is off by up to about delta rounding
+        units, so within 1e-9 of 1 the exact base delta**delta * p /
+        (delta-1)**(delta-1) decides, for delta up to 10**4 (133,000 bits):
+        at p = (delta-1)**(delta-1) / delta**delta it is 1, where the float
+        reads below 1 for 31 of the delta in 2..59."""
+        d = self.delta
+        if d > 10**4 or abs(self.base - 1) > 1e-9:
+            return self.base < 1
+        return d**d * self.p < (d - 1) ** (d - 1)
+
 
 def q_series(params: BoundParams, n_max: int) -> list[Fraction]:
     """Q_0..Q_n_max via the recurrence, as exact rationals.
@@ -108,7 +120,7 @@ def phase_bound(params: BoundParams, n: int) -> float:
 def lll_condition(params: BoundParams) -> dict[str, bool]:
     """Convergence conditions: the sharp one (base < 1) and the classical
     e*p*delta <= 1.  The classical condition implies the sharp one."""
-    strict = params.base < 1
+    strict = params.base_below_one()
     classic = math.e * float(params.p) * params.delta <= 1
     if classic and not strict:
         raise ContractError("classical condition must imply the sharp one")
@@ -126,7 +138,7 @@ def cutoff_estimate(params: BoundParams) -> int:
     doubling and bisection on log T_n, taken from the closed form through
     ``math.lgamma``.
     """
-    if params.base >= 1:
+    if not params.base_below_one():
         raise NoCutoffError("base >= 1: the tail bound never decays")
     if params.p * params.m < 1:
         return 1

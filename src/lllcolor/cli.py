@@ -39,7 +39,7 @@ EXIT_NOT_TERMINATED = 3
 EXIT_INPUT = 4
 
 SUMMARY_GIRTHS = (3, 7, 53, 219)
-MAX_GAMMA_ROWS = 10**4  # girths in one --table or --girth list; 3,000 rows take about 1.5 s, 2 s with --delta
+MAX_GAMMA_ROWS = 10**4  # girths in one --table or --girth list; 3,000 rows take about 0.5 s on a 2-core x86 host, --delta or not
 
 
 class _Parser(argparse.ArgumentParser):

@@ -28,10 +28,15 @@ bichromatic 4-cycles are excluded by construction throughout.
 Monotonicity of rho in g (and of the minimal slack in r) is checked
 empirically here, not proven: each tracked length's bracket is
 spot-checked on a coarse grid once, when the length is first asked for.
-The bisection to a coarser tol is a prefix of the bisection to a finer
-one, so each length keeps its bracket and one bit per step taken (the
-side the midpoint fell on), and a finer tol replays those steps and
-solves only at the steps past them.
+The bisection relies on it, and so does the crossing search that follows
+the spot-check: regula falsi closes a band of width about ``BAND`` around
+the slack where rho crosses 1, with |log rho| at least ``MARGIN`` at both
+ends.  A bisection step whose midpoint lies outside the band then takes
+the side monotonicity gives, without a solve; only midpoints inside the
+band are solved.  The bisection to a coarser tol is a prefix of the
+bisection to a finer one, so each length keeps its bracket, its band and
+one bit per step taken (the side the midpoint fell on), and a finer tol
+replays those steps and decides only the steps past them.
 """
 
 from __future__ import annotations
@@ -41,9 +46,20 @@ import math
 from . import MAX_HEADER_VERTICES, _Frozen
 from .series import power_step
 
+MAX_TRACKED_LENGTH = MAX_HEADER_VERTICES + 1  # 2r of the largest girth a graph file can have
+BAND = 1e-6  # width to which the crossing search closes in on the minimal slack
+MARGIN = 1e-12  # |log rho| at a band end; rho's rounding noise is orders of magnitude below it
+
 
 class SolverError(RuntimeError):
     """Root bracketing or refinement failed."""
+
+
+def _tracked_length(r: float) -> int:
+    """2r for a half-integral r in 3..MAX_TRACKED_LENGTH/2; ValueError otherwise (NaN too)."""
+    if not 3 <= r <= MAX_TRACKED_LENGTH / 2 or abs(2 * r - round(2 * r)) > 1e-9:
+        raise ValueError(f"r must be a half-integer in 3..{MAX_TRACKED_LENGTH / 2}, got {r!r}")
+    return int(round(2 * r))
 
 
 class PhiParams(_Frozen):
@@ -52,7 +68,8 @@ class PhiParams(_Frozen):
     (``min_cycle_length``), ``qq`` = q^2, ``q2`` = 2q^2 and the pole
     ``radius`` = 1/q - 1, past which the series around 0 diverges.
 
-    2r must be integral; half-integral r arises from even girth.
+    2r must be integral; half-integral r arises from even girth.  No
+    tracked length exceeds ``MAX_TRACKED_LENGTH``.
     """
 
     __slots__ = ("gamma", "r", "q", "min_cycle_length", "qq", "q2", "radius")
@@ -60,15 +77,12 @@ class PhiParams(_Frozen):
     def __init__(self, gamma: float, r: float = 3.0):
         if not (gamma > 0):
             raise ValueError("gamma must be positive")
-        if not (r >= 3):
-            raise ValueError("r must be >= 3")
-        if abs(2 * r - round(2 * r)) > 1e-9:
-            raise ValueError("2*r must be an integer")
+        min_cycle_length = _tracked_length(r)
         q = 1.0 - math.exp(-1.0 / gamma)
         _set_gamma(self, gamma)
         _set_r(self, r)
         _set_q(self, q)
-        _set_min_cycle_length(self, int(round(2 * r)))
+        _set_min_cycle_length(self, min_cycle_length)
         _set_qq(self, q * q)
         _set_q2(self, 2.0 * q * q)
         _set_radius(self, 1.0 / q - 1.0 if q else math.inf)  # q is 0.0 past gamma ~ 1e16: phi is 0, no pole
@@ -88,25 +102,11 @@ def phi(x: float, params: PhiParams) -> float:
     return (1.0 / params.gamma) * q ** (mlen - 3) * (x + 1.0) ** mlen / (1.0 - params.qq * (x + 1.0) ** 2)
 
 
-def _log_slopes(x: float, mlen: int, qq: float, q2: float) -> tuple[float, float]:
-    """u = phi'/phi = 2r/(x+1) + 2 q^2 (x+1)/(1 - q^2 (x+1)^2) and its derivative u'."""
-    xp = x + 1.0
-    sq = xp**2
-    denom = 1.0 - qq * sq
-    u = mlen / xp + q2 * xp / denom
-    u_prime = -mlen / sq + q2 * (denom + q2 * sq) / denom**2
-    return u, u_prime
-
-
 def phi_prime(x: float, params: PhiParams) -> float:
-    """Closed-form derivative phi * u; phi checks the domain."""
-    return phi(x, params) * _log_slopes(x, params.min_cycle_length, params.qq, params.q2)[0]
-
-
-def _char(x: float, mlen: int, qq: float, q2: float) -> tuple[float, float]:
-    """h(x) = 1 - x*u(x) and h'(x) = -u - x*u'; 1 at 0, -infinity at the pole."""
-    u, u_prime = _log_slopes(x, mlen, qq, q2)
-    return 1.0 - x * u, -u - x * u_prime
+    """Closed-form derivative phi * u, u = phi'/phi = 2r/(x+1) + 2q^2(x+1)/(1 - q^2(x+1)^2)
+    in the float operations of ``solve_tau``; phi checks the domain."""
+    xp = x + 1.0
+    return phi(x, params) * (params.min_cycle_length / xp + params.q2 * xp / (1.0 - params.qq * xp**2))
 
 
 class GammaSolution(_Frozen):
@@ -132,24 +132,31 @@ def solve_tau(params: PhiParams) -> GammaSolution:
     Newton steps are taken whenever they stay inside it, surviving the
     pole at R.  The root is accepted once the bracket has closed to 4 ulps
     (or h is exactly 0): a root then lies within it, whatever |h| reads.
-    The slopes read 2r, q^2 and 2q^2 from locals, as ``PhiParams`` derived
-    them; rho is phi(tau)/tau.
+    h = 1 - x*u and its slope h' = -u - x*u', with
+    u' = -2r/(x+1)^2 + 2q^2 (1 - q^2(x+1)^2 + 2q^2(x+1)^2)/(1 - q^2(x+1)^2)^2,
+    are written out in the loop from 2r, q^2 and 2q^2 as ``PhiParams``
+    derived them; rho is phi(tau)/tau.
     """
-    radius, constants = params.radius, (params.min_cycle_length, params.qq, params.q2)
+    radius, mlen, qq, q2 = params.radius, params.min_cycle_length, params.qq, params.q2
     lo, hi = 0.0, radius * (1.0 - 1e-9)
-    while _char(hi, *constants)[0] >= 0:
+    while 1.0 - hi * (mlen / (xp := hi + 1.0) + q2 * xp / (1.0 - qq * xp**2)) >= 0:  # h(hi); NaN ends it too
         hi = radius - (radius - hi) * 0.5
         if radius - hi < 1e-15 * radius:
             raise SolverError("no sign change before the pole")
     x = 0.5 * (lo + hi)
     for _ in range(200):
-        h, slope = _char(x, *constants)
+        xp = x + 1.0
+        sq = xp**2
+        denom = 1.0 - qq * sq
+        u = mlen / xp + q2 * xp / denom
+        h = 1.0 - x * u
         if h > 0:
             lo = x
         elif h < 0:
             hi = x
         if h == 0 or hi - lo <= 4 * math.ulp(x):
             return GammaSolution(params, x, phi(x, params) / x, abs(h))
+        slope = -u - x * (-mlen / sq + q2 * (denom + q2 * sq) / denom**2)
         step = x - h / slope if slope else x  # x is lo or hi by now
         x = step if lo < step < hi else 0.5 * (lo + hi)
     raise SolverError(f"sign bracket [{lo!r}, {hi!r}] did not close in 200 steps")
@@ -176,18 +183,30 @@ class _Bisection:
     """Bisection for the smallest admissible slack at one tracked half-length r.
 
     The bracket (lo, hi) with rho(lo) >= 1 > rho(hi) is found and
-    spot-checked once.  The bisection to a coarser tol is a prefix of the
-    bisection to a finer one, so the steps taken are kept as one bit each
-    (set when the midpoint's rho < 1 moved hi down): a request replays
-    them from the bracket and solves only at steps no request took before.
+    spot-checked once.  Then regula falsi with the Illinois rule closes in
+    on the crossing from the spot-check cell that holds it, down to a band
+    (a, b) of width ``BAND`` or less, with log rho(a) >= ``MARGIN`` and
+    log rho(b) <= -``MARGIN`` (if a cell end is nearer 1 than that, the
+    band stays the bracket).  A step whose midpoint lies at or outside the band
+    takes the side monotonicity gives; one inside it is solved.  So a
+    bisection of any tol takes the steps of the bisection that solves at
+    every midpoint, with solves only near the answer.
+
+    The bisection to a coarser tol is a prefix of the bisection to a finer
+    one, so the steps taken are kept as one bit each (set when the
+    midpoint's rho < 1 moved hi down): a request replays them from the
+    bracket and decides only the steps no request took before.
+    ``known`` holds the solutions of the set-up until three steps are
+    taken, since the spot-check's eighths can only be the first three
+    midpoints.
 
     ``answers[tol]`` is ``(hi, solution at hi)``: one solution per answer,
     not one per step.  The solution is None when the step that last moved
-    hi was taken by an earlier request; ``solution`` then takes it from an
-    answer with the same hi, or solves there once.
+    hi solved nothing or was taken by an earlier request; ``solution`` then
+    takes it from an answer with the same hi, or solves there once.
     """
 
-    __slots__ = ("r", "bracket", "top", "steps", "below", "known", "answers")
+    __slots__ = ("r", "bracket", "band", "top", "steps", "below", "known", "answers")
 
     def __init__(self, r: float):
         self.r, self.steps, self.below, self.known, self.answers = r, 0, 0, {}, {}
@@ -207,30 +226,51 @@ class _Bisection:
             if hi > 64:
                 raise SolverError("failed to bracket from above")
         # spot-check the assumed monotone decrease of rho on this bracket
-        rhos = [rho_at(lo + (hi - lo) * i / 8) for i in range(9)]
+        eighths = [lo + (hi - lo) * i / 8 for i in range(9)]
+        rhos = [rho_at(g) for g in eighths]
         if any(r2 > r1 + 1e-9 for r1, r2 in zip(rhos, rhos[1:])):
             raise SolverError("rho is not decreasing in gamma on the bracket")
-        self.bracket, self.top = (lo, hi), self.known[hi]
+        self.bracket, self.top, self.band = (lo, hi), self.known[hi], (lo, hi)
+        # regula falsi on log rho, which rho's orders of magnitude leave near
+        # linear; rho underflows to 0 far past the crossing, read as 5e-324
+        cell = next(i for i, rho in enumerate(rhos) if rho < 1.0)
+        a, b, moved = eighths[cell - 1], eighths[cell], 0
+        fa, fb = (math.log(rho or 5e-324) for rho in rhos[cell - 1:cell + 1])
+        if not (abs(fa) >= MARGIN and abs(fb) >= MARGIN):
+            return
+        while b - a > BAND:
+            # at least BAND/2 in from each end, so a point next to an end closes the band
+            c = min(b - 0.5 * BAND, max(a + 0.5 * BAND, a + fa * (b - a) / (fa - fb)))
+            fc = math.log(rho_at(c) or 5e-324)
+            if not abs(fc) >= MARGIN:  # c is too near the crossing to decide by (or NaN)
+                break
+            if fc > 0:  # Illinois: an end kept twice in a row counts half
+                a, fa, fb, moved = c, fc, fb * 0.5 if moved > 0 else fb, 1
+            else:
+                b, fb, fa, moved = c, fc, fa * 0.5 if moved < 0 else fa, -1
+        self.band = a, b
 
     def gamma(self, tol: float) -> float:
         """Smallest slack known to satisfy rho < 1, within tol."""
         if tol not in self.answers:
-            (lo, hi), at_hi, step = self.bracket, self.top, 0
+            (lo, hi), (a, b), at_hi, step = self.bracket, self.band, self.top, 0
             while hi - lo > tol:
                 mid = 0.5 * (lo + hi)
                 if mid in (lo, hi):  # tol below the float spacing at the bracket
                     break
                 at_mid = None
                 if step == self.steps:  # a step no request has taken yet
-                    at_mid = self.known[mid] if mid in self.known else _solve_at(mid, self.r)
-                    self.below |= (at_mid.rho < 1.0) << step
+                    at_mid = self.known.get(mid)
+                    if at_mid is None and a < mid < b:
+                        at_mid = _solve_at(mid, self.r)
+                    self.below |= (mid >= b if at_mid is None else at_mid.rho < 1.0) << step
                     self.steps += 1
                 if self.below >> step & 1:
                     hi, at_hi = mid, at_mid
                 else:
                     lo = mid
                 step += 1
-            if self.steps >= 3:  # the spot-check's eighths can only be the first three midpoints
+            if self.steps >= 3:
                 self.known = {}
             self.answers[tol] = hi, at_hi
         return self.answers[tol][0]
@@ -252,23 +292,25 @@ _bisections: dict[int, _Bisection] = {}  # by tracked cycle length 2r
 def min_gamma(r: float, tol: float = 1e-4) -> float:
     """Smallest admissible slack for tracked half-length r, to width tol.
 
-    A tol below the float spacing at the answer gives the answer to that
-    spacing.  Each tracked length is bracketed and spot-checked once per
-    process; a request at another tol reuses its bisection (``_Bisection``).
+    r must be one ``PhiParams`` takes.  A tol below the float spacing at
+    the answer gives the answer to that spacing.  Each tracked length is
+    bracketed, spot-checked and closed in on once per process, and a
+    request at another tol goes on from the steps taken (``_Bisection``):
+    the answer is bit for bit the one a bisection that solves at every
+    midpoint gives, but only the midpoints within ``BAND`` of the crossing
+    are solved.
     """
-    if not (r >= 3):
-        raise ValueError("r must be >= 3")
+    two_r = _tracked_length(r)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    two_r = int(round(2 * r))
     if two_r not in _bisections:
         _bisections[two_r] = _Bisection(two_r / 2.0)
     return _bisections[two_r].gamma(tol)
 
 
 def min_gamma_solution(r: float, tol: float = 1e-4) -> GammaSolution:
-    """The solution of the characteristic equation at ``min_gamma(r, tol)``,
-    as the bisection kept it, so a caller need not solve at the slack again."""
+    """The solution of the characteristic equation at ``min_gamma(r, tol)``:
+    the one the bisection kept, or one solve at the slack if no step did."""
     min_gamma(r, tol)  # through the module, so a wrapper on min_gamma sees the bisection
     return _bisections[int(round(2 * r))].solution(tol)
 

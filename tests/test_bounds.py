@@ -131,6 +131,25 @@ def test_lll_condition_examples():
     assert zero["strict"] and zero["classic"]
 
 
+def test_base_at_its_boundary_is_decided_exactly():
+    # at p = (d-1)^(d-1)/d^d the exact base is 1, so the sharp condition
+    # fails and no cutoff exists, although the float base reads below 1 for
+    # 31 of these d; a p off the boundary by a factor 1 -+ 2^-60, far inside
+    # the float base's rounding, still lands on its own side
+    misread = []
+    for d in range(2, 60):
+        boundary = Fraction((d - 1) ** (d - 1), d**d)
+        params = BoundParams(boundary, d)
+        assert _exact_base(params) == 1
+        misread += [d] if params.base < 1 else []
+        assert lll_condition(params) == {"strict": False, "classic": False}, d
+        with pytest.raises(NoCutoffError):
+            cutoff_estimate(params)
+        assert BoundParams(boundary * (1 - Fraction(1, 2**60)), d).base_below_one(), d
+        assert not BoundParams(boundary * (1 + Fraction(1, 2**60)), d).base_below_one(), d
+    assert len(misread) == 31 and 4 in misread
+
+
 def test_classic_implies_strict_sampled():
     for delta in range(2, 8):
         for num in range(0, 9):

@@ -95,15 +95,16 @@ def test_gamma_tolerance_below_float_spacing(capsys):
 
 
 def test_gamma_table_solves_each_length_once_per_step(capsys, solve_tau_calls):
-    # each length is bracketed and spot-checked once, the spot-check's
-    # values serve the bisection's first three steps, the 1e-6 palette
-    # column goes on from the 1e-4 bisection instead of bracketing,
-    # spot-checking and bisecting again from scratch, which took 6,526 calls,
-    # and each row prints the solution its bisection kept instead of
-    # solving at its slack again, which took 116 more
+    # each length is bracketed, spot-checked and closed in on once, the
+    # 1e-6 palette column goes on from the 1e-4 bisection instead of
+    # bracketing, spot-checking and bisecting again from scratch, which took
+    # 6,526 calls, and each row prints the solution its bisection kept
+    # instead of solving at its slack again, which took 116 more; a step
+    # solves only when its midpoint lies in the band around the crossing,
+    # where solving at every midpoint took 3,028 calls
     code, out = run_cli(capsys, "gamma", "--table", "5", "120", "--delta", "11")
     assert code == 0 and len(csv_rows(out)) == 117
-    assert solve_tau_calls == [3028]
+    assert solve_tau_calls == [1749]
 
 
 # -- color / verify --------------------------------------------------------------
@@ -344,6 +345,9 @@ def test_bounds_condition_fails(capsys):
     assert code == 0
     summary = csv_rows(out)[-1]
     assert summary[0] == "False" and summary[3] == ""
+    # at the boundary p = 3^3/4^4 the exact base is 1, though the float reads 0.9999999999999998
+    code, out = run_cli(capsys, "bounds", "--p", "27/256", "--delta", "4", "--n", "2")
+    assert code == 0 and csv_rows(out)[-1] == ["False", "False", "1", ""]
 
 
 def test_bounds_bad_delta(capsys):

@@ -3,12 +3,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import reference_min_gamma, reference_solve_tau
+from conftest import _reference_char, reference_min_gamma, reference_solve_tau
 from lllcolor import gamma as gamma_mod
 from lllcolor.gamma import (
+    MAX_TRACKED_LENGTH,
     PhiParams,
     SolverError,
-    _char,
     colors_needed,
     cycle_prob_bounds,
     girth_to_r,
@@ -101,13 +101,16 @@ def test_phi_params_validation():
     with pytest.raises(ValueError):
         PhiParams(0.0, 3.0)
     with pytest.raises(ValueError):
-        PhiParams(1.0, 2.5)
-    with pytest.raises(ValueError):
-        PhiParams(1.0, 3.25)
-    with pytest.raises(ValueError):
         PhiParams(math.nan, 3.0)
-    with pytest.raises(ValueError):
-        PhiParams(1.0, math.nan)
+    # the minimal slack refuses each half-length PhiParams refuses, rather
+    # than answering for a rounded one (3.2 read as 3) or failing otherwise
+    # (OverflowError at inf, SolverError at 1e300)
+    too_long = MAX_TRACKED_LENGTH / 2 + 0.5
+    for r in (2.5, 3.25, math.nan, 3.2, math.inf, 1e300, too_long, -math.inf):
+        for refuse in (lambda r: PhiParams(1.0, r), min_gamma, min_gamma_solution):
+            with pytest.raises(ValueError, match="r must"):
+                refuse(r)
+    assert PhiParams(1.0, too_long - 0.5).min_cycle_length == MAX_TRACKED_LENGTH
 
 
 def test_nan_fails_range_checks():
@@ -144,13 +147,12 @@ def test_solve_tau_residual_scaled_over_parameter_sweep():
     sweep = [(gamma, r) for gamma in (0.2, 0.5, 1.0, 1.73095, 3.0, 8.0) for r in (3.0, 4.5, 27.0)]
     for gamma, r in sweep + [(0.125, 348.5)]:
         params = PhiParams(gamma, r)
-        constants = (params.min_cycle_length, params.qq, params.q2)
         sol = solve_tau(params)
         assert 0 < sol.tau < params.radius
-        assert sol.residual == abs(_char(sol.tau, *constants)[0])
+        assert sol.residual == abs(_reference_char(sol.tau, params)[0])
         ulp = math.ulp(sol.tau)
-        left = [_char(sol.tau - k * ulp, *constants)[0] for k in range(5)]
-        right = [_char(sol.tau + k * ulp, *constants)[0] for k in range(5)]
+        left = [_reference_char(sol.tau - k * ulp, params)[0] for k in range(5)]
+        right = [_reference_char(sol.tau + k * ulp, params)[0] for k in range(5)]
         assert max(left) >= 0 >= min(right), (gamma, r)
 
 
@@ -158,9 +160,8 @@ def test_characteristic_sign_changes_once():
     # 10^4-point scan: the characteristic function crosses zero exactly once
     for gamma, r in [(1.73095, 3.0), (1.74, 3.0), (2.0, 4.0), (0.494, 27.0)]:
         params = PhiParams(gamma, r)
-        constants = (params.min_cycle_length, params.qq, params.q2)
         xs = [params.radius * (1 - 1e-9) * i / 10**4 for i in range(1, 10**4)]
-        signs = [_char(x, *constants)[0] > 0 for x in xs]
+        signs = [_reference_char(x, params)[0] > 0 for x in xs]
         assert sum(1 for a, b in zip(signs, signs[1:]) if a != b) == 1
 
 
@@ -175,10 +176,13 @@ def test_solve_tau_matches_its_oracle_bit_for_bit():
 
 
 @pytest.mark.parametrize("h, message", [(1.0, "no sign change"), (math.nan, "did not close in 200 steps")])
-def test_solve_tau_refuses_a_bracket_that_never_closes(monkeypatch, h, message):
-    monkeypatch.setattr(gamma_mod, "_char", lambda x, *constants: (h, -1.0))
+def test_solve_tau_refuses_a_bracket_that_never_closes(h, message):
+    # crafted constants q^2 = 0 and 2r = 1 - h give h(x) = 1 - x*(1-h)/(x+1):
+    # 1 everywhere for h = 1, so no sign change, and NaN everywhere for h = NaN,
+    # so no step moves the bracket
+    params = SimpleNamespace(radius=ANCHOR.radius, min_cycle_length=1.0 - h, qq=0.0, q2=0.0)
     with pytest.raises(SolverError, match=message):
-        solve_tau(ANCHOR)
+        solve_tau(params)
 
 
 def test_rho_decreasing_in_gamma():
@@ -240,22 +244,39 @@ def test_min_gamma_matches_its_oracle_in_any_tol_order(monkeypatch, solve_tau_ca
     assert solve_tau_calls == [in_order]
 
 
-@pytest.mark.parametrize("order", [sorted(TOLS, reverse=True), sorted(TOLS)], ids=["coarse-first", "fine-first"])
-def test_min_gamma_solution_is_the_solve_at_the_slack(solve_tau_calls, order):
+@pytest.mark.parametrize("two_r", [401, 4001, 20001, 200001, 1000001])
+def test_min_gamma_matches_its_oracle_at_long_lengths(solve_tau_calls, two_r):
+    # up to the girth cap rho falls steeply through 1 (at 2r = 10^6+1 by
+    # about 10^-3 across the band) and is 0.0 at the spot-check's eighths
+    # past the crossing, where the crossing search reads log rho as that of
+    # 5e-324: each step the band decides must still be the one the solving
+    # bisection takes
+    for tol in (1e-4, 1e-6, 1e-300):
+        assert min_gamma(two_r / 2, tol).hex() == reference_min_gamma(two_r, tol).hex(), tol
+    run = gamma_mod._bisections[two_r]
+    assert run.band[1] - run.band[0] <= gamma_mod.BAND
+
+
+@pytest.mark.parametrize("order, total", [(sorted(TOLS, reverse=True), 2392), (sorted(TOLS), 2396)],
+                         ids=["coarse-first", "fine-first"])
+def test_min_gamma_solution_is_the_solve_at_the_slack(solve_tau_calls, order, total):
     # the solution handed back is solve_tau at min_gamma's answer; a request
-    # that took new steps kept it, so coarse-first requests solve nothing
-    # more, and a request that only replayed steps solves once, when asked
+    # whose last step that moved hi solved there kept it, and any other
+    # request (its hi fixed by monotonicity outside the crossing band, or by
+    # a step another request took) solves once, when asked.  The bisection
+    # that solved at every midpoint took 3,179 and 3,328 solves in all
     for tol in order:
         for two_r in range(6, 60):
             calls = solve_tau_calls[0]
             gm = min_gamma(two_r / 2, tol)
             bisected = solve_tau_calls[0] - calls
             sol = min_gamma_solution(two_r / 2, tol)
-            assert solve_tau_calls[0] - calls - bisected <= (0 if order[0] == 1 else 1)
+            assert solve_tau_calls[0] - calls - bisected <= 1
             assert sol.params.gamma == gm and sol.params.r == two_r / 2
             again = solve_tau(PhiParams(gm, two_r / 2))  # the unwrapped solver: not counted
             assert (sol.tau, sol.rho) == (again.tau, again.rho)
             assert min_gamma_solution(two_r / 2, tol) is sol
+    assert solve_tau_calls == [total]
 
 
 @pytest.mark.parametrize("rho, message", [
