@@ -14,8 +14,9 @@ loop, ``_color_edges``, makes every decision, greedy or recolor: per
 edge it intersects the two endpoint maps once and reads each common
 color's two edges and far ends once, which serves the closing-edge term
 of the forbidden set, the scanned-edge test and, after the draw, the
-walk's far-end guard; it draws, writes through ``ColorState.assign`` and
-hands each start that passes to ``_walk``, the one alternating walk.
+walk's far-end guard; it draws, writes the color into ``colors`` and both
+endpoint maps, the only writer of either, and hands each start that
+passes the guard to ``_walk``, the one alternating walk.
 
 The main loop is the resampling driver (``driver.resample_loop``)
 with cycles in the role of events: while a bichromatic cycle exists, the
@@ -62,12 +63,13 @@ class PaletteError(ValueError):
 class ColorState:
     """Edge colors (None while uncolored) plus, per vertex, color -> incident edge.
 
-    ``assign`` is the only writer, so ``at`` always mirrors ``colors`` and
-    the coloring stays proper; the decision loop and the alternating walks
-    read the maps instead of rebuilding them.  The run's constants are set
-    once here: ``max_forbidden`` = 2*(maxdeg - 1), the bound on every
-    forbidden set, and ``walk_cap``, a step count no alternating walk
-    reaches.
+    The decision loop ``_color_edges`` is the only writer, and it refuses
+    a color outside the palette or taken at an endpoint, so ``at`` always
+    mirrors ``colors`` and the coloring stays proper; the loop and the
+    alternating walks read the maps instead of rebuilding them.  The run's
+    constants are set once here: ``max_forbidden`` = 2*(maxdeg - 1), the
+    bound on every forbidden set, and ``walk_cap``, a step count no
+    alternating walk reaches.
     """
 
     def __init__(self, graph: Graph, k: int):
@@ -77,23 +79,6 @@ class ColorState:
         self.at: list[dict[int, int]] = [{} for _ in range(graph.n_vertices)]
         self.max_forbidden = 2 * (graph.max_degree - 1)
         self.walk_cap = 2 * graph.m + 4
-
-    def assign(self, e: int, c: int) -> None:
-        """Recolor edge e with c; ContractError if c is outside the palette
-        0..k-1 or taken at an endpoint."""
-        if not (0 <= c < self.k):
-            raise ContractError(f"color {c} outside the palette 0..{self.k - 1}")
-        u, v = self.graph.edges[e]
-        at_u, at_v = self.at[u], self.at[v]
-        if at_u.get(c, e) != e:
-            raise ContractError(f"improper coloring: color {c} repeats at vertex {u}")
-        if at_v.get(c, e) != e:
-            raise ContractError(f"improper coloring: color {c} repeats at vertex {v}")
-        old = self.colors[e]
-        if old is not None:
-            del at_u[old], at_v[old]
-        at_u[c] = at_v[c] = e
-        self.colors[e] = c
 
 
 def _color_edges(state: ColorState, edges, rng: random.Random, scanned: frozenset[int] | range) -> list[tuple]:
@@ -109,16 +94,21 @@ def _color_edges(state: ColorState, edges, rng: random.Random, scanned: frozense
     increasing order, as ``rng.choice`` over that list would, by the
     rejection loop of ``rng.randrange(n)`` inlined on ``getrandbits``, and
     maps it past the sorted forbidden set, so a decision costs no more than
-    sorting that set, whatever the palette size.  The new color a was at
-    neither end, so ``common`` holds e's second colors, and the one read of
-    each one's edges and far ends x, y picks the walks to start, as
-    ``_cycles_through_edge`` does: edges past the scanned-edge test, and x
-    and y carrying a.  A sequence of edges draws and finds what one call
-    per edge would.
+    sorting that set, whatever the palette size.  The write refuses, with
+    ContractError and before it changes anything, a color outside the
+    palette or taken at an end.  The new color a was at neither end, so
+    ``common`` holds e's second colors b, and the one read of each one's
+    edges and far ends x, y picks the walks to start: b-edges past the
+    scanned-edge test, x and y carrying a, and the a-edges at y and at x
+    both leading to a vertex that carries b.  This guard reaches one
+    alternation further on each side than ``_cycles_through_edge``'s and
+    drops only walks that close no cycle, since an (a, b) cycle through e
+    holds both those a-edges and a b-edge at each of their ends.  A
+    sequence of edges draws and finds what one call per edge would.
     """
     colors, at, ends, closing = state.colors, state.at, state.graph.edges, state.graph._edge_index.get
     k, cap, m = state.k, state.max_forbidden, len(ends)
-    bits, assign = rng.getrandbits, state.assign
+    bits = rng.getrandbits
     found: list[tuple] = []
     for e in edges:
         if not (0 <= e < m):
@@ -126,7 +116,7 @@ def _color_edges(state: ColorState, edges, rng: random.Random, scanned: frozense
         u, v = ends[e]
         at_u, at_v = at[u], at[v]
         own = colors[e]
-        forbidden = at_u.keys() | at_v.keys()
+        forbidden = {*at_u, *at_v}
         common = at_u.keys() & at_v.keys()
         if own is not None:
             forbidden.discard(own)
@@ -155,10 +145,23 @@ def _color_edges(state: ColorState, edges, rng: random.Random, scanned: frozense
             if f > c:
                 break
             c += 1
-        assign(e, c)
+        if not (0 <= c < k):
+            raise ContractError(f"color {c} outside the palette 0..{k - 1}")
+        if at_u.get(c, e) != e:
+            raise ContractError(f"improper coloring: color {c} repeats at vertex {u}")
+        if at_v.get(c, e) != e:
+            raise ContractError(f"improper coloring: color {c} repeats at vertex {v}")
+        if own is not None:
+            del at_u[own], at_v[own]
+        at_u[c] = at_v[c] = e
+        colors[e] = c
         for b, first, x, y in starts:
-            if c in at[x] and c in at[y] and (key := _walk(state, scanned, e, u, first, y, c, b)):
-                found.append(key)
+            if (f := at[y].get(c)) is not None:
+                y1, y2 = ends[f]
+                if b in at[y1 ^ y2 ^ y] and (f := at[x].get(c)) is not None:
+                    x1, x2 = ends[f]
+                    if b in at[x1 ^ x2 ^ x] and (key := _walk(state, scanned, e, u, first, y, c, b)):
+                        found.append(key)
     return found
 
 

@@ -128,9 +128,11 @@ def solve_tau(params: PhiParams) -> GammaSolution:
     Solves the scale-free form h(x) = 1 - x*phi'(x)/phi(x) = 0, which has
     the root of phi - x*phi' because phi > 0 on [0, R), but neither over-
     nor underflows with phi.  h(0) = 1 and h diverges to -infinity at the
-    pole, so the sign bracket always exists.  Bisection keeps it while
-    Newton steps are taken whenever they stay inside it, surviving the
-    pole at R.  The root is accepted once the bracket has closed to 4 ulps
+    pole, so the sign bracket exists, but floats may not reach it:
+    SolverError if h stays >= 0 up to 1e-15 R short of the pole, or if
+    1 - q^2 (x+1)^2 rounds to 0 on the way.  Bisection keeps the bracket
+    while Newton steps are taken whenever they stay inside it, surviving
+    the pole at R.  The root is accepted once the bracket has closed to 4 ulps
     (or h is exactly 0): a root then lies within it, whatever |h| reads.
     h = 1 - x*u and its slope h' = -u - x*u', with
     u' = -2r/(x+1)^2 + 2q^2 (1 - q^2(x+1)^2 + 2q^2(x+1)^2)/(1 - q^2(x+1)^2)^2,
@@ -139,10 +141,13 @@ def solve_tau(params: PhiParams) -> GammaSolution:
     """
     radius, mlen, qq, q2 = params.radius, params.min_cycle_length, params.qq, params.q2
     lo, hi = 0.0, radius * (1.0 - 1e-9)
-    while 1.0 - hi * (mlen / (xp := hi + 1.0) + q2 * xp / (1.0 - qq * xp**2)) >= 0:  # h(hi); NaN ends it too
-        hi = radius - (radius - hi) * 0.5
-        if radius - hi < 1e-15 * radius:
-            raise SolverError("no sign change before the pole")
+    try:
+        while 1.0 - hi * (mlen / (xp := hi + 1.0) + q2 * xp / (1.0 - qq * xp**2)) >= 0:  # h(hi); NaN ends it too
+            hi = radius - (radius - hi) * 0.5
+            if radius - hi < 1e-15 * radius:
+                raise SolverError("no sign change before the pole")
+    except ZeroDivisionError:  # q within about 1e-14 of 1
+        raise SolverError("1 - q^2 (x+1)^2 rounds to 0 before the pole") from None
     x = 0.5 * (lo + hi)
     for _ in range(200):
         xp = x + 1.0

@@ -354,7 +354,7 @@ def reference_assign(state: ColorState, e: int, rng: random.Random) -> set[int]:
     u, v = state.graph.edges[e]
     second = state.at[u].keys() & state.at[v].keys()
     second.discard(state.colors[e])
-    state.assign(e, rng.choice([c for c in range(state.k) if c not in forb]))
+    write_color(state, e, rng.choice([c for c in range(state.k) if c not in forb]))
     return second
 
 
@@ -368,55 +368,62 @@ def reference_color_edges(state: ColorState, edges, rng: random.Random, scanned)
     return found
 
 
+def reference_walkable(state: ColorState, e: int, scanned, second: set[int]) -> list[int]:
+    """The second colors b of colored edge e, in ``second``'s order, that
+    pass the scanned-edge test: neither b-edge at e is an edge of
+    ``scanned`` above e."""
+    u, v = state.graph.edges[e]
+    at_u, at_v = state.at[u], state.at[v]
+    return [b for b in second if not any(f > e and f in scanned for f in (at_u[b], at_v[b]))]
+
+
+def reference_walk(state: ColorState, e: int, scanned, b: int) -> tuple | None:
+    """The key of the bichromatic cycle that the unguarded walk from colored
+    edge e = {u, v} closes after leaving v along its b-edge, or None: the
+    walk alternates e's color a and b from vertex to vertex and dies where
+    the wanted color is missing, at e, or at an edge of ``scanned`` above
+    e.  The oracle for the library's ``_walk`` and the guards in front of
+    it."""
+    at, ends, a = state.at, state.graph.edges, state.colors[e]
+    u, v = ends[e]
+    first = at[v][b]
+    cur, want = sum(ends[first]) - v, a
+    walk = [e, first]
+    for _ in range(state.walk_cap):
+        f = at[cur].get(want)
+        if f is None or f == e or (f > e and f in scanned):
+            return None
+        walk.append(f)
+        cur = sum(ends[f]) - cur
+        if cur == u:
+            return cycle_key(state.graph, walk) if want == b else None
+        want = a if want == b else b
+    raise ContractError("alternating walk failed to terminate")
+
+
 def reference_cycles_through_edge(state: ColorState, e: int, scanned, second: set[int]) -> list[tuple]:
     """``_cycles_through_edge`` without its guard: every second color b
-    that the scanned-edge test lets through starts a walk, which dies
-    wherever the wanted color is missing.  The oracle for the guarded walk,
-    which must return the same keys in the same order."""
-    at, ends = state.at, state.graph.edges
-    u, v = ends[e]
-    a = state.colors[e]
-    out: list[tuple] = []
-    for b in second:
-        last, first = at[u][b], at[v][b]
-        if (last > e and last in scanned) or (first > e and first in scanned):
-            continue
-        x, y = ends[first]
-        cur, want, other = x ^ y ^ v, a, b
-        walk = [e, first]
-        for _ in range(state.walk_cap):
-            f = at[cur].get(want)
-            if f is None or f == e or (f > e and f in scanned):
-                break
-            walk.append(f)
-            x, y = ends[f]
-            cur ^= x ^ y
-            if cur == u:
-                if want == b:
-                    out.append(cycle_key(state.graph, walk))
-                break
-            want, other = other, want
-        else:
-            raise ContractError("alternating walk failed to terminate")
-    return out
+    that the scanned-edge test lets through starts ``reference_walk``.  The
+    oracle for the guarded walk, which must return the same keys in the
+    same order."""
+    walks = (reference_walk(state, e, scanned, b) for b in reference_walkable(state, e, scanned, second))
+    return [key for key in walks if key]
 
 
 def reference_walk_starts(state: ColorState, e: int, scanned, second: set[int]) -> list[int]:
     """The second colors b of colored edge e, in ``second``'s order, from
-    which the guarded walk starts: those that
-    ``reference_cycles_through_edge``'s scanned-edge test lets through and
-    whose two b-edges at e both end at a vertex carrying e's color."""
+    which the decision loop's two-sided guard starts a walk: those that
+    pass the scanned-edge test and whose two b-edges at e both end at a
+    vertex w carrying e's color a, with w's a-edge leading to a vertex
+    carrying b."""
     at, ends, a = state.at, state.graph.edges, state.colors[e]
     u, v = ends[e]
-    out = []
-    for b in second:
-        last, first = at[u][b], at[v][b]
-        if (last > e and last in scanned) or (first > e and first in scanned):
-            continue
-        far_ends = [w for f, near in ((last, u), (first, v)) for w in ends[f] if w != near]
-        if all(a in at[w] for w in far_ends):
-            out.append(b)
-    return out
+
+    def carries(w: int, b: int) -> bool:  # w's a-edge exists and ends at a vertex carrying b
+        return a in at[w] and b in at[sum(ends[at[w][a]]) - w]
+
+    return [b for b in reference_walkable(state, e, scanned, second)
+            if carries(sum(ends[at[u][b]]) - u, b) and carries(sum(ends[at[v][b]]) - v, b)]
 
 
 def color_edges_without_closing_edges(state: ColorState, edges, rng: random.Random, scanned) -> list[tuple]:
@@ -436,7 +443,7 @@ def color_edges_without_closing_edges(state: ColorState, edges, rng: random.Rand
             if f > c:
                 break
             c += 1
-        state.assign(e, c)
+        write_color(state, e, c)
         if common:
             found += coloring._cycles_through_edge(state, e, scanned, common)
     return found
@@ -816,12 +823,26 @@ def reference_from_edge_list(text: str) -> Graph:
     return Graph(n, edges)
 
 
+def write_color(state: ColorState, e: int, c: int) -> None:
+    """Color edge e with c in ``state.colors`` and both endpoint maps: the
+    tests' own map writer, so that the oracles never call the decision loop
+    they check.  The caller keeps the coloring proper and in the palette."""
+    u, v = state.graph.edges[e]
+    at_u, at_v = state.at[u], state.at[v]
+    assert 0 <= c < state.k and at_u.get(c, e) == e and at_v.get(c, e) == e, (e, c)
+    old = state.colors[e]
+    if old is not None:
+        del at_u[old], at_v[old]
+    at_u[c] = at_v[c] = e
+    state.colors[e] = c
+
+
 def colored(graph: Graph, k: int, colors: list[int | None]) -> ColorState:
     """A ColorState holding the given colors (None leaves an edge uncolored)."""
     state = ColorState(graph, k)
     for e, c in enumerate(colors):
         if c is not None:
-            state.assign(e, c)
+            write_color(state, e, c)
     return state
 
 

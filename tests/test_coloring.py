@@ -29,6 +29,7 @@ from lllcolor.graphs import (
 from lllcolor.verify import verify_acyclic
 
 from conftest import (
+    _IndexDraw,
     audited_col_alg,
     bichromatic_edge_set,
     brute_bichromatic_keys,
@@ -42,7 +43,9 @@ from conftest import (
     reference_cycles_through_edge,
     reference_forbidden_colors,
     reference_verify_acyclic,
+    reference_walk,
     reference_walk_starts,
+    reference_walkable,
     two_hex_graph,
 )
 
@@ -129,31 +132,47 @@ def test_forbidden_matches_adjacency_scan():
     assert checked > 2000
 
 
-def test_improper_assign_raises():
+def _loop_write(monkeypatch, state: ColorState, e: int, index: int, shift: int | None = None) -> None:
+    """One decision of the loop at edge e that draws free-color index
+    ``index``.  With ``shift``, a module-level ``sorted`` that returns
+    ``shift`` entries below every draw moves it ``shift`` colors up instead
+    of past the forbidden set, so it can land on a taken color or outside
+    the palette."""
+    with monkeypatch.context() as patch:
+        if shift is not None:
+            patch.setattr(coloring, "sorted", lambda forbidden: [-1] * shift, raising=False)
+        coloring._color_edges(state, (e,), _IndexDraw(index), frozenset({e}))
+
+
+def test_improper_assign_raises(monkeypatch):
+    # the decision loop is the only writer of the maps, and its write refuses
+    # a color taken at an end before it changes anything
     # C4 edges {0,1}, {1,2}, {2,3}, {0,3}
     g = cycle_graph(4)
     state = colored(g, 4, [0, None, 1, 2])
-    with pytest.raises(ContractError):
-        state.assign(1, 0)  # color 0 already sits at vertex 1 (edge 0)
-    with pytest.raises(ContractError):
-        state.assign(1, 1)  # color 1 already sits at vertex 2 (edge 2)
-    assert state.colors == [0, None, 1, 2]  # a refused assign changes nothing
+    with pytest.raises(ContractError, match="repeats at vertex 1"):
+        _loop_write(monkeypatch, state, 1, 0, shift=0)  # color 0 already sits at vertex 1 (edge 0)
+    with pytest.raises(ContractError, match="repeats at vertex 2"):
+        _loop_write(monkeypatch, state, 1, 1, shift=0)  # color 1 already sits at vertex 2 (edge 2)
+    assert state.colors == [0, None, 1, 2]  # a refused write changes nothing
     assert state.at == [{0: 0, 2: 3}, {0: 0}, {1: 2}, {1: 2, 2: 3}]
-    state.assign(1, 3)
-    state.assign(1, 3)  # recoloring an edge with its own color is fine
-    with pytest.raises(ContractError):
-        state.assign(2, 3)  # recoloring into a color taken at vertex 2 (edge 1)
-    state.assign(0, 1)  # the old color 0 leaves both endpoints of edge 0
+    _loop_write(monkeypatch, state, 1, 1)  # free colors 2, 3
+    _loop_write(monkeypatch, state, 1, 1)  # recoloring an edge with its own color 3 is fine
+    assert state.colors == [0, 3, 1, 2]
+    with pytest.raises(ContractError, match="repeats at vertex 2"):
+        _loop_write(monkeypatch, state, 2, 0, shift=3)  # recoloring into color 3, taken at vertex 2 (edge 1)
+    _loop_write(monkeypatch, state, 0, 1)  # free colors 0, 1: the old color 0 leaves both endpoints of edge 0
+    assert state.colors == [1, 3, 1, 2]
     assert state.at == [{1: 0, 2: 3}, {1: 0, 3: 1}, {3: 1, 1: 2}, {1: 2, 2: 3}]
-    with pytest.raises(ContractError):
-        colored(g, 3, [0, 0, 1, 2])
 
 
-def test_assign_outside_palette_raises():
+def test_assign_outside_palette_raises(monkeypatch):
+    # the loop's write refuses a color outside 0..k-1: moved past the palette
+    # by the patched ``sorted``, or below it by an rng that hands out -1
     state = ColorState(path_graph(3), 3)
-    for c in (99, 3, -1):
-        with pytest.raises(ContractError):
-            state.assign(0, c)
+    for index, shift in ((0, 99), (0, 3), (2, 1), (-1, None)):
+        with pytest.raises(ContractError, match="outside the palette"):
+            _loop_write(monkeypatch, state, 0, index, shift)
     assert state.colors == [None, None] and state.at == [{}, {}, {}]
 
 
@@ -367,9 +386,10 @@ def test_greedy_walk_reuses_the_exact_second_colors(monkeypatch):
     # the greedy pass reads each second color's edges and far ends before
     # the draw and hands them to _walk after it: each walk's color b, b-edge
     # and far end must be those the maps hold after the assignment, and the
-    # pass walks exactly from the second colors whose far ends carry e's
-    # color, where e's second colors are those its ends shared among the
-    # edges before it when it was colored
+    # pass walks exactly from the second colors b whose far ends each carry
+    # e's color on an edge that leads to a vertex carrying b, where e's
+    # second colors are those its ends shared among the edges before it
+    # when it was colored
     walk = coloring._walk
     walks: list[tuple[int, int]] = []
 
@@ -391,7 +411,7 @@ def test_greedy_walk_reuses_the_exact_second_colors(monkeypatch):
             g = gnp_graph(n, p, seed=rng.randrange(2**30))
             if g.max_degree:
                 corpus.append((g, 2 * g.max_degree - 1, range(10)))
-    seconded = decisions = started = 0
+    seconded = decisions = near = started = 0
     for g, k, seeds in corpus:
         for seed in seeds:
             walks.clear()
@@ -400,17 +420,29 @@ def test_greedy_walk_reuses_the_exact_second_colors(monkeypatch):
             colors = state.colors
             expected = []
             for e, ends in enumerate(g.edges):
+
+                def edge_before(w, c):  # w's edge of color c among the edges colored before e
+                    return next((f for f in (g.edge_index(w, x) for x in g.adj[w]) if f < e and colors[f] == c), None)
+
+                def leads_to(w, b):  # w's edge of e's color ends at a vertex carrying b
+                    f = edge_before(w, colors[e])
+                    return f is not None and edge_before(sum(g.edges[f]) - w, b) is not None
+
                 # per end of e, color -> edge among the edges colored before e
                 before = [{colors[f]: f for f in (g.edge_index(w, x) for x in g.adj[w]) if f < e} for w in ends]
                 second = before[0].keys() & before[1].keys()
                 seconded += bool(second)
                 for b in second:
                     far = [sum(g.edges[edge_at[b]]) - w for w, edge_at in zip(ends, before)]
-                    if all(any(f < e and colors[f] == colors[e] for f in (g.edge_index(w, x) for x in g.adj[w])) for w in far):
+                    near += all(edge_before(w, colors[e]) is not None for w in far)
+                    if all(leads_to(w, b) for w in far):
                         expected.append((e, b))
             assert sorted(walks) == sorted(expected), (g.m, seed)
             started += len(expected)
-    assert seconded >= decisions // 4 and started >= decisions // 8, (seconded, started, decisions)
+    # near counts the starts of the one-sided guard, whose far ends carry e's
+    # color: the second alternation drops most of them
+    assert seconded >= decisions // 4 and near >= decisions // 8, (seconded, near, decisions)
+    assert near > 5 * started >= 5 * 300, (near, started)
 
 
 def test_walk_guard_matches_the_unguarded_walk():
@@ -442,6 +474,59 @@ def test_walk_guard_matches_the_unguarded_walk():
                     far = [sum(g.edges[state.at[w][b]]) - w for w in (u, v) for b in second]
                     guarded += any(colors[e] not in state.at[x] for x in far)
     assert closed >= 400 and guarded >= 1000, (closed, guarded)
+
+
+def test_two_sided_guard_drops_only_walks_that_close_nothing(monkeypatch):
+    # each second color that passes the scanned-edge test but that the
+    # decision loop's two-sided guard keeps from _walk must close no cycle
+    # by conftest's oracle walk, read right after the decision; and each
+    # call of the loop, greedy pass or recolor, must draw and find what
+    # reference_color_edges does with every such walk taken; through whole
+    # col_alg runs on the brute-force corpus, K_20 at 37 and random gnp
+    # graphs
+    walk, color_edges = coloring._walk, coloring._color_edges
+    started: list[int] = []
+    dropped = far_dropped = closed = 0
+
+    def counting(state, scanned, e, u, first, cur, a, b):
+        started.append(b)
+        return walk(state, scanned, e, u, first, cur, a, b)
+
+    def checked(state, edges, rng, scanned):
+        nonlocal dropped, far_dropped, closed
+        twin, twin_rng = colored(state.graph, state.k, state.colors), random.Random()
+        twin_rng.setstate(rng.getstate())
+        expected = reference_color_edges(twin, edges, twin_rng, scanned)
+        at, ends, found = state.at, state.graph.edges, []
+        for e in edges:
+            started.clear()
+            found += color_edges(state, (e,), rng, scanned)
+            u, v = ends[e]
+            second = (at[u].keys() & at[v].keys()) - {state.colors[e]}
+            for b in reference_walkable(state, e, scanned, second):
+                if b not in started:
+                    assert reference_walk(state, e, scanned, b) is None, (state.graph.m, e, b)
+                    dropped += 1
+                    # past the one-sided guard: both far ends carry e's color
+                    far_dropped += all(state.colors[e] in at[sum(ends[at[w][b]]) - w] for w in (u, v))
+        assert found == expected and state.colors == twin.colors and rng.getstate() == twin_rng.getstate()
+        closed += len(found)
+        return found
+
+    monkeypatch.setattr(coloring, "_walk", counting)
+    monkeypatch.setattr(coloring, "_color_edges", checked)
+    rng = random.Random(61)
+    corpus = [(g, 2 * g.max_degree - 1, range(20)) for g in brute_force_graphs()]
+    corpus.append((complete_graph(20), 37, range(20)))
+    for n, p in ((12, 0.4), (20, 0.25), (30, 0.15)):
+        for _ in range(3):
+            g = gnp_graph(n, p, seed=rng.randrange(2**30))
+            if g.max_degree:
+                corpus.append((g, 2 * g.max_degree - 1, range(10)))
+    for g, k, seeds in corpus:
+        for seed in seeds:
+            col_alg(g, k, seed=seed)
+    assert far_dropped >= 1000 and dropped >= 2 * far_dropped and closed >= 100, (dropped, far_dropped, closed)
 
 
 def test_color_edges_matches_the_reference_loop():

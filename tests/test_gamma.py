@@ -185,6 +185,16 @@ def test_solve_tau_refuses_a_bracket_that_never_closes(h, message):
         solve_tau(params)
 
 
+@pytest.mark.parametrize("g, message", [(0.01, "rounds to 0"), (0.02, "rounds to 0"), (0.03, "rounds to 0"),
+                                        (0.035, "no sign change")])
+def test_solve_tau_refuses_a_pole_term_that_rounds_to_zero(g, message):
+    # with q within about 1e-14 of 1, 1 - q^2 (x+1)^2 rounds to 0 in the
+    # bracket search at 2r = 6, which must give the solver's own error and
+    # not ZeroDivisionError; at 0.035 the search still ends at the pole
+    with pytest.raises(SolverError, match=message):
+        solve_tau(PhiParams(g, 3.0))
+
+
 def test_rho_decreasing_in_gamma():
     for r in (3.0, 4.0, 5.5):
         rhos = [solve_tau(PhiParams(1.0 + 0.1 * i, r)).rho for i in range(21)]

@@ -26,6 +26,17 @@ def test_library_raises_contract_errors_not_asserts():
     assert not offenders, offenders
 
 
+def test_coloring_module_stays_within_its_node_count():
+    # every command that colors compiles coloring.py from source when no
+    # bytecode cache is written, and that compile sets bench's memory peak
+    # (the FOUND lines of CHANGES.md on ``peak_rss_mb`` and the compiler);
+    # its cost follows the AST's node count, not the file's bytes, since a
+    # docstring is one node whatever its length
+    path = PACKAGE / "coloring.py"
+    nodes = sum(1 for _ in ast.walk(ast.parse(path.read_text())))
+    assert nodes <= 2018, nodes
+
+
 def _reached(defs, roots):
     """The names of ``defs`` (name -> module-level node) that ``roots``
     reach, directly or through one another."""
