@@ -173,7 +173,10 @@ def cmd_verify(args) -> int:
 
     graph = graphs_mod.Graph.read_edge_list(args.graph)
     with open(args.coloring) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError("coloring JSON nests deeper than the decoder's recursion limit") from None
     k, colors = (payload.get("K"), payload.get("colors")) if isinstance(payload, dict) else (None, None)
     if not isinstance(colors, list) or not all(type(c) is int for c in [k, *colors]):
         raise ValueError("coloring JSON needs an integer K and a list of integer colors")

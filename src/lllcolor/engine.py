@@ -95,10 +95,10 @@ class VariableSpace:
 class Event(_Frozen):
     """Event j of a system, ``system.events[j]``: id j, scope ``scopes[j]``
     and predicate ``tests[j]``, a view the system builds from its checked
-    lists.  The engine reads the lists; the view is kept for
-    ``witness.validate``, for ``EventSystem.first_occurring`` (the scan of
-    the tests' reference engine) and for the benchmark's traced runs, which
-    wrap ``first_occurring`` and count ``Event.occurs`` by name.
+    lists.  The engine and ``witness.validate`` read the lists; the view is
+    kept only for ``EventSystem.first_occurring`` (the scan of the tests'
+    reference engine) and for the benchmark's traced runs, which wrap
+    ``first_occurring`` and count ``Event.occurs`` by name.
     """
 
     __slots__ = ("id", "scope", "predicate")

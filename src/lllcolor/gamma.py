@@ -187,39 +187,34 @@ def _solve_at(g: float, r: float) -> GammaSolution:
 class _Bisection:
     """Bisection for the smallest admissible slack at one tracked half-length r.
 
-    The bracket (lo, hi) with rho(lo) >= 1 > rho(hi) is found and
-    spot-checked once.  Then regula falsi with the Illinois rule closes in
-    on the crossing from the spot-check cell that holds it, down to a band
-    (a, b) of width ``BAND`` or less, with log rho(a) >= ``MARGIN`` and
-    log rho(b) <= -``MARGIN`` (if a cell end is nearer 1 than that, the
-    band stays the bracket).  A step whose midpoint lies at or outside the band
-    takes the side monotonicity gives; one inside it is solved.  So a
-    bisection of any tol takes the steps of the bisection that solves at
-    every midpoint, with solves only near the answer.
+    The set-up finds the bracket (lo, hi) with rho(lo) >= 1 > rho(hi) and
+    spot-checks it on its eighths.  Then regula falsi with the Illinois
+    rule closes in on the crossing from the eighths' cell that holds it,
+    down to a band (a, b) of width ``BAND`` or less, with log rho(a) >=
+    ``MARGIN`` and log rho(b) <= -``MARGIN`` (if a cell end is nearer 1 than
+    that, the band stays the bracket).  The set-up's solutions are dropped
+    once it ends.
 
-    The bisection to a coarser tol is a prefix of the bisection to a finer
-    one, so the steps taken are kept as one bit each (set when the
-    midpoint's rho < 1 moved hi down): a request replays them from the
-    bracket and decides only the steps no request took before.
-    ``known`` holds the solutions of the set-up until three steps are
-    taken, since the spot-check's eighths can only be the first three
-    midpoints.
-
-    ``answers[tol]`` is ``(hi, solution at hi)``: one solution per answer,
-    not one per step.  The solution is None when the step that last moved
-    hi solved nothing or was taken by an earlier request; ``solution`` then
-    takes it from an answer with the same hi, or solves there once.
+    A step whose midpoint lies at or outside the band takes the side
+    monotonicity gives; one strictly inside it is solved.  So a bisection of
+    any tol takes the steps of the bisection that solves at every midpoint,
+    with solves only near the answer.  The bisection to a coarser tol is a
+    prefix of the bisection to a finer one, so each step taken is kept as
+    one bit in ``below`` (set when the midpoint's rho < 1 moved hi down):
+    ``gamma`` replays the ``steps`` bits from the bracket and decides only
+    the steps past them.  Nothing else is kept.
     """
 
-    __slots__ = ("r", "bracket", "band", "top", "steps", "below", "known", "answers")
+    __slots__ = ("r", "bracket", "band", "steps", "below")
 
     def __init__(self, r: float):
-        self.r, self.steps, self.below, self.known, self.answers = r, 0, 0, {}, {}
+        self.r, self.steps, self.below = r, 0, 0
+        known: dict[float, float] = {}  # rho by slack: the bracket's ends are eighths too
 
         def rho_at(g: float) -> float:
-            if g not in self.known:
-                self.known[g] = _solve_at(g, r)
-            return self.known[g].rho
+            if g not in known:
+                known[g] = _solve_at(g, r).rho
+            return known[g]
 
         lo, hi = 0.25, 1.0
         while rho_at(lo) < 1.0:
@@ -235,7 +230,7 @@ class _Bisection:
         rhos = [rho_at(g) for g in eighths]
         if any(r2 > r1 + 1e-9 for r1, r2 in zip(rhos, rhos[1:])):
             raise SolverError("rho is not decreasing in gamma on the bracket")
-        self.bracket, self.top, self.band = (lo, hi), self.known[hi], (lo, hi)
+        self.bracket = self.band = lo, hi
         # regula falsi on log rho, which rho's orders of magnitude leave near
         # linear; rho underflows to 0 far past the crossing, read as 5e-324
         cell = next(i for i, rho in enumerate(rhos) if rho < 1.0)
@@ -255,43 +250,42 @@ class _Bisection:
                 b, fb, fa, moved = c, fc, fa * 0.5 if moved < 0 else fa, -1
         self.band = a, b
 
-    def gamma(self, tol: float) -> float:
-        """Smallest slack known to satisfy rho < 1, within tol."""
-        if tol not in self.answers:
-            (lo, hi), (a, b), at_hi, step = self.bracket, self.band, self.top, 0
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if mid in (lo, hi):  # tol below the float spacing at the bracket
-                    break
-                at_mid = None
-                if step == self.steps:  # a step no request has taken yet
-                    at_mid = self.known.get(mid)
-                    if at_mid is None and a < mid < b:
-                        at_mid = _solve_at(mid, self.r)
-                    self.below |= (mid >= b if at_mid is None else at_mid.rho < 1.0) << step
-                    self.steps += 1
-                if self.below >> step & 1:
-                    hi, at_hi = mid, at_mid
-                else:
-                    lo = mid
-                step += 1
-            if self.steps >= 3:
-                self.known = {}
-            self.answers[tol] = hi, at_hi
-        return self.answers[tol][0]
-
-    def solution(self, tol: float) -> GammaSolution:
-        """The solution at ``gamma(tol)``, which was asked for; solved again
-        only if no request kept it."""
-        hi, at_hi = self.answers[tol]
-        if at_hi is None:
-            kept = (sol for g, sol in self.answers.values() if g == hi and sol is not None)
-            at_hi = next(kept, None) or _solve_at(hi, self.r)
-            self.answers[tol] = hi, at_hi
-        return at_hi
+    def gamma(self, tol: float) -> tuple[float, GammaSolution | None]:
+        """The smallest slack known to satisfy rho < 1, within tol, and the
+        solution there if this call's last step that moved hi solved it
+        (None if that step was replayed or decided by the band, or if no
+        step moved hi)."""
+        (lo, hi), (a, b), at_hi, step = self.bracket, self.band, None, 0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):  # tol below the float spacing at the bracket
+                break
+            at_mid = None
+            if step == self.steps:  # a step no call has taken yet
+                if a < mid < b:
+                    at_mid = _solve_at(mid, self.r)
+                self.below |= (mid >= b if at_mid is None else at_mid.rho < 1.0) << step
+                self.steps += 1
+            if self.below >> step & 1:
+                hi, at_hi = mid, at_mid
+            else:
+                lo = mid
+            step += 1
+        return hi, at_hi
 
 
 _bisections: dict[int, _Bisection] = {}  # by tracked cycle length 2r
+
+
+def _bisection(r: float, tol: float) -> _Bisection:
+    """The bisection of r's tracked length, set up on first use, once r
+    and tol are checked."""
+    two_r = _tracked_length(r)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if two_r not in _bisections:
+        _bisections[two_r] = _Bisection(two_r / 2.0)
+    return _bisections[two_r]
 
 
 def min_gamma(r: float, tol: float = 1e-4) -> float:
@@ -299,25 +293,22 @@ def min_gamma(r: float, tol: float = 1e-4) -> float:
 
     r must be one ``PhiParams`` takes.  A tol below the float spacing at
     the answer gives the answer to that spacing.  Each tracked length is
-    bracketed, spot-checked and closed in on once per process, and a
-    request at another tol goes on from the steps taken (``_Bisection``):
-    the answer is bit for bit the one a bisection that solves at every
-    midpoint gives, but only the midpoints within ``BAND`` of the crossing
-    are solved.
+    bracketed, spot-checked and closed in on once per process, and a call
+    at another tol replays the steps taken and goes on from them
+    (``_Bisection``): the answer is bit for bit the one a bisection that
+    solves at every midpoint gives, but only the midpoints within ``BAND``
+    of the crossing are solved.
     """
-    two_r = _tracked_length(r)
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if two_r not in _bisections:
-        _bisections[two_r] = _Bisection(two_r / 2.0)
-    return _bisections[two_r].gamma(tol)
+    return _bisection(r, tol).gamma(tol)[0]
 
 
 def min_gamma_solution(r: float, tol: float = 1e-4) -> GammaSolution:
     """The solution of the characteristic equation at ``min_gamma(r, tol)``:
-    the one the bisection kept, or one solve at the slack if no step did."""
-    min_gamma(r, tol)  # through the module, so a wrapper on min_gamma sees the bisection
-    return _bisections[int(round(2 * r))].solution(tol)
+    the one this call's bisection solved there, or else one solve at the
+    slack."""
+    run = _bisection(r, tol)
+    g, at_g = run.gamma(tol)
+    return _solve_at(g, run.r) if at_g is None else at_g
 
 
 def colors_needed(delta: int, girth: int = 3) -> int:

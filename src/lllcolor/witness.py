@@ -118,24 +118,27 @@ def validate(forest: WitnessForest, system: EventSystem, rng: random.Random) -> 
 
     Samples all variables, then walks the node labels in forest order: if
     the labeled event does not occur the replay fails, otherwise its scope
-    is redrawn and the walk continues.  The draws are the engine's:
-    ``sample_all``, then ``system.space.draw`` per node.  Returns True when
-    every node passed.  Labels are event ids, so one outside 0..m-1 is a
-    ContractError.
+    is redrawn and the walk continues.  Event j is read from the system's
+    lists as ``m_algorithm`` reads it: ``tests[j]`` on the values of
+    ``scopes[j]``.  The draws are the engine's: ``sample_all``, then
+    ``system.space.draw`` per node.  Returns True when every node passed.
+    Labels are event ids, so one outside 0..m-1 is a ContractError.
     """
     from .engine import sample_all
 
+    scopes, tests = system.scopes, system.tests
     for j in forest.labels:
         if not (0 <= j < system.m):
             raise ContractError(f"forest references unknown event {j}")
-    if not check_feasible(forest, lambda j: system.events[j].scope):
+    if not check_feasible(forest, scopes.__getitem__):
         raise ContractError("validate requires a feasible forest")
     values, draw = sample_all(system, rng), system.space.draw
+    get = values.__getitem__
     for node in forest.node_order():
-        event = system.events[forest.labels[node]]
-        if not event.occurs(values):
+        j = forest.labels[node]
+        if not tests[j](tuple(map(get, scopes[j]))):
             return False
-        draw(event.scope, values, rng)
+        draw(scopes[j], values, rng)
     return True
 
 

@@ -505,6 +505,7 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         ("bench", "--generator", "cycle:6", "--runs", "5", "--seed-base", "-2"),
         ("color", "{graph}", "--seed", "-3"),
         ("bench", "--generator", "random-regular:3,10", "--runs", "1", "--gen-seed", "-1"),
+        ("verify", "{edgeless}", "{deep_nesting}"),
     ],
     ids=[
         "sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs",
@@ -521,7 +522,7 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         "verify-palette-negative", "verify-palette-zero", "color-second-header", "sat-second-header",
         "color-edges-before-header", "sat-underscore", "sat-non-ascii-digit", "sat-header-underscore",
         "color-underscore", "color-non-ascii-digit", "verify-header-underscore",
-        "bench-negative-seed-base", "color-negative-seed", "bench-negative-gen-seed",
+        "bench-negative-seed-base", "color-negative-seed", "bench-negative-gen-seed", "verify-deep-nesting",
     ],
 )
 def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, argv):
@@ -550,6 +551,7 @@ def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, arg
         "edges_underscore_token": "p edges 11 1\n1_0 2\n",
         "edges_digit_token": "p edges 4 1\n\u0663 2\n",
         "edges_header_underscore": "p edges 1_2 0\n",
+        "deep_nesting": "[" * 100000,
     }
     for name, text in malformed.items():
         paths[name] = tmp_path / name
@@ -741,6 +743,10 @@ GOLDEN = [
      "d5b996514dc0b83c13ad5ea458003e234b660097d9cd15a67417e2ca87e995ff"),
     (("gamma", "--table", "5", "120", "--delta", "11"), 0,
      "8ed52f04074c26a22d6eb853c502c95008504260f9c2077c4fd4a5b06c6d8840"),
+    (("gamma", "--girth", "3", "5", "6", "7", "53", "219", "--tol", "1"), 0,
+     "667b279dc4ce3b88262c38b722571ad51713070848f39cf22bd512724d005c54"),
+    (("gamma", "--girth", "3", "6", "7", "53", "219", "1000000", "--tol", "1e-300", "--delta", "1000000"), 0,
+     "3a21ab1afbd1926fa71e01715830bab621704f2e2065351f520f1e001840bcae"),
     (("bench", "--generator", "random-regular:19,20", "--k", "37", "--runs", "40", "--seed-base", "7",
       "--jobs", "1"), 0,
      "21622d3d97e298d89f466cd61400377640d829b1917145c993faf82e924c40e7"),

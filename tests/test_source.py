@@ -6,6 +6,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import lllcolor
 
 PACKAGE = Path(lllcolor.__file__).parent
@@ -26,15 +28,16 @@ def test_library_raises_contract_errors_not_asserts():
     assert not offenders, offenders
 
 
-def test_coloring_module_stays_within_its_node_count():
+@pytest.mark.parametrize("module, cap", [("coloring.py", 2018), ("gamma.py", 2885)])
+def test_module_stays_within_its_node_count(module, cap):
     # every command that colors compiles coloring.py from source when no
     # bytecode cache is written, and that compile sets bench's memory peak
     # (the FOUND lines of CHANGES.md on ``peak_rss_mb`` and the compiler);
-    # its cost follows the AST's node count, not the file's bytes, since a
-    # docstring is one node whatever its length
-    path = PACKAGE / "coloring.py"
-    nodes = sum(1 for _ in ast.walk(ast.parse(path.read_text())))
-    assert nodes <= 2018, nodes
+    # so is gamma.py by every `gamma` run and every `color` run that picks
+    # its own palette.  The cost follows the AST's node count, not the
+    # file's bytes, since a docstring is one node whatever its length
+    nodes = sum(1 for _ in ast.walk(ast.parse((PACKAGE / module).read_text())))
+    assert nodes <= cap, nodes
 
 
 def _reached(defs, roots):
