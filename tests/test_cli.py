@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lllcolor import cli
+from lllcolor import cli, cmd_bench, cmd_dice
 from lllcolor.cli import main
 from lllcolor.graphs import cycle_graph, path_graph
 
@@ -105,6 +105,23 @@ def test_gamma_table_solves_each_length_once_per_step(capsys, solve_tau_calls):
     code, out = run_cli(capsys, "gamma", "--table", "5", "120", "--delta", "11")
     assert code == 0 and len(csv_rows(out)) == 117
     assert solve_tau_calls == [1749]
+
+
+@pytest.mark.parametrize(
+    "argv, rows, calls",
+    [
+        (("--table", "3", "120", "--delta", "11"), 118, 1749),
+        (("--girth", "3", "5", "6", "7", "53", "219", "--tol", "1"), 6, 76),
+        (("--girth", "7", "7", "7", "8"), 4, 32),
+    ],
+)
+def test_gamma_solves_once_per_tracked_length(capsys, solve_tau_calls, argv, rows, calls):
+    # girths that track the same length r (girths 3, 4 and 5 track r = 3,
+    # and a girth may be given twice) share one solution, where solving per
+    # row took 1,751, 77 and 34 calls
+    code, out = run_cli(capsys, "gamma", *argv)
+    assert code == 0 and len(csv_rows(out)) == rows + 1
+    assert solve_tau_calls == [calls]
 
 
 # -- color / verify --------------------------------------------------------------
@@ -401,8 +418,8 @@ def test_bench_pool_is_capped(capsys, monkeypatch, jobs, runs, cpus, workers):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)  # cmd_bench imports it on use
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)  # cmd_bench.run imports it on use
+    monkeypatch.setattr(cmd_bench.os, "cpu_count", lambda: cpus)
     argv = ("bench", "--generator", "cycle:6", "--k", "5", "--seed-base", "1", "--runs", runs)
     code, out = run_cli(capsys, *argv, "--jobs", jobs)
     assert code == 0 and pools == ([workers] if workers else [])
@@ -439,7 +456,7 @@ def test_dice_zero_trials(capsys):
 
 
 def test_dice_phases_cap_keeps_z_defined(capsys):
-    code, out = run_cli(capsys, "dice", "--trials", "10", "--seed", "1", "--phases", str(cli.MAX_DICE_PHASES))
+    code, out = run_cli(capsys, "dice", "--trials", "10", "--seed", "1", "--phases", str(cmd_dice.MAX_DICE_PHASES))
     assert code == 0 and "z=-0.000" in out and "nan" not in out
 
 
@@ -506,6 +523,12 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         ("color", "{graph}", "--seed", "-3"),
         ("bench", "--generator", "random-regular:3,10", "--runs", "1", "--gen-seed", "-1"),
         ("verify", "{edgeless}", "{deep_nesting}"),
+        ("bounds", "--p", "1e99999999", "--delta", "3"),
+        ("bounds", "--p", "1e9999999", "--delta", "3"),
+        ("bounds", "--p", "1e-9999999", "--delta", "3"),
+        ("bounds", "--p", "0." + "0" * 4300 + "1", "--delta", "3"),
+        ("bounds", "--p", "1/" + "7" * 5000, "--delta", "3"),
+        ("bounds", "--p", "1 / 8", "--delta", "3"),
     ],
     ids=[
         "sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs",
@@ -523,6 +546,8 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         "color-edges-before-header", "sat-underscore", "sat-non-ascii-digit", "sat-header-underscore",
         "color-underscore", "color-non-ascii-digit", "verify-header-underscore",
         "bench-negative-seed-base", "color-negative-seed", "bench-negative-gen-seed", "verify-deep-nesting",
+        "bounds-p-exponent-huge", "bounds-p-exponent-large", "bounds-p-exponent-tiny", "bounds-p-decimals-long",
+        "bounds-p-digits-long", "bounds-p-spaces",
     ],
 )
 def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, argv):
@@ -556,24 +581,36 @@ def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, arg
     for name, text in malformed.items():
         paths[name] = tmp_path / name
         paths[name].write_text(text)
-    try:
-        code = main([a.format(**paths) for a in argv])
-    except SystemExit as exc:  # the parser's refusal, before any command runs
-        code = exc.code
-        assert "--prefactor" in argv
-    captured = capsys.readouterr()
-    assert code == 4 and captured.out == ""
-    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("lllcolor: error:")
+    if argv[:2] == ("bounds", "--p"):  # in a process of its own: a --p that spelled 10**99999999 never ended
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "lllcolor.cli", *argv],
+            capture_output=True, text=True, timeout=5, env={**os.environ, "PYTHONPATH": src},
+        )
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        try:
+            code = main([a.format(**paths) for a in argv])
+        except SystemExit as exc:  # the parser's refusal, before any command runs
+            code = exc.code
+            assert "--prefactor" in argv
+        out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("lllcolor: error:")
     if "--prefactor" in argv:  # the removed option, which T_n replaced
-        assert captured.err == "lllcolor: error: unrecognized arguments: --prefactor 4\n"
+        assert err == "lllcolor: error: unrecognized arguments: --prefactor 4\n"
+    if argv[:2] == ("bounds", "--p") and len(argv[2]) > 8:  # the rows too large to build: refused by size first
+        assert err == "lllcolor: error: --p spells a number of more than 4300 digits\n"
+    if argv[2:3] == ("1 / 8",):  # Fraction reads spaces around the slash; the form check does not
+        assert err == "lllcolor: error: --p '1 / 8' is not a fraction a/b or a decimal\n"
     if argv[1].endswith("_token}"):  # a non-integer token names its line
-        assert "line 2:" in captured.err
+        assert "line 2:" in err
     if argv[1].endswith("_second_header}"):  # so does a second header
-        assert "line 3: second header" in captured.err
+        assert "line 3: second header" in err
     if argv[1].endswith("header_underscore}"):  # a header is held to the same tokens
-        assert "line 1: '1_2' is not an ASCII integer" in captured.err
+        assert "line 1: '1_2' is not an ASCII integer" in err
     if argv[1] == "{edges_before_header}":  # as DIMACS refuses a clause before its problem line
-        assert "line 1: edge before the header" in captured.err
+        assert "line 1: edge before the header" in err
 
 
 def test_unknown_flag_is_input_error(capsys):
@@ -620,20 +657,13 @@ print(json.dumps(seen))
 """
 
 
-def test_commands_import_only_what_they_run(tmp_path, hexagon_file):
-    # a fresh interpreter: `import lllcolor.cli` loads no library module and
-    # no process pool, `sat` loads only dimacs, the driver, engine and the
-    # JSON emitter (no witness forests, no csv), a random-regular bench with
-    # one job neither starts nor imports a pool and loads no JSON emitter,
-    # the coloring commands reach the driver without the variable engine,
-    # color and verify load no csv, verify loads only graphs, the emitter
-    # and the verifier, which never reaches the detector, dice loads the
-    # witness module and nothing more, and no command loads dataclasses or
-    # inspect (their import costs every process ~15 ms)
+def _command_runs(tmp_path, hexagon_file):
+    """(name, argv) of one small run of each command; verify reads the
+    coloring that color writes before it."""
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
     coloring = str(tmp_path / "color.json")
-    sat, bench, color, verify, gamma, bounds, dice = runs = [
+    return [
         ("sat", ["sat", str(cnf), "--seed", "1", "--out", str(tmp_path / "sat.json")]),
         ("bench", ["bench", "--generator", "random-regular:3,10", "--runs", "2", "--jobs", "1",
                    "--out", str(tmp_path / "bench.csv")]),
@@ -643,6 +673,20 @@ def test_commands_import_only_what_they_run(tmp_path, hexagon_file):
         ("bounds", ["bounds", "--p", "1/8", "--delta", "3", "--n", "5", "--out", str(tmp_path / "bounds.csv")]),
         ("dice", ["dice", "--trials", "10", "--seed", "1", "--out", str(tmp_path / "dice.txt")]),
     ]
+
+
+def test_commands_import_only_what_they_run(tmp_path, hexagon_file):
+    # a fresh interpreter: `import lllcolor.cli` loads no library module and
+    # no process pool, only the handlers' shared module; each command loads
+    # its own handler module, `sat` loads only dimacs, the driver, engine
+    # and the JSON emitter (no witness forests, no csv), a random-regular
+    # bench with one job neither starts nor imports a pool and loads no JSON
+    # emitter, the coloring commands reach the driver without the variable
+    # engine, color and verify load no csv, verify loads only graphs, the
+    # emitter and the verifier, which never reaches the detector, dice loads
+    # the witness module and nothing more, and no command loads dataclasses
+    # or inspect (their import costs every process ~15 ms)
+    sat, bench, color, verify, gamma, bounds, dice = runs = _command_runs(tmp_path, hexagon_file)
     src = str(Path(cli.__file__).resolve().parents[1])
     # sat loads engine and color loads coloring, and bench loads csv, so
     # the coloring commands also run in a process of their own, verify in
@@ -654,9 +698,10 @@ def test_commands_import_only_what_they_run(tmp_path, hexagon_file):
         ).stdout)
         for process_runs in (runs, [color, verify, bench], [verify], [bench, dice])
     )
-    assert seen["import"] == ["lllcolor", "lllcolor.cli"]
+    assert seen["import"] == ["lllcolor", "lllcolor.cli", "lllcolor.cmd_common"]
     assert seen["sat"] == [
-        "lllcolor", "lllcolor.cli", "lllcolor.dimacs", "lllcolor.driver", "lllcolor.engine", "lllcolor.jsonout",
+        "lllcolor", "lllcolor.cli", "lllcolor.cmd_common", "lllcolor.cmd_sat", "lllcolor.dimacs", "lllcolor.driver",
+        "lllcolor.engine", "lllcolor.jsonout",
     ]
     assert {m for m in seen["bench"] if not m.startswith("lllcolor")} == {"csv"}
     assert "lllcolor.coloring" in seen["bench"]
@@ -667,13 +712,30 @@ def test_commands_import_only_what_they_run(tmp_path, hexagon_file):
     for name in ("color", "verify"):
         assert "csv" not in coloring_only[name], name
     assert verify_only["verify"] == [
-        "lllcolor", "lllcolor.cli", "lllcolor.graphs", "lllcolor.jsonout", "lllcolor.verify",
+        "lllcolor", "lllcolor.cli", "lllcolor.cmd_common", "lllcolor.cmd_verify", "lllcolor.graphs",
+        "lllcolor.jsonout", "lllcolor.verify",
     ]
     assert "lllcolor.jsonout" not in after_bench["bench"]
-    assert set(after_bench["dice"]) - set(after_bench["bench"]) == {"lllcolor.witness"}
+    assert set(after_bench["dice"]) - set(after_bench["bench"]) == {"lllcolor.cmd_dice", "lllcolor.witness"}
     assert {"lllcolor.bounds", "lllcolor.gamma"} <= set(seen["bounds"])  # every command ran
     for name, _ in runs:
         assert not {"dataclasses", "inspect"} & set(seen[name]), name
+
+
+def test_each_command_process_compiles_only_its_own_handler(tmp_path, hexagon_file):
+    # each command as the benchmark runs it, `python -m lllcolor.cli` in a
+    # fresh interpreter: cli.py runs as __main__, so a handler that imported
+    # lllcolor.cli would compile it a second time, and a process that loaded
+    # another command's handler would compile code it never runs
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for name, argv in _command_runs(tmp_path, hexagon_file):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "lllcolor.cli", *argv],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        assert "lllcolor.cli" not in imported, name
+        assert {m for m in imported if m.startswith("lllcolor.cmd_")} == {"lllcolor.cmd_common", f"lllcolor.cmd_{name}"}
 
 
 FOOTPRINT_PROBE = """

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lllcolor import cli
+from lllcolor import cmd_common
 from lllcolor.cli import main
 from lllcolor.graphs import cycle_graph, petersen_graph
 from lllcolor.jsonout import BLOCK_CHARS, RUN, json_blocks
@@ -78,13 +78,13 @@ def test_long_runs_stream_in_bounded_blocks():
 def test_command_payloads_are_written_as_json_dumps_would(capsys, tmp_path, monkeypatch):
     # the real sat, color and verify payloads, as each command hands them on
     emitted = []
-    emit = cli._emit
+    emit = cmd_common.emit
 
     def recording(content, out_path):
         emitted.append(content)
         emit(content, out_path)
 
-    monkeypatch.setattr(cli, "_emit", recording)
+    monkeypatch.setattr(cmd_common, "emit", recording)
     monkeypatch.chdir(tmp_path)
     n_vars, clauses = chain_3sat(300, random.Random(2))
     (tmp_path / "chain.cnf").write_text(
