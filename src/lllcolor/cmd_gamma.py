@@ -28,12 +28,9 @@ def run(args) -> int:
     if args.delta is not None:
         header.append("colors")
     rows = []
-    solutions = {}  # by tracked length: girths that share one share its solution
     for g in girths:
         r = gamma_mod.girth_to_r(g)
-        if r not in solutions:
-            solutions[r] = gamma_mod.min_gamma_solution(r, tol=args.tol)
-        sol = solutions[r]
+        sol = gamma_mod.min_gamma_solution(r, tol=args.tol)
         row = [g, r, f"{sol.params.gamma:.3f}", f"{sol.tau:.10f}", f"{sol.rho:.10f}"]
         if args.delta is not None:
             row.append(gamma_mod.colors_needed(args.delta, g))

@@ -107,23 +107,6 @@ def test_gamma_table_solves_each_length_once_per_step(capsys, solve_tau_calls):
     assert solve_tau_calls == [1749]
 
 
-@pytest.mark.parametrize(
-    "argv, rows, calls",
-    [
-        (("--table", "3", "120", "--delta", "11"), 118, 1749),
-        (("--girth", "3", "5", "6", "7", "53", "219", "--tol", "1"), 6, 76),
-        (("--girth", "7", "7", "7", "8"), 4, 32),
-    ],
-)
-def test_gamma_solves_once_per_tracked_length(capsys, solve_tau_calls, argv, rows, calls):
-    # girths that track the same length r (girths 3, 4 and 5 track r = 3,
-    # and a girth may be given twice) share one solution, where solving per
-    # row took 1,751, 77 and 34 calls
-    code, out = run_cli(capsys, "gamma", *argv)
-    assert code == 0 and len(csv_rows(out)) == rows + 1
-    assert solve_tau_calls == [calls]
-
-
 # -- color / verify --------------------------------------------------------------
 
 def test_color_hexagon_auto_palette(capsys, hexagon_file):
