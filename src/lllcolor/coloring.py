@@ -12,11 +12,12 @@ least 2*maxdeg - 1 therefore leaves a choice at every step, and the greedy
 pass keeps the partial coloring proper with no bichromatic 4-cycle.  One
 loop, ``_color_edges``, makes every decision, greedy or recolor: per
 edge it intersects the two endpoint maps once and reads each common
-color's two edges and far ends once, which serves the closing-edge term
-of the forbidden set, the scanned-edge test and, after the draw, the
-walk's far-end guard; it draws, writes the color into ``colors`` and both
-endpoint maps, the only writer of either, and hands each start that
-passes the guard to ``_walk``, the one alternating walk.
+color's two far ends, once for the closing-edge term of the forbidden set
+and, after the draw, once for the walk's far-end guard; it draws, writes
+the color into ``colors`` and both endpoint maps, the only writer of
+either, and looks up the two edges of each start that passes the guard,
+for the scanned-edge test, before handing it to ``_walk``, the one
+alternating walk.
 
 The main loop is the resampling driver (``driver.resample_loop``)
 with cycles in the role of events: while a bichromatic cycle exists, the
@@ -31,8 +32,9 @@ has degree at most 2 at every vertex, so the walk leaving e's far
 endpoint along color b is deterministic: it either dies at a vertex
 missing the wanted color or returns to e's near endpoint along a b-edge,
 closing the unique (a,b)-bichromatic cycle through e.  The walks read
-the per-vertex color -> edge maps of one ``ColorState``, which every
-assignment keeps up to date.  A sweep over an edge set finds each cycle
+the per-vertex color -> far end maps of one ``ColorState``, which every
+assignment keeps up to date, and look an edge's index up only where a
+walk steps along it.  A sweep over an edge set finds each cycle
 once, from its largest edge in the set: a walk stops at any larger edge
 of the set.  The decision loop walks from each edge right after coloring
 it, over the edges it colors, so the greedy pass collects each cycle of
@@ -61,12 +63,16 @@ class PaletteError(ValueError):
 
 
 class ColorState:
-    """Edge colors (None while uncolored) plus, per vertex, color -> incident edge.
+    """Edge colors (None while uncolored) plus, per vertex u, color -> far end:
+    ``at[u][c]`` is the neighbour w with edge {u, w} colored c.
 
-    The decision loop ``_color_edges`` is the only writer, and it refuses
-    a color outside the palette or taken at an endpoint, so ``at`` always
-    mirrors ``colors`` and the coloring stays proper; the loop and the
-    alternating walks read the maps instead of rebuilding them.  The run's
+    The maps hold vertices, not edge indices, so the hot loops read a
+    common color's 4-cycle without turning an edge back into its ends, and
+    they share the ints of the graph's edge tuples.  The decision loop
+    ``_color_edges`` is the only writer, and it refuses a color outside the
+    palette or taken at an endpoint, so ``at`` always mirrors ``colors`` and
+    the coloring stays proper; the loop and the alternating walks read the
+    maps instead of rebuilding them.  The run's
     constants are set once here: ``max_forbidden`` = 2*(maxdeg - 1), the
     bound on every forbidden set, and ``walk_cap``, a step count no
     alternating walk reaches.
@@ -97,14 +103,17 @@ def _color_edges(state: ColorState, edges, rng: random.Random, scanned: frozense
     sorting that set, whatever the palette size.  The write refuses, with
     ContractError and before it changes anything, a color outside the
     palette or taken at an end.  The new color a was at neither end, so
-    ``common`` holds e's second colors b, and the one read of each one's
-    edges and far ends x, y picks the walks to start: b-edges past the
-    scanned-edge test, x and y carrying a, and the a-edges at y and at x
-    both leading to a vertex that carries b.  This guard reaches one
-    alternation further on each side than ``_cycles_through_edge``'s and
-    drops only walks that close no cycle, since an (a, b) cycle through e
-    holds both those a-edges and a b-edge at each of their ends.  A
-    sequence of edges draws and finds what one call per edge would.
+    ``common`` holds e's second colors b, and a second pass over it, which
+    reads the same far ends x, y (the draw touches no b-edge), picks the
+    walks to start: x and y carrying a, the a-edges at y and at x both
+    leading to a vertex that carries b, and, looked up only for those, the
+    b-edges {u, x} and {v, y} past the scanned-edge test.  Both tests are
+    filters over one order, so the walks start as if the test came first.
+    The guard reaches one alternation further on each side than
+    ``_cycles_through_edge``'s and drops only walks that close no cycle,
+    since an (a, b) cycle through e holds both those a-edges and a b-edge
+    at each of their ends.  A sequence of edges draws and finds what one
+    call per edge would.
     """
     colors, at, ends, closing = state.colors, state.at, state.graph.edges, state.graph._edge_index.get
     k, cap, m = state.k, state.max_forbidden, len(ends)
@@ -121,17 +130,11 @@ def _color_edges(state: ColorState, edges, rng: random.Random, scanned: frozense
         if own is not None:
             forbidden.discard(own)
             common.discard(own)
-        starts = []
         for b in common:
-            last, first = at_u[b], at_v[b]
-            x1, x2 = ends[last]
-            y1, y2 = ends[first]
-            x, y = x1 ^ x2 ^ u, y1 ^ y2 ^ v
+            x, y = at_u[b], at_v[b]
             e3 = closing((x, y) if x < y else (y, x))
             if e3 is not None and (c3 := colors[e3]) is not None:
                 forbidden.add(c3)
-            if (last < e or last not in scanned) and (first < e or first not in scanned):
-                starts.append((b, first, x, y))
         if len(forbidden) > cap:
             raise ContractError(f"forbidden set of {len(forbidden)} exceeds 2*(maxdeg-1) at edge {e}")
         n = k - len(forbidden)
@@ -147,21 +150,21 @@ def _color_edges(state: ColorState, edges, rng: random.Random, scanned: frozense
             c += 1
         if not (0 <= c < k):
             raise ContractError(f"color {c} outside the palette 0..{k - 1}")
-        if at_u.get(c, e) != e:
+        if at_u.get(c, v) != v:
             raise ContractError(f"improper coloring: color {c} repeats at vertex {u}")
-        if at_v.get(c, e) != e:
+        if at_v.get(c, u) != u:
             raise ContractError(f"improper coloring: color {c} repeats at vertex {v}")
         if own is not None:
             del at_u[own], at_v[own]
-        at_u[c] = at_v[c] = e
+        at_u[c], at_v[c] = v, u
         colors[e] = c
-        for b, first, x, y in starts:
-            if (f := at[y].get(c)) is not None:
-                y1, y2 = ends[f]
-                if b in at[y1 ^ y2 ^ y] and (f := at[x].get(c)) is not None:
-                    x1, x2 = ends[f]
-                    if b in at[x1 ^ x2 ^ x] and (key := _walk(state, scanned, e, u, first, y, c, b)):
-                        found.append(key)
+        for b in common:
+            x, y = at_u[b], at_v[b]
+            if (w := at[y].get(c)) is not None and b in at[w] and (w := at[x].get(c)) is not None and b in at[w]:
+                last, first = closing((u, x) if u < x else (x, u)), closing((v, y) if v < y else (y, v))
+                if (last < e or last not in scanned) and (first < e or first not in scanned) and (
+                        key := _walk(state, scanned, e, u, first, y, c, b)):
+                    found.append(key)
     return found
 
 
@@ -199,22 +202,22 @@ def _cycles_through_edge(state: ColorState, e: int, scanned: frozenset[int] | ra
     ``scanned``.
 
     ``second`` holds the colors at both ends of e other than e's own; such
-    a color b starts a walk only when neither b-edge at e is a scanned edge
-    above e and the far ends of both carry e's color a, since otherwise e
-    lies on an (a, b) path.  A sweep of ``scanned`` finds each bichromatic
+    a color b starts a walk only when neither b-edge at e, looked up from
+    its far end in the maps, is a scanned edge above e and both far ends
+    carry e's color a, since otherwise e lies on an (a, b) path.  A sweep of ``scanned`` finds each bichromatic
     cycle C meeting it exactly once: the walk from C's largest edge e* in
     ``scanned`` goes around C, and a walk from any other scanned edge of C
     stops at e*.  Only the tests sweep.
     """
-    at, ends = state.at, state.graph.edges
-    u, v = ends[e]
+    at, edge_index = state.at, state.graph.edge_index
+    u, v = state.graph.edges[e]
     a = state.colors[e]
     out: list[tuple] = []
     for b in second:
-        last, first = at[u][b], at[v][b]
+        x, y = at[u][b], at[v][b]
+        last, first = edge_index(u, x), edge_index(v, y)
         if (last > e and last in scanned) or (first > e and first in scanned):
             continue  # the walk would stop at its last or its first edge
-        x, y = sum(ends[last]) - u, sum(ends[first]) - v
         if a in at[x] and a in at[y] and (key := _walk(state, scanned, e, u, first, y, a, b)):
             out.append(key)
     return out
@@ -224,17 +227,20 @@ def _walk(state: ColorState, scanned, e: int, u: int, first: int, cur: int, a: i
     """The key of the (a, b) cycle that the walk from edge e = {u, v},
     colored a, closes after leaving v along its b-edge ``first`` for
     ``cur``, or None if it dies: at a vertex lacking the wanted color, at
-    e, or at an edge of ``scanned`` above e."""
-    at, ends = state.at, state.graph.edges
+    e, or at an edge of ``scanned`` above e.  Each step reads the next
+    vertex from the maps and looks its edge up in the graph's index."""
+    at, closing = state.at, state.graph._edge_index.get
     want, other = a, b
     walk = [e, first]
     for _ in range(state.walk_cap):
-        f = at[cur].get(want)
-        if f is None or f == e or (f > e and f in scanned):
+        nxt = at[cur].get(want)
+        if nxt is None:
+            return None
+        f = closing((cur, nxt) if cur < nxt else (nxt, cur))
+        if f == e or (f > e and f in scanned):
             return None
         walk.append(f)
-        x, y = ends[f]
-        cur ^= x ^ y
+        cur = nxt
         if cur == u:
             # closing edge carries color b: the cycle alternates a,b
             return cycle_key(state.graph, walk) if want == b else None

@@ -372,9 +372,11 @@ def reference_walkable(state: ColorState, e: int, scanned, second: set[int]) -> 
     """The second colors b of colored edge e, in ``second``'s order, that
     pass the scanned-edge test: neither b-edge at e is an edge of
     ``scanned`` above e."""
-    u, v = state.graph.edges[e]
+    g = state.graph
+    u, v = g.edges[e]
     at_u, at_v = state.at[u], state.at[v]
-    return [b for b in second if not any(f > e and f in scanned for f in (at_u[b], at_v[b]))]
+    return [b for b in second
+            if not any(f > e and f in scanned for f in (g.edge_index(u, at_u[b]), g.edge_index(v, at_v[b])))]
 
 
 def reference_walk(state: ColorState, e: int, scanned, b: int) -> tuple | None:
@@ -384,17 +386,19 @@ def reference_walk(state: ColorState, e: int, scanned, b: int) -> tuple | None:
     the wanted color is missing, at e, or at an edge of ``scanned`` above
     e.  The oracle for the library's ``_walk`` and the guards in front of
     it."""
-    at, ends, a = state.at, state.graph.edges, state.colors[e]
-    u, v = ends[e]
-    first = at[v][b]
-    cur, want = sum(ends[first]) - v, a
-    walk = [e, first]
+    g, at, a = state.graph, state.at, state.colors[e]
+    u, v = g.edges[e]
+    cur, want = at[v][b], a
+    walk = [e, g.edge_index(v, cur)]
     for _ in range(state.walk_cap):
-        f = at[cur].get(want)
-        if f is None or f == e or (f > e and f in scanned):
+        nxt = at[cur].get(want)
+        if nxt is None:
+            return None
+        f = g.edge_index(cur, nxt)
+        if f == e or (f > e and f in scanned):
             return None
         walk.append(f)
-        cur = sum(ends[f]) - cur
+        cur = nxt
         if cur == u:
             return cycle_key(state.graph, walk) if want == b else None
         want = a if want == b else b
@@ -416,14 +420,13 @@ def reference_walk_starts(state: ColorState, e: int, scanned, second: set[int]) 
     pass the scanned-edge test and whose two b-edges at e both end at a
     vertex w carrying e's color a, with w's a-edge leading to a vertex
     carrying b."""
-    at, ends, a = state.at, state.graph.edges, state.colors[e]
-    u, v = ends[e]
+    at, a = state.at, state.colors[e]
+    u, v = state.graph.edges[e]
 
     def carries(w: int, b: int) -> bool:  # w's a-edge exists and ends at a vertex carrying b
-        return a in at[w] and b in at[sum(ends[at[w][a]]) - w]
+        return a in at[w] and b in at[at[w][a]]
 
-    return [b for b in reference_walkable(state, e, scanned, second)
-            if carries(sum(ends[at[u][b]]) - u, b) and carries(sum(ends[at[v][b]]) - v, b)]
+    return [b for b in reference_walkable(state, e, scanned, second) if carries(at[u][b], b) and carries(at[v][b], b)]
 
 
 def color_edges_without_closing_edges(state: ColorState, edges, rng: random.Random, scanned) -> list[tuple]:
@@ -445,7 +448,7 @@ def color_edges_without_closing_edges(state: ColorState, edges, rng: random.Rand
             c += 1
         write_color(state, e, c)
         if common:
-            found += coloring._cycles_through_edge(state, e, scanned, common)
+            found += reference_cycles_through_edge(state, e, scanned, common)
     return found
 
 
@@ -824,16 +827,17 @@ def reference_from_edge_list(text: str) -> Graph:
 
 
 def write_color(state: ColorState, e: int, c: int) -> None:
-    """Color edge e with c in ``state.colors`` and both endpoint maps: the
-    tests' own map writer, so that the oracles never call the decision loop
-    they check.  The caller keeps the coloring proper and in the palette."""
+    """Color edge e = {u, v} with c in ``state.colors`` and both endpoint
+    maps, which map c to the far end (v at u, u at v): the tests' own map
+    writer, so that the oracles never call the decision loop they check.
+    The caller keeps the coloring proper and in the palette."""
     u, v = state.graph.edges[e]
     at_u, at_v = state.at[u], state.at[v]
-    assert 0 <= c < state.k and at_u.get(c, e) == e and at_v.get(c, e) == e, (e, c)
+    assert 0 <= c < state.k and at_u.get(c, v) == v and at_v.get(c, u) == u, (e, c)
     old = state.colors[e]
     if old is not None:
         del at_u[old], at_v[old]
-    at_u[c] = at_v[c] = e
+    at_u[c], at_v[c] = v, u
     state.colors[e] = c
 
 

@@ -155,7 +155,7 @@ def test_improper_assign_raises(monkeypatch):
     with pytest.raises(ContractError, match="repeats at vertex 2"):
         _loop_write(monkeypatch, state, 1, 1, shift=0)  # color 1 already sits at vertex 2 (edge 2)
     assert state.colors == [0, None, 1, 2]  # a refused write changes nothing
-    assert state.at == [{0: 0, 2: 3}, {0: 0}, {1: 2}, {1: 2, 2: 3}]
+    assert state.at == [{0: 1, 2: 3}, {0: 0}, {1: 3}, {1: 2, 2: 0}]  # color -> far end
     _loop_write(monkeypatch, state, 1, 1)  # free colors 2, 3
     _loop_write(monkeypatch, state, 1, 1)  # recoloring an edge with its own color 3 is fine
     assert state.colors == [0, 3, 1, 2]
@@ -163,7 +163,7 @@ def test_improper_assign_raises(monkeypatch):
         _loop_write(monkeypatch, state, 2, 0, shift=3)  # recoloring into color 3, taken at vertex 2 (edge 1)
     _loop_write(monkeypatch, state, 0, 1)  # free colors 0, 1: the old color 0 leaves both endpoints of edge 0
     assert state.colors == [1, 3, 1, 2]
-    assert state.at == [{1: 0, 2: 3}, {1: 0, 3: 1}, {3: 1, 1: 2}, {1: 2, 2: 3}]
+    assert state.at == [{1: 1, 2: 3}, {1: 0, 3: 2}, {3: 1, 1: 3}, {1: 2, 2: 0}]
 
 
 def test_assign_outside_palette_raises(monkeypatch):
@@ -398,7 +398,7 @@ def test_greedy_walk_reuses_the_exact_second_colors(monkeypatch):
         v = sum(g.edges[e]) - u
         assert (u, v) == g.edges[e] and a == state.colors[e]
         assert b in (state.at[u].keys() & state.at[v].keys()) - {a}
-        assert first == state.at[v][b] and cur == sum(g.edges[first]) - v
+        assert cur == state.at[v][b] and first == g.edge_index(v, cur)
         walks.append((e, b))
         return walk(state, scanned, e, u, first, cur, a, b)
 
@@ -428,12 +428,12 @@ def test_greedy_walk_reuses_the_exact_second_colors(monkeypatch):
                     f = edge_before(w, colors[e])
                     return f is not None and edge_before(sum(g.edges[f]) - w, b) is not None
 
-                # per end of e, color -> edge among the edges colored before e
-                before = [{colors[f]: f for f in (g.edge_index(w, x) for x in g.adj[w]) if f < e} for w in ends]
+                # per end of e, color -> far end among the edges colored before e
+                before = [{colors[f]: x for x in g.adj[w] if (f := g.edge_index(w, x)) < e} for w in ends]
                 second = before[0].keys() & before[1].keys()
                 seconded += bool(second)
                 for b in second:
-                    far = [sum(g.edges[edge_at[b]]) - w for w, edge_at in zip(ends, before)]
+                    far = [far_at[b] for far_at in before]
                     near += all(edge_before(w, colors[e]) is not None for w in far)
                     if all(leads_to(w, b) for w in far):
                         expected.append((e, b))
@@ -471,7 +471,7 @@ def test_walk_guard_matches_the_unguarded_walk():
                     mine = coloring._cycles_through_edge(state, e, scanned, second)
                     assert mine == reference_cycles_through_edge(state, e, scanned, second), (g.m, colors, e)
                     closed += len(mine)
-                    far = [sum(g.edges[state.at[w][b]]) - w for w in (u, v) for b in second]
+                    far = [state.at[w][b] for w in (u, v) for b in second]
                     guarded += any(colors[e] not in state.at[x] for x in far)
     assert closed >= 400 and guarded >= 1000, (closed, guarded)
 
@@ -508,7 +508,7 @@ def test_two_sided_guard_drops_only_walks_that_close_nothing(monkeypatch):
                     assert reference_walk(state, e, scanned, b) is None, (state.graph.m, e, b)
                     dropped += 1
                     # past the one-sided guard: both far ends carry e's color
-                    far_dropped += all(state.colors[e] in at[sum(ends[at[w][b]]) - w] for w in (u, v))
+                    far_dropped += all(state.colors[e] in at[at[w][b]] for w in (u, v))
         assert found == expected and state.colors == twin.colors and rng.getstate() == twin_rng.getstate()
         closed += len(found)
         return found
@@ -570,6 +570,54 @@ def test_cycle_index_matches_rescan_after_updates():
             index.refresh_after(dirty, coloring._color_edges(state, dirty, rng, dirty))
             assert set(index.cycles) == set(all_bichromatic_cycles(state))
             assert state.at == colored(g, state.k, state.colors).at
+
+
+def test_maps_hold_the_far_ends_after_every_decision_call(monkeypatch):
+    # after each call of the decision loop in whole col_alg runs, greedy pass
+    # and recolors alike, the maps must be what the tests' own writer builds
+    # from the colors alone: color -> far end at each vertex, so a stale or
+    # swapped far end cannot hide behind unchanged draws
+    color_edges = coloring._color_edges
+    calls = 0
+
+    def checked(state, edges, rng, scanned):
+        nonlocal calls
+        found = color_edges(state, edges, rng, scanned)
+        assert state.at == colored(state.graph, state.k, state.colors).at, (state.graph.m, list(edges))
+        calls += 1
+        return found
+
+    monkeypatch.setattr(coloring, "_color_edges", checked)
+    rng = random.Random(67)
+    corpus = [(g, 2 * g.max_degree - 1, range(10)) for g in brute_force_graphs()]
+    corpus.append((complete_graph(20), 37, range(30)))
+    for n, p in ((12, 0.4), (20, 0.25), (30, 0.15)):
+        g = gnp_graph(n, p, seed=rng.randrange(2**30))
+        if g.max_degree:
+            corpus.append((g, 2 * g.max_degree - 1, range(10)))
+    runs = steps = 0
+    for g, k, seeds in corpus:
+        for seed in seeds:
+            _, stats = col_alg(g, k, seed=seed)
+            runs += 1
+            steps += stats.steps
+    assert calls == runs + steps and steps >= 100, (calls, runs, steps)
+
+
+def test_color_state_memory_per_edge():
+    # the maps hold far ends, the ints of the graph's own edge tuples, not
+    # one edge-index int per edge: after col_alg on the benchmark's dense
+    # graph (24-regular, n=600) the state holds about 106 B per edge, where
+    # color -> edge maps held 137 B
+    g = random_regular_graph(24, 600, seed=0)
+    tracemalloc.start()
+    try:
+        state, _ = col_alg(g, 2 * g.max_degree - 1, seed=1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert state.colors.count(None) == 0
+    assert held / g.m < 120, held / g.m
 
 
 def test_cycle_index_matches_rescan_after_multi_edge_refresh():
