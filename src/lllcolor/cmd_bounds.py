@@ -1,6 +1,7 @@
 """`lllcolor bounds`: the exact and asymptotic step-count table, as CSV."""
 
 import re
+import sys
 
 from . import cmd_common
 
@@ -39,7 +40,20 @@ def run(args) -> int:
     try:
         cutoff = bounds_mod.cutoff_estimate(params)
     except bounds_mod.NoCutoffError:
-        cutoff = None
+        cutoff = ""
+    try:
+        rows = [
+            (n, exact, f"{approx:.12g}", f"{envelope:.12g}", f"{powed:.12g}")
+            for n, exact, approx, envelope, powed in bounds_mod.bound_rows(params, args.n)
+        ]
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        # Python spells no int of more digits than its limit: name the first
+        # row whose Q_n has a numerator or denominator past it
+        limit = sys.get_int_max_str_digits()
+        n = next(n for n, q_n in enumerate(bounds_mod.q_series(params, args.n)) if max(q_n.as_integer_ratio()) >= 10**limit)
+        raise ValueError(f"row n={n}: q_exact spells a number of more than {limit} digits") from None
     config = {
         "command": "bounds",
         "p": str(params.p),
@@ -47,13 +61,9 @@ def run(args) -> int:
         "m": params.m,
         "n": args.n,
     }
-    rows = [
-        (n, exact, f"{approx:.12g}", f"{envelope:.12g}", f"{powed:.12g}")
-        for n, exact, approx, envelope, powed in bounds_mod.bound_rows(params, args.n)
-    ]
     summary = (
         ["strict", "classic", "base", "cutoff"],
-        [[flags["strict"], flags["classic"], f"{params.base:.12g}", "" if cutoff is None else cutoff]],
+        [[flags["strict"], flags["classic"], f"{params.base:.12g}", cutoff]],
     )
     cmd_common.emit(
         cmd_common.csv_text(config, ["n", "q_exact", "q_float", "phase_bound", "base_pow"], rows, [summary]),

@@ -36,7 +36,10 @@ the per-vertex color -> far end maps of one ``ColorState``, which every
 assignment keeps up to date, and look an edge's index up only where a
 walk steps along it.  A sweep over an edge set finds each cycle
 once, from its largest edge in the set: a walk stops at any larger edge
-of the set.  The decision loop walks from each edge right after coloring
+of the set.  ``_walk`` is the one walk: the full sweep
+``find_bichromatic_cycle``, which only the tests and the benchmark run,
+starts it from every colored edge with no guard but its first edge's
+index.  The decision loop walks from each edge right after coloring
 it, over the edges it colors, so the greedy pass collects each cycle of
 its output from the cycle's largest edge, and those cycles seed the
 loop's incremental index; a recolor, taking its cycle's edges in index
@@ -109,11 +112,10 @@ def _color_edges(state: ColorState, edges, rng: random.Random, scanned: frozense
     leading to a vertex that carries b, and, looked up only for those, the
     b-edges {u, x} and {v, y} past the scanned-edge test.  Both tests are
     filters over one order, so the walks start as if the test came first.
-    The guard reaches one alternation further on each side than
-    ``_cycles_through_edge``'s and drops only walks that close no cycle,
-    since an (a, b) cycle through e holds both those a-edges and a b-edge
-    at each of their ends.  A sequence of edges draws and finds what one
-    call per edge would.
+    The guard drops only walks that close no cycle, since an (a, b) cycle
+    through e holds both those a-edges and a b-edge at each of their
+    ends.  A sequence of edges draws and finds what one call per edge
+    would.
     """
     colors, at, ends, closing = state.colors, state.at, state.graph.edges, state.graph._edge_index.get
     k, cap, m = state.k, state.max_forbidden, len(ends)
@@ -188,41 +190,6 @@ def greedy_4acyclic(graph: Graph, k: int, rng: random.Random) -> tuple[ColorStat
     return state, set(_color_edges(state, every_edge, rng, every_edge))
 
 
-def _second_colors(state: ColorState, e: int) -> set[int]:
-    """The colors at both ends of colored edge e other than its own."""
-    u, v = state.graph.edges[e]
-    common = state.at[u].keys() & state.at[v].keys()
-    common.discard(state.colors[e])
-    return common
-
-
-def _cycles_through_edge(state: ColorState, e: int, scanned: frozenset[int] | range, second: set[int]) -> list[tuple]:
-    """The keys of the bichromatic cycles through edge e whose largest edge
-    in ``scanned`` is e, one per workable second color; e must be in
-    ``scanned``.
-
-    ``second`` holds the colors at both ends of e other than e's own; such
-    a color b starts a walk only when neither b-edge at e, looked up from
-    its far end in the maps, is a scanned edge above e and both far ends
-    carry e's color a, since otherwise e lies on an (a, b) path.  A sweep of ``scanned`` finds each bichromatic
-    cycle C meeting it exactly once: the walk from C's largest edge e* in
-    ``scanned`` goes around C, and a walk from any other scanned edge of C
-    stops at e*.  Only the tests sweep.
-    """
-    at, edge_index = state.at, state.graph.edge_index
-    u, v = state.graph.edges[e]
-    a = state.colors[e]
-    out: list[tuple] = []
-    for b in second:
-        x, y = at[u][b], at[v][b]
-        last, first = edge_index(u, x), edge_index(v, y)
-        if (last > e and last in scanned) or (first > e and first in scanned):
-            continue  # the walk would stop at its last or its first edge
-        if a in at[x] and a in at[y] and (key := _walk(state, scanned, e, u, first, y, a, b)):
-            out.append(key)
-    return out
-
-
 def _walk(state: ColorState, scanned, e: int, u: int, first: int, cur: int, a: int, b: int) -> tuple | None:
     """The key of the (a, b) cycle that the walk from edge e = {u, v},
     colored a, closes after leaving v along its b-edge ``first`` for
@@ -248,30 +215,34 @@ def _walk(state: ColorState, scanned, e: int, u: int, first: int, cur: int, a: i
     raise ContractError("alternating walk failed to terminate")
 
 
-def all_bichromatic_cycles(state: ColorState) -> set[tuple]:
-    """The key of every bichromatic cycle, each built once, from its largest edge."""
-    found: set[tuple] = set()
-    every_edge = range(state.graph.m)
-    for e in every_edge:
-        if state.colors[e] is not None:
-            found.update(_cycles_through_edge(state, e, every_edge, _second_colors(state, e)))
-    return found
-
-
 def find_bichromatic_cycle(state: ColorState, restrict: frozenset[int] | None = None) -> tuple | None:
     """The least bichromatic cycle's key, or None; with ``restrict``, the
-    least of the cycles that share an edge with that edge set.  Only the
-    tests and ``perfbench/child.py`` call it, and the latter wraps it by
-    name, so it stays until the benchmark changes."""
-    return CycleIndex(all_bichromatic_cycles(state)).least(restrict)
+    least of the cycles that share an edge with that edge set.
+
+    A full sweep: from each colored edge e = {u, v}, colored a, and each
+    color b at both its ends, ``_walk`` leaves v along its b-edge ``first``
+    when ``first`` < e.  The walk stops at any edge above e, so each cycle
+    is closed once, from its largest edge; b = a gives ``first`` = e.  Only
+    the tests and ``perfbench/child.py`` call it, and the latter wraps it
+    by name, so it stays until the benchmark changes."""
+    at, ends, edge_index = state.at, state.graph.edges, state.graph.edge_index
+    found: set[tuple] = set()
+    for e, a in enumerate(state.colors):
+        if a is not None:
+            u, v = ends[e]
+            for b in at[u].keys() & at[v].keys():
+                y = at[v][b]
+                if (first := edge_index(v, y)) < e and (key := _walk(state, range(len(ends)), e, u, first, y, a, b)):
+                    found.add(key)
+    return CycleIndex(found).least(restrict)
 
 
 class CycleIndex:
     """Incrementally maintained set of the keys of all current bichromatic
     cycles.  The index starts from ``cycles``, the key of every bichromatic
     cycle: in ``col_alg`` those the greedy pass collected, each from its
-    largest edge; the tests pass ``all_bichromatic_cycles(state)``.  A
-    cycle's status only changes when one of its edges is recolored, so
+    largest edge; the tests pass their oracle sweep's.  A cycle's status
+    only changes when one of its edges is recolored, so
     after recoloring the edge set ``dirty`` it suffices to drop the stored
     cycles touching it and to add ``found``, the keys the recoloring's
     walks closed (``_color_edges`` over ``dirty`` in index order, walking
@@ -280,9 +251,9 @@ class CycleIndex:
     when all its edges are final, and a walk from e stops at any larger
     edge of ``dirty``, which is still to be recolored, so it closes only
     final cycles.  It is the only detector of ``col_alg``; the tests hold
-    it against full rescans, and ``perfbench/child.py`` wraps ``__init__``
-    and ``refresh_after`` by name, so those stay until the benchmark
-    changes.
+    it against full rescans by their oracle sweep, and
+    ``perfbench/child.py`` wraps ``__init__`` and ``refresh_after`` by
+    name, so those stay until the benchmark changes.
     """
 
     def __init__(self, cycles: set[tuple]):

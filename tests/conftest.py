@@ -18,7 +18,6 @@ from lllcolor.bounds import BoundParams
 from lllcolor.coloring import (
     ColorRunStats,
     ColorState,
-    all_bichromatic_cycles,
     find_bichromatic_cycle,
     greedy_4acyclic,
 )
@@ -406,12 +405,27 @@ def reference_walk(state: ColorState, e: int, scanned, b: int) -> tuple | None:
 
 
 def reference_cycles_through_edge(state: ColorState, e: int, scanned, second: set[int]) -> list[tuple]:
-    """``_cycles_through_edge`` without its guard: every second color b
-    that the scanned-edge test lets through starts ``reference_walk``.  The
-    oracle for the guarded walk, which must return the same keys in the
-    same order."""
+    """The keys that the walks from colored edge e close, with no guard:
+    every second color b that the scanned-edge test lets through starts
+    ``reference_walk``.  The oracle for the decision loop's guarded walks,
+    which must return the same keys in the same order."""
     walks = (reference_walk(state, e, scanned, b) for b in reference_walkable(state, e, scanned, second))
     return [key for key in walks if key]
+
+
+def all_bichromatic_cycles(state: ColorState) -> set[tuple]:
+    """The key of every bichromatic cycle, each built once, from its largest
+    edge, by ``reference_cycles_through_edge`` from every colored edge over
+    all edges: the oracle sweep for the library's greedy pass,
+    ``CycleIndex`` and ``find_bichromatic_cycle``, sharing no walk and no
+    guard with them."""
+    g, at, every_edge = state.graph, state.at, range(state.graph.m)
+    found: set[tuple] = set()
+    for e, a in enumerate(state.colors):
+        if a is not None:
+            u, v = g.edges[e]
+            found.update(reference_cycles_through_edge(state, e, every_edge, (at[u].keys() & at[v].keys()) - {a}))
+    return found
 
 
 def reference_walk_starts(state: ColorState, e: int, scanned, second: set[int]) -> list[int]:

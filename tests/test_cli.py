@@ -512,6 +512,7 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         ("bounds", "--p", "0." + "0" * 4300 + "1", "--delta", "3"),
         ("bounds", "--p", "1/" + "7" * 5000, "--delta", "3"),
         ("bounds", "--p", "1 / 8", "--delta", "3"),
+        ("bounds", "--p", "1e-20", "--delta", "3", "--n", "300"),
     ],
     ids=[
         "sat-step-limit", "color-step-limit", "bench-step-limit", "bench-runs", "bench-jobs",
@@ -530,7 +531,7 @@ def test_dice_phases_cap_keeps_z_defined(capsys):
         "color-underscore", "color-non-ascii-digit", "verify-header-underscore",
         "bench-negative-seed-base", "color-negative-seed", "bench-negative-gen-seed", "verify-deep-nesting",
         "bounds-p-exponent-huge", "bounds-p-exponent-large", "bounds-p-exponent-tiny", "bounds-p-decimals-long",
-        "bounds-p-digits-long", "bounds-p-spaces",
+        "bounds-p-digits-long", "bounds-p-spaces", "bounds-q-exact-long",
     ],
 )
 def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, argv):
@@ -586,6 +587,8 @@ def test_bad_request_is_one_line_input_error(capsys, tmp_path, hexagon_file, arg
         assert err == "lllcolor: error: --p spells a number of more than 4300 digits\n"
     if argv[2:3] == ("1 / 8",):  # Fraction reads spaces around the slash; the form check does not
         assert err == "lllcolor: error: --p '1 / 8' is not a fraction a/b or a decimal\n"
+    if argv[2:3] == ("1e-20",):  # Q_216 is the first whose denominator, of 4,318 digits, Python will not print
+        assert err == "lllcolor: error: row n=216: q_exact spells a number of more than 4300 digits\n"
     if argv[1].endswith("_token}"):  # a non-integer token names its line
         assert "line 2:" in err
     if argv[1].endswith("_second_header}"):  # so does a second header

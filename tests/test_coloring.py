@@ -10,7 +10,6 @@ from lllcolor.coloring import (
     ColorState,
     CycleIndex,
     PaletteError,
-    all_bichromatic_cycles,
     col_alg,
     find_bichromatic_cycle,
     greedy_4acyclic,
@@ -30,6 +29,7 @@ from lllcolor.verify import verify_acyclic
 
 from conftest import (
     _IndexDraw,
+    all_bichromatic_cycles,
     audited_col_alg,
     bichromatic_edge_set,
     brute_bichromatic_keys,
@@ -40,7 +40,6 @@ from conftest import (
     random_proper_colors,
     reference_col_alg,
     reference_color_edges,
-    reference_cycles_through_edge,
     reference_forbidden_colors,
     reference_verify_acyclic,
     reference_walk,
@@ -262,6 +261,15 @@ def test_two_disjoint_hexagons_least_and_restrict():
     assert keys[0] == least and len(keys) == 2
 
 
+def _assert_least_cycles_match(state: ColorState, brute: set[tuple]) -> None:
+    # the library's sweep, unrestricted and restricted to each edge, against
+    # the least of the brute-force keys, all of them and those through e
+    assert find_bichromatic_cycle(state) == min(brute, default=None)
+    for e in range(state.graph.m):
+        through = min((key for key in brute if e in key[1]), default=None)
+        assert find_bichromatic_cycle(state, frozenset({e})) == through, (state.colors, e)
+
+
 def test_detector_matches_brute_force_oracle():
     cases = [cycle_graph(6), cycle_graph(8), two_hex_graph(), petersen_graph(), complete_graph(5)]
     rng = random.Random(77)
@@ -269,7 +277,9 @@ def test_detector_matches_brute_force_oracle():
         for _ in range(30):
             k = 2 * g.max_degree - 1 + rng.randrange(3)
             state, _ = greedy_4acyclic(g, k, random.Random(rng.randrange(2**30)))
-            assert all_bichromatic_cycles(state) == brute_bichromatic_keys(g, state.colors)
+            brute = brute_bichromatic_keys(g, state.colors)
+            assert all_bichromatic_cycles(state) == brute
+            _assert_least_cycles_match(state, brute)
 
 
 def test_detector_matches_brute_force_on_arbitrary_colorings():
@@ -286,7 +296,9 @@ def test_detector_matches_brute_force_on_arbitrary_colorings():
                 if colors is None:
                     continue
                 brute = brute_bichromatic_keys(g, colors)
-                assert all_bichromatic_cycles(colored(g, k, colors)) == brute
+                state = colored(g, k, colors)
+                assert all_bichromatic_cycles(state) == brute
+                _assert_least_cycles_match(state, brute)
                 runs += 1
                 cyclic += bool(brute)
                 four_cycles += any(length == 4 for length, _ in brute)
@@ -294,7 +306,8 @@ def test_detector_matches_brute_force_on_arbitrary_colorings():
 
 
 def test_full_sweep_builds_each_cycle_once(monkeypatch):
-    # each bichromatic cycle is walked to the end only from its largest edge
+    # the library's sweep walks each bichromatic cycle to the end only from
+    # its largest edge: one cycle_key call per cycle of the oracle sweep
     built = []
     cycle_key = coloring.cycle_key
 
@@ -308,6 +321,7 @@ def test_full_sweep_builds_each_cycle_once(monkeypatch):
     total = 0
     for state in states:
         built.clear()
+        find_bichromatic_cycle(state)
         found = all_bichromatic_cycles(state)
         assert len(built) == len(found)
         total += len(found)
@@ -363,12 +377,12 @@ def test_col_alg_walks_once_per_decision(monkeypatch):
             silent += not expected
         return found
 
-    def no_sweep(state):
+    def no_sweep(state, restrict=None):
         raise AssertionError("col_alg ran a full sweep")
 
     monkeypatch.setattr(coloring, "_walk", counting)
     monkeypatch.setattr(coloring, "_color_edges", one_by_one)
-    monkeypatch.setattr(coloring, "all_bichromatic_cycles", no_sweep)
+    monkeypatch.setattr(coloring, "find_bichromatic_cycle", no_sweep)
     steps = walked = 0
     for g, k in ((complete_graph(20), 37), (petersen_graph(), 5)):
         for seed in range(40):
@@ -446,10 +460,12 @@ def test_greedy_walk_reuses_the_exact_second_colors(monkeypatch):
 
 
 def test_walk_guard_matches_the_unguarded_walk():
-    # the guard drops a second color b only where a far end of e's b-edges
-    # lacks e's color, so the guarded walk must close the same cycles, in
-    # the same order, as the unguarded one; over the full sweep's range and
-    # over recolor-style frozensets (a cycle's edges, a random edge set)
+    # _walk, the one walk of the decision loop and of the full sweep, checks
+    # no far end up front: from every second color b that passes the
+    # scanned-edge test it must close what the oracle walk closes, and die
+    # where that one dies, also where a far end of e's b-edges lacks e's
+    # color; over the full sweep's range and over recolor-style frozensets
+    # (a cycle's edges, a random edge set)
     cases = [cycle_graph(6), two_hex_graph(), petersen_graph(), complete_graph(6), complete_graph(9)]
     rng = random.Random(47)
     closed = guarded = 0
@@ -468,9 +484,11 @@ def test_walk_guard_matches_the_unguarded_walk():
                         continue
                     u, v = g.edges[e]
                     second = (state.at[u].keys() & state.at[v].keys()) - {colors[e]}
-                    mine = coloring._cycles_through_edge(state, e, scanned, second)
-                    assert mine == reference_cycles_through_edge(state, e, scanned, second), (g.m, colors, e)
-                    closed += len(mine)
+                    for b in reference_walkable(state, e, scanned, second):
+                        y = state.at[v][b]
+                        mine = coloring._walk(state, scanned, e, u, g.edge_index(v, y), y, colors[e], b)
+                        assert mine == reference_walk(state, e, scanned, b), (g.m, colors, e, b)
+                        closed += mine is not None
                     far = [state.at[w][b] for w in (u, v) for b in second]
                     guarded += any(colors[e] not in state.at[x] for x in far)
     assert closed >= 400 and guarded >= 1000, (closed, guarded)
